@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .core import (
     AccuracyError,
     BlockSignatureVector,
-    ComplexPoint,
     ConfigurationError,
     IntegerComposition,
     ModelParams,

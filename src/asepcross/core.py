@@ -10,8 +10,7 @@ the type-2 particles.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 FACTORIAL_CAP = 9
 INT64_MAX = 2**63 - 1
@@ -227,20 +226,6 @@ class ModelParams:
             raise ValidationError("ell must be >= 0")
         if self.epsilon <= 0:
             raise ValidationError("epsilon must be > 0")
-
-
-@dataclass(frozen=True)
-class ComplexPoint:
-    re: float
-    im: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise ValidationError("complex point components must be finite")
-
-    @property
-    def value(self) -> complex:
-        return complex(self.re, self.im)
 
 
 def validate_standard_regime(mu: ParticleConfig, nu: ParticleConfig) -> bool:

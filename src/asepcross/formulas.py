@@ -36,11 +36,13 @@ from .quadrature import (
     ContourProduct,
     ContourSpec,
     MultivariatePolynomial,
+    OpenGrid,
     RationalExpDescriptor,
+    batched_det,
     laurent_residue,
     product_integrate,
     residue_sum,
-    vandermonde_poly,
+    spectral_rows,
     vandermonde_squared_poly,
 )
 from .vertex import f_mu, sfF_lambda, xi_mu
@@ -139,63 +141,50 @@ def _spread_radii(n: int, lo: float, hi: float) -> list[float]:
 def eigenfunction_P(nu, p, t, z, u):
     """Generator eigenfunction: the double permutation sum over S_n x S_m.
 
-    ``z`` has shape (n,) or (n, M) and ``u`` shape (m,) or (m, M); the
-    spectral points enter symmetrically in the time factor, so it is applied
-    once outside the permutation sums.
+    ``z`` holds n rows and ``u`` m rows of spectral points: (n,) or (n, M)
+    arrays, or OpenGrid rows.  The factors common to every permutation term
+    (the time factor among them, in which the spectral points enter
+    symmetrically) are applied once outside the permutation sums.
     """
     nu = [int(x) for x in nu]
     p = [int(x) for x in p]
     n, m = len(nu), len(p)
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 1
-    Z = z.reshape(n, -1)
-    M = Z.shape[1]
-    U = np.asarray(u, dtype=complex).reshape(m, -1) if m else np.zeros((0, M), complex)
-    if m and U.shape[1] != M:
+    Z, finish = spectral_rows(z, n)
+    U, _ = spectral_rows(u, m)
+    if m and not isinstance(Z, OpenGrid) and U.shape[1:] != Z.shape[1:]:
         raise ValidationError("z and u must share their node dimension")
-    omz = 1.0 - Z
-    exp_t = np.ones(M, dtype=complex)
-    for i in range(n):
-        exp_t = exp_t * np.exp((1.0 / Z[i] - 1.0) * t)
     c = [sum(1 for pi in p if pi >= j) for j in range(1, n + 1)]
-    a_pref = np.ones(M, dtype=complex)
+    pref = 1.0
     for i in range(n):
-        a_pref = a_pref * omz[i] ** (i + 1)
-    pow_omz_inv = [
-        [omz[k] ** (-(i + 1) - c[i]) for i in range(n)] for k in range(n)
-    ]
-    pow_z_nu = [[Z[k] ** nu[i] for i in range(n)] for k in range(n)]
-    if m:
-        omu = 1.0 - U
-        cu_pref = np.ones(M, dtype=complex)
-        for a in range(m):
-            cu_pref = cu_pref * omu[a] ** (a + 1)
-        pow_omu_inv = [[omu[a] ** (-(i + 1)) for i in range(m)] for a in range(m)]
-        sigma_perms = signed_permutations(m)
-    total = np.zeros(M, dtype=complex)
+        pref = pref * (np.exp((1.0 / Z[i] - 1.0) * t) * (1.0 - Z[i]) ** (i + 1))
+    for a in range(m):
+        pref = pref * (1.0 - U[a]) ** (a + 1)
+    single = [[(1.0 - Z[k]) ** (-(i + 1) - c[i]) * Z[k] ** nu[i] for i in range(n)]
+              for k in range(n)]
+    pow_omu_inv = [[(1.0 - U[a]) ** (-(i + 1)) for i in range(m)] for a in range(m)]
+    sigma_perms = signed_permutations(m) if m else []
+    total = 0.0
     for perm, sgn in signed_permutations(n):
-        term = sgn * a_pref
+        term = sgn
         for i in range(n):
-            term = term * pow_omz_inv[perm[i]][i] * pow_z_nu[perm[i]][i]
+            term = term * single[perm[i]][i]
         if m:
+            # uz[a][e] = prod_{l < e} (u_a - z_perm(l))
             uz = []
             for a in range(m):
-                diffs = U[a][None, :] - Z[perm, :]
-                uz.append(np.cumprod(diffs, axis=0))
-            csum = np.zeros(M, dtype=complex)
+                prods = [1.0]
+                for l in range(max(p) - 1):
+                    prods.append(prods[-1] * (U[a] - Z[perm[l]]))
+                uz.append(prods)
+            csum = 0.0
             for sperm, ssgn in sigma_perms:
-                cterm = ssgn * cu_pref
+                cterm = ssgn
                 for i in range(m):
-                    a = sperm[i]
-                    cterm = cterm * pow_omu_inv[a][i]
-                    e = p[i] - 1
-                    if e > 0:
-                        cterm = cterm * uz[a][e - 1]
-                csum += cterm
+                    cterm = cterm * (pow_omu_inv[sperm[i]][i] * uz[sperm[i]][p[i] - 1])
+                csum = csum + cterm
             term = term * csum
-        total += term
-    total = total * exp_t
-    return complex(total[0]) if scalar else total
+        total = total + term
+    return finish(total * pref)
 
 
 def _green_laurent(mu0: int, nu0: int, t: float) -> float:
@@ -246,15 +235,13 @@ def green_evaluation(query: GreenQuery):
         contours = tuple(ContourSpec(0.0, r) for r in radii)
 
         def integrand(Z):
-            out = eigenfunction_P(nu, p, t, Z, Z[:m])
+            out = 1.0
             for i in range(n):
-                out = out * Z[i] ** (-mu[i] - 1) * (1.0 - Z[i]) ** m
+                out = out * (Z[i] ** (-mu[i] - 1) * (1.0 - Z[i]) ** (m - min(i, m)))
             for a in range(m):
                 for j in range(a):
                     out = out / (Z[a] - Z[j])
-                for j in range(a + 1, n):
-                    out = out / (1.0 - Z[j])
-            return out
+            return out * eigenfunction_P(nu, p, t, Z, Z[:m])
 
         cp = ContourProduct(contours)
     else:
@@ -265,15 +252,14 @@ def green_evaluation(query: GreenQuery):
 
         def integrand(ZU):
             Z, U = ZU[:n], ZU[n:]
-            out = eigenfunction_P(nu, p, t, Z, U)
+            out = 1.0
             for i in range(n):
-                out = out * Z[i] ** (-mu[i] - 1) * (1.0 - Z[i]) ** m
+                below = sum(1 for x in p0 if x <= i)
+                out = out * (Z[i] ** (-mu[i] - 1) * (1.0 - Z[i]) ** (m - below))
             for a in range(m):
                 for j in range(p0[a]):
                     out = out / (U[a] - Z[j])
-                for j in range(p0[a], n):
-                    out = out / (1.0 - Z[j])
-            return out
+            return out * eigenfunction_P(nu, p, t, Z, U)
 
     value, err = product_integrate(
         integrand, cp, tol=query.tol, node_budget=query.node_budget
@@ -356,32 +342,20 @@ def two_tasep_crossing(mu, nu, m: int, t: float, tol: float = 1e-10,
 
     def integrand(ZW):
         Z, W = ZW[:m], ZW[m:]
-        M = ZW.shape[1]
-        out = np.ones(M, dtype=complex)
+        out = 1.0
         for i in range(m):
-            out = out * np.exp((1.0 / Z[i] - 1.0) * t) / (1.0 - Z[i]) ** k
+            out = out * (np.exp((1.0 / Z[i] - 1.0) * t) / (1.0 - Z[i]) ** k)
         for i in range(k):
             out = out * np.exp((1.0 / W[i] - 1.0) * t)
         for i in range(m):
             for j in range(k):
                 out = out * (W[j] - Z[i])
-        if m:
-            matz = np.empty((M, m, m), dtype=complex)
-            for i in range(m):
-                for j in range(m):
-                    matz[:, i, j] = Z[i] ** (nu[k + j] - mu[i] - 1) * (
-                        1.0 - Z[i]
-                    ) ** (i - j)
-            out = out * np.linalg.det(matz)
-        if k:
-            matw = np.empty((M, k, k), dtype=complex)
-            for i in range(k):
-                for j in range(k):
-                    matw[:, i, j] = W[i] ** (nu[j] - mu[m + i] - 1) * (
-                        1.0 - W[i]
-                    ) ** (i - j)
-            out = out * np.linalg.det(matw)
-        return out
+        out = out * batched_det(
+            m, lambda i, j: Z[i] ** (nu[k + j] - mu[i] - 1) * (1.0 - Z[i]) ** (i - j)
+        )
+        return out * batched_det(
+            k, lambda i, j: W[i] ** (nu[j] - mu[m + i] - 1) * (1.0 - W[i]) ** (i - j)
+        )
 
     value, _ = product_integrate(
         integrand, ContourProduct(contours), tol=tol, node_budget=node_budget
@@ -397,6 +371,22 @@ def _around_one_radii(q: float, n: int) -> list[float]:
     if rmax <= 0:
         raise ValidationError("no valid contour radius around 1 for this q")
     return _spread_radii(n, 0.7 * rmax, rmax)
+
+
+def _around_one(Z, q, t, powers, scale=None):
+    """The factors shared by the integrands around 1: for each variable z_j,
+    exp((1-q)^2 z_j t / ((1-z_j)(1-q z_j))) ((1-q z_j)/(1-z_j))^powers[j]
+    / ((1-z_j)(1-q z_j)), times scale[j] if given, and for each pair i < j
+    (z_j - z_i)/(z_j - q z_i)."""
+    out = 1.0
+    for j, z in enumerate(Z):
+        out = out * (np.exp((1.0 - q) ** 2 * z * t / ((1.0 - z) * (1.0 - q * z)))
+                     * ((1.0 - q * z) / (1.0 - z)) ** powers[j]
+                     / ((1.0 - z) * (1.0 - q * z)) * (1.0 if scale is None else scale[j]))
+    for i in range(len(Z)):
+        for j in range(i + 1, len(Z)):
+            out = out * ((Z[j] - Z[i]) / (Z[j] - q * Z[i]))
+    return out
 
 
 def r_asep_transition(mu, nu, q: float, t: float, tol: float = 1e-10,
@@ -433,19 +423,8 @@ def r_asep_transition(mu, nu, q: float, t: float, tol: float = 1e-10,
     rq = q**-0.5
 
     def integrand(Z):
-        M = Z.shape[1]
-        out = np.ones(M, dtype=complex)
-        for i in range(n):
-            out = out / Z[i]
-            for j in range(i + 1, n):
-                out = out * (Z[j] - Z[i]) / (Z[j] - q * Z[i])
-        for j in range(n):
-            out = out * np.exp(
-                (1.0 - q) ** 2 * Z[j] * t / ((1.0 - Z[j]) * (1.0 - q * Z[j]))
-            )
-            out = out / (1.0 - Z[j])
-            out = out * ((1.0 - q * Z[j]) / (1.0 - Z[j])) ** mu[j]
-        return out * f_mu(nu, rq / Z, q, rq)
+        out = _around_one(Z, q, t, mu, [(1.0 - q * z) / z for z in Z])
+        return out * f_mu(nu, OpenGrid(rq / z for z in Z), q, rq)
 
     value, _ = product_integrate(
         integrand, ContourProduct(contours), tol=tol, node_budget=node_budget
@@ -479,17 +458,7 @@ def rainbow_total_crossing(mu, nu, q: float, t: float, tol: float = 1e-10,
     contours = tuple(ContourSpec(1.0, radius, orientation=-1) for _ in range(n))
 
     def integrand(Z):
-        out = np.ones(Z.shape[1], dtype=complex)
-        for i in range(n):
-            for j in range(i + 1, n):
-                out = out * (Z[j] - Z[i]) / (Z[j] - q * Z[i])
-        for j in range(n):
-            out = out * np.exp(
-                (1.0 - q) ** 2 * Z[j] * t / ((1.0 - Z[j]) * (1.0 - q * Z[j]))
-            )
-            out = out / ((1.0 - Z[j]) * (1.0 - q * Z[j]))
-            out = out * ((1.0 - q * Z[j]) / (1.0 - Z[j])) ** (mu[j] - nu[j])
-        return out
+        return _around_one(Z, q, t, [a - b for a, b in zip(mu, nu)])
 
     value, _ = product_integrate(
         integrand, ContourProduct(contours), tol=tol, node_budget=node_budget
@@ -521,19 +490,10 @@ def block_crossing(query: CrossingQuery, tol: float = 1e-10,
         offsets.append(offsets[-1] + nk)
 
     def integrand(Z):
-        out = np.ones(Z.shape[1], dtype=complex)
-        for i in range(n):
-            for j in range(i + 1, n):
-                out = out * (Z[j] - Z[i]) / (Z[j] - q * Z[i])
-        for j in range(n):
-            out = out * np.exp(
-                (1.0 - q) ** 2 * Z[j] * t / ((1.0 - Z[j]) * (1.0 - q * Z[j]))
-            )
-            out = out / ((1.0 - Z[j]) * (1.0 - q * Z[j]))
+        out = _around_one(Z, q, t, [0] * n)
         for k, (block_mu, block_lam) in enumerate(zip(mu_vec.blocks, lam_vec.blocks)):
             zb = Z[offsets[k]:offsets[k + 1]]
-            out = out * xi_mu(block_mu.parts, zb, q)
-            out = out * sfF_lambda(block_lam.parts, zb, q)
+            out = out * (xi_mu(block_mu.parts, zb, q) * sfF_lambda(block_lam.parts, zb, q))
         return out
 
     value, _ = product_integrate(
@@ -562,8 +522,7 @@ def tasep_block_crossing(query: CrossingQuery, tol: float = 1e-10,
         offsets.append(offsets[-1] + nk)
 
     def integrand(Z):
-        M = Z.shape[1]
-        out = np.ones(M, dtype=complex)
+        out = 1.0
         for j in range(n):
             out = out * np.exp(Z[j] * t / (1.0 - Z[j]))
         for k in range(len(sizes)):
@@ -572,16 +531,12 @@ def tasep_block_crossing(query: CrossingQuery, tol: float = 1e-10,
                     for j in range(offsets[l], offsets[l + 1]):
                         out = out * (Z[j] - Z[i])
         for k, (block_mu, block_lam) in enumerate(zip(mu_vec.blocks, lam_vec.blocks)):
-            nk = sizes[k]
-            Nk = offsets[k]
-            zb = Z[offsets[k]:offsets[k + 1]]
-            mat = np.empty((M, nk, nk), dtype=complex)
-            for i in range(nk):
-                for j in range(nk):
-                    mat[:, i, j] = zb[j] ** ((i + 1) - (j + 1) - Nk) * (
-                        1.0 - zb[j]
-                    ) ** (block_lam.parts[i] - block_mu.parts[j] - 1)
-            out = out * np.linalg.det(mat)
+            Nk, zb = offsets[k], Z[offsets[k]:offsets[k + 1]]
+            lam, mu = block_lam.parts, block_mu.parts
+            out = out * batched_det(
+                sizes[k],
+                lambda i, j: zb[j] ** (i - j - Nk) * (1.0 - zb[j]) ** (lam[i] - mu[j] - 1),
+            )
         return out
 
     value, _ = product_integrate(
@@ -604,17 +559,7 @@ def single_species_crossing(mu, lam, q: float, t: float, tol: float = 1e-10) -> 
     contours = tuple(ContourSpec(1.0, r, orientation=-1) for r in radii)
 
     def integrand(Z):
-        out = np.ones(Z.shape[1], dtype=complex)
-        for i in range(n):
-            for j in range(i + 1, n):
-                out = out * (Z[j] - Z[i]) / (Z[j] - q * Z[i])
-        for j in range(n):
-            out = out * np.exp(
-                (1.0 - q) ** 2 * Z[j] * t / ((1.0 - Z[j]) * (1.0 - q * Z[j]))
-            )
-            out = out / ((1.0 - Z[j]) * (1.0 - q * Z[j]))
-        out = out * xi_mu(mu, Z, q) * sfF_lambda(lam, Z, q)
-        return out
+        return _around_one(Z, q, t, [0] * n) * (xi_mu(mu, Z, q) * sfF_lambda(lam, Z, q))
 
     value, _ = product_integrate(integrand, ContourProduct(contours), tol=tol)
     return _finalize_probability((1.0 - q) ** n * value)
@@ -645,34 +590,34 @@ def cumulative_crossing_step(mu, m: int, s1: int, s2: int, t: float,
 
     def integrand(ZW):
         Z, W = ZW[:m], ZW[m:]
-        M = ZW.shape[1]
-        out = np.ones(M, dtype=complex)
+        out = 1.0
         for i in range(m):
-            for j in range(k):
-                out = out * (W[j] - Z[i])
+            out = out * (np.exp((1.0 / Z[i] - 1.0) * t) * Z[i] ** (s2 - 1 - mu[i])
+                         / (1.0 - Z[i]) ** (n - i))
         for i in range(m):
             for j in range(i + 1, m):
                 out = out * (Z[j] - Z[i])
-        for i in range(m):
-            out = out * np.exp((1.0 / Z[i] - 1.0) * t)
-            out = out * Z[i] ** (s2 - 1 - mu[i]) / (1.0 - Z[i]) ** (n - (i + 1) + 1)
-        for i in range(k):
-            out = out * np.exp((1.0 / W[i] - 1.0) * t)
-            out = out * W[i] ** (s1 - 1 - mu[i + m]) / (1.0 - W[i]) ** (
-                k - (i + 1) + 1
-            )
-        if k:
-            mat = np.empty((M, k, k), dtype=complex)
-            for i in range(k):
-                for j in range(k):
-                    mat[:, i, j] = W[i] ** j - W[i] ** (s2 - s1)
-            out = out * np.linalg.det(mat)
-        return out
+        return out * _wall_w_part(Z, W, t, [s1 - 1 - x for x in mu[m:]], s2 - s1)
 
     value, _ = product_integrate(
         integrand, ContourProduct(contours), tol=tol, node_budget=node_budget
     )
     return _finalize_probability(value)
+
+
+def _wall_w_part(Z, W, t, powers, gap):
+    """The w-variable factors of the wall integrands: for each w_i,
+    exp((1/w_i - 1)t) w_i^powers[i] / (1-w_i)^(k-i), the couplings
+    prod (w_j - z_i) and det[w_i^j - w_i^gap]."""
+    k = len(W)
+    out = 1.0
+    for i in range(k):
+        out = out * (np.exp((1.0 / W[i] - 1.0) * t) * W[i] ** powers[i]
+                     / (1.0 - W[i]) ** (k - i))
+    for i in range(len(Z)):
+        for j in range(k):
+            out = out * (W[j] - Z[i])
+    return out * batched_det(k, lambda i, j: W[i] ** j - W[i] ** gap)
 
 
 def _det_expansion_poly(nvars: int, entry_powers) -> dict:
@@ -757,30 +702,15 @@ def cumulative_crossing_bernoulli(
 
         def integrand(ZW):
             Z, W = ZW[:m], ZW[m:]
-            M = ZW.shape[1]
-            out = np.ones(M, dtype=complex)
+            out = 1.0
             for i in range(m):
-                for j in range(k):
-                    out = out * (W[j] - Z[i])
+                out = out * (np.exp((1.0 / Z[i] - 1.0) * t) * Z[i] ** s2
+                             / ((1.0 - Z[i]) ** n * (1.0 - (1.0 - rho) * Z[i])))
             for i in range(m):
                 for j in range(m):
                     if i != j:
                         out = out * (Z[j] - Z[i])
-            for i in range(m):
-                out = out * np.exp((1.0 / Z[i] - 1.0) * t)
-                out = out * Z[i] ** s2 / (
-                    (1.0 - Z[i]) ** n * (1.0 - (1.0 - rho) * Z[i])
-                )
-            for i in range(k):
-                out = out * np.exp((1.0 / W[i] - 1.0) * t)
-                out = out * W[i] ** (s1 - (i + 1)) / (1.0 - W[i]) ** (k - (i + 1) + 1)
-            if k:
-                mat = np.empty((M, k, k), dtype=complex)
-                for i in range(k):
-                    for j in range(k):
-                        mat[:, i, j] = W[i] ** j - W[i] ** (s2 - s1)
-                out = out * np.linalg.det(mat)
-            return out
+            return out * _wall_w_part(Z, W, t, [s1 - 1 - i for i in range(k)], s2 - s1)
 
         value, _ = product_integrate(
             integrand, ContourProduct(contours), tol=tol, node_budget=node_budget
@@ -828,11 +758,18 @@ def cumulative_crossing_one_wall(
     ``form='cauchy_binet'`` evaluates the equivalent determinant of
     one-dimensional integrals.  Both carry the overall sign (-1)^(m+1)
     that the successive residue evaluation of the type-1 block produces;
-    the constant is pinned against the general two-wall form for m up to 4.
+    the determinant form also carries (-1)^(m(m-1)/2), the sign of
+    reversing the order of its m rows.  The collapse needs at least one
+    type-1 particle, so n = m is refused; the signs are tested against
+    cumulative_crossing_bernoulli for m up to 4.
     """
     if query.s1 > -query.m:
         raise ValidationError(
             "one-wall evaluator requires s1 <= -m; use the general form"
+        )
+    if query.n == query.m:
+        raise ValidationError(
+            "one-wall evaluator requires n > m; use cumulative_crossing_bernoulli"
         )
     if form not in ("collapsed", "cauchy_binet"):
         raise ValidationError("form must be 'collapsed' or 'cauchy_binet'")
@@ -897,7 +834,8 @@ def cumulative_crossing_one_wall(
             prefactor=math.exp(-t),
         )
         total += cf * laurent_residue(desc, 0.0)
-    return _finalize_probability(complex((-1.0) ** (m + 1) * rho**m * total))
+    sign = (-1.0) ** (m + 1 + m * (m - 1) // 2)
+    return _finalize_probability(complex(sign * rho**m * total))
 
 
 def gamma_wall(n: int, s: int, t: float, method: str = "laurent",
@@ -923,13 +861,13 @@ def gamma_wall(n: int, s: int, t: float, method: str = "laurent",
     contours = tuple(ContourSpec(0.5, 1.2) for _ in range(n))
 
     def integrand(Z):
-        out = np.ones(Z.shape[1], dtype=complex)
+        out = 1.0
+        for i in range(n):
+            out = out * (np.exp((Z[i] - 1.0) * t) * Z[i] ** (1 - s) / (Z[i] - 1.0) ** n)
         for i in range(n):
             for j in range(n):
                 if i != j:
                     out = out * (Z[j] - Z[i])
-        for i in range(n):
-            out = out * np.exp((Z[i] - 1.0) * t) * Z[i] ** (1 - s) / (Z[i] - 1.0) ** n
         return out
 
     value, _ = product_integrate(integrand, ContourProduct(contours), tol=tol)

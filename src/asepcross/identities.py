@@ -248,6 +248,25 @@ def check_removable_poles(n, m, rng, probe_radius=0.02) -> IdentityReport:
     )
 
 
+def _nested_geometric_sum(z, s2, truncation) -> complex:
+    """Truncated nested sum of z_1^nu_1 ... z_m^nu_m.
+
+    The sum runs over s2 <= nu_1 < s2 + T and nu_l < nu_{l+1} <= nu_l + T
+    (T = ``truncation``).  Its inner sums are evaluated from the last level
+    outwards: g_l(x) = sum_{v=x}^{x+T-1} z_l^v g_{l+1}(v+1), with g_m = 1, on
+    every x that level l can reach; each window sum is a difference of
+    suffix sums, so a level costs O(m T) operations instead of T^(m-l).
+    """
+    z = np.asarray(z, dtype=complex)
+    T = truncation
+    g = np.ones(len(z) * (T - 1) + 1, dtype=complex)
+    for level in range(len(z) - 1, -1, -1):
+        h = z[level] ** np.arange(s2 + level, s2 + (level + 1) * T) * g
+        suffix = np.append(np.cumsum(h[::-1])[::-1], 0.0)
+        g = suffix[:-T] - suffix[T:]
+    return complex(g[0])
+
+
 def check_nested_geometric(z, s2, truncation=400) -> IdentityReport:
     """Truncated nested geometric sum against its product form."""
     z = np.asarray(z, dtype=complex)
@@ -255,17 +274,7 @@ def check_nested_geometric(z, s2, truncation=400) -> IdentityReport:
     for i in range(m):
         if abs(np.prod(z[i:])) >= 1.0:
             raise ValidationError("nested geometric sum diverges for these z")
-
-    def nested(level, lower):
-        # level counts from the innermost (nu_1) outwards
-        if level == m:
-            return 1.0 + 0.0j
-        total = 0.0 + 0.0j
-        for v in range(lower, lower + truncation):
-            total += z[level] ** v * nested(level + 1, v + 1)
-        return total
-
-    lhs = nested(0, s2)
+    lhs = _nested_geometric_sum(z, s2, truncation)
     rhs = 1.0 + 0.0j
     for i in range(m):
         rhs *= z[i] ** (s2 + i) / (1 - np.prod(z[i:]))

@@ -4,14 +4,19 @@ All closed-form probability formulas in this package reduce to integrals of
 analytic integrands over products of circles.  The trapezoid rule on a
 circle converges geometrically for such integrands and is exact for
 truncated Laurent series, so node doubling with a two-iterate stopping rule
-gives reliable error control.  A separate series-based residue engine
-handles integrands of rational-times-exponential form exactly.
+gives reliable error control.  Integrands see the tensor grid as an open
+grid (``OpenGrid``, in the style of ``np.ix_``): one array per variable,
+each varying along its own dimension, so a factor in one variable is
+evaluated once per axis node and only the coupled parts run over every node
+tuple.  A separate series-based residue engine handles integrands of
+rational-times-exponential form exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,6 +97,77 @@ def circle_integrate(f, contour: ContourSpec, nodes: int | None = None) -> compl
     return contour.orientation * complex(np.mean(vals * (z - contour.center)))
 
 
+class OpenGrid(tuple):
+    """One tensor block of a node grid, as the d axis arrays ``np.ix_`` gives.
+
+    Entry k holds the block's nodes of variable k, shaped to vary along
+    dimension k only, so any expression in the entries broadcasts to the
+    block: a factor in one variable is computed once per axis node.
+    ``shape`` and ``size`` are those of the flat (d, M) list of the block's
+    M node tuples; a slice is again an OpenGrid.
+    """
+
+    def __getitem__(self, key):
+        item = tuple.__getitem__(self, key)
+        return OpenGrid(item) if isinstance(key, slice) else item
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self), math.prod(np.broadcast_shapes(*(np.shape(a) for a in self)))
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+
+def spectral_rows(z, n: int):
+    """The n rows of spectral parameters ``z`` and the map that shapes a result.
+
+    An OpenGrid passes through and results keep their broadcast shape; an
+    (n,) array (or a scalar, as (1,)) gives scalar rows and a complex
+    result, an (n, M) array (M,) rows and an (M,) result.
+    """
+    if isinstance(z, OpenGrid):
+        rows, finish = z, (lambda out: out)
+    else:
+        rows = np.atleast_1d(np.asarray(z, dtype=complex))
+        shape = rows.shape[1:]
+        finish = complex if not shape else (
+            lambda out: np.broadcast_to(out, shape).astype(complex)
+        )
+    if len(rows) != n:
+        raise ValidationError(f"need {n} rows of spectral parameters, got {len(rows)}")
+    return rows, finish
+
+
+def batched_det(k: int, entry):
+    """Determinants of the k x k matrices [entry(i, j)] over the broadcast
+    shape of the entries; 1.0 when k = 0."""
+    rows = [[entry(i, j) for j in range(k)] for i in range(k)]
+    shape = np.broadcast_shapes(*(np.shape(e) for row in rows for e in row))
+    mat = np.empty(shape + (k, k), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            mat[..., i, j] = e
+    return np.linalg.det(mat)
+
+
+def _blocks(d: int, n: int):
+    """Index slices of the tensor blocks of an n^d grid, in C order.
+
+    Leading axes are taken one node at a time until the trailing ones fit
+    in EVAL_CHUNK points; the next axis is cut into slabs that fill it.
+    """
+    lead = 0
+    while n ** (d - 1 - lead) > EVAL_CHUNK:
+        lead += 1
+    step = min(n, EVAL_CHUNK // n ** (d - 1 - lead))
+    tail = [slice(None)] * (d - 1 - lead)
+    for head in itertools.product(range(n), repeat=lead):
+        for start in range(0, n, step):
+            yield [slice(i, i + 1) for i in head] + [slice(start, start + step)] + tail
+
+
 def product_integrate(
     f,
     cp: ContourProduct,
@@ -102,19 +178,23 @@ def product_integrate(
 ) -> tuple[complex, float]:
     """Tensor-product contour integral with per-dimension node doubling.
 
-    ``f`` receives a complex array of shape (dim, M) holding all node
-    tuples and must return the integrand values, shape (M,).  Node counts
+    ``f`` receives one OpenGrid per block of at most EVAL_CHUNK node tuples
+    and returns the integrand values as anything that broadcasts to the
+    block, so factors in one variable cost O(n) per level and only the
+    coupled parts O(n^d).  The trapezoid weights stay per-axis vectors and
+    the block sum is their contraction with the values.  Node counts
     double until two successive iterates differ by less than ``tol``; the
     result is ``(value, est_err)``.  ``node_budget`` caps the integrand
-    evaluations summed over all levels of this one call and must be at
-    least 64.  Exceeding the node budget or the doubling cap without
-    convergence raises AccuracyError carrying the last two iterates.
+    evaluations (node tuples) summed over all levels of this one call and
+    must be at least 64.  Exceeding the node budget or the doubling cap
+    without convergence raises AccuracyError carrying the last two
+    iterates.
     """
     if node_budget < MIN_NODE_BUDGET:
         raise ValidationError(f"node budget must be at least {MIN_NODE_BUDGET}")
     d = cp.dim
     if d == 0:
-        return complex(f(np.zeros((0, 1), dtype=complex))[0]), 0.0
+        return complex(np.sum(f(OpenGrid()))), 0.0
     orient = 1
     for c in cp.contours:
         orient *= c.orientation
@@ -130,22 +210,22 @@ def product_integrate(
                 f"last iterates: {prev} -> {value}"
             )
         axes = [c.points(n) for c in cp.contours]
+        weights = [a - c.center for a, c in zip(axes, cp.contours)]
         spent += total_nodes
         acc = 0.0 + 0.0j
-        for start in range(0, total_nodes, EVAL_CHUNK):
-            idx = np.arange(start, min(start + EVAL_CHUNK, total_nodes))
-            pts = np.empty((d, idx.size), dtype=complex)
-            rem = idx
-            for k in range(d - 1, -1, -1):
-                rem, sub = np.divmod(rem, n)
-                pts[k] = axes[k][sub]
-            vals = np.asarray(f(pts), dtype=complex)
+        for block in _blocks(d, n):
+            grid = OpenGrid(
+                a[s].reshape((1,) * k + (-1,) + (1,) * (d - 1 - k))
+                for k, (a, s) in enumerate(zip(axes, block))
+            )
+            vals = np.asarray(f(grid), dtype=complex)
             if not np.all(np.isfinite(vals)):
                 raise AccuracyError("integrand is non-finite on the contour product")
-            weight = np.ones(idx.size, dtype=complex)
-            for k, c in enumerate(cp.contours):
-                weight *= pts[k] - c.center
-            acc += np.sum(vals * weight)
+            vals = np.broadcast_to(vals, np.broadcast_shapes(*(a.shape for a in grid)))
+            # einsum, not @: a multithreaded BLAS gemv stalls on a busy machine
+            for w, s in zip(reversed(weights), reversed(block)):
+                vals = np.einsum("...k,k->...", vals, w[s])
+            acc += complex(vals)
         prev = value
         value = orient * complex(acc) / total_nodes
         if prev is not None:
@@ -326,14 +406,5 @@ def vandermonde_squared_poly(nvars: int) -> MultivariatePolynomial:
         for j in range(nvars):
             if i == j:
                 continue
-            poly.multiply_linear(0.0, {j: 1.0, i: -1.0})
-    return poly
-
-
-def vandermonde_poly(nvars: int) -> MultivariatePolynomial:
-    """Expansion of prod_{i < j} (x_j - x_i) into monomials."""
-    poly = MultivariatePolynomial(nvars)
-    for i in range(nvars):
-        for j in range(i + 1, nvars):
             poly.multiply_linear(0.0, {j: 1.0, i: -1.0})
     return poly

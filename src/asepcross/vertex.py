@@ -15,13 +15,19 @@ import numpy as np
 
 from .core import (
     ConfigurationError,
-    ResourceLimitError,
     ValidationError,
     FACTORIAL_CAP,
     inversions,
     signed_permutations,
 )
-from .quadrature import ContourProduct, ContourSpec, product_integrate
+from .quadrature import (
+    ContourProduct,
+    ContourSpec,
+    OpenGrid,
+    batched_det,
+    product_integrate,
+    spectral_rows,
+)
 
 MIN_POINT_SEPARATION = 1e-8
 
@@ -220,35 +226,43 @@ def _column_exit_vector(mu, column):
 
 
 def _f_mu_nonneg(mu, Z, q, s):
-    """Partition function for nonnegative mu by column-transfer contraction."""
+    """Partition function for nonnegative mu by column-transfer contraction.
+
+    ``Z`` holds the n rows of spectral points.  A column's path weights are
+    multiplied among themselves before they meet the incoming amplitude,
+    paths that miss the column's exit vector stop at the top row, and each
+    distinct vertex weight is computed once per call.
+    """
     n = len(mu)
-    M = Z.shape[1]
-    states = {tuple(range(1, n + 1)): np.ones(M, dtype=complex)}
+    weights = {}
+    states = {tuple(range(1, n + 1)): 1.0}
     for column in range(max(mu) + 1 if mu else 0):
         target = _column_exit_vector(mu, column)
         new_states: dict[tuple[int, ...], np.ndarray] = {}
         for h, amp in states.items():
             # contract the n vertices of this column from bottom to top
-            frontier = [((0,) * n, (), amp)]
+            frontier = [((0,) * n, (), 1.0)]
             for row in range(n):
                 nxt = []
                 for v, labels, w in frontier:
                     for K, lout in out_states(v, h[row]):
-                        wt = weight_L(v, h[row], K, lout, Z[row], q, s)
-                        nxt.append((K, labels + (lout,), w * wt))
+                        if row == n - 1 and K != target:
+                            continue
+                        key = (row, v, h[row], K, lout)
+                        if key not in weights:
+                            weights[key] = weight_L(v, h[row], K, lout, Z[row], q, s)
+                        nxt.append((K, labels + (lout,), w * weights[key]))
                 frontier = nxt
-            for v, labels, w in frontier:
-                if v != target:
-                    continue
+            for _, labels, w in frontier:
+                w = amp * w
                 if labels in new_states:
                     new_states[labels] = new_states[labels] + w
                 else:
                     new_states[labels] = w
         states = new_states
         if not states:
-            return np.zeros(M, dtype=complex)
-    empty = (0,) * n
-    return states.get(empty, np.zeros(M, dtype=complex))
+            return 0.0
+    return states.get((0,) * n, 0.0)
 
 
 def f_mu(mu, z, q, s):
@@ -259,19 +273,15 @@ def f_mu(mu, z, q, s):
     """
     mu = [int(x) for x in mu]
     n = len(mu)
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 1
-    Z = z.reshape(n, -1)
-    if Z.shape[0] != n:
-        raise ValidationError("need one spectral parameter per part of mu")
+    Z, finish = spectral_rows(z, n)
     shift = max(0, -min(mu)) if mu else 0
     val = _f_mu_nonneg([m + shift for m in mu], Z, q, s)
     if shift:
-        ratio = np.ones(Z.shape[1], dtype=complex)
+        ratio = 1.0
         for i in range(n):
             ratio = ratio * ((1.0 - s * Z[i]) / (Z[i] - s)) ** shift
         val = val * ratio
-    return complex(val[0]) if scalar else val
+    return finish(val)
 
 
 def pochhammer(a, q, m: int):
@@ -286,9 +296,7 @@ def g_star_mu(mu, z, q, s):
     """Dual function g*_mu, the orthogonality partner of f_mu."""
     mu = [int(x) for x in mu]
     n = len(mu)
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 1
-    Z = z.reshape(n, -1)
+    Z, finish = spectral_rows(z, n)
     mult: dict[int, int] = {}
     for m in mu:
         mult[m] = mult.get(m, 0) + 1
@@ -298,12 +306,11 @@ def g_star_mu(mu, z, q, s):
     if abs(poch) < 1e-300:
         raise ConfigurationError("Pochhammer factor vanishes for these (q, s)")
     pref = q ** inversions(mu) / poch
-    scale = np.ones(Z.shape[1], dtype=complex)
+    scale = 1.0
     for i in range(n):
         scale = scale * (-s * Z[i]) ** -1
-    val = f_mu(mu[::-1], 1.0 / Z[::-1], 1.0 / q, 1.0 / s)
-    out = pref * scale * val
-    return complex(out[0]) if scalar else out
+    val = f_mu(mu[::-1], OpenGrid(1.0 / x for x in Z[::-1]), 1.0 / q, 1.0 / s)
+    return finish(pref * scale * val)
 
 
 def _boundary_vectors(parts, columns):
@@ -358,7 +365,7 @@ def G_mu_nu(mu, nu, ys, q, s):
 
 
 def _pairwise_separation_ok(U):
-    k = U.shape[0]
+    k = len(U)
     for i in range(k):
         for j in range(i + 1, k):
             if np.min(np.abs(U[i] - U[j])) < MIN_POINT_SEPARATION:
@@ -372,9 +379,7 @@ def F_lambda_sym(lam, z, q, s, cap: int = FACTORIAL_CAP):
     if any(b > a for a, b in zip(lam, lam[1:])):
         raise ValidationError("lambda must be weakly decreasing")
     n = len(lam)
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 1
-    Z = z.reshape(n, -1)
+    Z, finish = spectral_rows(z, n)
     if not _pairwise_separation_ok(Z):
         raise ConfigurationError(
             "coincident spectral parameters in symmetrized sum; perturb them"
@@ -385,21 +390,20 @@ def F_lambda_sym(lam, z, q, s, cap: int = FACTORIAL_CAP):
     pref = (1.0 - q) ** n
     for count in mult.values():
         pref *= pochhammer(s * s, q, count) / pochhammer(q, q, count)
-    denom = np.ones(Z.shape[1], dtype=complex)
+    denom = 1.0
     for i in range(n):
         denom = denom * (1.0 - s * Z[i])
-    ratio = (Z - s) / (1.0 - s * Z)
-    total = np.zeros(Z.shape[1], dtype=complex)
+    ratio = [(x - s) / (1.0 - s * x) for x in Z]
+    total = 0.0
     for perm, _ in signed_permutations(n, cap):
-        term = np.ones(Z.shape[1], dtype=complex)
+        term = 1.0
         for i in range(n):
             for j in range(i + 1, n):
-                term = term * (Z[perm[i]] - q * Z[perm[j]]) / (Z[perm[i]] - Z[perm[j]])
+                term = term * ((Z[perm[i]] - q * Z[perm[j]]) / (Z[perm[i]] - Z[perm[j]]))
         for i in range(n):
             term = term * ratio[perm[i]] ** lam[i]
-        total += term
-    out = pref / denom * total
-    return complex(out[0]) if scalar else out
+        total = total + term
+    return finish(pref / denom * total)
 
 
 def sfF_lambda(lam, u, q, cap: int = FACTORIAL_CAP):
@@ -408,57 +412,45 @@ def sfF_lambda(lam, u, q, cap: int = FACTORIAL_CAP):
     if any(b >= a for a, b in zip(lam, lam[1:])):
         raise ValidationError("lambda must be strictly decreasing")
     N = len(lam)
-    u = np.asarray(u, dtype=complex)
-    scalar = u.ndim == 1
-    U = u.reshape(N, -1)
+    U, finish = spectral_rows(u, N)
     if not _pairwise_separation_ok(U):
         raise ConfigurationError(
             "coincident spectral parameters in symmetrized sum; perturb them"
         )
-    ratio = (1.0 - U) / (1.0 - q * U)
-    total = np.zeros(U.shape[1], dtype=complex)
+    ratio = [(1.0 - x) / (1.0 - q * x) for x in U]
+    total = 0.0
     for perm, _ in signed_permutations(N, cap):
-        term = np.ones(U.shape[1], dtype=complex)
+        term = 1.0
         for i in range(N):
             for j in range(i + 1, N):
-                term = term * (U[perm[j]] - q * U[perm[i]]) / (U[perm[j]] - U[perm[i]])
+                term = term * ((U[perm[j]] - q * U[perm[i]]) / (U[perm[j]] - U[perm[i]]))
         for i in range(N):
             term = term * ratio[perm[i]] ** lam[i]
-        total += term
-    return complex(total[0]) if scalar else total
+        total = total + term
+    return finish(total)
 
 
 def sfF_lambda_det0(lam, u):
     """q = 0 determinant form of sfF_lambda, Vandermonde-normalized."""
     lam = [int(x) for x in lam]
     N = len(lam)
-    u = np.asarray(u, dtype=complex)
-    scalar = u.ndim == 1
-    U = u.reshape(N, -1)
-    M = U.shape[1]
-    mats = np.empty((M, N, N), dtype=complex)
-    for i in range(N):
-        for j in range(N):
-            mats[:, i, j] = U[j] ** i * (1.0 - U[j]) ** lam[i]
-    dets = np.linalg.det(mats)
-    vand = np.ones(M, dtype=complex)
+    U, finish = spectral_rows(u, N)
+    dets = batched_det(N, lambda i, j: U[j] ** i * (1.0 - U[j]) ** lam[i])
+    vand = 1.0
     for i in range(N):
         for j in range(i + 1, N):
             vand = vand * (U[j] - U[i])
-    out = dets / vand
-    return complex(out[0]) if scalar else out
+    return finish(dets / vand)
 
 
 def xi_mu(mu, u, q):
     """prod_j ((1 - q u_j)/(1 - u_j))^(mu_j)."""
     mu = [int(x) for x in mu]
-    u = np.asarray(u, dtype=complex)
-    scalar = u.ndim == 1
-    U = u.reshape(len(mu), -1)
-    out = np.ones(U.shape[1], dtype=complex)
+    U, finish = spectral_rows(u, len(mu))
+    out = 1.0
     for j, m in enumerate(mu):
         out = out * ((1.0 - q * U[j]) / (1.0 - U[j])) ** m
-    return complex(out[0]) if scalar else out
+    return finish(out)
 
 
 def admissible_contours(q, s, n: int, enclose=(), margin: float = 0.05):
@@ -512,14 +504,12 @@ def orthogonality_check(mu, nu, q, s, radii=None, tol: float = 1e-8):
         contours = [ContourSpec(center=0.0, radius=r) for r in radii]
 
     def integrand(Z):
-        out = np.ones(Z.shape[1], dtype=complex)
+        out = 1.0
         for i in range(n):
             out = out / Z[i]
             for j in range(i + 1, n):
-                out = out * (Z[j] - Z[i]) / (Z[j] - q * Z[i])
-        out = out * f_mu(nu, 1.0 / Z, q, s)
-        out = out * g_star_mu(mu, Z, q, s)
-        return out
+                out = out * ((Z[j] - Z[i]) / (Z[j] - q * Z[i]))
+        return out * (f_mu(nu, OpenGrid(1.0 / z for z in Z), q, s) * g_star_mu(mu, Z, q, s))
 
     value, _ = product_integrate(integrand, ContourProduct(tuple(contours)), tol=tol)
     return value
@@ -606,17 +596,16 @@ def discrete_transition(mu, nu, ys, q, s, tol: float = 1e-10):
     contours = admissible_contours(q, s, n, enclose=ys)
 
     def integrand(Z):
-        out = np.ones(Z.shape[1], dtype=complex)
+        out = 1.0
         for i in range(n):
-            out = out / Z[i]
+            single = ((Z[i] - s) / (1.0 - s * Z[i])) ** mu[i] / (Z[i] * (1.0 - s * Z[i]))
+            for yi in ys:
+                single = single * ((Z[i] - q * yi) / (Z[i] - yi))
+            out = out * single
+        for i in range(n):
             for j in range(i + 1, n):
-                out = out * (Z[j] - Z[i]) / (Z[j] - q * Z[i])
-        for yi in ys:
-            for j in range(n):
-                out = out * (Z[j] - q * yi) / (Z[j] - yi)
-        for i in range(n):
-            out = out / (1.0 - s * Z[i]) * ((Z[i] - s) / (1.0 - s * Z[i])) ** mu[i]
-        return out * f_mu(nu, 1.0 / Z, q, s)
+                out = out * ((Z[j] - Z[i]) / (Z[j] - q * Z[i]))
+        return out * f_mu(nu, OpenGrid(1.0 / z for z in Z), q, s)
 
     value, _ = product_integrate(integrand, ContourProduct(tuple(contours)), tol=tol)
     weight_diff = sum(nu) - sum(mu)

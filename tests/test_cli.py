@@ -210,6 +210,13 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_one_wall_with_n_equal_m_is_validation_error(self, capsys):
+        code, _ = run_cli(
+            capsys, "wall", "--json",
+            '{"form":"one_wall","s1":-2,"s2":2,"rho":0.5,"n":1,"m":1,"t":2.0}',
+        )
+        assert code == 2
+
     def test_resource_cap(self, capsys):
         code, _ = run_cli(
             capsys, "green", "--json",

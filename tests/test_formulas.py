@@ -466,6 +466,22 @@ class TestCumulativeBernoulli:
         with pytest.raises(ValidationError):
             cumulative_crossing_one_wall(query)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_cauchy_binet_sign(self, m):
+        query = WallQuery(s1=-2 * m, s2=1, rho=0.5, n=m + 1, m=m, t=3.0)
+        cb = cumulative_crossing_one_wall(query, form="cauchy_binet")
+        assert cb > 0
+        assert abs(cb - cumulative_crossing_one_wall(query, form="collapsed")) < 1e-10
+        assert abs(cb - cumulative_crossing_bernoulli(query)) < 1e-10
+
+    @pytest.mark.parametrize("form", ["collapsed", "cauchy_binet"])
+    def test_one_wall_refuses_n_equal_m(self, form):
+        # both forms were silently wrong here (0.199489 against 0.205159 at n = m = 1)
+        for n in (1, 2):
+            query = WallQuery(s1=-n - 1, s2=2, rho=0.5, n=n, m=n, t=2.0)
+            with pytest.raises(ValidationError, match="cumulative_crossing_bernoulli"):
+                cumulative_crossing_one_wall(query, form=form)
+
     def test_m0_reduces_to_type1_window(self):
         # no type 2: the event is all particles staying below s2
         query = WallQuery(s1=-1, s2=3, rho=0.5, n=1, m=0, t=1.0)

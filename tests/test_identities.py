@@ -11,6 +11,7 @@ from asepcross.identities import (
     check_symmetrization,
     check_u_factorization,
     run_identity_suite,
+    _nested_geometric_sum,
     _sample_points,
 )
 
@@ -110,6 +111,24 @@ class TestNestedGeometric:
     def test_divergent_rejected(self):
         with pytest.raises(ValidationError):
             check_nested_geometric(np.array([1.2 + 0j]), 0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_suffix_sums_match_recursion(self, rng, m):
+        # the O(truncation^m) recursion the suffix-sum route replaced
+        z = _sample_points(rng, m, lo=0.5, hi=0.95)
+        truncation, s2 = 12, -1
+
+        def nested(level, lower):
+            if level == m:
+                return 1.0 + 0.0j
+            return sum(
+                z[level] ** v * nested(level + 1, v + 1)
+                for v in range(lower, lower + truncation)
+            )
+
+        ref = nested(0, s2)
+        got = _nested_geometric_sum(z, s2, truncation)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
 class TestSymmetrization:

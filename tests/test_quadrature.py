@@ -5,8 +5,10 @@ import pytest
 
 from asepcross.core import AccuracyError, ValidationError
 from asepcross.quadrature import (
+    EVAL_CHUNK,
     ContourProduct,
     ContourSpec,
+    OpenGrid,
     RationalExpDescriptor,
     circle_integrate,
     laurent_residue,
@@ -105,6 +107,128 @@ class TestProductIntegrate:
             product_integrate(
                 lambda Z: np.exp(1.0 / Z[0]) / Z[1], cp, tol=1e-14, node_budget=1500
             )
+
+
+def flat_reference(f, cp, tol=1e-10, start=32, max_nodes=4096):
+    """Node doubling on the flat (d, M) list of all node tuples, one call per
+    level; returns (value, err, {nodes per axis: points evaluated})."""
+    d = cp.dim
+    orient = math.prod(c.orientation for c in cp.contours)
+    prev = value = None
+    levels = {}
+    n = start
+    while n <= max_nodes:
+        axes = [c.points(n) for c in cp.contours]
+        idx = np.indices((n,) * d).reshape(d, -1)
+        pts = np.array([axes[k][idx[k]] for k in range(d)])
+        weight = np.prod([pts[k] - c.center for k, c in enumerate(cp.contours)], axis=0)
+        vals = np.broadcast_to(f(pts), weight.shape)
+        levels[n] = pts.shape[1]
+        prev, value = value, orient * complex(np.sum(vals * weight)) / n**d
+        if prev is not None and abs(value - prev) < tol:
+            return value, abs(value - prev), levels
+        n *= 2
+    raise AssertionError("flat reference did not converge")
+
+
+def counted(f, blocks=None):
+    """Wrap f to tally node tuples per level (the last axis is always whole)."""
+    levels = {}
+
+    def g(Z):
+        assert isinstance(Z, OpenGrid)
+        n = Z[-1].size
+        levels[n] = levels.get(n, 0) + Z.shape[1]
+        if blocks is not None:
+            blocks.append(Z)
+        return f(Z)
+
+    return g, levels
+
+
+def random_laurent(rng, d, terms=6):
+    powers = rng.integers(-4, 5, size=(terms, d))
+    powers[0] = -1  # a nonzero residue
+    coeffs = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+
+    def f(Z):
+        out = 0.0
+        for c, p in zip(coeffs, powers):
+            term = c
+            for k in range(d):
+                term = term * Z[k] ** int(p[k])
+            out = out + term
+        return out
+
+    return f, coeffs[0]
+
+
+def exp_product(d):
+    # (1 + z_0 z_{d-1}) prod_k exp(1/z_k): residue 1 + 1/3! at d = 1, else 1 + 1/2!^2
+    def f(Z):
+        out = 1.0 + Z[0] * Z[d - 1]
+        for k in range(d):
+            out = out * np.exp(1.0 / Z[k])
+        return out
+
+    return f, 1.0 + (1.0 / 6.0 if d == 1 else 0.25)
+
+
+def circles(d):
+    return ContourProduct(tuple(ContourSpec(0.0, 0.5 + 0.1 * k) for k in range(d)))
+
+
+class TestOpenGrid:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_block_shape_and_size(self, d):
+        blocks = []
+        g, levels = counted(lambda Z: 1.0 / math.prod(Z), blocks)
+        product_integrate(g, ContourProduct((ContourSpec(0.0, 0.5),) * d))
+        assert levels == {32: 32**d, 64: 64**d}
+        for Z in blocks:
+            M = math.prod(np.broadcast_shapes(*(z.shape for z in Z)))
+            assert Z.shape == (d, M)
+            assert Z.size == d * M
+            assert M <= EVAL_CHUNK
+            for k, z in enumerate(Z):
+                assert all(extent == 1 for j, extent in enumerate(z.shape) if j != k)
+            assert isinstance(Z[1:], OpenGrid)
+
+    @pytest.mark.parametrize(
+        "f",
+        [lambda Z: 2.5, lambda Z: np.exp(1.0 / Z[1]) / Z[1]],
+        ids=["constant", "one_variable"],
+    )
+    def test_broadcast_integrands(self, f):
+        # a variable the integrand does not depend on integrates to zero
+        cp = circles(3)
+        g, levels = counted(f)
+        value, err = product_integrate(g, cp)
+        ref_value, ref_err, ref_levels = flat_reference(f, cp)
+        assert abs(value) < 1e-14 and abs(value - ref_value) < 1e-14
+        assert levels == ref_levels
+
+    def test_nan_at_one_node_of_broadcast_axis(self):
+        def f(Z):
+            out = np.ones(Z[1].shape, dtype=complex)
+            out[0, 5, 0] = np.nan
+            return out
+
+        with pytest.raises(AccuracyError, match="non-finite"):
+            product_integrate(f, circles(3))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_flat_reference(self, rng, d):
+        cp = circles(d)
+        poly, residue = random_laurent(rng, d)
+        for f, exact in ((poly, residue), exp_product(d)):
+            g, levels = counted(f)
+            value, err = product_integrate(g, cp)
+            ref_value, ref_err, ref_levels = flat_reference(f, cp)
+            assert levels == ref_levels
+            assert abs(value - ref_value) < 1e-14
+            assert abs(err - ref_err) < 1e-14
+            assert abs(value - exact) < 1e-10
 
 
 class TestLaurentResidue:
