@@ -21,6 +21,7 @@ from .core import (
 from .formulas import (
     CrossingQuery,
     GreenQuery,
+    Result,
     WallQuery,
     block_crossing,
     cumulative_crossing_bernoulli,

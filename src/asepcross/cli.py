@@ -38,11 +38,11 @@ from .formulas import (
     cumulative_crossing_one_wall,
     cumulative_crossing_step,
     gamma_wall,
-    green_evaluation,
     r_asep_transition,
     rainbow_total_crossing,
     tasep_block_crossing,
     two_tasep_crossing,
+    two_tasep_green,
 )
 from .identities import run_identity_suite
 from .oracle import (
@@ -137,84 +137,58 @@ def _quadrature_budget(args) -> int:
     return max(MIN_NODE_BUDGET, args.budget)
 
 
-def cmd_green(payload, args, started):
-    kind = payload.get("kind", "two_species")
-    tol, budget = args.tol, _quadrature_budget(args)
-    if kind == "two_species":
-        ini = ParticleConfig.from_two_species(payload["mu"], payload.get("p0", ()))
-        fin = ParticleConfig.from_two_species(payload["nu"], payload.get("p", ()))
-        query = GreenQuery(ini, fin, float(payload["t"]),
-                           method=payload.get("method", "auto"), tol=tol,
-                           node_budget=budget)
-        value, err, method = green_evaluation(query)
-        return _record("green", payload, value, err, method, started)
-    if kind == "rainbow_asep":
-        value = r_asep_transition(
-            payload["mu"], payload["nu"], float(payload["q"]), float(payload["t"]),
-            tol=tol, node_budget=budget,
-        )
-        return _record("green", payload, value, tol, "quadrature", started)
-    raise ValidationError(f"unknown green payload kind {kind!r}")
+def _crossing_query(p) -> CrossingQuery:
+    return CrossingQuery(_blocks(p, "mu_blocks", "initial"), _blocks(p, "lambda_blocks", "final"),
+                         float(p.get("q", 0.0)), float(p["t"]))
 
 
-def cmd_crossing(payload, args, started):
-    kind = payload.get("kind", "blocks")
-    tol, budget = args.tol, _quadrature_budget(args)
-    if kind == "two_species":
-        value = two_tasep_crossing(
-            payload["mu"], payload["nu"], int(payload["m"]), float(payload["t"]),
-            tol=tol, node_budget=budget,
-        )
-        return _record("crossing", payload, value, tol, "quadrature", started)
-    if kind == "rainbow":
-        value = rainbow_total_crossing(
-            payload["mu"], payload["nu"], float(payload["q"]), float(payload["t"]),
-            tol=tol, node_budget=budget,
-        )
-        return _record("crossing", payload, value, tol, "quadrature", started)
-    if kind in ("blocks", "tasep_blocks"):
-        query = CrossingQuery(
-            _blocks(payload, "mu_blocks", "initial"),
-            _blocks(payload, "lambda_blocks", "final"),
-            float(payload.get("q", 0.0)),
-            float(payload["t"]),
-        )
-        if kind == "tasep_blocks":
-            value = tasep_block_crossing(query, tol=tol, node_budget=budget)
-        else:
-            value = block_crossing(query, tol=tol, node_budget=budget)
-        return _record("crossing", payload, value, tol, "quadrature", started)
-    raise ValidationError(f"unknown crossing payload kind {kind!r}")
+def _wall_query(p) -> WallQuery:
+    return WallQuery(s1=int(p["s1"]), s2=int(p["s2"]), rho=float(p["rho"]),
+                     n=int(p["n"]), m=int(p["m"]), t=float(p["t"]))
 
 
-def cmd_wall(payload, args, started):
-    form = payload.get("form", "bernoulli")
-    tol, budget = args.tol, _quadrature_budget(args)
-    if form == "step":
-        value = cumulative_crossing_step(
-            payload["mu"], int(payload["m"]), int(payload["s1"]), int(payload["s2"]),
-            float(payload["t"]), tol=tol, node_budget=budget,
-        )
-        return _record("wall", payload, value, tol, "quadrature", started)
-    if form == "gamma":
-        value = gamma_wall(int(payload["n"]), int(payload["s"]), float(payload["t"]))
-        return _record("wall", payload, value, 0.0, "laurent", started)
-    query = WallQuery(
-        s1=int(payload["s1"]), s2=int(payload["s2"]), rho=float(payload["rho"]),
-        n=int(payload["n"]), m=int(payload["m"]), t=float(payload["t"]),
-    )
-    if form == "bernoulli":
-        variant = payload.get("variant", "inverted")
-        value = cumulative_crossing_bernoulli(query, form=variant, tol=tol,
-                                              node_budget=budget)
-        method = "laurent" if variant == "inverted" else "quadrature"
-        return _record("wall", payload, value, tol if variant == "direct" else 0.0,
-                       method, started)
-    if form == "one_wall":
-        variant = payload.get("variant", "collapsed")
-        value = cumulative_crossing_one_wall(query, form=variant, tol=tol)
-        return _record("wall", payload, value, 0.0, "laurent", started)
-    raise ValidationError(f"unknown wall payload form {form!r}")
+# The payload field that picks the formula, and its default, per command.
+SELECTORS = {"green": ("kind", "two_species"), "crossing": ("kind", "blocks"),
+             "wall": ("form", "bernoulli")}
+
+# (command, kind or form) -> evaluator of (payload, tol, node budget); each
+# returns a formulas.Result, which carries its own est_err and method.
+EVALUATORS = {
+    ("green", "two_species"): lambda p, tol, budget: two_tasep_green(GreenQuery(
+        ParticleConfig.from_two_species(p["mu"], p.get("p0", ())),
+        ParticleConfig.from_two_species(p["nu"], p.get("p", ())), float(p["t"]),
+        method=p.get("method", "auto"), tol=tol, node_budget=budget)),
+    ("green", "rainbow_asep"): lambda p, tol, budget: r_asep_transition(
+        p["mu"], p["nu"], float(p["q"]), float(p["t"]), tol=tol, node_budget=budget),
+    ("crossing", "two_species"): lambda p, tol, budget: two_tasep_crossing(
+        p["mu"], p["nu"], int(p["m"]), float(p["t"]), tol=tol, node_budget=budget),
+    ("crossing", "rainbow"): lambda p, tol, budget: rainbow_total_crossing(
+        p["mu"], p["nu"], float(p["q"]), float(p["t"]), tol=tol, node_budget=budget),
+    ("crossing", "blocks"): lambda p, tol, budget: block_crossing(
+        _crossing_query(p), tol=tol, node_budget=budget),
+    ("crossing", "tasep_blocks"): lambda p, tol, budget: tasep_block_crossing(
+        _crossing_query(p), tol=tol, node_budget=budget),
+    ("wall", "step"): lambda p, tol, budget: cumulative_crossing_step(
+        p["mu"], int(p["m"]), int(p["s1"]), int(p["s2"]), float(p["t"]),
+        tol=tol, node_budget=budget),
+    ("wall", "gamma"): lambda p, tol, budget: gamma_wall(
+        int(p["n"]), int(p["s"]), float(p["t"])),
+    ("wall", "bernoulli"): lambda p, tol, budget: cumulative_crossing_bernoulli(
+        _wall_query(p), form=p.get("variant", "inverted"), tol=tol, node_budget=budget),
+    ("wall", "one_wall"): lambda p, tol, budget: cumulative_crossing_one_wall(
+        _wall_query(p), form=p.get("variant", "collapsed"), tol=tol),
+}
+
+
+def cmd_evaluate(command, payload, args, started):
+    """Evaluate a green, crossing or wall payload through EVALUATORS."""
+    field, default = SELECTORS[command]
+    kind = payload.get(field, default)
+    evaluate = EVALUATORS.get((command, kind))
+    if evaluate is None:
+        raise ValidationError(f"unknown {command} payload {field} {kind!r}")
+    value = evaluate(payload, args.tol, _quadrature_budget(args))
+    return _record(command, payload, value, value.est_err, value.method, started)
 
 
 def cmd_simulate(payload, args, started):
@@ -370,13 +344,10 @@ def main(argv=None) -> int:
             record, ok = cmd_verify(payload, args, started)
             _emit(record, args.out, args.csv)
             return 0 if ok else 1
-        handler = {
-            "green": cmd_green,
-            "crossing": cmd_crossing,
-            "wall": cmd_wall,
-            "simulate": cmd_simulate,
-        }[args.command]
-        record = handler(payload, args, started)
+        if args.command == "simulate":
+            record = cmd_simulate(payload, args, started)
+        else:
+            record = cmd_evaluate(args.command, payload, args, started)
         _emit(record, args.out, args.csv)
         return 0
     except (ValidationError, ConfigurationError, KeyError) as exc:

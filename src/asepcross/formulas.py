@@ -10,14 +10,21 @@ an exponential and residues are extracted exactly).
 
 Every probability-valued result is checked for a vanishing imaginary part
 and clamped within [0, 1] only inside a small tolerance band; anything
-further out raises AccuracyError.  Quadrature evaluators take their
-convergence tolerance ``tol`` and their per-integral evaluation cap
-``node_budget`` as arguments (``GreenQuery`` fields for the Green's
-function).
+further out raises AccuracyError.  It is returned as a ``Result``: a float
+that also carries ``est_err`` and ``method``.  Every quadrature evaluator
+goes through ``_integrate`` (dimension cap, contour product, trapezoid
+driver, prefactor), takes its convergence tolerance ``tol`` and its
+per-integral evaluation cap ``node_budget`` as arguments (``GreenQuery``
+fields for the Green's function) and reports |prefactor|·|I_n - I_{n/2}|,
+the difference of its last two node-doubling iterates, as ``est_err``.
+Residue routes report 0.0 with method 'laurent', and structural zeros
+(an infeasible wall, t = 0 in ``gamma_wall``) 0.0 with method 'exact'.
+Negative ``t`` or ``q`` is refused with ValidationError.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +42,6 @@ from .quadrature import (
     DEFAULT_NODE_BUDGET,
     ContourProduct,
     ContourSpec,
-    MultivariatePolynomial,
     OpenGrid,
     RationalExpDescriptor,
     batched_det,
@@ -67,8 +73,7 @@ class GreenQuery:
     node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValidationError("t must be >= 0")
+        _check_rates(self.t)
         if self.method not in ("auto", "laurent", "quadrature"):
             raise ValidationError("method must be auto, laurent or quadrature")
         if self.initial.n != self.final.n or self.initial.m != self.final.m:
@@ -91,10 +96,7 @@ class CrossingQuery:
             raise ValidationError("final vector must be final-oriented")
         if self.initial.sizes != self.final.sizes:
             raise ValidationError("block sizes must match")
-        if self.q < 0:
-            raise ValidationError("q must be >= 0")
-        if self.t < 0:
-            raise ValidationError("t must be >= 0")
+        _check_rates(self.t, self.q)
 
 
 @dataclass(frozen=True)
@@ -113,15 +115,35 @@ class WallQuery:
             raise ValidationError("need 0 <= m <= n with n >= 1")
         if not 0 < self.rho <= 1:
             raise ValidationError("rho must lie in (0, 1]")
-        if self.t < 0:
-            raise ValidationError("t must be >= 0")
+        _check_rates(self.t)
 
     @property
     def feasible(self) -> bool:
         return self.s2 - self.s1 >= self.n - self.m
 
 
-def _finalize_probability(value: complex, imag_tol=IMAG_TOL, neg_tol=NEG_TOL) -> float:
+class Result(float):
+    """A probability that says how it was computed.
+
+    It is a float, so arithmetic and comparisons see the value alone;
+    ``est_err`` is the error the route measured and ``method`` names the
+    route: 'quadrature', 'laurent' (residues) or 'exact' (a structural zero).
+    """
+
+    __slots__ = ("est_err", "method")
+
+    def __new__(cls, value: float, est_err: float, method: str):
+        self = float.__new__(cls, value)
+        self.est_err = est_err
+        self.method = method
+        return self
+
+    def __reduce__(self):
+        return Result, (float(self), self.est_err, self.method)
+
+
+def _finalize_probability(value: complex, est_err: float = 0.0, method: str = "laurent",
+                          imag_tol=IMAG_TOL, neg_tol=NEG_TOL) -> Result:
     if abs(value.imag) > imag_tol:
         raise AccuracyError(
             f"probability has imaginary part {value.imag:.3e} above tolerance"
@@ -129,7 +151,53 @@ def _finalize_probability(value: complex, imag_tol=IMAG_TOL, neg_tol=NEG_TOL) ->
     v = value.real
     if v < -neg_tol or v > 1.0 + neg_tol:
         raise AccuracyError(f"value {v!r} lies outside [0, 1] beyond tolerance")
-    return min(max(v, 0.0), 1.0)
+    return Result(min(max(v, 0.0), 1.0), est_err, method)
+
+
+def _integrate(integrand, contours, tol, node_budget, scale=1.0, roles=()) -> Result:
+    """scale times the integral of ``integrand`` over the product of
+    ``contours``, with |scale|·|I_n - I_{n/2}| as its error; more than
+    DIMENSION_BUDGET variables are refused before any evaluation."""
+    if len(contours) > DIMENSION_BUDGET:
+        raise ResourceLimitError(
+            f"{len(contours)} integration variables exceed the budget {DIMENSION_BUDGET}"
+        )
+    value, err = product_integrate(
+        integrand, ContourProduct(contours, roles), tol=tol, node_budget=node_budget
+    )
+    return _finalize_probability(scale * value, abs(scale) * err, "quadrature")
+
+
+def _check_rates(t: float, q: float = 0.0) -> None:
+    if t < 0:
+        raise ValidationError("t must be >= 0")
+    if q < 0:
+        raise ValidationError("q must be >= 0")
+
+
+def _strict(values, name: str, decreasing: bool = False) -> list[int]:
+    """``values`` as ints, refused unless strictly increasing (or decreasing)."""
+    values = [int(x) for x in values]
+    sign = -1 if decreasing else 1
+    if any(sign * (b - a) <= 0 for a, b in zip(values, values[1:])):
+        order = "decreasing" if decreasing else "increasing"
+        raise ValidationError(f"{name} must be strictly {order}")
+    return values
+
+
+def _origin_contours(m: int, k: int, outer: float = W_RADIUS) -> tuple[ContourSpec, ...]:
+    """m circles of radius Z_RADIUS about the origin, then k of radius ``outer``."""
+    return (ContourSpec(0.0, Z_RADIUS),) * m + (ContourSpec(0.0, outer),) * k
+
+
+def _around_one_contours(radii) -> tuple[ContourSpec, ...]:
+    """Clockwise circles about 1, one per radius."""
+    return tuple(ContourSpec(1.0, r, orientation=-1) for r in radii)
+
+
+def _block_slices(sizes) -> list[slice]:
+    """The integration variables each colour block owns, in block order."""
+    return [slice(end - size, end) for size, end in zip(sizes, itertools.accumulate(sizes))]
 
 
 def _spread_radii(n: int, lo: float, hi: float) -> list[float]:
@@ -195,21 +263,15 @@ def _green_laurent(mu0: int, nu0: int, t: float) -> float:
     return laurent_residue(desc, 0.0).real
 
 
-def two_tasep_green(query: GreenQuery):
+def two_tasep_green(query: GreenQuery) -> Result:
     """Transition probability of the two-species TASEP.
 
     When the type-2 particles initially occupy indices 1..m, the outer
     integrals reduce to residues at u_i = z_i (the remaining apparent poles
     cancel after symmetrization), which cuts the integral dimension from
     n + m to n; otherwise the full tensor quadrature runs with the u-circles
-    enclosing the z-circles.
+    enclosing the z-circles.  A single free particle is a Laurent residue.
     """
-    value, _, _ = green_evaluation(query)
-    return value
-
-
-def green_evaluation(query: GreenQuery):
-    """Like two_tasep_green but also returns (est_err, method)."""
     ini, fin = query.initial, query.final
     n, m = ini.n, ini.m
     mu, nu = ini.positions, fin.positions
@@ -223,16 +285,10 @@ def green_evaluation(query: GreenQuery):
             raise ValidationError(
                 "laurent evaluation applies to the single-particle case only"
             )
-        return _finalize_probability(complex(_green_laurent(mu[0], nu[0], t))), 0.0, "laurent"
-    fast = all(p0[i] == i + 1 for i in range(m))
-    dims = n if fast else n + m
-    if dims > DIMENSION_BUDGET:
-        raise ResourceLimitError(
-            f"{dims} integration variables exceed the budget {DIMENSION_BUDGET}"
-        )
-    if fast:
-        radii = _spread_radii(n, 0.30, 0.60)
-        contours = tuple(ContourSpec(0.0, r) for r in radii)
+        return _finalize_probability(complex(_green_laurent(mu[0], nu[0], t)))
+    if all(p0[i] == i + 1 for i in range(m)):
+        contours = tuple(ContourSpec(0.0, r) for r in _spread_radii(n, 0.30, 0.60))
+        roles = ()
 
         def integrand(Z):
             out = 1.0
@@ -242,13 +298,9 @@ def green_evaluation(query: GreenQuery):
                 for j in range(a):
                     out = out / (Z[a] - Z[j])
             return out * eigenfunction_P(nu, p, t, Z, Z[:m])
-
-        cp = ContourProduct(contours)
     else:
-        contours = tuple(ContourSpec(0.0, Z_RADIUS) for _ in range(n)) + tuple(
-            ContourSpec(0.0, U_RADIUS) for _ in range(m)
-        )
-        cp = ContourProduct(contours, ("z",) * n + ("u",) * m)
+        contours = _origin_contours(n, m, U_RADIUS)
+        roles = ("z",) * n + ("u",) * m
 
         def integrand(ZU):
             Z, U = ZU[:n], ZU[n:]
@@ -261,10 +313,7 @@ def green_evaluation(query: GreenQuery):
                     out = out / (U[a] - Z[j])
             return out * eigenfunction_P(nu, p, t, Z, U)
 
-    value, err = product_integrate(
-        integrand, cp, tol=query.tol, node_budget=query.node_budget
-    )
-    return _finalize_probability(value), err, "quadrature"
+    return _integrate(integrand, contours, query.tol, query.node_budget, roles=roles)
 
 
 def _poisson_series_entry(a: int, x: int, t: float) -> float:
@@ -296,6 +345,7 @@ def schutz_determinant(mu, nu, t: float) -> float:
     Entry (k, i) is the one-dimensional residue integral with winding
     exponent k - i and displacement nu_i - mu_k, evaluated by series.
     """
+    _check_rates(t)
     mu = [int(x) for x in mu]
     nu = [int(x) for x in nu]
     n = len(mu)
@@ -317,28 +367,16 @@ def schutz_reduction_check(mu_cfg: ParticleConfig, nu_cfg: ParticleConfig, t: fl
 
 
 def two_tasep_crossing(mu, nu, m: int, t: float, tol: float = 1e-10,
-                       node_budget: int = DEFAULT_NODE_BUDGET) -> float:
+                       node_budget: int = DEFAULT_NODE_BUDGET) -> Result:
     """Total-crossing transition probability of the two-species TASEP.
 
     ``mu`` holds the initial positions with the m type-2 particles first
     (leftmost); ``nu`` the final positions with the type-2 particles last.
     The two determinant blocks couple only through prod (w_j - z_i).
     """
-    mu = [int(x) for x in mu]
-    nu = [int(x) for x in nu]
-    n = len(mu)
-    k = n - m
-    if any(b <= a for a, b in zip(mu, mu[1:])) or any(
-        b <= a for a, b in zip(nu, nu[1:])
-    ):
-        raise ValidationError("positions must be strictly increasing")
-    if n > DIMENSION_BUDGET:
-        raise ResourceLimitError(
-            f"{n} integration variables exceed the budget {DIMENSION_BUDGET}"
-        )
-    contours = tuple(ContourSpec(0.0, Z_RADIUS) for _ in range(m)) + tuple(
-        ContourSpec(0.0, W_RADIUS) for _ in range(k)
-    )
+    _check_rates(t)
+    mu, nu = _strict(mu, "mu"), _strict(nu, "nu")
+    k = len(mu) - m
 
     def integrand(ZW):
         Z, W = ZW[:m], ZW[m:]
@@ -357,10 +395,7 @@ def two_tasep_crossing(mu, nu, m: int, t: float, tol: float = 1e-10,
             k, lambda i, j: W[i] ** (nu[j] - mu[m + i] - 1) * (1.0 - W[i]) ** (i - j)
         )
 
-    value, _ = product_integrate(
-        integrand, ContourProduct(contours), tol=tol, node_budget=node_budget
-    )
-    return _finalize_probability(value)
+    return _integrate(integrand, _origin_contours(m, k), tol, node_budget)
 
 
 def _around_one_radii(q: float, n: int) -> list[float]:
@@ -390,7 +425,7 @@ def _around_one(Z, q, t, powers, scale=None):
 
 
 def r_asep_transition(mu, nu, q: float, t: float, tol: float = 1e-10,
-                      node_budget: int = DEFAULT_NODE_BUDGET) -> float:
+                      node_budget: int = DEFAULT_NODE_BUDGET) -> Result:
     """Rainbow multi-species ASEP transition probability (all colours distinct).
 
     ``mu`` must be strictly decreasing; ``nu`` strict but unordered.  The
@@ -399,75 +434,48 @@ def r_asep_transition(mu, nu, q: float, t: float, tol: float = 1e-10,
     q = 0 the partition function degenerates and only fully reversed final
     orders are supported (where the factorized limit applies).
     """
-    mu = [int(x) for x in mu]
+    _check_rates(t, q)
+    mu = _strict(mu, "mu", decreasing=True)
     nu = [int(x) for x in nu]
     n = len(mu)
-    if any(b >= a for a, b in zip(mu, mu[1:])):
-        raise ValidationError("mu must be strictly decreasing")
     if len(set(nu)) != n:
         raise ValidationError("nu must have pairwise distinct parts")
     if q == 1:
         raise ValidationError("the symmetric point q = 1 is not supported")
     if q == 0:
-        if any(b <= a for a, b in zip(nu, nu[1:])):
-            raise ValidationError(
-                "q = 0 is supported only for fully reversed final order"
-            )
+        _strict(nu, "at q = 0, nu")
         return rainbow_total_crossing(mu, nu, q, t, tol=tol, node_budget=node_budget)
-    if n > DIMENSION_BUDGET:
-        raise ResourceLimitError(
-            f"{n} integration variables exceed the budget {DIMENSION_BUDGET}"
-        )
-    radius = min(0.2, abs(q - 1.0) / 3.0)
-    contours = tuple(ContourSpec(1.0, radius, orientation=-1) for _ in range(n))
     rq = q**-0.5
 
     def integrand(Z):
         out = _around_one(Z, q, t, mu, [(1.0 - q * z) / z for z in Z])
         return out * f_mu(nu, OpenGrid(rq / z for z in Z), q, rq)
 
-    value, _ = product_integrate(
-        integrand, ContourProduct(contours), tol=tol, node_budget=node_budget
-    )
-    value = (-(q**-0.5)) ** sum(nu) * value
-    return _finalize_probability(complex(value))
+    contours = _around_one_contours([min(0.2, abs(q - 1.0) / 3.0)] * n)
+    return _integrate(integrand, contours, tol, node_budget, scale=(-rq) ** sum(nu))
 
 
 def rainbow_total_crossing(mu, nu, q: float, t: float, tol: float = 1e-10,
-                           node_budget: int = DEFAULT_NODE_BUDGET) -> float:
+                           node_budget: int = DEFAULT_NODE_BUDGET) -> Result:
     """Fully factorized total-crossing integral for n distinct colours.
 
     Requires mu strictly decreasing and nu strictly increasing.  The
     integrand depends on the data only through the differences mu_j - nu_j,
     which realizes the shift-invariance property exactly.
     """
-    mu = [int(x) for x in mu]
-    nu = [int(x) for x in nu]
-    n = len(mu)
-    if any(b >= a for a, b in zip(mu, mu[1:])):
-        raise ValidationError("mu must be strictly decreasing")
-    if any(b <= a for a, b in zip(nu, nu[1:])):
-        raise ValidationError("nu must be strictly increasing")
+    _check_rates(t, q)
+    mu, nu = _strict(mu, "mu", decreasing=True), _strict(nu, "nu")
     if q == 1:
         raise ValidationError("the symmetric point q = 1 is not supported")
-    if n > DIMENSION_BUDGET:
-        raise ResourceLimitError(
-            f"{n} integration variables exceed the budget {DIMENSION_BUDGET}"
-        )
-    radius = min(0.2, abs(q - 1.0) / 3.0)
-    contours = tuple(ContourSpec(1.0, radius, orientation=-1) for _ in range(n))
-
-    def integrand(Z):
-        return _around_one(Z, q, t, [a - b for a, b in zip(mu, nu)])
-
-    value, _ = product_integrate(
-        integrand, ContourProduct(contours), tol=tol, node_budget=node_budget
-    )
-    return _finalize_probability((1.0 - q) ** n * value)
+    n = len(mu)
+    powers = [a - b for a, b in zip(mu, nu)]
+    contours = _around_one_contours([min(0.2, abs(q - 1.0) / 3.0)] * n)
+    return _integrate(lambda Z: _around_one(Z, q, t, powers), contours, tol, node_budget,
+                      scale=(1.0 - q) ** n)
 
 
 def block_crossing(query: CrossingQuery, tol: float = 1e-10,
-                   node_budget: int = DEFAULT_NODE_BUDGET) -> float:
+                   node_budget: int = DEFAULT_NODE_BUDGET) -> Result:
     """Total crossing of colour blocks in the multi-species ASEP.
 
     The integration variables split into blocks matching the signature
@@ -476,117 +484,78 @@ def block_crossing(query: CrossingQuery, tol: float = 1e-10,
     apparent coincident-point poles of the permutation sum.
     """
     mu_vec, lam_vec = query.initial, query.final
-    q, t = query.q, query.t
-    n = mu_vec.n
-    if n > DIMENSION_BUDGET:
-        raise ResourceLimitError(
-            f"{n} integration variables exceed the budget {DIMENSION_BUDGET}"
-        )
-    radii = _around_one_radii(q, n)
-    contours = tuple(ContourSpec(1.0, r, orientation=-1) for r in radii)
-    sizes = mu_vec.sizes
-    offsets = [0]
-    for nk in sizes:
-        offsets.append(offsets[-1] + nk)
+    q, t, n = query.q, query.t, mu_vec.n
+    blocks = list(zip(_block_slices(mu_vec.sizes), mu_vec.blocks, lam_vec.blocks))
 
     def integrand(Z):
         out = _around_one(Z, q, t, [0] * n)
-        for k, (block_mu, block_lam) in enumerate(zip(mu_vec.blocks, lam_vec.blocks)):
-            zb = Z[offsets[k]:offsets[k + 1]]
-            out = out * (xi_mu(block_mu.parts, zb, q) * sfF_lambda(block_lam.parts, zb, q))
+        for b, block_mu, block_lam in blocks:
+            out = out * (xi_mu(block_mu.parts, Z[b], q) * sfF_lambda(block_lam.parts, Z[b], q))
         return out
 
-    value, _ = product_integrate(
-        integrand, ContourProduct(contours), tol=tol, node_budget=node_budget
-    )
-    return _finalize_probability((1.0 - q) ** n * value)
+    return _integrate(integrand, _around_one_contours(_around_one_radii(q, n)), tol,
+                      node_budget, scale=(1.0 - q) ** n)
 
 
 def tasep_block_crossing(query: CrossingQuery, tol: float = 1e-10,
-                         node_budget: int = DEFAULT_NODE_BUDGET) -> float:
+                         node_budget: int = DEFAULT_NODE_BUDGET) -> Result:
     """Block total crossing at q = 0: one determinant per colour block."""
     if query.q != 0:
         raise ValidationError("this evaluator requires q = 0")
     mu_vec, lam_vec = query.initial, query.final
-    t = query.t
-    n = mu_vec.n
-    if n > DIMENSION_BUDGET:
-        raise ResourceLimitError(
-            f"{n} integration variables exceed the budget {DIMENSION_BUDGET}"
-        )
-    radii = _around_one_radii(0.0, n)
-    contours = tuple(ContourSpec(1.0, r, orientation=-1) for r in radii)
-    sizes = mu_vec.sizes
-    offsets = [0]
-    for nk in sizes:
-        offsets.append(offsets[-1] + nk)
+    t, n = query.t, mu_vec.n
+    slices = _block_slices(mu_vec.sizes)
 
     def integrand(Z):
         out = 1.0
         for j in range(n):
             out = out * np.exp(Z[j] * t / (1.0 - Z[j]))
-        for k in range(len(sizes)):
-            for l in range(k + 1, len(sizes)):
-                for i in range(offsets[k], offsets[k + 1]):
-                    for j in range(offsets[l], offsets[l + 1]):
+        for k, a in enumerate(slices):
+            for b in slices[k + 1:]:
+                for i in range(a.start, a.stop):
+                    for j in range(b.start, b.stop):
                         out = out * (Z[j] - Z[i])
-        for k, (block_mu, block_lam) in enumerate(zip(mu_vec.blocks, lam_vec.blocks)):
-            Nk, zb = offsets[k], Z[offsets[k]:offsets[k + 1]]
-            lam, mu = block_lam.parts, block_mu.parts
+        for a, block_mu, block_lam in zip(slices, mu_vec.blocks, lam_vec.blocks):
+            zb, lam, mu = Z[a], block_lam.parts, block_mu.parts
             out = out * batched_det(
-                sizes[k],
-                lambda i, j: zb[j] ** (i - j - Nk) * (1.0 - zb[j]) ** (lam[i] - mu[j] - 1),
+                len(mu),
+                lambda i, j: zb[j] ** (i - j - a.start) * (1.0 - zb[j]) ** (lam[i] - mu[j] - 1),
             )
         return out
 
-    value, _ = product_integrate(
-        integrand, ContourProduct(contours), tol=tol, node_budget=node_budget
-    )
-    return _finalize_probability(value)
+    return _integrate(integrand, _around_one_contours(_around_one_radii(0.0, n)), tol,
+                      node_budget)
 
 
-def single_species_crossing(mu, lam, q: float, t: float, tol: float = 1e-10) -> float:
+def single_species_crossing(mu, lam, q: float, t: float, tol: float = 1e-10) -> Result:
     """Single-species ASEP transition between position sets (one block)."""
+    _check_rates(t, q)
     mu = [int(x) for x in mu]
     lam = [int(x) for x in lam]
     n = len(mu)
-    if n > DIMENSION_BUDGET:
-        raise ResourceLimitError(
-            f"{n} integration variables exceed the budget {DIMENSION_BUDGET}"
-        )
-    base = _around_one_radii(q, n)
-    radii = [0.96 * r for r in base]
-    contours = tuple(ContourSpec(1.0, r, orientation=-1) for r in radii)
 
     def integrand(Z):
         return _around_one(Z, q, t, [0] * n) * (xi_mu(mu, Z, q) * sfF_lambda(lam, Z, q))
 
-    value, _ = product_integrate(integrand, ContourProduct(contours), tol=tol)
-    return _finalize_probability((1.0 - q) ** n * value)
+    contours = _around_one_contours([0.96 * r for r in _around_one_radii(q, n)])
+    return _integrate(integrand, contours, tol, DEFAULT_NODE_BUDGET, scale=(1.0 - q) ** n)
 
 
 def cumulative_crossing_step(mu, m: int, s1: int, s2: int, t: float,
                              tol: float = 1e-10,
-                             node_budget: int = DEFAULT_NODE_BUDGET) -> float:
+                             node_budget: int = DEFAULT_NODE_BUDGET) -> Result:
     """Cumulative crossing probability for deterministic initial positions.
 
     ``mu`` is the full sorted initial vector with the m type-2 particles
-    first.  Returns 0 when the wall gap cannot accommodate the type-1 block.
+    first.  Returns an exact 0 when the wall gap cannot accommodate the
+    type-1 block.
     """
-    mu = [int(x) for x in mu]
+    _check_rates(t)
+    mu = _strict(mu, "mu")
     n = len(mu)
     k = n - m
-    if any(b <= a for a, b in zip(mu, mu[1:])):
-        raise ValidationError("mu must be strictly increasing")
     if s2 - s1 < k:
-        return 0.0
-    if n > DIMENSION_BUDGET:
-        raise ResourceLimitError(
-            f"{n} integration variables exceed the budget {DIMENSION_BUDGET}"
-        )
-    contours = tuple(ContourSpec(0.0, Z_RADIUS) for _ in range(m)) + tuple(
-        ContourSpec(0.0, W_RADIUS) for _ in range(k)
-    )
+        return Result(0.0, 0.0, "exact")
 
     def integrand(ZW):
         Z, W = ZW[:m], ZW[m:]
@@ -599,10 +568,7 @@ def cumulative_crossing_step(mu, m: int, s1: int, s2: int, t: float,
                 out = out * (Z[j] - Z[i])
         return out * _wall_w_part(Z, W, t, [s1 - 1 - x for x in mu[m:]], s2 - s1)
 
-    value, _ = product_integrate(
-        integrand, ContourProduct(contours), tol=tol, node_budget=node_budget
-    )
-    return _finalize_probability(value)
+    return _integrate(integrand, _origin_contours(m, k), tol, node_budget)
 
 
 def _wall_w_part(Z, W, t, powers, gap):
@@ -676,7 +642,7 @@ def _laurent_multi_integral(var_specs, poly_terms) -> complex:
 def cumulative_crossing_bernoulli(
     query: WallQuery, form: str = "inverted", tol: float = 1e-10,
     node_budget: int = DEFAULT_NODE_BUDGET,
-) -> float:
+) -> Result:
     """Cumulative crossing with density-rho initial data for type 2.
 
     ``form='direct'`` integrates around the origin by quadrature;
@@ -687,19 +653,11 @@ def cumulative_crossing_bernoulli(
     if form not in ("direct", "inverted"):
         raise ValidationError("form must be 'direct' or 'inverted'")
     if not query.feasible:
-        return 0.0
+        return Result(0.0, 0.0, "exact")
     n, m, rho, t = query.n, query.m, query.rho, query.t
     s1, s2 = query.s1, query.s2
     k = n - m
     if form == "direct":
-        if n > DIMENSION_BUDGET:
-            raise ResourceLimitError(
-                f"{n} integration variables exceed the budget {DIMENSION_BUDGET}"
-            )
-        contours = tuple(ContourSpec(0.0, Z_RADIUS) for _ in range(m)) + tuple(
-            ContourSpec(0.0, W_RADIUS) for _ in range(k)
-        )
-
         def integrand(ZW):
             Z, W = ZW[:m], ZW[m:]
             out = 1.0
@@ -712,17 +670,10 @@ def cumulative_crossing_bernoulli(
                         out = out * (Z[j] - Z[i])
             return out * _wall_w_part(Z, W, t, [s1 - 1 - i for i in range(k)], s2 - s1)
 
-        value, _ = product_integrate(
-            integrand, ContourProduct(contours), tol=tol, node_budget=node_budget
-        )
-        value = rho**m / math.factorial(m) * value
-        return _finalize_probability(complex(value))
+        return _integrate(integrand, _origin_contours(m, k), tol, node_budget,
+                          scale=rho**m / math.factorial(m))
     # inverted form: variables z_i (m of them) then w_i (k of them)
-    poly = MultivariatePolynomial(n)
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                poly.multiply_linear(0.0, {j: 1.0, i: -1.0})
+    poly = vandermonde_squared_poly(n, m)
     for i in range(m):
         for j in range(k):
             poly.multiply_linear(0.0, {i: 1.0, m + j: -1.0})
@@ -750,7 +701,7 @@ def cumulative_crossing_bernoulli(
 
 def cumulative_crossing_one_wall(
     query: WallQuery, form: str = "collapsed", tol: float = 1e-10
-) -> float:
+) -> Result:
     """Cumulative crossing when the lower wall is irrelevant (s1 <= -m).
 
     ``form='collapsed'`` evaluates the (m+1)-fold residue integral in which
@@ -774,15 +725,11 @@ def cumulative_crossing_one_wall(
     if form not in ("collapsed", "cauchy_binet"):
         raise ValidationError("form must be 'collapsed' or 'cauchy_binet'")
     if not query.feasible:
-        return 0.0
+        return Result(0.0, 0.0, "exact")
     n, m, rho, t = query.n, query.m, query.rho, query.t
     s2 = query.s2
     if form == "collapsed":
-        poly = MultivariatePolynomial(m + 1)
-        for i in range(m):
-            for j in range(m):
-                if i != j:
-                    poly.multiply_linear(0.0, {j: 1.0, i: -1.0})
+        poly = vandermonde_squared_poly(m + 1, m)
         for i in range(m):
             poly.multiply_linear(0.0, {m: 1.0, i: -1.0})
         var_specs = []
@@ -839,26 +786,26 @@ def cumulative_crossing_one_wall(
 
 
 def gamma_wall(n: int, s: int, t: float, method: str = "laurent",
-               tol: float = 1e-10) -> float:
+               tol: float = 1e-10) -> Result:
     """Probability that all n step-start particles (at 1..n) pass the wall s.
 
     The symmetrized n-fold integral is evaluated exactly by residues at
     {0, 1} after expanding the squared Vandermonde coupling, or by circle
-    quadrature for cross-checking.
+    quadrature for cross-checking.  At t = 0 it is an exact 0.
     """
     if s <= n:
         raise ValidationError("gamma_wall requires s > n")
+    if method not in ("laurent", "quadrature"):
+        raise ValidationError("method must be 'laurent' or 'quadrature'")
+    _check_rates(t)
     if t == 0:
-        return 0.0
+        return Result(0.0, 0.0, "exact")
     if method == "laurent":
         poly = vandermonde_squared_poly(n)
         var_specs = [(t, 1 - s, ((1.0 + 0.0j, -n),), (0.0, 1.0)) for _ in range(n)]
         value = _laurent_multi_integral(var_specs, dict(poly.items()))
         value = value / math.factorial(n)
         return _finalize_probability(complex(value))
-    if method != "quadrature":
-        raise ValidationError("method must be 'laurent' or 'quadrature'")
-    contours = tuple(ContourSpec(0.5, 1.2) for _ in range(n))
 
     def integrand(Z):
         out = 1.0
@@ -870,5 +817,5 @@ def gamma_wall(n: int, s: int, t: float, method: str = "laurent",
                     out = out * (Z[j] - Z[i])
         return out
 
-    value, _ = product_integrate(integrand, ContourProduct(contours), tol=tol)
-    return _finalize_probability(value / math.factorial(n))
+    return _integrate(integrand, (ContourSpec(0.5, 1.2),) * n, tol, DEFAULT_NODE_BUDGET,
+                      scale=1.0 / math.factorial(n))

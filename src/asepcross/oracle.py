@@ -82,23 +82,21 @@ class _UniformStream:
         return v
 
 
-def _chunk_uniforms(seed: int, chunk_index: int, count: int) -> np.ndarray:
+def _chunk_generator(seed: int, chunk_index: int, counter: int = 0) -> np.random.Generator:
     key = np.array([seed & MASK64, chunk_index & MASK64], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    return rng.random((count, UNIFORMS_PER_SAMPLE))
+    return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
-_chunk_cache: dict[tuple[int, int], np.ndarray] = {}
+def _chunk_uniforms(seed: int, chunk_index: int, count: int) -> np.ndarray:
+    return _chunk_generator(seed, chunk_index).random((count, UNIFORMS_PER_SAMPLE))
 
 
-def _chunk_uniforms_cached(seed: int, chunk_index: int) -> np.ndarray:
-    # single-trajectory calls iterate over sample indices; keep the chunk hot
-    key = (seed, chunk_index)
-    if key not in _chunk_cache:
-        if len(_chunk_cache) > 8:
-            _chunk_cache.clear()
-        _chunk_cache[key] = _chunk_uniforms(seed, chunk_index, CHUNK)
-    return _chunk_cache[key]
+def _row_uniforms(seed: int, chunk_index: int, row: int) -> np.ndarray:
+    """Row ``row`` of _chunk_uniforms(seed, chunk_index, CHUNK), drawn alone:
+    each uniform takes one 64-bit output and a Philox4x64 counter step
+    yields four, so the row starts row * UNIFORMS_PER_SAMPLE / 4 steps in."""
+    rng = _chunk_generator(seed, chunk_index, row * UNIFORMS_PER_SAMPLE // 4)
+    return rng.random(UNIFORMS_PER_SAMPLE)
 
 
 def _gillespie_core(positions, species, q, horizon, draw, events=None):
@@ -163,7 +161,7 @@ def gillespie_run(spec: SimulationSpec, sample_index: int = 0) -> ParticleConfig
 def gillespie_trajectory(spec: SimulationSpec, sample_index: int = 0):
     """Like gillespie_run but also returns the event log (t, kind, index, species)."""
     chunk, row = divmod(sample_index, CHUNK)
-    buf = _chunk_uniforms_cached(spec.seed, chunk)[row]
+    buf = _row_uniforms(spec.seed, chunk, row)
     draw = _UniformStream(buf, spec.seed, sample_index)
     positions = list(spec.initial.positions)
     species = list(spec.initial.species)

@@ -172,8 +172,6 @@ def product_integrate(
     f,
     cp: ContourProduct,
     tol: float = 1e-10,
-    start_nodes: int = DEFAULT_START_NODES,
-    max_nodes: int = DEFAULT_MAX_NODES,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[complex, float]:
     """Tensor-product contour integral with per-dimension node doubling.
@@ -182,13 +180,14 @@ def product_integrate(
     and returns the integrand values as anything that broadcasts to the
     block, so factors in one variable cost O(n) per level and only the
     coupled parts O(n^d).  The trapezoid weights stay per-axis vectors and
-    the block sum is their contraction with the values.  Node counts
-    double until two successive iterates differ by less than ``tol``; the
-    result is ``(value, est_err)``.  ``node_budget`` caps the integrand
-    evaluations (node tuples) summed over all levels of this one call and
-    must be at least 64.  Exceeding the node budget or the doubling cap
-    without convergence raises AccuracyError carrying the last two
-    iterates.
+    the block sum is their contraction with the values.  Node counts per
+    axis start at DEFAULT_START_NODES and double, up to DEFAULT_MAX_NODES,
+    until two successive iterates differ by less than ``tol``; the result
+    is ``(value, est_err)`` with est_err = |I_n - I_{n/2}|.  ``node_budget``
+    caps the integrand evaluations (node tuples) summed over all levels of
+    this one call and must be at least 64.  Exceeding the node budget or
+    the doubling cap without convergence raises AccuracyError carrying the
+    last two iterates.
     """
     if node_budget < MIN_NODE_BUDGET:
         raise ValidationError(f"node budget must be at least {MIN_NODE_BUDGET}")
@@ -201,8 +200,8 @@ def product_integrate(
     spent = 0
     prev = None
     value = None
-    n = start_nodes
-    while n <= max_nodes:
+    n = DEFAULT_START_NODES
+    while n <= DEFAULT_MAX_NODES:
         total_nodes = n**d
         if spent + total_nodes > node_budget:
             raise AccuracyError(
@@ -335,14 +334,8 @@ def laurent_residue(
         series[0] = 1.0
     series = series * (descriptor.prefactor * np.exp(descriptor.exp_coeff * at))
     for point, expo in rest:
-        series = _truncated_multiply(
-            series, _binomial_series(at - point, expo, order), order
-        )
+        series = np.convolve(series, _binomial_series(at - point, expo, order))[:order]
     return complex(series[order - 1])
-
-
-def _truncated_multiply(a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
-    return np.convolve(a, b)[:length]
 
 
 def residue_sum(descriptor: RationalExpDescriptor, points) -> complex:
@@ -399,11 +392,13 @@ class MultivariatePolynomial:
         return self.terms.items()
 
 
-def vandermonde_squared_poly(nvars: int) -> MultivariatePolynomial:
-    """Expansion of prod_{i != j} (x_j - x_i) into monomials."""
+def vandermonde_squared_poly(nvars: int, k: int | None = None) -> MultivariatePolynomial:
+    """Expansion of prod_{i != j} (x_j - x_i) over the first k of nvars
+    variables (all of them by default) into monomials."""
+    k = nvars if k is None else k
     poly = MultivariatePolynomial(nvars)
-    for i in range(nvars):
-        for j in range(nvars):
+    for i in range(k):
+        for j in range(k):
             if i == j:
                 continue
             poly.multiply_linear(0.0, {j: 1.0, i: -1.0})

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from asepcross.cli import dumps_record, loads_record, main
+from asepcross.cli import EVALUATORS, SELECTORS, dumps_record, loads_record, main
 from asepcross.quadrature import ContourProduct, ContourSpec, product_integrate
 
 
@@ -191,6 +191,77 @@ class TestVerifyCommand:
         assert rec["all_passed"] is True
         names = [c["name"] for c in rec["checks"]]
         assert "perturbation_control_breaks_sums" in names
+
+
+# The README payloads, one or more per EVALUATORS entry, with the method each
+# record must report.
+TABLE_PAYLOADS = [
+    ("green", '{"kind":"two_species","mu":[0,1],"p0":[1],"nu":[1,2],"p":[2],"t":1.0}',
+     "quadrature"),
+    ("green", '{"kind":"two_species","mu":[0],"p0":[],"nu":[2],"p":[],"t":1.0}', "laurent"),
+    ("green", '{"kind":"rainbow_asep","mu":[1,0],"nu":[0,1],"q":0.5,"t":1.0}', "quadrature"),
+    ("crossing", '{"kind":"two_species","mu":[0,1],"nu":[1,3],"m":1,"t":1.0}', "quadrature"),
+    ("crossing", '{"kind":"rainbow","mu":[1,0],"nu":[1,2],"q":0.5,"t":1.0}', "quadrature"),
+    ("crossing", '{"kind":"blocks","mu_blocks":[[1],[0]],"lambda_blocks":[[2],[3]],'
+                 '"q":0.5,"t":1.0}', "quadrature"),
+    ("crossing", '{"kind":"tasep_blocks","mu_blocks":[[1],[0]],"lambda_blocks":[[2],[3]],'
+                 '"q":0.0,"t":1.0}', "quadrature"),
+    ("wall", '{"form":"step","mu":[-1,0],"m":1,"s1":-3,"s2":2,"t":2.0}', "quadrature"),
+    ("wall", '{"form":"step","mu":[-1,0],"m":1,"s1":0,"s2":0,"t":1.0}', "exact"),
+    ("wall", '{"form":"bernoulli","s1":-3,"s2":2,"rho":0.5,"n":2,"m":1,"t":2.0,'
+             '"variant":"inverted"}', "laurent"),
+    ("wall", '{"form":"bernoulli","s1":-3,"s2":2,"rho":0.5,"n":2,"m":1,"t":2.0,'
+             '"variant":"direct"}', "quadrature"),
+    ("wall", '{"form":"one_wall","s1":-3,"s2":2,"rho":0.5,"n":2,"m":1,"t":2.0,'
+             '"variant":"collapsed"}', "laurent"),
+    ("wall", '{"form":"one_wall","s1":-3,"s2":2,"rho":0.5,"n":2,"m":1,"t":2.0,'
+             '"variant":"cauchy_binet"}', "laurent"),
+    ("wall", '{"form":"gamma","n":1,"s":2,"t":1.0}', "laurent"),
+    ("wall", '{"form":"gamma","n":2,"s":3,"t":0.0}', "exact"),
+]
+
+
+class TestEvaluatorTable:
+    def test_payloads_cover_every_entry(self):
+        covered = {
+            (command, json.loads(payload).get(*SELECTORS[command]))
+            for command, payload, _ in TABLE_PAYLOADS
+        }
+        assert covered == set(EVALUATORS)
+
+    @pytest.mark.parametrize("command, payload, method", TABLE_PAYLOADS)
+    def test_record_reports_the_route_and_its_error(self, capsys, command, payload, method):
+        tol = 1e-10
+        code, out = run_cli(capsys, command, "--json", payload, "--tol", str(tol))
+        assert code == 0
+        rec = loads_record(out[-1])
+        assert rec["method"] == method
+        if method == "quadrature":
+            assert 0.0 <= rec["est_error"] < tol
+            assert rec["est_error"] != tol
+        else:
+            assert rec["est_error"] == 0.0
+
+    @pytest.mark.parametrize("command, field", [
+        ("green", "kind"), ("crossing", "kind"), ("wall", "form"),
+    ])
+    def test_unknown_kind_or_form_is_validation_error(self, capsys, command, field):
+        code, _ = run_cli(capsys, command, "--json", json.dumps({field: "bogus", "t": 1.0}))
+        assert code == 2
+
+    def test_green_record_matches_python_result(self, capsys):
+        from asepcross.core import ParticleConfig
+        from asepcross.formulas import GreenQuery, two_tasep_green
+
+        code, out = run_cli(capsys, "green", "--json", TABLE_PAYLOADS[0][1])
+        rec = loads_record(out[-1])
+        val = two_tasep_green(GreenQuery(
+            ParticleConfig.from_two_species((0, 1), (1,)),
+            ParticleConfig.from_two_species((1, 2), (2,)), 1.0,
+        ))
+        assert (rec["value"], rec["est_error"], rec["method"]) == (
+            float(val), val.est_err, val.method
+        )
 
 
 class TestExitCodes:

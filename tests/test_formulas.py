@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from asepcross.core import (
 from asepcross.formulas import (
     CrossingQuery,
     GreenQuery,
+    Result,
     WallQuery,
     _finalize_probability,
     block_crossing,
@@ -22,7 +24,6 @@ from asepcross.formulas import (
     cumulative_crossing_step,
     eigenfunction_P,
     gamma_wall,
-    green_evaluation,
     r_asep_transition,
     rainbow_total_crossing,
     schutz_determinant,
@@ -121,8 +122,8 @@ class TestTwoTasepGreen:
     def test_fast_path_against_golden_oracle(self):
         ini = _two_species((0, 1), (1,))
         fin = _two_species((1, 2), (2,))
-        val, err, method = green_evaluation(GreenQuery(ini, fin, 1.0))
-        assert method == "quadrature"
+        val = two_tasep_green(GreenQuery(ini, fin, 1.0))
+        assert val.method == "quadrature"
         assert abs(val - GOLDEN_2TASEP) < 1e-10
 
     def test_full_path_against_oracle(self):
@@ -524,6 +525,10 @@ class TestGammaWall:
         with pytest.raises(ValidationError):
             gamma_wall(2, 2, 1.0)
 
+    def test_method_checked_before_t0_shortcut(self):
+        with pytest.raises(ValidationError):
+            gamma_wall(2, 5, 0.0, method="bogus")
+
     def test_step_crossing_relation(self):
         # two-species step data: type 2 at -m..-1, type 1 at 0..n-m-1; the
         # wall event splits into single-species crossing events after a
@@ -550,3 +555,68 @@ class TestFinalization:
         assert _finalize_probability(1.0 + 5e-10 + 0j) == 1.0
         with pytest.raises(AccuracyError):
             _finalize_probability(1.1 + 0j)
+
+
+class TestNegativeRates:
+    @pytest.mark.parametrize("call", [
+        lambda: two_tasep_crossing((0, 1), (1, 3), 1, -1.0),
+        lambda: gamma_wall(2, 5, -1.0),
+        lambda: gamma_wall(2, 5, -1.0, method="quadrature"),
+        lambda: schutz_determinant((0, 1), (1, 2), -1.0),
+        lambda: rainbow_total_crossing((1, 0), (1, 2), -0.5, 1.0),
+        lambda: rainbow_total_crossing((1, 0), (1, 2), 0.5, -1.0),
+        lambda: r_asep_transition((1, 0), (0, 2), -0.5, 1.0),
+        lambda: r_asep_transition((1, 0), (0, 2), 0.5, -1.0),
+        lambda: single_species_crossing((1, 0), (2, 1), -0.5, 1.0),
+        lambda: single_species_crossing((1, 0), (2, 1), 0.5, -1.0),
+        lambda: cumulative_crossing_step((-1, 0), 1, -3, 2, -1.0),
+    ], ids=["two_tasep_crossing_t", "gamma_t", "gamma_quadrature_t", "schutz_t",
+            "rainbow_q", "rainbow_t", "r_asep_q", "r_asep_t", "single_species_q",
+            "single_species_t", "step_t"])
+    def test_refused_before_any_quadrature(self, call):
+        with pytest.raises(ValidationError, match="must be >= 0"):
+            call()
+
+
+class TestResult:
+    def test_quadrature_result_carries_measured_error(self):
+        val = two_tasep_crossing((0, 1), (1, 3), 1, 1.0, tol=1e-10)
+        assert isinstance(val, Result) and isinstance(val, float)
+        assert val.method == "quadrature"
+        assert 0.0 <= val.est_err < 1e-10
+
+    def test_prefactor_scales_the_error(self, monkeypatch):
+        import asepcross.formulas as formulas
+
+        def integral_returning(value):
+            return lambda f, cp, tol, node_budget: (value, 1e-12)
+
+        # prefactors (1 - q)^n = 0.25 and (-q^(-1/2))^sum(nu) = -sqrt(2)
+        monkeypatch.setattr(formulas, "product_integrate", integral_returning(0.5 + 0j))
+        rainbow = rainbow_total_crossing((1, 0), (1, 2), 0.5, 1.0)
+        assert (float(rainbow), rainbow.est_err) == (0.125, 0.25e-12)
+        monkeypatch.setattr(formulas, "product_integrate", integral_returning(-0.5 + 0j))
+        r_asep = r_asep_transition((1, 0), (0, 1), 0.5, 1.0)
+        assert float(r_asep) == pytest.approx(0.5 * math.sqrt(2.0))
+        assert r_asep.est_err == pytest.approx(1e-12 * math.sqrt(2.0))
+
+    def test_residue_and_structural_zero_methods(self):
+        inverted = cumulative_crossing_bernoulli(WallQuery(-3, 2, 0.5, 2, 1, 2.0))
+        assert (inverted.method, inverted.est_err) == ("laurent", 0.0)
+        zeros = (
+            cumulative_crossing_bernoulli(WallQuery(0, 0, 0.5, 2, 1, 2.0), form="direct"),
+            cumulative_crossing_step((-1, 0), 1, 0, 0, 1.0),
+            gamma_wall(2, 5, 0.0),
+        )
+        for zero in zeros:
+            assert (float(zero), zero.est_err, zero.method) == (0.0, 0.0, "exact")
+
+    def test_arithmetic_gives_plain_floats(self):
+        val = gamma_wall(1, 2, 1.0)
+        assert type(val + 0.0) is float
+        assert repr(val) == repr(float(val))
+
+    def test_pickle_keeps_the_fields(self):
+        val = two_tasep_crossing((0, 1), (1, 3), 1, 1.0)
+        back = pickle.loads(pickle.dumps(val))
+        assert (float(back), back.est_err, back.method) == (float(val), val.est_err, val.method)

@@ -10,6 +10,7 @@ from asepcross.core import (
     ValidationError,
 )
 from asepcross.oracle import (
+    CHUNK,
     MonteCarloJob,
     SimulationSpec,
     build_window_generator,
@@ -21,6 +22,8 @@ from asepcross.oracle import (
     run_monte_carlo,
     sample_bernoulli_step,
     transition_row,
+    _chunk_uniforms,
+    _row_uniforms,
 )
 
 GOLDEN_2TASEP = 0.06766764161830637  # mu=(0,1) p0={1} -> nu=(1,2) p={2}, t=1
@@ -68,6 +71,12 @@ class TestGillespie:
             for t, kind, k, species_after in events:
                 if kind == 1:  # swap of (k, k+1); labels recorded post-swap
                     assert species_after[k] < species_after[k + 1]
+
+    @pytest.mark.parametrize("chunk", [0, 3])
+    def test_single_row_draw_equals_chunk_row(self, chunk):
+        full = _chunk_uniforms(5, chunk, CHUNK)
+        for row in (0, 1, 7, 500, 1023):
+            assert np.array_equal(_row_uniforms(5, chunk, row), full[row])
 
     def test_backhopping_moves_left(self):
         spec = _spec((0,), (1,), 2.0, 4.0, seed=9)
