@@ -8,15 +8,11 @@ from .core import (
     AccuracyError,
     BlockSignatureVector,
     ConfigurationError,
-    IntegerComposition,
     ModelParams,
     ParticleConfig,
     ResourceLimitError,
     StrictSignature,
     ValidationError,
-    crossing_configs,
-    enumerate_permutations,
-    validate_standard_regime,
 )
 from .formulas import (
     CrossingQuery,
@@ -39,15 +35,12 @@ from .formulas import (
 )
 from .oracle import (
     MonteCarloJob,
-    SimulationSpec,
     WindowGenerator,
     build_window_generator,
     default_window,
-    estimate_transition,
     expm_transition,
-    gillespie_run,
     run_monte_carlo,
-    sample_bernoulli_step,
+    simulate_sample,
     transition_row,
 )
 from .vertex import (

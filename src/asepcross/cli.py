@@ -23,7 +23,6 @@ from .core import (
     AccuracyError,
     BlockSignatureVector,
     ConfigurationError,
-    ModelParams,
     ParticleConfig,
     ResourceLimitError,
     StrictSignature,
@@ -45,13 +44,7 @@ from .formulas import (
     two_tasep_green,
 )
 from .identities import run_identity_suite
-from .oracle import (
-    MonteCarloJob,
-    SimulationSpec,
-    gillespie_run,
-    run_monte_carlo,
-    sample_bernoulli_step,
-)
+from .oracle import MonteCarloJob, run_monte_carlo, simulate_sample
 from .quadrature import DEFAULT_NODE_BUDGET, MIN_NODE_BUDGET
 from .vertex import stochastic_weights_check
 
@@ -191,56 +184,44 @@ def cmd_evaluate(command, payload, args, started):
     return _record(command, payload, value, value.est_err, value.method, started)
 
 
+# simulate task -> (initial-state source, event kind); "run" and
+# "bernoulli_sample" print sample 0 of the stream the estimates count
+SIMULATE_TASKS = {"run": ("initial", None), "bernoulli_sample": ("bernoulli", None),
+                  "estimate": ("initial", "target"), "estimate_wall": ("bernoulli", "wall")}
+
+
 def cmd_simulate(payload, args, started):
+    """Build one MonteCarloJob from the payload; print its sample 0 or
+    estimate the probability of its event."""
     task = payload.get("task", "run")
-    seed = args.seed
-    if task == "run":
-        spec = SimulationSpec(
-            initial=ParticleConfig(tuple(payload["positions"]), tuple(payload["species"])),
-            params=ModelParams(q=float(payload.get("q", 0.0))),
-            horizon=float(payload["t"]),
-            seed=seed,
-            samples=1,
-        )
-        final = gillespie_run(spec)
-        return _record(
-            "simulate", payload, None, 0.0, "gillespie", started,
-            extra={"result": {"positions": list(final.positions),
-                              "species": list(final.species)}},
-        )
-    if task == "bernoulli_sample":
-        config = sample_bernoulli_step(
-            float(payload["rho"]), int(payload["m"]), int(payload["n"]), seed
-        )
-        return _record(
-            "simulate", payload, None, 0.0, "bernoulli", started,
-            extra={"result": {"positions": list(config.positions),
-                              "species": list(config.species)}},
-        )
-    samples = int(payload.get("samples", 100000))
-    if args.budget is not None:
-        samples = min(samples, args.budget)
-    if task == "estimate":
-        job = MonteCarloJob(
-            q=float(payload.get("q", 0.0)),
-            horizon=float(payload["t"]),
-            samples=samples,
-            seed=seed,
-            initial=ParticleConfig(tuple(payload["positions"]), tuple(payload["species"])),
-            event=("target", tuple(payload["target_positions"]),
-                   tuple(payload["target_species"])),
-        )
-    elif task == "estimate_wall":
-        job = MonteCarloJob(
-            q=float(payload.get("q", 0.0)),
-            horizon=float(payload["t"]),
-            samples=samples,
-            seed=seed,
-            bernoulli=(float(payload["rho"]), int(payload["m"]), int(payload["n"])),
-            event=("wall", int(payload["s1"]), int(payload["s2"])),
-        )
-    else:
+    if task not in SIMULATE_TASKS:
         raise ValidationError(f"unknown simulate task {task!r}")
+    source, event = SIMULATE_TASKS[task]
+    samples = 1
+    if event is not None:
+        samples = int(payload.get("samples", 100000))
+        if args.budget is not None:
+            samples = min(samples, args.budget)
+    fields = {"q": float(payload.get("q", 0.0)), "samples": samples, "seed": args.seed,
+              "horizon": 0.0 if task == "bernoulli_sample" else float(payload["t"])}
+    if source == "initial":
+        fields["initial"] = ParticleConfig(tuple(payload["positions"]),
+                                           tuple(payload["species"]))
+    else:
+        fields["bernoulli"] = (float(payload["rho"]), int(payload["m"]), int(payload["n"]))
+    if event == "target":
+        fields["event"] = ("target", tuple(payload["target_positions"]),
+                           tuple(payload["target_species"]))
+    elif event == "wall":
+        fields["event"] = ("wall", int(payload["s1"]), int(payload["s2"]))
+    job = MonteCarloJob(**fields)
+    if event is None:
+        final = simulate_sample(job)
+        return _record(
+            "simulate", payload, None, 0.0, "gillespie" if task == "run" else "bernoulli",
+            started, extra={"result": {"positions": list(final.positions),
+                                       "species": list(final.species)}},
+        )
     phat, stderr, successes = run_monte_carlo(job, threads=args.threads)
     return _record(
         "simulate", payload, phat, stderr, "monte_carlo", started,

@@ -92,10 +92,6 @@ class ParticleConfig:
             raise ValidationError("type2_indices is only defined for r <= 2")
         return tuple(i + 1 for i, c in enumerate(self.species) if c == 2)
 
-    def shifted(self, delta: int) -> "ParticleConfig":
-        _check_int64(x + delta for x in self.positions)
-        return ParticleConfig(tuple(x + delta for x in self.positions), self.species)
-
 
 @dataclass(frozen=True)
 class StrictSignature:
@@ -160,81 +156,16 @@ class BlockSignatureVector:
     def r(self) -> int:
         return len(self.blocks)
 
-    def to_particle_config(self) -> ParticleConfig:
-        """Flatten to a ParticleConfig with species = block index (1-based)."""
-        pairs = []
-        for k, block in enumerate(self.blocks, start=1):
-            pairs.extend((pos, k) for pos in block.parts)
-        pairs.sort()
-        return ParticleConfig(
-            tuple(p for p, _ in pairs), tuple(c for _, c in pairs)
-        )
-
-    @classmethod
-    def from_particle_config(cls, config: ParticleConfig, orientation: str):
-        """Group a block-ordered configuration into a signature vector."""
-        r = max(config.species)
-        blocks = []
-        for k in range(1, r + 1):
-            parts = sorted(
-                (pos for pos, c in zip(config.positions, config.species) if c == k),
-                reverse=True,
-            )
-            if not parts:
-                raise ValidationError(f"colour {k} has no particles")
-            blocks.append(StrictSignature(tuple(parts)))
-        return cls(tuple(blocks), orientation)
-
-
-@dataclass(frozen=True)
-class IntegerComposition:
-    """Integer vector with no ordering constraint; ``strict`` forbids ties."""
-
-    parts: tuple[int, ...]
-    strict: bool = False
-
-    def __post_init__(self):
-        parts = tuple(int(x) for x in self.parts)
-        if self.strict and len(set(parts)) != len(parts):
-            raise ValidationError("strict composition has a repeated part")
-        _check_int64(parts)
-        object.__setattr__(self, "parts", parts)
-
-    def __len__(self):
-        return len(self.parts)
-
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model parameters: backhop rate q, spin s, density rho, time horizon."""
+    """Model parameters: the backhop rate q."""
 
     q: float = 0.0
-    s: complex = 0.0
-    rho: float = 1.0
-    t: float = 0.0
-    ell: int = 0
-    epsilon: float = 1.0
 
     def __post_init__(self):
         if self.q < 0:
             raise ValidationError("q must be >= 0")
-        if self.t < 0:
-            raise ValidationError("t must be >= 0")
-        if not 0 < self.rho <= 1:
-            raise ValidationError("rho must lie in (0, 1]")
-        if self.ell < 0:
-            raise ValidationError("ell must be >= 0")
-        if self.epsilon <= 0:
-            raise ValidationError("epsilon must be > 0")
-
-
-def validate_standard_regime(mu: ParticleConfig, nu: ParticleConfig) -> bool:
-    """True iff nu dominates mu componentwise in positions and type indices."""
-    if mu.n != nu.n or mu.m != nu.m:
-        raise ValidationError("configurations must have equal n and m")
-    if any(b < a for a, b in zip(mu.positions, nu.positions)):
-        return False
-    return all(b >= a for a, b in zip(mu.type2_indices, nu.type2_indices))
 
 
 def permutation_sign(perm) -> int:
@@ -247,8 +178,9 @@ def permutation_sign(perm) -> int:
     return -1 if inv % 2 else 1
 
 
-def enumerate_permutations(N: int, cap: int = FACTORIAL_CAP):
-    """Yield all permutations of {0, .., N-1} with their signs.
+def signed_permutations(N: int, cap: int = FACTORIAL_CAP) -> list[tuple[tuple[int, ...], int]]:
+    """All permutations of {0, .., N-1} with their signs, as a list reused
+    across mesh nodes.
 
     Raises ResourceLimitError when N exceeds the factorial cap, which guards
     every permutation-sum evaluator against accidental blowups.
@@ -259,20 +191,7 @@ def enumerate_permutations(N: int, cap: int = FACTORIAL_CAP):
         raise ResourceLimitError(
             f"permutation sum of size {N} exceeds the factorial cap {cap}"
         )
-    sign = 1
-    prev = None
-    for perm in itertools.permutations(range(N)):
-        if prev is None:
-            sign = 1
-        else:
-            sign = permutation_sign(perm)
-        prev = perm
-        yield perm, sign
-
-
-def signed_permutations(N: int, cap: int = FACTORIAL_CAP) -> list[tuple[tuple[int, ...], int]]:
-    """Materialized list of (permutation, sign), reused across mesh nodes."""
-    return list(enumerate_permutations(N, cap))
+    return [(perm, permutation_sign(perm)) for perm in itertools.permutations(range(N))]
 
 
 def inversions(mu) -> int:
@@ -284,31 +203,3 @@ def inversions(mu) -> int:
         for j in range(i + 1, len(mu))
         if mu[i] < mu[j]
     )
-
-
-def crossing_configs(mu_vec: BlockSignatureVector):
-    """Predicate selecting final states whose block order is fully reversed.
-
-    For an initial-oriented block vector the returned predicate accepts a
-    ParticleConfig exactly when, for every pair of colours i < j, all
-    particles of colour i sit strictly left of all particles of colour j.
-    """
-    if mu_vec.orientation != "initial":
-        raise ValidationError("crossing predicate expects an initial-oriented vector")
-    sizes = mu_vec.sizes
-
-    def predicate(config: ParticleConfig) -> bool:
-        if config.n != mu_vec.n:
-            return False
-        counts = [0] * (mu_vec.r + 1)
-        for c in config.species:
-            if c > mu_vec.r:
-                return False
-            counts[c] += 1
-        if tuple(counts[1:]) != sizes:
-            return False
-        # species along increasing positions must read 1..1 2..2 ... r..r
-        expected = [k for k, nk in enumerate(sizes, start=1) for _ in range(nk)]
-        return list(config.species) == expected
-
-    return predicate

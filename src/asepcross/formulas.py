@@ -356,16 +356,6 @@ def schutz_determinant(mu, nu, t: float) -> float:
     return float(np.linalg.det(mat))
 
 
-def schutz_reduction_check(mu_cfg: ParticleConfig, nu_cfg: ParticleConfig, t: float):
-    """Compare the full evaluator against the determinant on a single-species
-    instance (all type 1 or all type 2).  Returns (green, determinant)."""
-    if nu_cfg.m not in (0, nu_cfg.n):
-        raise ValidationError("reduction check needs m = 0 or m = n")
-    green = two_tasep_green(GreenQuery(mu_cfg, nu_cfg, t))
-    det = schutz_determinant(mu_cfg.positions, nu_cfg.positions, t)
-    return green, det
-
-
 def two_tasep_crossing(mu, nu, m: int, t: float, tol: float = 1e-10,
                        node_budget: int = DEFAULT_NODE_BUDGET) -> Result:
     """Total-crossing transition probability of the two-species TASEP.

@@ -5,6 +5,14 @@ multi-species exclusion process on the unbounded lattice, and the matrix
 exponential of the generator restricted to a finite window (out-of-window
 jumps drain into an absorbing sink state), evaluated by uniformization.
 
+A ``MonteCarloJob`` describes every simulation: a fixed initial state or
+Bernoulli-step initial data, the backhop rate q, the horizon, the seed and
+the event whose probability ``run_monte_carlo`` estimates.  ``_simulate`` is
+the one path from a job and a uniform stream to a final state; a Bernoulli
+job draws its initial state from the same stream before the jumps.
+``simulate_sample(job, i)`` returns the final state of sample ``i``, which is
+by construction the trajectory that ``run_monte_carlo`` counts for ``i``.
+
 Randomness is counter-based: sample ``i`` of a run with seed ``s`` draws its
 uniforms from a Philox stream keyed by (s, chunk(i)) plus a per-sample
 overflow stream keyed by (s xor GOLDEN, i), so results are bit-identical for
@@ -32,23 +40,6 @@ GOLDEN = 0x9E3779B97F4A7C15
 CHUNK = 1024
 UNIFORMS_PER_SAMPLE = 96
 STATE_CAP = 200_000
-
-
-@dataclass(frozen=True)
-class SimulationSpec:
-    """One Monte Carlo experiment: initial state, rates, horizon, sampling."""
-
-    initial: ParticleConfig
-    params: ModelParams
-    horizon: float
-    seed: int
-    samples: int = 1
-
-    def __post_init__(self):
-        if self.horizon < 0:
-            raise ValidationError("horizon must be >= 0")
-        if self.samples < 1:
-            raise ValidationError("samples must be >= 1")
 
 
 class _UniformStream:
@@ -152,52 +143,16 @@ def _gillespie_core(positions, species, q, horizon, draw, events=None):
             events.append((t, kind, k, tuple(species)))
 
 
-def gillespie_run(spec: SimulationSpec, sample_index: int = 0) -> ParticleConfig:
-    """Sample one exact trajectory of the process at the spec's horizon."""
-    config, _ = gillespie_trajectory(spec, sample_index)
-    return config
-
-
-def gillespie_trajectory(spec: SimulationSpec, sample_index: int = 0):
-    """Like gillespie_run but also returns the event log (t, kind, index, species)."""
-    chunk, row = divmod(sample_index, CHUNK)
-    buf = _row_uniforms(spec.seed, chunk, row)
-    draw = _UniformStream(buf, spec.seed, sample_index)
-    positions = list(spec.initial.positions)
-    species = list(spec.initial.species)
-    events: list = []
-    _gillespie_core(positions, species, spec.params.q, spec.horizon, draw, events)
-    return ParticleConfig(tuple(positions), tuple(species)), events
-
-
-def sample_bernoulli_step(rho: float, m: int, n: int, rng) -> ParticleConfig:
-    """Random two-species initial state: type 2 at the m rightmost occupied
-    negative sites of an iid density-rho field, type 1 fixed at 0..n-m-1.
-
-    ``rng`` is a numpy Generator or an integer seed.
-    """
-    if not 0 < rho <= 1:
-        raise ValidationError("rho must lie in (0, 1]")
-    if not 0 <= m <= n:
-        raise ValidationError("need 0 <= m <= n")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.Generator(np.random.Philox(key=np.array(
-            [int(rng) & MASK64, 0], dtype=np.uint64)))
-    type2 = []
-    site = 0
-    for _ in range(m):
-        gap = 1 if rho == 1.0 else int(rng.geometric(rho))
-        site -= gap
-        type2.append(site)
-    positions = tuple(sorted(type2)) + tuple(range(n - m))
-    species = (2,) * m + (1,) * (n - m)
-    # species aligned with sorted positions: all type-2 sit left of type-1
-    return ParticleConfig(positions, species)
-
-
 @dataclass(frozen=True)
 class MonteCarloJob:
-    """Picklable description of an event-probability estimation run."""
+    """Picklable description of one Monte Carlo experiment.
+
+    Exactly one of ``initial`` (a fixed state) and ``bernoulli`` = (rho, m, n)
+    is given.  Bernoulli-step data put type 2 at the m rightmost occupied
+    negative sites of an iid density-rho field and type 1 at 0..n-m-1.
+    ``event`` is ("target", positions, species) or ("wall", s1, s2): type 1
+    in [s1, s2) and type 2 at or beyond s2.
+    """
 
     q: float
     horizon: float
@@ -212,41 +167,30 @@ class MonteCarloJob:
             raise ValidationError("exactly one of initial/bernoulli is required")
         if self.samples < 1:
             raise ValidationError("samples must be >= 1")
+        if not 0 <= self.horizon < math.inf:
+            raise ValidationError("horizon must be finite and >= 0")
+        if not self.q >= 0:
+            raise ValidationError("q must be >= 0")
+        if self.bernoulli is not None:
+            rho, m, n = self.bernoulli
+            if not 0 < rho <= 1:
+                raise ValidationError("rho must lie in (0, 1]")
+            if not 0 <= m <= n or n < 1:
+                raise ValidationError("need 0 <= m <= n and n >= 1")
+        if self.event and self.event[0] not in ("target", "wall"):
+            raise ValidationError(f"unknown event kind {self.event[0]!r}")
 
 
 def _event_holds(event, positions, species) -> bool:
-    kind = event[0]
-    if kind == "target":
+    if event[0] == "target":
         return tuple(positions) == event[1] and tuple(species) == event[2]
-    if kind == "wall":
-        s1, s2 = event[1], event[2]
-        for x, c in zip(positions, species):
-            if c == 1 and not (s1 <= x < s2):
-                return False
-            if c == 2 and x < s2:
-                return False
-        return True
-    if kind == "all_beyond":
-        return all(x >= event[1] for x in positions)
-    raise ValidationError(f"unknown event kind {kind!r}")
-
-
-def _run_chunk(job: MonteCarloJob, chunk_index: int, count: int) -> int:
-    buf = _chunk_uniforms(job.seed, chunk_index, CHUNK)
-    successes = 0
-    for row in range(count):
-        index = chunk_index * CHUNK + row
-        draw = _UniformStream(buf[row], job.seed, index)
-        if job.bernoulli is not None:
-            rho, m, n = job.bernoulli
-            positions, species = _bernoulli_lists(rho, m, n, draw)
-        else:
-            positions = list(job.initial.positions)
-            species = list(job.initial.species)
-        _gillespie_core(positions, species, job.q, job.horizon, draw)
-        if _event_holds(job.event, positions, species):
-            successes += 1
-    return successes
+    s1, s2 = event[1], event[2]
+    for x, c in zip(positions, species):
+        if c == 1 and not (s1 <= x < s2):
+            return False
+        if c == 2 and x < s2:
+            return False
+    return True
 
 
 def _bernoulli_lists(rho, m, n, draw):
@@ -260,7 +204,7 @@ def _bernoulli_lists(rho, m, n, draw):
             u = draw()
             while u <= 0.0:
                 u = draw()
-            gap = 1 + int(math.log(u) / math.log1p(-rho)) if rho < 1.0 else 1
+            gap = 1 + int(math.log(u) / math.log1p(-rho))
         site -= gap
         type2.append(site)
     positions = sorted(type2) + list(range(n - m))
@@ -268,11 +212,48 @@ def _bernoulli_lists(rho, m, n, draw):
     return positions, species
 
 
+def _simulate(job: MonteCarloJob, draw, events=None):
+    """Final (positions, species) of one sample of the job on the stream."""
+    if job.bernoulli is not None:
+        positions, species = _bernoulli_lists(*job.bernoulli, draw)
+    else:
+        positions = list(job.initial.positions)
+        species = list(job.initial.species)
+    _gillespie_core(positions, species, job.q, job.horizon, draw, events)
+    return positions, species
+
+
+def simulate_sample(job: MonteCarloJob, index: int = 0, events=None) -> ParticleConfig:
+    """Final state of sample ``index``: the trajectory run_monte_carlo counts.
+
+    If ``events`` is a list, each jump appends (t, kind, k, species after),
+    where kind is 0 (step right), -1 (step left) or 1 (swap of k and k+1).
+    """
+    if index < 0:
+        raise ValidationError("sample index must be >= 0")
+    chunk, row = divmod(index, CHUNK)
+    draw = _UniformStream(_row_uniforms(job.seed, chunk, row), job.seed, index)
+    positions, species = _simulate(job, draw, events)
+    return ParticleConfig(tuple(positions), tuple(species))
+
+
+def _run_chunk(job: MonteCarloJob, chunk_index: int, count: int) -> int:
+    buf = _chunk_uniforms(job.seed, chunk_index, CHUNK)
+    successes = 0
+    for row in range(count):
+        draw = _UniformStream(buf[row], job.seed, chunk_index * CHUNK + row)
+        if _event_holds(job.event, *_simulate(job, draw)):
+            successes += 1
+    return successes
+
+
 def run_monte_carlo(job: MonteCarloJob, threads: int = 1):
     """Estimate the event probability; bit-identical for any thread count.
 
     Returns (estimate, stderr, successes).
     """
+    if not job.event:
+        raise ValidationError("run_monte_carlo needs an event")
     chunks = []
     remaining = job.samples
     idx = 0
@@ -290,22 +271,6 @@ def run_monte_carlo(job: MonteCarloJob, threads: int = 1):
     phat = successes / job.samples
     stderr = math.sqrt(phat * (1.0 - phat) / job.samples)
     return phat, stderr, successes
-
-
-def estimate_transition(spec: SimulationSpec, target: ParticleConfig, threads: int = 1):
-    """Monte Carlo estimate of P(initial -> target; horizon) with binomial stderr."""
-    if spec.samples < 100:
-        raise ValidationError("estimate_transition needs at least 100 samples")
-    job = MonteCarloJob(
-        q=spec.params.q,
-        horizon=spec.horizon,
-        samples=spec.samples,
-        seed=spec.seed,
-        initial=spec.initial,
-        event=("target", target.positions, target.species),
-    )
-    phat, stderr, _ = run_monte_carlo(job, threads=threads)
-    return phat, stderr
 
 
 def default_window(mu_positions, t, nu_positions=None, q: float = 0.0):
@@ -439,7 +404,9 @@ def transition_row(gen: WindowGenerator, mu: ParticleConfig, t: float) -> np.nda
     """Full distribution exp(Qt) row for initial state mu, by uniformization.
 
     The returned vector has length D+1; the last entry is the sink mass.
-    The Poisson series is truncated once its missed mass falls below 1e-15.
+    The Poisson series stops at term k once k + 1 > lam t and the geometric
+    bound w_{k+1} / (1 - lam t / (k + 2)) on the remaining weights is below
+    1e-15.
     """
     if t < 0:
         raise ValidationError("time must be >= 0")
@@ -456,18 +423,15 @@ def transition_row(gen: WindowGenerator, mu: ParticleConfig, t: float) -> np.nda
         raise ResourceLimitError("uniformization rate * t too large for this window")
     P = sp.eye(D + 1, format="csr") + gen.matrix / lam
     out = np.zeros(D + 1)
-    weight = math.exp(-lam * t)
-    cum = weight
+    lt = lam * t
+    weight = math.exp(-lt)
     out += weight * v
     k = 0
-    while 1.0 - cum > 1e-15:
+    while k + 1 <= lt or weight * lt / (k + 1) / (1.0 - lt / (k + 2)) > 1e-15:
         k += 1
         v = P.T.dot(v)
-        weight *= lam * t / k
-        cum += weight
+        weight *= lt / k
         out += weight * v
-        if k > 100000:
-            raise ResourceLimitError("uniformization failed to converge")
     return out
 
 

@@ -4,6 +4,8 @@ import math
 import pytest
 
 from asepcross.cli import EVALUATORS, SELECTORS, dumps_record, loads_record, main
+from asepcross.core import ParticleConfig
+from asepcross.oracle import MonteCarloJob, run_monte_carlo
 from asepcross.quadrature import ContourProduct, ContourSpec, product_integrate
 
 
@@ -170,6 +172,23 @@ class TestSimulateCommand:
         rec2.pop("wall_ms")
         assert rec1 == rec2
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_samples_are_sample_zero_of_the_counted_stream(self, capsys, seed):
+        # a one-sample job whose target is the printed state counts it
+        runs = [
+            ('{"task":"run","positions":[0,1,2],"species":[3,2,1],"q":0.5,"t":1.0}',
+             dict(q=0.5, horizon=1.0, initial=ParticleConfig((0, 1, 2), (3, 2, 1)))),
+            ('{"task":"bernoulli_sample","rho":0.3,"m":2,"n":3}',
+             dict(q=0.0, horizon=0.0, bernoulli=(0.3, 2, 3))),
+        ]
+        for payload, fields in runs:
+            code, out = run_cli(capsys, "simulate", "--json", payload, "--seed", str(seed))
+            assert code == 0
+            final = loads_record(out[-1])["result"]
+            event = ("target", tuple(final["positions"]), tuple(final["species"]))
+            job = MonteCarloJob(samples=1, seed=seed, event=event, **fields)
+            assert run_monte_carlo(job)[2] == 1
+
     def test_budget_caps_samples(self, capsys):
         code, out = run_cli(
             capsys, "simulate", "--json",
@@ -286,6 +305,14 @@ class TestExitCodes:
             capsys, "wall", "--json",
             '{"form":"one_wall","s1":-2,"s2":2,"rho":0.5,"n":1,"m":1,"t":2.0}',
         )
+        assert code == 2
+
+    @pytest.mark.parametrize("task", ["estimate_wall", "bernoulli_sample"])
+    @pytest.mark.parametrize("rho, m, n", [(0.0, 1, 2), (1.5, 1, 2), (0.5, 3, 2)])
+    def test_bernoulli_data_is_validation_error(self, capsys, task, rho, m, n):
+        payload = json.dumps({"task": task, "rho": rho, "m": m, "n": n, "s1": -3,
+                              "s2": 2, "t": 2.0, "samples": 100})
+        code, _ = run_cli(capsys, "simulate", "--json", payload)
         assert code == 2
 
     def test_resource_cap(self, capsys):

@@ -27,7 +27,6 @@ from asepcross.formulas import (
     r_asep_transition,
     rainbow_total_crossing,
     schutz_determinant,
-    schutz_reduction_check,
     single_species_crossing,
     tasep_block_crossing,
     two_tasep_crossing,
@@ -164,19 +163,27 @@ class TestSchutzReduction:
         p = species if species else ()
         mu = ParticleConfig.from_two_species((0, 2), p)
         nu = ParticleConfig.from_two_species((1, 4), p)
-        green, det = schutz_reduction_check(mu, nu, 0.7)
+        green = two_tasep_green(GreenQuery(mu, nu, 0.7))
+        det = schutz_determinant(mu.positions, nu.positions, 0.7)
         assert abs(green - det) < 1e-9
 
     def test_t0(self):
         mu = ParticleConfig.from_two_species((0, 2), ())
-        green, det = schutz_reduction_check(mu, mu, 0.0)
+        green = two_tasep_green(GreenQuery(mu, mu, 0.0))
+        det = schutz_determinant(mu.positions, mu.positions, 0.0)
         assert green == pytest.approx(1.0, abs=1e-12)
         assert det == pytest.approx(1.0, abs=1e-12)
 
     def test_requires_single_species(self):
-        mu = ParticleConfig.from_two_species((0, 2), (1,))
-        with pytest.raises(ValidationError):
-            schutz_reduction_check(mu, mu, 0.5)
+        # with one particle of each type the determinant is not the Green's
+        # function: the pair (0, 1) -> (1, 2) needs the type-2 particle to
+        # overtake, which the single-species process cannot do
+        mu = ParticleConfig.from_two_species((0, 1), (1,))
+        nu = ParticleConfig.from_two_species((1, 2), (2,))
+        green = two_tasep_green(GreenQuery(mu, nu, 1.0))
+        det = schutz_determinant(mu.positions, nu.positions, 1.0)
+        assert abs(green - 0.06766764161830637) < 1e-9
+        assert abs(green - det) > 1e-2
 
     def test_determinant_out_of_regime(self):
         assert abs(schutz_determinant((0, 2), (-1, 3), 0.5)) < 1e-14
@@ -515,8 +522,9 @@ class TestGammaWall:
         val = gamma_wall(2, 4, 2.0)
         job = MonteCarloJob(
             q=0.0, horizon=2.0, samples=200_000, seed=5,
-            initial=ParticleConfig((1, 2), (1, 1)),
-            event=("all_beyond", 4),
+            # type 2 only: the wall event asks every particle to reach 4
+            initial=ParticleConfig((1, 2), (2, 2)),
+            event=("wall", 4, 4),
         )
         est, err, _ = run_monte_carlo(job)
         assert abs(est - val) <= 3 * err
