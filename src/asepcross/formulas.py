@@ -17,9 +17,14 @@ driver, prefactor), takes its convergence tolerance ``tol`` and its
 per-integral evaluation cap ``node_budget`` as arguments (``GreenQuery``
 fields for the Green's function) and reports |prefactor|·|I_n - I_{n/2}|,
 the difference of its last two node-doubling iterates, as ``est_err``.
-Residue routes report 0.0 with method 'laurent', and structural zeros
-(an infeasible wall, t = 0 in ``gamma_wall``) 0.0 with method 'exact'.
-Negative ``t`` or ``q`` is refused with ValidationError.
+Every residue evaluator goes through ``_residues`` (one-variable residue
+sums multiplied over the monomials of a polynomial, whose determinant
+factors ``_det_poly`` expands), except ``schutz_determinant``, whose
+entries are Poisson series; residue routes report 0.0 with method
+'laurent', and structural zeros (an infeasible wall, t = 0 in
+``gamma_wall``) 0.0 with method 'exact'.  A NaN is refused like any other
+value outside [0, 1].  Negative ``t`` or ``q`` is refused with
+ValidationError.
 """
 
 from __future__ import annotations
@@ -42,10 +47,11 @@ from .quadrature import (
     DEFAULT_NODE_BUDGET,
     ContourProduct,
     ContourSpec,
+    MultivariatePolynomial,
     OpenGrid,
     RationalExpDescriptor,
     batched_det,
-    laurent_residue,
+    laurent_residue,  # not called here; bench/tracing.py patches formulas.laurent_residue
     product_integrate,
     residue_sum,
     spectral_rows,
@@ -144,12 +150,12 @@ class Result(float):
 
 def _finalize_probability(value: complex, est_err: float = 0.0, method: str = "laurent",
                           imag_tol=IMAG_TOL, neg_tol=NEG_TOL) -> Result:
-    if abs(value.imag) > imag_tol:
+    if not abs(value.imag) <= imag_tol:
         raise AccuracyError(
             f"probability has imaginary part {value.imag:.3e} above tolerance"
         )
     v = value.real
-    if v < -neg_tol or v > 1.0 + neg_tol:
+    if not -neg_tol <= v <= 1.0 + neg_tol:  # NaN fails here too
         raise AccuracyError(f"value {v!r} lies outside [0, 1] beyond tolerance")
     return Result(min(max(v, 0.0), 1.0), est_err, method)
 
@@ -255,14 +261,6 @@ def eigenfunction_P(nu, p, t, z, u):
     return finish(total * pref)
 
 
-def _green_laurent(mu0: int, nu0: int, t: float) -> float:
-    """Single free particle: residue of w^(mu-nu-1) e^((w-1)t) at the origin."""
-    desc = RationalExpDescriptor(
-        exp_coeff=t, factors=(((0.0 + 0.0j), mu0 - nu0 - 1),), prefactor=math.exp(-t)
-    )
-    return laurent_residue(desc, 0.0).real
-
-
 def two_tasep_green(query: GreenQuery) -> Result:
     """Transition probability of the two-species TASEP.
 
@@ -270,7 +268,8 @@ def two_tasep_green(query: GreenQuery) -> Result:
     integrals reduce to residues at u_i = z_i (the remaining apparent poles
     cancel after symmetrization), which cuts the integral dimension from
     n + m to n; otherwise the full tensor quadrature runs with the u-circles
-    enclosing the z-circles.  A single free particle is a Laurent residue.
+    enclosing the z-circles.  A single free particle is the n = 1 Schütz
+    determinant, a Poisson probability.
     """
     ini, fin = query.initial, query.final
     n, m = ini.n, ini.m
@@ -285,7 +284,7 @@ def two_tasep_green(query: GreenQuery) -> Result:
             raise ValidationError(
                 "laurent evaluation applies to the single-particle case only"
             )
-        return _finalize_probability(complex(_green_laurent(mu[0], nu[0], t)))
+        return schutz_determinant(mu, nu, t)
     if all(p0[i] == i + 1 for i in range(m)):
         contours = tuple(ContourSpec(0.0, r) for r in _spread_radii(n, 0.30, 0.60))
         roles = ()
@@ -317,43 +316,48 @@ def two_tasep_green(query: GreenQuery) -> Result:
 
 
 def _poisson_series_entry(a: int, x: int, t: float) -> float:
-    """Residue at the origin of (1-z)^a z^(x-1) e^((1/z - 1)t)."""
+    """Residue at the origin of (1-z)^a z^(x-1) e^((1/z - 1)t).
+
+    The series sum_j (-1)^j C(a, j) e^(-t) t^(x+j) / (x+j)! runs until its
+    terms are negligible; each Poisson weight is formed in log space, so
+    large t and long jumps neither overflow nor stop early.
+    """
     if x < 0 and a >= 0 and x + a < 0:
         return 0.0
-    total = 0.0
+    log_t = math.log(t) if t > 0 else -math.inf
     j = max(0, -x)
-    binom = 1.0
-    for jj in range(1, j + 1):
-        binom *= (a - jj + 1) / jj
+    coeff = 1.0  # (-1)^j C(a, j)
+    for i in range(1, j + 1):
+        coeff *= (i - 1 - a) / i
+    total = 0.0
+    stop = max(t, 1.0) + 20
     while True:
-        term = (-1.0) ** j * binom * t ** (x + j) / math.factorial(x + j)
+        k = x + j
+        term = coeff * (math.exp(k * log_t - t - math.lgamma(k + 1)) if k else math.exp(-t))
         total += term
         j += 1
         if a >= 0 and j > a:
             break
-        binom *= (a - j + 1) / j
-        if x + j > max(t, 1.0) + 20 and abs(term) < 1e-18 * (abs(total) + 1e-300):
+        coeff *= (j - 1 - a) / j
+        if k + 1 > stop and abs(term) < 1e-18 * (abs(total) + 1e-300):
             break
-        if x + j > 400:
-            break
-    return math.exp(-t) * total
+    return total
 
 
-def schutz_determinant(mu, nu, t: float) -> float:
+def schutz_determinant(mu, nu, t: float) -> Result:
     """Single-species TASEP Green's function as an n x n determinant.
 
     Entry (k, i) is the one-dimensional residue integral with winding
-    exponent k - i and displacement nu_i - mu_k, evaluated by series.
+    exponent k - i and displacement nu_i - mu_k, evaluated by series.  At
+    n = 1 it is the free particle's Poisson probability.
     """
     _check_rates(t)
     mu = [int(x) for x in mu]
     nu = [int(x) for x in nu]
     n = len(mu)
-    mat = np.empty((n, n))
-    for k in range(n):
-        for i in range(n):
-            mat[k, i] = _poisson_series_entry((k + 1) - (i + 1), nu[i] - mu[k], t)
-    return float(np.linalg.det(mat))
+    mat = [[_poisson_series_entry(k - i, nu[i] - mu[k], t) for i in range(n)]
+           for k in range(n)]
+    return _finalize_probability(complex(np.linalg.det(np.array(mat).reshape(n, n))))
 
 
 def two_tasep_crossing(mu, nu, m: int, t: float, tol: float = 1e-10,
@@ -576,55 +580,49 @@ def _wall_w_part(Z, W, t, powers, gap):
     return out * batched_det(k, lambda i, j: W[i] ** j - W[i] ** gap)
 
 
-def _det_expansion_poly(nvars: int, entry_powers) -> dict:
-    """Expand det(x_i^{a(i,j)} - x_i^{b(i,j)}) into a sparse exponent map.
+def _pole_variable(t: float, factors, points):
+    """One variable of the inverted integrands, e^((z-1)t) prod (z-a)^e over
+    ``factors``, with the points its residues are summed over."""
+    return RationalExpDescriptor(t, factors, math.exp(-t)), points
 
-    ``entry_powers(i, j)`` returns the pair (a, b) of exponents of variable
-    x_i in entry (i, j).
-    """
+
+def _det_poly(nvars: int, k: int, entry) -> dict:
+    """det[entry(i, j)] over i, j < k, expanded into one exponent ->
+    coefficient map in nvars variables; each entry is such a map."""
     terms: dict[tuple[int, ...], complex] = {}
-    for perm, sgn in signed_permutations(nvars):
-        partial = {(0,) * nvars: complex(sgn)}
-        for i in range(nvars):
-            a, b = entry_powers(i, perm[i])
-            new: dict[tuple[int, ...], complex] = {}
-            for expo, cf in partial.items():
-                for power, sign in ((a, 1.0), (b, -1.0)):
-                    key = tuple(
-                        e + power if idx == i else e for idx, e in enumerate(expo)
-                    )
-                    new[key] = new.get(key, 0.0) + cf * sign
-            partial = new
-        for key, cf in partial.items():
-            terms[key] = terms.get(key, 0.0) + cf
-    return {k: v for k, v in terms.items() if v != 0}
+    for perm, sgn in signed_permutations(k):
+        poly = MultivariatePolynomial(nvars)
+        for i in range(k):
+            poly.multiply_terms(entry(i, perm[i]))
+        for key, cf in poly.items():
+            terms[key] = terms.get(key, 0.0) + sgn * cf
+    return {key: cf for key, cf in terms.items() if cf != 0}
 
 
-def _laurent_multi_integral(var_specs, poly_terms) -> complex:
-    """Sum of per-variable residue products over the monomials of a polynomial.
+def _residues(variables, terms: dict) -> complex:
+    """Sum over the monomials c x^e of ``terms`` of c times the product of
+    one-variable residue sums.
 
-    ``var_specs`` is a list of (exp_coeff, base_power, pole_factors,
-    residue_points) per variable; each monomial shifts the variable's power.
+    Variable i is a (RationalExpDescriptor, points) pair; x_i^e shifts its
+    power at 0 by e, and each residue sum is computed once per (i, e).
     """
     cache: dict[tuple[int, int], complex] = {}
 
-    def one_dim(vi: int, extra: int) -> complex:
-        key = (vi, extra)
-        if key not in cache:
-            coeff, base, factors, points = var_specs[vi]
-            desc = RationalExpDescriptor(
-                exp_coeff=coeff,
-                factors=tuple(factors) + ((0.0 + 0.0j, base + extra),),
-                prefactor=np.exp(-coeff),
-            )
-            cache[key] = residue_sum(desc, points)
-        return cache[key]
+    def one(i: int, e: int) -> complex:
+        if (i, e) not in cache:
+            desc, points = variables[i]
+            if e:
+                desc = RationalExpDescriptor(
+                    desc.exp_coeff, desc.factors + ((0j, e),), desc.prefactor
+                )
+            cache[i, e] = residue_sum(desc, points)
+        return cache[i, e]
 
     total = 0.0 + 0.0j
-    for expo, cf in poly_terms.items():
+    for expo, cf in terms.items():
         term = complex(cf)
-        for vi, e in enumerate(expo):
-            term *= one_dim(vi, e)
+        for i, e in enumerate(expo):
+            term *= one(i, e)
         total += term
     return total
 
@@ -668,24 +666,19 @@ def cumulative_crossing_bernoulli(
         for j in range(k):
             poly.multiply_linear(0.0, {i: 1.0, m + j: -1.0})
     if k:
+        # det[w_i^(k-1-j) - w_i^beta]; beta < 0 on a feasible wall, so the
+        # two monomials of an entry never coincide
         beta = k + s1 - s2 - 1
-        det_terms = _det_expansion_poly(k, lambda i, j: (k - (j + 1), beta))
-        lifted = {
-            (0,) * m + expo: cf for expo, cf in det_terms.items()
-        }
-        poly.multiply_terms(lifted)
-    var_specs = []
-    for i in range(m):
-        var_specs.append(
-            (t, -s2 - m + 1, ((1.0 + 0.0j, -n), (1.0 - rho + 0.0j, -1)),
-             (0.0, 1.0, 1.0 - rho))
-        )
-    for i in range(k):
-        var_specs.append(
-            (t, -s1 - m, ((1.0 + 0.0j, -(k - (i + 1) + 1)),), (0.0, 1.0))
-        )
-    value = _laurent_multi_integral(var_specs, dict(poly.items()))
-    value = rho**m / math.factorial(m) * value
+
+        def entry(i, j):
+            mono = lambda e: (0,) * (m + i) + (e,) + (0,) * (k - 1 - i)
+            return {mono(k - 1 - j): 1.0, mono(beta): -1.0}
+
+        poly.multiply_terms(_det_poly(n, k, entry))
+    z = _pole_variable(t, ((1.0, -n), (1.0 - rho, -1), (0.0, -s2 - m + 1)),
+                       (0.0, 1.0, 1.0 - rho))
+    w = [_pole_variable(t, ((1.0, i - k), (0.0, -s1 - m)), (0.0, 1.0)) for i in range(k)]
+    value = rho**m / math.factorial(m) * _residues([z] * m + w, poly.terms)
     return _finalize_probability(complex(value))
 
 
@@ -718,61 +711,23 @@ def cumulative_crossing_one_wall(
         return Result(0.0, 0.0, "exact")
     n, m, rho, t = query.n, query.m, query.rho, query.t
     s2 = query.s2
+    z = _pole_variable(t, ((1.0, -(m + 1)), (1.0 - rho, -1), (0.0, -s2 - m + 1)),
+                       (0.0, 1.0, 1.0 - rho))
+    w = _pole_variable(t, ((1.0, -1), (0.0, n - 2 * m - s2 - 1)), (0.0,))
     if form == "collapsed":
         poly = vandermonde_squared_poly(m + 1, m)
         for i in range(m):
             poly.multiply_linear(0.0, {m: 1.0, i: -1.0})
-        var_specs = []
-        for i in range(m):
-            var_specs.append(
-                (t, -s2 - m + 1, ((1.0 + 0.0j, -(m + 1)), (1.0 - rho + 0.0j, -1)),
-                 (0.0, 1.0, 1.0 - rho))
-            )
-        var_specs.append((t, n - 2 * m - s2 - 1, ((1.0 + 0.0j, -1),), (0.0,)))
-        value = _laurent_multi_integral(var_specs, dict(poly.items()))
+        value = _residues([z] * m + [w], poly.terms)
         value = (-1.0) ** (m + 1) * rho**m / math.factorial(m) * value
         return _finalize_probability(complex(value))
-    # Cauchy-Binet form: det of pairwise z-integrals, then one w-integral
-    def z_entry(power_shift: int) -> complex:
-        desc = RationalExpDescriptor(
-            exp_coeff=t,
-            factors=(
-                (1.0 + 0.0j, -(m + 1)),
-                (1.0 - rho + 0.0j, -1),
-                (0.0 + 0.0j, power_shift - s2 - m - 1),
-            ),
-            prefactor=math.exp(-t),
-        )
-        return residue_sum(desc, (0.0, 1.0, 1.0 - rho))
-
-    a_mat = np.empty((m, m), dtype=complex)
-    b_mat = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            a_mat[i, j] = z_entry((i + 1) + (j + 1))
-            b_mat[i, j] = z_entry((i + 1) + (j + 1) + 1)
-    # det(w*A - B) expanded in powers of w
-    w_poly: dict[int, complex] = {}
-    for perm, sgn in signed_permutations(m):
-        partial = {0: complex(sgn)}
-        for i in range(m):
-            new: dict[int, complex] = {}
-            for deg, cf in partial.items():
-                new[deg + 1] = new.get(deg + 1, 0.0) + cf * a_mat[i, perm[i]]
-                new[deg] = new.get(deg, 0.0) - cf * b_mat[i, perm[i]]
-            partial = new
-        for deg, cf in partial.items():
-            w_poly[deg] = w_poly.get(deg, 0.0) + cf
-    total = 0.0 + 0.0j
-    for deg, cf in w_poly.items():
-        desc = RationalExpDescriptor(
-            exp_coeff=t,
-            factors=((1.0 + 0.0j, -1), (0.0 + 0.0j, n - 2 * m - s2 - 1 + deg)),
-            prefactor=math.exp(-t),
-        )
-        total += cf * laurent_residue(desc, 0.0)
+    # Cauchy-Binet form: det(w A - B) of z-integrals, A_ij = h[i+j] and
+    # B_ij = h[i+j+1] with h[p] the z-integral of z^p (a Hankel matrix), then
+    # one w-integral
+    h = [_residues([z], {(p,): 1.0}) for p in range(2 * m)]
+    w_poly = _det_poly(1, m, lambda i, j: {(1,): h[i + j], (0,): -h[i + j + 1]})
     sign = (-1.0) ** (m + 1 + m * (m - 1) // 2)
-    return _finalize_probability(complex(sign * rho**m * total))
+    return _finalize_probability(complex(sign * rho**m * _residues([w], w_poly)))
 
 
 def gamma_wall(n: int, s: int, t: float, method: str = "laurent",
@@ -791,10 +746,8 @@ def gamma_wall(n: int, s: int, t: float, method: str = "laurent",
     if t == 0:
         return Result(0.0, 0.0, "exact")
     if method == "laurent":
-        poly = vandermonde_squared_poly(n)
-        var_specs = [(t, 1 - s, ((1.0 + 0.0j, -n),), (0.0, 1.0)) for _ in range(n)]
-        value = _laurent_multi_integral(var_specs, dict(poly.items()))
-        value = value / math.factorial(n)
+        z = _pole_variable(t, ((1.0, -n), (0.0, 1 - s)), (0.0, 1.0))
+        value = _residues([z] * n, vandermonde_squared_poly(n).terms) / math.factorial(n)
         return _finalize_probability(complex(value))
 
     def integrand(Z):

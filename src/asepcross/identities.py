@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import ParticleConfig, ValidationError, signed_permutations
 from .formulas import GreenQuery, eigenfunction_P, two_tasep_green
-from .quadrature import DEFAULT_NODE_BUDGET, ContourSpec, circle_integrate
+from .quadrature import DEFAULT_NODE_BUDGET, ContourProduct, ContourSpec, product_integrate
 
 POLE_MARGIN = 0.05
 
@@ -225,8 +225,8 @@ def check_removable_poles(n, m, rng, probe_radius=0.02) -> IdentityReport:
                 pp, zz, pm, U, substituted=k - 1, sigma_terms=terms
             )
 
-        contour = ContourSpec(complex(zz[l - 1]), probe_radius, nodes=64)
-        return circle_integrate(with_probe, contour)
+        contour = ContourProduct((ContourSpec(complex(zz[l - 1]), probe_radius),))
+        return product_integrate(lambda W: with_probe(W[0]), contour)[0]
 
     for k in range(2, m + 1):
         for l in range(1, k):

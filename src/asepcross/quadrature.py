@@ -4,12 +4,14 @@ All closed-form probability formulas in this package reduce to integrals of
 analytic integrands over products of circles.  The trapezoid rule on a
 circle converges geometrically for such integrands and is exact for
 truncated Laurent series, so node doubling with a two-iterate stopping rule
-gives reliable error control.  Integrands see the tensor grid as an open
-grid (``OpenGrid``, in the style of ``np.ix_``): one array per variable,
-each varying along its own dimension, so a factor in one variable is
-evaluated once per axis node and only the coupled parts run over every node
-tuple.  A separate series-based residue engine handles integrands of
-rational-times-exponential form exactly.
+gives reliable error control.  ``product_integrate`` is the one driver: a
+single circle is a one-contour ``ContourProduct``.  Integrands see the
+tensor grid as an open grid (``OpenGrid``, in the style of ``np.ix_``): one
+array per variable, each varying along its own dimension, so a factor in
+one variable is evaluated once per axis node and only the coupled parts run
+over every node tuple.  A separate series-based residue engine
+(``laurent_residue``, summed over points by ``residue_sum``) handles
+integrands of rational-times-exponential form exactly.
 """
 
 from __future__ import annotations
@@ -36,19 +38,14 @@ class ContourSpec:
     center: complex = 0.0
     radius: float = 1.0
     orientation: int = 1
-    nodes: int = DEFAULT_START_NODES
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ValidationError("contour radius must be positive")
         if self.orientation not in (1, -1):
             raise ValidationError("orientation must be +1 or -1")
-        n = int(self.nodes)
-        if n < 8 or n & (n - 1):
-            raise ValidationError("node count must be a power of two >= 8")
 
-    def points(self, num: int | None = None) -> np.ndarray:
-        num = self.nodes if num is None else num
+    def points(self, num: int) -> np.ndarray:
         theta = 2.0 * np.pi * np.arange(num) / num
         return self.center + self.radius * np.exp(1j * theta)
 
@@ -82,19 +79,6 @@ class ContourProduct:
     @property
     def dim(self) -> int:
         return len(self.contours)
-
-
-def circle_integrate(f, contour: ContourSpec, nodes: int | None = None) -> complex:
-    """(1/2*pi*i) * closed integral of f over the circle, trapezoid rule.
-
-    ``f`` must accept a complex ndarray and return the sampled values.
-    Non-finite samples indicate a pole on the contour and raise.
-    """
-    z = contour.points(nodes)
-    vals = np.asarray(f(z), dtype=complex)
-    if not np.all(np.isfinite(vals)):
-        raise AccuracyError("integrand is non-finite on the contour (pole on contour?)")
-    return contour.orientation * complex(np.mean(vals * (z - contour.center)))
 
 
 class OpenGrid(tuple):
@@ -272,9 +256,6 @@ class RationalExpDescriptor:
             out = out * (z - point) ** expo
         return out
 
-    def poles(self) -> tuple[complex, ...]:
-        return tuple(p for p, e in self.factors if e < 0)
-
 
 def _binomial_series(shift: complex, exponent: int, length: int) -> np.ndarray:
     """Coefficients of (x + shift)^exponent as a series in x, truncated.
@@ -324,15 +305,11 @@ def laurent_residue(
             rest.append((point, expo))
     if order == 0:
         return 0.0 + 0.0j
-    if descriptor.exp_coeff != 0:
-        series = np.array(
-            [descriptor.exp_coeff**k / math.factorial(k) for k in range(order)],
-            dtype=complex,
-        )
-    else:
-        series = np.zeros(order, dtype=complex)
-        series[0] = 1.0
-    series = series * (descriptor.prefactor * np.exp(descriptor.exp_coeff * at))
+    # exp(a x) = sum c_k x^k with c_k = c_{k-1} a / k: no a^k or k! to overflow
+    coeffs = [1.0 + 0.0j]
+    for k in range(1, order):
+        coeffs.append(coeffs[-1] * descriptor.exp_coeff / k)
+    series = np.array(coeffs) * (descriptor.prefactor * np.exp(descriptor.exp_coeff * at))
     for point, expo in rest:
         series = np.convolve(series, _binomial_series(at - point, expo, order))[:order]
     return complex(series[order - 1])

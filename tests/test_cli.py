@@ -57,6 +57,16 @@ class TestGreenCommand:
         rec = loads_record(out[-1])
         assert abs(rec["value"] - math.exp(-1) / 2) < 1e-12
 
+    def test_long_jump_query(self, capsys):
+        # a jump of 200 at t = 1: t^200 / 200! underflows, 200! overflows a float
+        code, out = run_cli(
+            capsys, "green", "--json",
+            '{"kind":"two_species","mu":[0],"p0":[],"nu":[200],"p":[],"t":1.0}',
+        )
+        assert code == 0
+        rec = loads_record(out[-1])
+        assert 0.0 <= rec["value"] < 1e-300 and rec["method"] == "laurent"
+
     def test_rainbow_payload(self, capsys):
         code, out = run_cli(
             capsys, "green", "--json",

@@ -549,10 +549,60 @@ class TestGammaWall:
             assert abs(lhs - rhs) < 1e-10
 
 
+class TestLargeArguments:
+    """Large t and long jumps: exact digits or a typed error, never overflow."""
+
+    @staticmethod
+    def schutz_mpmath(mu, nu, t, dps=60):
+        """The Schütz determinant from its Poisson series at ``dps`` digits,
+        each entry summed to 60 standard deviations past its mean."""
+        mpmath = pytest.importorskip("mpmath")
+        n = len(mu)
+        with mpmath.workdps(dps):
+            def entry(a, x):
+                total, j = mpmath.mpf(0), max(0, -x)
+                while x + j <= t + 60 * math.sqrt(t) + 60 and not (a >= 0 and j > a):
+                    total += ((-1) ** j * mpmath.binomial(a, j) * mpmath.mpf(t) ** (x + j)
+                              / mpmath.factorial(x + j))
+                    j += 1
+                return total * mpmath.exp(-t)
+
+            mat = mpmath.matrix([[entry(k - i, nu[i] - mu[k]) for i in range(n)]
+                                 for k in range(n)])
+            return float(mpmath.det(mat))
+
+    def test_gamma_wall_long_jump(self):
+        # pole order 199 at the origin: beyond where t^k / k! overflows
+        assert 0.0 <= gamma_wall(1, 200, 1.0) <= 1e-15
+
+    def test_single_particle_green_long_jump(self):
+        green = two_tasep_green(GreenQuery(_two_species((0,), ()), _two_species((150,), ()),
+                                           150.0))
+        exact = math.exp(150 * math.log(150) - 150 - math.lgamma(151))
+        assert green == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [80, 200, 380])
+    def test_schutz_large_t(self, t):
+        mu, nu = (0, 1), (t + 1, t + 3)
+        assert abs(schutz_determinant(mu, nu, float(t))
+                   - self.schutz_mpmath(mu, nu, t)) < 1e-13
+
+    def test_cancelling_residues_fail_typed(self):
+        # the inverted residues cancel far below their size at this wall
+        with pytest.raises(AccuracyError):
+            cumulative_crossing_bernoulli(WallQuery(-3, 180, 0.5, 2, 1, 2.0))
+
+
 class TestFinalization:
     def test_imaginary_part_rejected(self):
         with pytest.raises(AccuracyError):
             _finalize_probability(0.5 + 1e-6j)
+
+    def test_nan_rejected(self):
+        with pytest.raises(AccuracyError):
+            _finalize_probability(complex(math.nan, 0.0))
+        with pytest.raises(AccuracyError):
+            _finalize_probability(complex(0.5, math.nan))
 
     def test_negative_clamp_and_error(self):
         assert _finalize_probability(-5e-10 + 0j) == 0.0
@@ -618,6 +668,16 @@ class TestResult:
         )
         for zero in zeros:
             assert (float(zero), zero.est_err, zero.method) == (0.0, 0.0, "exact")
+
+    def test_schutz_and_single_particle_green_are_laurent(self):
+        schutz = schutz_determinant((0, 2), (1, 4), 0.7)
+        green = two_tasep_green(
+            GreenQuery(_two_species((0,), ()), _two_species((3,), ()), 1.0)
+        )
+        for value in (schutz, green):
+            assert isinstance(value, Result)
+            assert (value.method, value.est_err) == ("laurent", 0.0)
+        assert float(green) == pytest.approx(math.exp(-1.0) / 6.0, abs=1e-15)
 
     def test_arithmetic_gives_plain_floats(self):
         val = gamma_wall(1, 2, 1.0)
