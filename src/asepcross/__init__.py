@@ -28,7 +28,6 @@ from .formulas import (
     r_asep_transition,
     rainbow_total_crossing,
     schutz_determinant,
-    single_species_crossing,
     tasep_block_crossing,
     two_tasep_crossing,
     two_tasep_green,

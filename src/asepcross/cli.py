@@ -169,7 +169,7 @@ EVALUATORS = {
     ("wall", "bernoulli"): lambda p, tol, budget: cumulative_crossing_bernoulli(
         _wall_query(p), form=p.get("variant", "inverted"), tol=tol, node_budget=budget),
     ("wall", "one_wall"): lambda p, tol, budget: cumulative_crossing_one_wall(
-        _wall_query(p), form=p.get("variant", "collapsed"), tol=tol),
+        _wall_query(p), form=p.get("variant", "collapsed")),
 }
 
 

@@ -19,12 +19,12 @@ fields for the Green's function) and reports |prefactor|·|I_n - I_{n/2}|,
 the difference of its last two node-doubling iterates, as ``est_err``.
 Every residue evaluator goes through ``_residues`` (one-variable residue
 sums multiplied over the monomials of a polynomial, whose determinant
-factors ``_det_poly`` expands), except ``schutz_determinant``, whose
-entries are Poisson series; residue routes report 0.0 with method
-'laurent', and structural zeros (an infeasible wall, t = 0 in
-``gamma_wall``) 0.0 with method 'exact'.  A NaN is refused like any other
-value outside [0, 1].  Negative ``t`` or ``q`` is refused with
-ValidationError.
+factors ``_det_poly`` expands) and reports method 'laurent' with ROUNDING
+times the summed size of the terms that cancel as est_err, except
+``schutz_determinant``, whose entries are Poisson series (est_err 0.0);
+structural zeros (an infeasible wall, t = 0 in ``gamma_wall``) report 0.0
+with method 'exact'.  A NaN is refused like any other value outside
+[0, 1].  Negative ``t`` or ``q`` is refused with ValidationError.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .quadrature import (
     batched_det,
     laurent_residue,  # not called here; bench/tracing.py patches formulas.laurent_residue
     product_integrate,
-    residue_sum,
+    residue_terms,
     spectral_rows,
     vandermonde_squared_poly,
 )
@@ -65,6 +65,7 @@ W_RADIUS = 0.55
 DIMENSION_BUDGET = 5
 IMAG_TOL = 1e-9
 NEG_TOL = 1e-9
+ROUNDING = 4 * float(np.finfo(float).eps)  # per unit size of a residue sum's terms
 
 
 @dataclass(frozen=True)
@@ -148,14 +149,14 @@ class Result(float):
         return Result, (float(self), self.est_err, self.method)
 
 
-def _finalize_probability(value: complex, est_err: float = 0.0, method: str = "laurent",
-                          imag_tol=IMAG_TOL, neg_tol=NEG_TOL) -> Result:
-    if not abs(value.imag) <= imag_tol:
+def _finalize_probability(value: complex, est_err: float = 0.0,
+                          method: str = "laurent") -> Result:
+    if not abs(value.imag) <= IMAG_TOL:
         raise AccuracyError(
             f"probability has imaginary part {value.imag:.3e} above tolerance"
         )
     v = value.real
-    if not -neg_tol <= v <= 1.0 + neg_tol:  # NaN fails here too
+    if not -NEG_TOL <= v <= 1.0 + NEG_TOL:  # NaN fails here too
         raise AccuracyError(f"value {v!r} lies outside [0, 1] beyond tolerance")
     return Result(min(max(v, 0.0), 1.0), est_err, method)
 
@@ -235,30 +236,29 @@ def eigenfunction_P(nu, p, t, z, u):
         pref = pref * (1.0 - U[a]) ** (a + 1)
     single = [[(1.0 - Z[k]) ** (-(i + 1) - c[i]) * Z[k] ** nu[i] for i in range(n)]
               for k in range(n)]
-    pow_omu_inv = [[(1.0 - U[a]) ** (-(i + 1)) for i in range(m)] for a in range(m)]
-    sigma_perms = signed_permutations(m) if m else []
     total = 0.0
     for perm, sgn in signed_permutations(n):
         term = sgn
         for i in range(n):
             term = term * single[perm[i]][i]
         if m:
-            # uz[a][e] = prod_{l < e} (u_a - z_perm(l))
-            uz = []
-            for a in range(m):
-                prods = [1.0]
-                for l in range(max(p) - 1):
-                    prods.append(prods[-1] * (U[a] - Z[perm[l]]))
-                uz.append(prods)
-            csum = 0.0
-            for sperm, ssgn in sigma_perms:
-                cterm = ssgn
-                for i in range(m):
-                    cterm = cterm * (pow_omu_inv[sperm[i]][i] * uz[sperm[i]][p[i] - 1])
-                csum = csum + cterm
-            term = term * csum
+            term = term * u_sum_determinant(p, U, [Z[k] for k in perm])
         total = total + term
     return finish(total * pref)
+
+
+def u_sum_determinant(p, U, Zp):
+    """The antisymmetrized u-sum of ``eigenfunction_P`` for one ordering Zp
+    of the z: det[(1 - U_a)^-(i+1) prod_{l < p_i - 1} (U_a - Zp_l)] over
+    i, a < m, by ``batched_det``."""
+    m = len(p)
+    uz = []  # uz[a][e] = prod_{l < e} (U_a - Zp_l)
+    for a in range(m):
+        prods = [1.0]
+        for l in range(max(p) - 1):
+            prods.append(prods[-1] * (U[a] - Zp[l]))
+        uz.append(prods)
+    return batched_det(m, lambda i, a: (1.0 - U[a]) ** (-(i + 1)) * uz[a][p[i] - 1])
 
 
 def two_tasep_green(query: GreenQuery) -> Result:
@@ -521,20 +521,6 @@ def tasep_block_crossing(query: CrossingQuery, tol: float = 1e-10,
                       node_budget)
 
 
-def single_species_crossing(mu, lam, q: float, t: float, tol: float = 1e-10) -> Result:
-    """Single-species ASEP transition between position sets (one block)."""
-    _check_rates(t, q)
-    mu = [int(x) for x in mu]
-    lam = [int(x) for x in lam]
-    n = len(mu)
-
-    def integrand(Z):
-        return _around_one(Z, q, t, [0] * n) * (xi_mu(mu, Z, q) * sfF_lambda(lam, Z, q))
-
-    contours = _around_one_contours([0.96 * r for r in _around_one_radii(q, n)])
-    return _integrate(integrand, contours, tol, DEFAULT_NODE_BUDGET, scale=(1.0 - q) ** n)
-
-
 def cumulative_crossing_step(mu, m: int, s1: int, s2: int, t: float,
                              tol: float = 1e-10,
                              node_budget: int = DEFAULT_NODE_BUDGET) -> Result:
@@ -583,48 +569,61 @@ def _wall_w_part(Z, W, t, powers, gap):
 def _pole_variable(t: float, factors, points):
     """One variable of the inverted integrands, e^((z-1)t) prod (z-a)^e over
     ``factors``, with the points its residues are summed over."""
-    return RationalExpDescriptor(t, factors, math.exp(-t)), points
+    return RationalExpDescriptor(t, factors), points
 
 
-def _det_poly(nvars: int, k: int, entry) -> dict:
-    """det[entry(i, j)] over i, j < k, expanded into one exponent ->
-    coefficient map in nvars variables; each entry is such a map."""
+def _det_poly(nvars: int, k: int, entry, signed: bool = True) -> dict:
+    """det[entry(i, j)] over i, j < k (the permanent if not ``signed``),
+    expanded into one exponent -> coefficient map in nvars variables; each
+    entry is such a map."""
     terms: dict[tuple[int, ...], complex] = {}
     for perm, sgn in signed_permutations(k):
         poly = MultivariatePolynomial(nvars)
         for i in range(k):
             poly.multiply_terms(entry(i, perm[i]))
         for key, cf in poly.items():
-            terms[key] = terms.get(key, 0.0) + sgn * cf
+            terms[key] = terms.get(key, 0.0) + (sgn if signed else 1) * cf
     return {key: cf for key, cf in terms.items() if cf != 0}
 
 
-def _residues(variables, terms: dict) -> complex:
+def _residues(variables, terms: dict) -> tuple[complex, float]:
     """Sum over the monomials c x^e of ``terms`` of c times the product of
-    one-variable residue sums.
+    one-variable residue sums, and the same sum over |c| and the absolute
+    values of the single residues.
 
     Variable i is a (RationalExpDescriptor, points) pair; x_i^e shifts its
-    power at 0 by e, and each residue sum is computed once per (i, e).
+    power at 0 by e, and each residue sum is computed once per (i, e).  The
+    second number is the size of the terms that cancel in the first, which
+    sets its rounding error.
     """
-    cache: dict[tuple[int, int], complex] = {}
+    cache: dict[tuple[int, int], tuple[complex, float]] = {}
 
-    def one(i: int, e: int) -> complex:
+    def one(i: int, e: int) -> tuple[complex, float]:
         if (i, e) not in cache:
             desc, points = variables[i]
             if e:
-                desc = RationalExpDescriptor(
-                    desc.exp_coeff, desc.factors + ((0j, e),), desc.prefactor
-                )
-            cache[i, e] = residue_sum(desc, points)
+                desc = RationalExpDescriptor(desc.exp_coeff, desc.factors + ((0j, e),))
+            residues = residue_terms(desc, points)
+            cache[i, e] = sum(residues, 0.0 + 0.0j), sum(map(abs, residues))
         return cache[i, e]
 
-    total = 0.0 + 0.0j
+    total, size = 0.0 + 0.0j, 0.0
     for expo, cf in terms.items():
-        term = complex(cf)
+        term, term_size = complex(cf), abs(cf)
         for i, e in enumerate(expo):
-            term *= one(i, e)
+            value, value_size = one(i, e)
+            term *= value
+            term_size *= value_size
         total += term
-    return total
+        size += term_size
+    return total, size
+
+
+def _residue_probability(scale: float, variables, terms: dict) -> Result:
+    """scale times ``_residues``, with ROUNDING·|scale| times the size of
+    its terms as the error."""
+    value, size = _residues(variables, terms)
+    return _finalize_probability(complex(scale * value), ROUNDING * abs(scale * size))
 
 
 def cumulative_crossing_bernoulli(
@@ -664,7 +663,7 @@ def cumulative_crossing_bernoulli(
     poly = vandermonde_squared_poly(n, m)
     for i in range(m):
         for j in range(k):
-            poly.multiply_linear(0.0, {i: 1.0, m + j: -1.0})
+            poly.multiply_linear({i: 1.0, m + j: -1.0})
     if k:
         # det[w_i^(k-1-j) - w_i^beta]; beta < 0 on a feasible wall, so the
         # two monomials of an entry never coincide
@@ -678,13 +677,10 @@ def cumulative_crossing_bernoulli(
     z = _pole_variable(t, ((1.0, -n), (1.0 - rho, -1), (0.0, -s2 - m + 1)),
                        (0.0, 1.0, 1.0 - rho))
     w = [_pole_variable(t, ((1.0, i - k), (0.0, -s1 - m)), (0.0, 1.0)) for i in range(k)]
-    value = rho**m / math.factorial(m) * _residues([z] * m + w, poly.terms)
-    return _finalize_probability(complex(value))
+    return _residue_probability(rho**m / math.factorial(m), [z] * m + w, poly.terms)
 
 
-def cumulative_crossing_one_wall(
-    query: WallQuery, form: str = "collapsed", tol: float = 1e-10
-) -> Result:
+def cumulative_crossing_one_wall(query: WallQuery, form: str = "collapsed") -> Result:
     """Cumulative crossing when the lower wall is irrelevant (s1 <= -m).
 
     ``form='collapsed'`` evaluates the (m+1)-fold residue integral in which
@@ -717,17 +713,21 @@ def cumulative_crossing_one_wall(
     if form == "collapsed":
         poly = vandermonde_squared_poly(m + 1, m)
         for i in range(m):
-            poly.multiply_linear(0.0, {m: 1.0, i: -1.0})
-        value = _residues([z] * m + [w], poly.terms)
-        value = (-1.0) ** (m + 1) * rho**m / math.factorial(m) * value
-        return _finalize_probability(complex(value))
+            poly.multiply_linear({m: 1.0, i: -1.0})
+        return _residue_probability((-1.0) ** (m + 1) * rho**m / math.factorial(m),
+                                    [z] * m + [w], poly.terms)
     # Cauchy-Binet form: det(w A - B) of z-integrals, A_ij = h[i+j] and
     # B_ij = h[i+j+1] with h[p] the z-integral of z^p (a Hankel matrix), then
     # one w-integral
     h = [_residues([z], {(p,): 1.0}) for p in range(2 * m)]
-    w_poly = _det_poly(1, m, lambda i, j: {(1,): h[i + j], (0,): -h[i + j + 1]})
-    sign = (-1.0) ** (m + 1 + m * (m - 1) // 2)
-    return _finalize_probability(complex(sign * rho**m * _residues([w], w_poly)))
+    w_poly = _det_poly(1, m, lambda i, j: {(1,): h[i + j][0], (0,): -h[i + j + 1][0]})
+    # the m factors h of a product and the w-residues each bring their
+    # rounding: m + 1 times the w-integral of the permanent of the sizes of h
+    h_size = lambda i, j: {(1,): h[i + j][1], (0,): h[i + j + 1][1]}
+    size = (m + 1) * _residues([w], _det_poly(1, m, h_size, signed=False))[1]
+    scale = (-1.0) ** (m + 1 + m * (m - 1) // 2) * rho**m
+    value = scale * _residues([w], w_poly)[0]
+    return _finalize_probability(complex(value), ROUNDING * abs(scale * size))
 
 
 def gamma_wall(n: int, s: int, t: float, method: str = "laurent",
@@ -747,8 +747,8 @@ def gamma_wall(n: int, s: int, t: float, method: str = "laurent",
         return Result(0.0, 0.0, "exact")
     if method == "laurent":
         z = _pole_variable(t, ((1.0, -n), (0.0, 1 - s)), (0.0, 1.0))
-        value = _residues([z] * n, vandermonde_squared_poly(n).terms) / math.factorial(n)
-        return _finalize_probability(complex(value))
+        return _residue_probability(1.0 / math.factorial(n), [z] * n,
+                                    vandermonde_squared_poly(n).terms)
 
     def integrand(Z):
         out = 1.0

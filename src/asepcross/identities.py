@@ -3,7 +3,9 @@
 Each check samples random spectral points on annuli that keep a safety
 margin from every declared pole locus, evaluates both sides of one
 identity, and reports the worst relative error (denominator max(1, |rhs|)).
-The collection doubles as a self-test suite reachable from the CLI.
+The collection doubles as a self-test suite reachable from the CLI.  The
+u-sum checks evaluate the production kernel, ``formulas.u_sum_determinant``
+(looked up on the module at each call), not a copy of it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import formulas
 from .core import ParticleConfig, ValidationError, signed_permutations
 from .formulas import GreenQuery, eigenfunction_P, two_tasep_green
 from .quadrature import DEFAULT_NODE_BUDGET, ContourProduct, ContourSpec, product_integrate
@@ -140,14 +143,7 @@ def check_u_factorization(z, u, perm) -> IdentityReport:
     n, m = len(z), len(u)
     p = [n - m + j for j in range(1, m + 1)]
     zp = z[list(perm)]
-    lhs = 0.0 + 0.0j
-    for sperm, ssgn in signed_permutations(m):
-        term = complex(ssgn)
-        for i in range(m):
-            term *= ((1 - u[i]) / (1 - u[sperm[i]])) ** (i + 1)
-            for j in range(p[i] - 1):
-                term *= u[sperm[i]] - zp[j]
-        lhs += term
+    lhs = np.prod((1 - u) ** np.arange(1, m + 1)) * formulas.u_sum_determinant(p, u, zp)
     rhs = 1.0 + 0.0j
     for i in range(m):
         for j in range(n - m):
@@ -162,30 +158,27 @@ def check_u_factorization(z, u, perm) -> IdentityReport:
     return IdentityReport("u_factorization", 1, _rel_err(lhs, rhs), threshold=1e-10)
 
 
-def _u_sum_with_poles(p, z, perm, u_values, substituted=0, sigma_terms=None):
+def _u_sum_with_poles(p, z, perm, u_values, substituted=0, identity_term=False):
     """Symmetrized u-part of the transition integrand at fixed z and perm.
 
     ``u_values`` is an (m, M) array.  The first ``substituted`` variables
     are taken to sit at their residue points u_i = z_i, so their consumed
-    simple-pole factor is omitted.  ``sigma_terms`` restricts the
-    permutation sum for negative controls.
+    simple-pole factor is omitted.  ``identity_term`` keeps only the
+    identity permutation's term of the sum, for the negative control.
     """
     z = np.asarray(z, dtype=complex)
     m = len(p)
     U = np.asarray(u_values, dtype=complex).reshape(m, -1)
-    M = U.shape[1]
     zp = z[list(perm)]
-    out = np.zeros(M, dtype=complex)
-    perms = signed_permutations(m)
-    if sigma_terms is not None:
-        perms = [perms[i] for i in sigma_terms]
-    for sperm, ssgn in perms:
-        term = np.full(M, complex(ssgn))
+    if identity_term:  # its (1 - U_i) powers cancel
+        out = 1.0
         for i in range(m):
-            term = term * ((1 - U[i]) / (1 - U[sperm[i]])) ** (i + 1)
             for j in range(p[i] - 1):
-                term = term * (U[sperm[i]] - zp[j])
-        out += term
+                out = out * (U[i] - zp[j])
+    else:
+        out = formulas.u_sum_determinant(p, U, zp)
+        for i in range(m):
+            out = out * (1 - U[i]) ** (i + 1)
     for i in range(m):
         for j in range(i + 1):
             if i < substituted and j == i:
@@ -209,7 +202,7 @@ def check_removable_poles(n, m, rng, probe_radius=0.02) -> IdentityReport:
     worst = 0.0
     cases = 0
 
-    def probe(pp, zz, pm, k, l, generic, terms=None):
+    def probe(pp, zz, pm, k, l, generic, identity_term=False):
         mm = len(pp)
 
         def with_probe(w):
@@ -222,7 +215,7 @@ def check_removable_poles(n, m, rng, probe_radius=0.02) -> IdentityReport:
                 else:
                     U[i] = generic[i]
             return _u_sum_with_poles(
-                pp, zz, pm, U, substituted=k - 1, sigma_terms=terms
+                pp, zz, pm, U, substituted=k - 1, identity_term=identity_term
             )
 
         contour = ContourProduct((ContourSpec(complex(zz[l - 1]), probe_radius),))
@@ -238,7 +231,7 @@ def check_removable_poles(n, m, rng, probe_radius=0.02) -> IdentityReport:
     ctrl_p = [1, 2]
     ctrl_perm = tuple([1, 0] + list(range(2, n)))
     ctrl_generic = _sample_points(rng, 2, lo=0.75, hi=0.9, avoid=[1.0] + list(z))
-    single = probe(ctrl_p, z, ctrl_perm, 2, 1, ctrl_generic, terms=[0])
+    single = probe(ctrl_p, z, ctrl_perm, 2, 1, ctrl_generic, identity_term=True)
     control_ok = abs(single) > 1e-8
     details = f"single-term control residue {abs(single):.3e}"
     if not control_ok:
@@ -291,50 +284,34 @@ def check_symmetrization(z, s2=3, rho=None) -> IdentityReport:
     """
     z = np.asarray(z, dtype=complex)
     m = len(z)
-    worst = 0.0
-    # plain Vandermonde form
-    lhs = 0.0 + 0.0j
-    for perm, sgn in signed_permutations(m):
-        term = complex(sgn)
-        for i in range(m):
-            zi = z[perm[i]]
-            term *= zi**i * (1 - zi) ** (m - i)
-            term /= 1 - np.prod(z[[perm[j] for j in range(i, m)]])
-        lhs += term
     vand = 1.0 + 0.0j
     for i in range(m):
         for j in range(i + 1, m):
             vand *= z[j] - z[i]
-    worst = max(worst, _rel_err(lhs, vand))
-    # wall-exponent form
-    lhs2 = 0.0 + 0.0j
-    for perm, sgn in signed_permutations(m):
-        term = complex(sgn)
-        for i in range(m):
-            zi = z[perm[i]]
-            term *= zi ** (s2 + i) / (1 - zi) ** (i + 1)
-            term /= 1 - np.prod(z[[perm[j] for j in range(i, m)]])
-        lhs2 += term
-    rhs2 = vand
-    for i in range(m):
-        rhs2 *= z[i] ** s2 / (z[i] - 1) ** (m + 1)
-    worst = max(worst, _rel_err(lhs2, rhs2))
+    suffix = lambda zs, i: 1 - np.prod(zs[i:])
+    # per form: the factor of z_sigma(i), the denominator at step i, the
+    # right side; prod_{i<j} (z_i - z_j) is (-1)^(m(m-1)/2) vand
+    forms = [
+        (lambda zi, i: zi**i * (1 - zi) ** (m - i), suffix, vand),
+        (lambda zi, i: zi ** (s2 + i) / (1 - zi) ** (i + 1), suffix,
+         vand * np.prod(z**s2 / (z - 1) ** (m + 1))),
+    ]
     if rho is not None:
-        lhs3 = 0.0 + 0.0j
+        forms.append((lambda zi, i: ((1 - zi) / zi) ** (i + 1),
+                      lambda zs, i: 1 - (1 - rho) * np.prod(zs[:i + 1]),
+                      (-1) ** (m * (m - 1) // 2) * vand
+                      * np.prod((1 - z) / (z**m * (1 - (1 - rho) * z)))))
+    worst = 0.0
+    for factor, denom, rhs in forms:
+        lhs = 0.0 + 0.0j
         for perm, sgn in signed_permutations(m):
+            zs = z[list(perm)]
             term = complex(sgn)
             for i in range(m):
-                zi = z[perm[i]]
-                term *= ((1 - zi) / zi) ** (i + 1)
-                term /= 1 - (1 - rho) * np.prod(z[[perm[j] for j in range(i + 1)]])
-            lhs3 += term
-        rhs3 = 1.0 + 0.0j
-        for i in range(m):
-            for j in range(i + 1, m):
-                rhs3 *= z[i] - z[j]
-        for i in range(m):
-            rhs3 *= (1 - z[i]) / (z[i] ** m * (1 - (1 - rho) * z[i]))
-        worst = max(worst, _rel_err(lhs3, rhs3))
+                term *= factor(zs[i], i)
+                term /= denom(zs, i)
+            lhs += term
+        worst = max(worst, _rel_err(lhs, rhs))
     return IdentityReport("symmetrization", 1, worst, threshold=1e-10)
 
 
@@ -363,67 +340,55 @@ def check_initial_condition(mu_cfg: ParticleConfig, span=2,
     return IdentityReport("initial_condition", count, worst, threshold=1e-8)
 
 
+def _worst(reports) -> IdentityReport:
+    """The report with the largest max_rel_err, the first one on a tie."""
+    return max(reports, key=lambda rep: rep.max_rel_err)
+
+
 def run_identity_suite(seed: int = 20240601, samples: int = 100,
                        node_budget: int = DEFAULT_NODE_BUDGET) -> list[IdentityReport]:
     """Run every check at default sampling; the machine-checkable proof shadow."""
     rng = np.random.default_rng(seed)
-    reports: list[IdentityReport] = []
+    reports = [_worst(
+        check_free_evolution([0, 2, 5], [2], 0.4, _sample_points(rng, 3, lo=0.3, hi=0.7),
+                             _sample_points(rng, 1, lo=0.75, hi=0.9))
+        for _ in range(max(1, samples // 20))
+    )]
 
-    worst_free = None
-    for _ in range(max(1, samples // 20)):
-        z = _sample_points(rng, 3, lo=0.3, hi=0.7)
-        u = _sample_points(rng, 1, lo=0.75, hi=0.9)
-        rep = check_free_evolution([0, 2, 5], [2], 0.4, z, u)
-        if worst_free is None or rep.max_rel_err > worst_free.max_rel_err:
-            worst_free = rep
-    reports.append(worst_free)
-
-    worst = {}
+    boundary = []
     for _ in range(samples):
         z = _sample_points(rng, 3, lo=0.3, hi=0.7)
         for l, p in ((1, (1,)), (1, (2,)), (2, (1,)), (1, (1, 2))):
             u = _sample_points(rng, len(p), lo=0.75, hi=0.9)
             nu = [0, 0, 3] if l == 1 else [0, 2, 2]
-            rep = check_boundary_conditions(nu, l, p, z, u)
-            if rep.name not in worst or rep.max_rel_err > worst[rep.name].max_rel_err:
-                worst[rep.name] = rep
-    reports.extend(worst.values())
+            boundary.append(check_boundary_conditions(nu, l, p, z, u))
+    for name in dict.fromkeys(rep.name for rep in boundary):
+        reports.append(_worst(rep for rep in boundary if rep.name == name))
 
-    worst_u = None
+    factorization = []
     for _ in range(samples):
         n, m = 4, int(rng.integers(1, 4))
         z = _sample_points(rng, n, lo=0.3, hi=0.7)
         u = _sample_points(rng, m, lo=0.75, hi=0.9)
-        perm = tuple(rng.permutation(n).tolist())
-        rep = check_u_factorization(z, u, perm)
-        if worst_u is None or rep.max_rel_err > worst_u.max_rel_err:
-            worst_u = rep
-    reports.append(worst_u)
+        factorization.append(check_u_factorization(z, u, tuple(rng.permutation(n).tolist())))
+    reports.append(_worst(factorization))
 
-    worst_rp = None
-    for m in (2, 3):
-        rep = check_removable_poles(4, m, rng)
-        if worst_rp is None or rep.max_rel_err > worst_rp.max_rel_err:
-            worst_rp = rep
-    reports.append(worst_rp)
+    reports.append(_worst(check_removable_poles(4, m, rng) for m in (2, 3)))
 
-    worst_ng = None
+    nested = []
     for _ in range(max(1, samples // 10)):
         m = int(rng.integers(1, 4))
         z = _sample_points(rng, m, lo=0.2, hi=0.65)
-        rep = check_nested_geometric(z, int(rng.integers(-2, 4)))
-        if worst_ng is None or rep.max_rel_err > worst_ng.max_rel_err:
-            worst_ng = rep
-    reports.append(worst_ng)
+        nested.append(check_nested_geometric(z, int(rng.integers(-2, 4))))
+    reports.append(_worst(nested))
 
-    worst_sym = None
+    symmetrization = []
     for _ in range(samples):
         m = int(rng.integers(1, 4))
         z = _sample_points(rng, m, lo=0.25, hi=0.8)
-        rep = check_symmetrization(z, s2=int(rng.integers(0, 5)), rho=float(rng.uniform(0.2, 0.9)))
-        if worst_sym is None or rep.max_rel_err > worst_sym.max_rel_err:
-            worst_sym = rep
-    reports.append(worst_sym)
+        symmetrization.append(check_symmetrization(
+            z, s2=int(rng.integers(0, 5)), rho=float(rng.uniform(0.2, 0.9))))
+    reports.append(_worst(symmetrization))
 
     for positions, type2 in (((0, 1), (1,)), ((-1, 1), (2,))):
         reports.append(

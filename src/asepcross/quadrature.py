@@ -9,8 +9,10 @@ single circle is a one-contour ``ContourProduct``.  Integrands see the
 tensor grid as an open grid (``OpenGrid``, in the style of ``np.ix_``): one
 array per variable, each varying along its own dimension, so a factor in
 one variable is evaluated once per axis node and only the coupled parts run
-over every node tuple.  A separate series-based residue engine
-(``laurent_residue``, summed over points by ``residue_sum``) handles
+over every node tuple.  ``batched_det`` is the one determinant kernel on
+such grids: a Leibniz sum over ``core.signed_permutations`` whose products
+keep the entries' broadcast shape.  A separate series-based residue engine
+(``laurent_residue``, at each distinct point by ``residue_terms``) handles
 integrands of rational-times-exponential form exactly.
 """
 
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core  # core.signed_permutations: bench/tracing.py counts its terms
 from .core import AccuracyError, ResourceLimitError, ValidationError
 
 DEFAULT_START_NODES = 32
@@ -125,15 +128,24 @@ def spectral_rows(z, n: int):
 
 
 def batched_det(k: int, entry):
-    """Determinants of the k x k matrices [entry(i, j)] over the broadcast
-    shape of the entries; 1.0 when k = 0."""
+    """Determinant of the k x k matrix [entry(i, j)] by Leibniz expansion:
+    sum over sigma in S_k of sgn(sigma) prod_i entry(i, sigma(i)).
+
+    Each entry is computed once and no (..., k, k) array is filled, so a
+    product keeps the broadcast shape of its factors (an OpenGrid block
+    included).  1.0 when k = 0; k above the factorial cap is refused.
+    """
+    perms = core.signed_permutations(k)
+    if k == 0:
+        return 1.0
     rows = [[entry(i, j) for j in range(k)] for i in range(k)]
-    shape = np.broadcast_shapes(*(np.shape(e) for row in rows for e in row))
-    mat = np.empty(shape + (k, k), dtype=complex)
-    for i, row in enumerate(rows):
-        for j, e in enumerate(row):
-            mat[..., i, j] = e
-    return np.linalg.det(mat)
+    total = 0.0
+    for perm, sgn in perms:
+        term = rows[0][perm[0]]
+        for row, j in zip(rows[1:], perm[1:]):
+            term = term * row[j]
+        total = total + term if sgn > 0 else total - term
+    return total
 
 
 def _blocks(d: int, n: int):
@@ -224,15 +236,17 @@ def product_integrate(
 
 @dataclass(frozen=True)
 class RationalExpDescriptor:
-    """Integrand of the form prefactor * exp(exp_coeff*z) * prod (z-a)^e.
+    """Integrand of the form exp(exp_coeff*(z - 1)) * prod (z-a)^e.
 
     ``factors`` maps points to integer exponents; negative exponents are
-    poles.  Repeated points are merged at construction.
+    poles.  Repeated points are merged at construction.  Centring the
+    exponential at 1 keeps it finite at the pole 1 of the residue routes:
+    e^((z-1)t) there is 1 for any t, where e^(-t) * e^(t z) is 0 * inf
+    past t = 745.
     """
 
     exp_coeff: complex = 0.0
     factors: tuple[tuple[complex, int], ...] = ()
-    prefactor: complex = 1.0
 
     def __post_init__(self):
         merged: dict[complex, int] = {}
@@ -251,7 +265,7 @@ class RationalExpDescriptor:
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
-        out = self.prefactor * np.exp(self.exp_coeff * z)
+        out = np.exp(self.exp_coeff * (z - 1.0))
         for point, expo in self.factors:
             out = out * (z - point) ** expo
         return out
@@ -271,7 +285,12 @@ def _binomial_series(shift: complex, exponent: int, length: int) -> np.ndarray:
             coeffs[exponent] = 1.0
         return coeffs
     top = length - 1 if exponent < 0 else min(exponent, length - 1)
-    c = shift**exponent
+    try:
+        c = shift**exponent
+    except OverflowError:
+        raise AccuracyError(
+            f"factor ({shift:.3g})^{exponent} overflows the float range"
+        ) from None
     coeffs[0] = c
     for k in range(1, top + 1):
         c = c * (exponent - k + 1) / (k * shift)
@@ -309,42 +328,37 @@ def laurent_residue(
     coeffs = [1.0 + 0.0j]
     for k in range(1, order):
         coeffs.append(coeffs[-1] * descriptor.exp_coeff / k)
-    series = np.array(coeffs) * (descriptor.prefactor * np.exp(descriptor.exp_coeff * at))
+    series = np.array(coeffs) * np.exp(descriptor.exp_coeff * (at - 1.0))
     for point, expo in rest:
         series = np.convolve(series, _binomial_series(at - point, expo, order))[:order]
     return complex(series[order - 1])
 
 
-def residue_sum(descriptor: RationalExpDescriptor, points) -> complex:
-    """Sum of residues at the given points (deduplicated against factors)."""
-    total = 0.0 + 0.0j
+def residue_terms(descriptor: RationalExpDescriptor, points) -> list[complex]:
+    """Residues at the given points, each point within 1e-12 of another
+    counted once."""
     seen: list[complex] = []
     for p in points:
         p = complex(p)
-        if any(abs(p - s) < 1e-12 for s in seen):
-            continue
-        seen.append(p)
-        total += laurent_residue(descriptor, p)
-    return total
+        if not any(abs(p - s) < 1e-12 for s in seen):
+            seen.append(p)
+    return [laurent_residue(descriptor, p) for p in seen]
 
 
 class MultivariatePolynomial:
     """Sparse multivariate polynomial keyed by exponent tuples.
 
     Supports only what the residue route needs: start from 1, multiply in
-    linear factors ``c0 + sum c_k x_k``, and iterate monomials.
+    linear forms ``sum c_k x_k`` and other polynomials, and iterate monomials.
     """
 
     def __init__(self, nvars: int):
         self.nvars = nvars
         self.terms: dict[tuple[int, ...], complex] = {(0,) * nvars: 1.0 + 0.0j}
 
-    def multiply_linear(self, const: complex, coeffs: dict[int, complex]):
+    def multiply_linear(self, coeffs: dict[int, complex]):
         new: dict[tuple[int, ...], complex] = {}
         for expo, c in self.terms.items():
-            if const != 0:
-                key = expo
-                new[key] = new.get(key, 0.0) + c * const
             for var, cv in coeffs.items():
                 if cv == 0:
                     continue
@@ -378,5 +392,5 @@ def vandermonde_squared_poly(nvars: int, k: int | None = None) -> MultivariatePo
         for j in range(k):
             if i == j:
                 continue
-            poly.multiply_linear(0.0, {j: 1.0, i: -1.0})
+            poly.multiply_linear({j: 1.0, i: -1.0})
     return poly

@@ -364,13 +364,26 @@ def G_mu_nu(mu, nu, ys, q, s):
     return states.get(target, 0.0 + 0.0j)
 
 
-def _pairwise_separation_ok(U):
-    k = len(U)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if np.min(np.abs(U[i] - U[j])) < MIN_POINT_SEPARATION:
-                return False
-    return True
+def _symmetrize(X, pair, ratio, lam, cap):
+    """Sum over sigma in S_n of prod_{i<j} pair(X_sigma(i), X_sigma(j)) *
+    prod_i ratio[sigma(i)]^lam_i; coincident points are refused."""
+    n = len(lam)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if np.min(np.abs(X[i] - X[j])) < MIN_POINT_SEPARATION:
+                raise ConfigurationError(
+                    "coincident spectral parameters in symmetrized sum; perturb them"
+                )
+    total = 0.0
+    for perm, _ in signed_permutations(n, cap):
+        term = 1.0
+        for i in range(n):
+            for j in range(i + 1, n):
+                term = term * pair(X[perm[i]], X[perm[j]])
+        for i in range(n):
+            term = term * ratio[perm[i]] ** lam[i]
+        total = total + term
+    return total
 
 
 def F_lambda_sym(lam, z, q, s, cap: int = FACTORIAL_CAP):
@@ -380,10 +393,6 @@ def F_lambda_sym(lam, z, q, s, cap: int = FACTORIAL_CAP):
         raise ValidationError("lambda must be weakly decreasing")
     n = len(lam)
     Z, finish = spectral_rows(z, n)
-    if not _pairwise_separation_ok(Z):
-        raise ConfigurationError(
-            "coincident spectral parameters in symmetrized sum; perturb them"
-        )
     mult: dict[int, int] = {}
     for m in lam:
         mult[m] = mult.get(m, 0) + 1
@@ -393,16 +402,8 @@ def F_lambda_sym(lam, z, q, s, cap: int = FACTORIAL_CAP):
     denom = 1.0
     for i in range(n):
         denom = denom * (1.0 - s * Z[i])
-    ratio = [(x - s) / (1.0 - s * x) for x in Z]
-    total = 0.0
-    for perm, _ in signed_permutations(n, cap):
-        term = 1.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                term = term * ((Z[perm[i]] - q * Z[perm[j]]) / (Z[perm[i]] - Z[perm[j]]))
-        for i in range(n):
-            term = term * ratio[perm[i]] ** lam[i]
-        total = total + term
+    total = _symmetrize(Z, lambda a, b: (a - q * b) / (a - b),
+                        [(x - s) / (1.0 - s * x) for x in Z], lam, cap)
     return finish(pref / denom * total)
 
 
@@ -411,27 +412,14 @@ def sfF_lambda(lam, u, q, cap: int = FACTORIAL_CAP):
     lam = [int(x) for x in lam]
     if any(b >= a for a, b in zip(lam, lam[1:])):
         raise ValidationError("lambda must be strictly decreasing")
-    N = len(lam)
-    U, finish = spectral_rows(u, N)
-    if not _pairwise_separation_ok(U):
-        raise ConfigurationError(
-            "coincident spectral parameters in symmetrized sum; perturb them"
-        )
-    ratio = [(1.0 - x) / (1.0 - q * x) for x in U]
-    total = 0.0
-    for perm, _ in signed_permutations(N, cap):
-        term = 1.0
-        for i in range(N):
-            for j in range(i + 1, N):
-                term = term * ((U[perm[j]] - q * U[perm[i]]) / (U[perm[j]] - U[perm[i]]))
-        for i in range(N):
-            term = term * ratio[perm[i]] ** lam[i]
-        total = total + term
-    return finish(total)
+    U, finish = spectral_rows(u, len(lam))
+    return finish(_symmetrize(U, lambda a, b: (b - q * a) / (b - a),
+                              [(1.0 - x) / (1.0 - q * x) for x in U], lam, cap))
 
 
 def sfF_lambda_det0(lam, u):
-    """q = 0 determinant form of sfF_lambda, Vandermonde-normalized."""
+    """q = 0 determinant form of sfF_lambda, Vandermonde-normalized.  The
+    determinant is a Leibniz sum, so len(lam) above the factorial cap is refused."""
     lam = [int(x) for x in lam]
     N = len(lam)
     U, finish = spectral_rows(u, N)

@@ -27,7 +27,6 @@ from asepcross.formulas import (
     r_asep_transition,
     rainbow_total_crossing,
     schutz_determinant,
-    single_species_crossing,
     tasep_block_crossing,
     two_tasep_crossing,
     two_tasep_green,
@@ -72,32 +71,38 @@ class TestEigenfunction:
         assert abs(val - expected) < 1e-12 * abs(expected)
 
     def test_literal_reimplementation_n2_m1(self, rng):
-        # straight-loop transcription of the double permutation sum
-        z = rng.uniform(0.2, 0.6, 2) + 1j * rng.uniform(-0.2, 0.2, 2)
-        u = rng.uniform(0.7, 0.9, 1) + 1j * rng.uniform(-0.1, 0.1, 1)
-        nu, p, t = [2, 5], [2], 0.9
-        n, m = 2, 1
-        total = 0.0
-        for perm, sgn in signed_permutations(n):
-            term = complex(sgn)
-            for i in range(n):
-                term *= ((1 - z[i]) / (1 - z[perm[i]])) ** (i + 1)
-                term *= z[perm[i]] ** nu[i]
-                term *= np.exp((1 / z[i] - 1) * t)
-            for i in range(m):
-                for j in range(p[i]):
-                    term *= 1 / (1 - z[perm[j]])
-            csum = 0.0
-            for sperm, ssgn in signed_permutations(m):
-                cterm = complex(ssgn)
+        # straight-loop transcription of the double permutation sum, at
+        # n = 2, m = 1 and at n = 3, m = 2
+        cases = [
+            (rng.uniform(0.2, 0.6, 2) + 1j * rng.uniform(-0.2, 0.2, 2),
+             rng.uniform(0.7, 0.9, 1) + 1j * rng.uniform(-0.1, 0.1, 1), [2, 5], [2], 0.9),
+            (rng.uniform(0.2, 0.6, 3) + 1j * rng.uniform(-0.2, 0.2, 3),
+             rng.uniform(0.7, 0.9, 2) + 1j * rng.uniform(-0.1, 0.1, 2), [-1, 2, 4], [1, 3],
+             0.7),
+        ]
+        for z, u, nu, p, t in cases:
+            n, m = len(nu), len(p)
+            total = 0.0
+            for perm, sgn in signed_permutations(n):
+                term = complex(sgn)
+                for i in range(n):
+                    term *= ((1 - z[i]) / (1 - z[perm[i]])) ** (i + 1)
+                    term *= z[perm[i]] ** nu[i]
+                    term *= np.exp((1 / z[i] - 1) * t)
                 for i in range(m):
-                    cterm *= ((1 - u[i]) / (1 - u[sperm[i]])) ** (i + 1)
-                    for j in range(p[i] - 1):
-                        cterm *= u[sperm[i]] - z[perm[j]]
-                csum += cterm
-            total += term * csum
-        val = eigenfunction_P(nu, p, t, z, u)
-        assert abs(val - total) < 1e-12 * max(1.0, abs(total))
+                    for j in range(p[i]):
+                        term *= 1 / (1 - z[perm[j]])
+                csum = 0.0
+                for sperm, ssgn in signed_permutations(m):
+                    cterm = complex(ssgn)
+                    for i in range(m):
+                        cterm *= ((1 - u[i]) / (1 - u[sperm[i]])) ** (i + 1)
+                        for j in range(p[i] - 1):
+                            cterm *= u[sperm[i]] - z[perm[j]]
+                    csum += cterm
+                total += term * csum
+            val = eigenfunction_P(nu, p, t, z, u)
+            assert abs(val - total) < 1e-12 * max(1.0, abs(total))
 
 
 class TestTwoTasepGreen:
@@ -295,8 +300,6 @@ class TestBlockCrossing:
             1.0,
         )
         a = block_crossing(query)
-        b = single_species_crossing([1, 0], [3, 2], q, 1.0)
-        assert abs(a - b) < 1e-10
         ini = ParticleConfig((0, 1), (1, 1))
         gen = build_window_generator(ini, (-10, 12), ModelParams(q=q))
         oracle, _ = expm_transition(gen, ini, ParticleConfig((2, 3), (1, 1)), 1.0)
@@ -587,6 +590,31 @@ class TestLargeArguments:
         assert abs(schutz_determinant(mu, nu, float(t))
                    - self.schutz_mpmath(mu, nu, t)) < 1e-13
 
+    @pytest.mark.parametrize("call, expected", [
+        (lambda: gamma_wall(1, 5, 800.0), 1.0),
+        (lambda: gamma_wall(2, 5, 800.0), 1.0),
+        (lambda: cumulative_crossing_bernoulli(WallQuery(-3, 2, 0.5, 1, 1, 800.0)), 1.0),
+        (lambda: cumulative_crossing_bernoulli(WallQuery(-3, 2, 0.5, 2, 1, 800.0)), 0.0),
+    ], ids=["gamma_n1", "gamma_n2", "bernoulli_n1", "bernoulli_n2"])
+    def test_residues_past_exp_overflow(self, call, expected):
+        # e^t alone overflows past t = 709; the residues at 1 see e^((z-1)t) = 1
+        assert abs(call() - expected) < 1e-12
+
+    def test_higher_order_past_exp_overflow_is_never_nan(self):
+        try:
+            value = gamma_wall(3, 6, 800.0)
+        except AccuracyError as exc:
+            assert "nan" not in str(exc)
+        else:
+            assert 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("evaluate", [cumulative_crossing_bernoulli,
+                                          cumulative_crossing_one_wall])
+    def test_long_wall_overflow_fails_typed(self, evaluate):
+        # 0.5^-1100 at the residue point 1 - rho is past the float range
+        with pytest.raises(AccuracyError, match="overflows"):
+            evaluate(WallQuery(-3, 1100, 0.5, 2, 1, 2.0))
+
     def test_cancelling_residues_fail_typed(self):
         # the inverted residues cancel far below their size at this wall
         with pytest.raises(AccuracyError):
@@ -625,12 +653,14 @@ class TestNegativeRates:
         lambda: rainbow_total_crossing((1, 0), (1, 2), 0.5, -1.0),
         lambda: r_asep_transition((1, 0), (0, 2), -0.5, 1.0),
         lambda: r_asep_transition((1, 0), (0, 2), 0.5, -1.0),
-        lambda: single_species_crossing((1, 0), (2, 1), -0.5, 1.0),
-        lambda: single_species_crossing((1, 0), (2, 1), 0.5, -1.0),
+        lambda: block_crossing(CrossingQuery(make_blocks([[1, 0]], "initial"),
+                                             make_blocks([[2, 1]], "final"), -0.5, 1.0)),
+        lambda: block_crossing(CrossingQuery(make_blocks([[1, 0]], "initial"),
+                                             make_blocks([[2, 1]], "final"), 0.5, -1.0)),
         lambda: cumulative_crossing_step((-1, 0), 1, -3, 2, -1.0),
     ], ids=["two_tasep_crossing_t", "gamma_t", "gamma_quadrature_t", "schutz_t",
-            "rainbow_q", "rainbow_t", "r_asep_q", "r_asep_t", "single_species_q",
-            "single_species_t", "step_t"])
+            "rainbow_q", "rainbow_t", "r_asep_q", "r_asep_t", "block_crossing_q",
+            "block_crossing_t", "step_t"])
     def test_refused_before_any_quadrature(self, call):
         with pytest.raises(ValidationError, match="must be >= 0"):
             call()
@@ -660,7 +690,7 @@ class TestResult:
 
     def test_residue_and_structural_zero_methods(self):
         inverted = cumulative_crossing_bernoulli(WallQuery(-3, 2, 0.5, 2, 1, 2.0))
-        assert (inverted.method, inverted.est_err) == ("laurent", 0.0)
+        assert inverted.method == "laurent" and 0.0 < inverted.est_err < 1e-13
         zeros = (
             cumulative_crossing_bernoulli(WallQuery(0, 0, 0.5, 2, 1, 2.0), form="direct"),
             cumulative_crossing_step((-1, 0), 1, 0, 0, 1.0),
@@ -668,6 +698,21 @@ class TestResult:
         )
         for zero in zeros:
             assert (float(zero), zero.est_err, zero.method) == (0.0, 0.0, "exact")
+
+    def test_residue_error_covers_cancellation(self):
+        # terms of size ~1e5 cancel to a true value of ~1e-56: the value is
+        # rounding noise, and est_err is at least as large
+        lost = cumulative_crossing_bernoulli(WallQuery(-6, 3, 0.5, 4, 0, 4.0))
+        assert 0.0 <= float(lost) <= lost.est_err < 1e-7
+        # no cancellation: P(Poisson(2) >= 4) to a few ulps, and est_err that small
+        tail = gamma_wall(1, 5, 2.0)
+        exact = 1.0 - sum(math.exp(-2.0) * 2.0**k / math.factorial(k) for k in range(4))
+        assert abs(tail - exact) <= tail.est_err < 1e-14
+        # the two one-wall forms sum the same residues in different orders
+        query = WallQuery(-6, 3, 0.5, 4, 2, 4.0)
+        collapsed = cumulative_crossing_one_wall(query)
+        binet = cumulative_crossing_one_wall(query, form="cauchy_binet")
+        assert abs(collapsed - binet) <= collapsed.est_err + binet.est_err < 1e-12
 
     def test_schutz_and_single_particle_green_are_laurent(self):
         schutz = schutz_determinant((0, 2), (1, 4), 0.7)

@@ -88,6 +88,16 @@ class TestUFactorization:
         rep = check_u_factorization(z, u, perm)
         assert rep.passed
 
+    def test_checks_the_production_kernel(self, rng, monkeypatch):
+        import asepcross.formulas as formulas
+
+        z = _sample_points(rng, 4, lo=0.3, hi=0.7)
+        u = _sample_points(rng, 2, lo=0.75, hi=0.9)
+        assert check_u_factorization(z, u, (1, 3, 0, 2)).passed
+        kernel = formulas.u_sum_determinant
+        monkeypatch.setattr(formulas, "u_sum_determinant", lambda *a: 1.001 * kernel(*a))
+        assert not check_u_factorization(z, u, (1, 3, 0, 2)).passed
+
 
 class TestRemovablePoles:
     @pytest.mark.parametrize("m", [2, 3])

@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from asepcross.core import AccuracyError, ValidationError
+from asepcross.core import AccuracyError, ResourceLimitError, ValidationError
 from asepcross.quadrature import (
     EVAL_CHUNK,
     ContourProduct,
     ContourSpec,
     OpenGrid,
     RationalExpDescriptor,
+    batched_det,
     laurent_residue,
     product_integrate,
-    residue_sum,
+    residue_terms,
 )
 
 
@@ -236,18 +237,46 @@ class TestOpenGrid:
             assert abs(value - exact) < 1e-10
 
 
+class TestBatchedDet:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_matches_lapack_on_an_open_grid(self, rng, k):
+        # row i varies along axis i only, as on an OpenGrid block
+        grid = OpenGrid(
+            (rng.uniform(0.2, 0.9, 3) * np.exp(2j * np.pi * rng.uniform(size=3)))
+            .reshape((1,) * i + (-1,) + (1,) * (k - 1 - i))
+            for i in range(k)
+        )
+        coeff = rng.uniform(-0.5, 0.5, (k, k)) + 1j * rng.uniform(-0.5, 0.5, (k, k))
+
+        def entry(i, j):
+            return (3.0 if i == j else 0.0) + coeff[i, j] * grid[i] ** (j + 1)
+
+        shape = np.broadcast_shapes(*(np.shape(x) for x in grid))
+        mat = np.empty(shape + (k, k), dtype=complex)
+        for i in range(k):
+            for j in range(k):
+                mat[..., i, j] = entry(i, j)
+        expected = np.linalg.det(mat)
+        value = batched_det(k, entry)
+        assert np.shape(value) == shape
+        assert np.max(np.abs(value - expected) / np.abs(expected)) < 1e-13
+
+    def test_empty_and_capped(self):
+        assert batched_det(0, None) == 1.0
+        with pytest.raises(ResourceLimitError):
+            batched_det(10, lambda i, j: 1.0)
+
+
 class TestLaurentResidue:
     def test_poisson_coefficient(self):
-        desc = RationalExpDescriptor(
-            exp_coeff=1.0, factors=((0.0, -3),), prefactor=math.exp(-1.0)
-        )
+        desc = RationalExpDescriptor(exp_coeff=1.0, factors=((0.0, -3),))
         assert abs(laurent_residue(desc, 0.0) - math.exp(-1) / 2.0) < 1e-16
 
     def test_two_simple_poles(self):
         desc = RationalExpDescriptor(factors=((0.0, -1), (1.0, -1)))
         assert abs(laurent_residue(desc, 0.0) - (-1.0)) < 1e-16
         assert abs(laurent_residue(desc, 1.0) - 1.0) < 1e-16
-        assert abs(residue_sum(desc, (0.0, 1.0))) < 1e-16
+        assert abs(sum(residue_terms(desc, (0.0, 1.0)))) < 1e-16
 
     def test_regular_point_gives_zero(self):
         desc = RationalExpDescriptor(factors=((0.0, -1),))
@@ -279,9 +308,8 @@ class TestLaurentResidue:
                     (1.0, -int(rng.integers(1, 4))),
                     (2.5, int(rng.integers(0, 3))),
                 ),
-                prefactor=math.exp(-t),
             )
-            exact = residue_sum(desc, (0.0, 1.0))
+            exact = sum(residue_terms(desc, (0.0, 1.0)))
             quad = one_circle(desc, ContourSpec(0.5, 1.2))
             denom = max(1.0, abs(exact))
             worst = max(worst, abs(exact - quad) / denom)
