@@ -158,7 +158,7 @@ def _finalize_probability(value: complex, est_err: float = 0.0,
     v = value.real
     if not -NEG_TOL <= v <= 1.0 + NEG_TOL:  # NaN fails here too
         raise AccuracyError(f"value {v!r} lies outside [0, 1] beyond tolerance")
-    return Result(min(max(v, 0.0), 1.0), est_err, method)
+    return Result(0.0 if v <= 0.0 else min(v, 1.0), est_err, method)  # never -0.0
 
 
 def _integrate(integrand, contours, tol, node_budget, scale=1.0, roles=()) -> Result:

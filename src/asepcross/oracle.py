@@ -7,11 +7,14 @@ jumps drain into an absorbing sink state), evaluated by uniformization.
 
 A ``MonteCarloJob`` describes every simulation: a fixed initial state or
 Bernoulli-step initial data, the backhop rate q, the horizon, the seed and
-the event whose probability ``run_monte_carlo`` estimates.  ``_simulate`` is
-the one path from a job and a uniform stream to a final state; a Bernoulli
-job draws its initial state from the same stream before the jumps.
-``simulate_sample(job, i)`` returns the final state of sample ``i``, which is
-by construction the trajectory that ``run_monte_carlo`` counts for ``i``.
+the event whose probability ``run_monte_carlo`` estimates.  ``_simulate``
+takes a job and a uniform stream to a final state; a Bernoulli job draws its
+initial state from the same stream before the jumps.
+``simulate_sample(job, i)`` returns the final state of sample ``i``.
+``run_monte_carlo`` runs the samples of each chunk in lockstep with numpy,
+drawing each sample's uniforms in ``_simulate``'s order, and hands the rows
+it cannot follow exactly back to ``_simulate``; so the trajectory it counts
+for ``i`` is the one ``simulate_sample(job, i)`` returns.
 
 Randomness is counter-based: sample ``i`` of a run with seed ``s`` draws its
 uniforms from a Philox stream keyed by (s, chunk(i)) plus a per-sample
@@ -169,8 +172,8 @@ class MonteCarloJob:
             raise ValidationError("samples must be >= 1")
         if not 0 <= self.horizon < math.inf:
             raise ValidationError("horizon must be finite and >= 0")
-        if not self.q >= 0:
-            raise ValidationError("q must be >= 0")
+        if not 0 <= self.q < math.inf:
+            raise ValidationError("q must be finite and >= 0")
         if self.bernoulli is not None:
             rho, m, n = self.bernoulli
             if not 0 < rho <= 1:
@@ -179,11 +182,13 @@ class MonteCarloJob:
                 raise ValidationError("need 0 <= m <= n and n >= 1")
         if self.event and self.event[0] not in ("target", "wall"):
             raise ValidationError(f"unknown event kind {self.event[0]!r}")
+        if self.event and self.event[0] == "target":
+            ParticleConfig(self.event[1], self.event[2])  # sorted, int64, labels >= 1
 
 
 def _event_holds(event, positions, species) -> bool:
     if event[0] == "target":
-        return tuple(positions) == event[1] and tuple(species) == event[2]
+        return tuple(positions) == tuple(event[1]) and tuple(species) == tuple(event[2])
     s1, s2 = event[1], event[2]
     for x, c in zip(positions, species):
         if c == 1 and not (s1 <= x < s2):
@@ -237,13 +242,113 @@ def simulate_sample(job: MonteCarloJob, index: int = 0, events=None) -> Particle
     return ParticleConfig(tuple(positions), tuple(species))
 
 
+def _events_hold(event, positions, species) -> np.ndarray:
+    """``_event_holds`` for each row of (rows, n) position and species arrays."""
+    if event[0] == "target":
+        if len(event[1]) != positions.shape[1]:
+            return np.zeros(len(positions), dtype=bool)
+        return ((positions == np.array(event[1], dtype=np.int64)).all(axis=1)
+                & (species == np.array(event[2], dtype=np.int64)).all(axis=1))
+    s1, s2 = event[1], event[2]
+    ok_1 = (species != 1) | ((s1 <= positions) & (positions < s2))
+    ok_2 = (species != 2) | (positions >= s2)
+    return (ok_1 & ok_2).all(axis=1)
+
+
 def _run_chunk(job: MonteCarloJob, chunk_index: int, count: int) -> int:
-    buf = _chunk_uniforms(job.seed, chunk_index, CHUNK)
-    successes = 0
-    for row in range(count):
-        draw = _UniformStream(buf[row], job.seed, chunk_index * CHUNK + row)
-        if _event_holds(job.event, *_simulate(job, draw)):
-            successes += 1
+    """Successes among rows 0..count-1 of the chunk, run in lockstep.
+
+    Every row draws from its own row of the chunk's uniforms in the order of
+    ``_simulate``: the Bernoulli gaps, then one (clock, move) pair per step,
+    so all running rows read the same column.  Rate slot 2k is particle k's
+    step right or swap, 2k + 1 its step left, and absent moves have rate 0:
+    the running sums and the chosen move are those of ``_gillespie_core``.
+    A row that would read past its pre-drawn uniforms, draws u == 0 or comes
+    within rounding of a decision taken on a logarithm is re-run from
+    scratch by ``_simulate`` on its ``_UniformStream``.
+    """
+    buf = _chunk_uniforms(job.seed, chunk_index, CHUNK)[:count]
+    q, horizon = job.q, job.horizon
+    retry = np.zeros(count, dtype=bool)
+    column = 0
+    if job.bernoulli is None:
+        positions = np.tile(np.array(job.initial.positions, dtype=np.int64), (count, 1))
+        species = np.tile(np.array(job.initial.species, dtype=np.int64), (count, 1))
+    else:
+        rho, m, n = job.bernoulli
+        gaps = np.ones((count, m))
+        if rho < 1.0:
+            column = m
+            u = buf[:, :m] if m <= UNIFORMS_PER_SAMPLE else np.zeros((count, m))
+            ratio = np.log(np.where(u > 0.0, u, 0.5)) / math.log1p(-rho)
+            # the scalar gap is 1 + int(math.log(u) / math.log1p(-rho))
+            near = np.abs(ratio - np.round(ratio)) <= 1e-9 * np.maximum(ratio, 1.0)
+            retry |= ((u <= 0.0) | near | ~(ratio < 2.0**52)).any(axis=1)
+            gaps[~retry] = 1.0 + np.floor(ratio[~retry])
+        sites = -np.cumsum(gaps.astype(np.int64), axis=1)[:, ::-1]
+        positions = np.hstack([sites, np.tile(np.arange(n - m), (count, 1))])
+        species = np.tile(np.array([2] * m + [1] * (n - m)), (count, 1))
+    # int64 positions stay exact over the at most 48 steps a row runs here
+    retry |= (np.abs(positions) > 2**62).any(axis=1)
+    ids = np.flatnonzero(~retry)
+    positions, species = positions.take(ids, axis=0), species.take(ids, axis=0)
+    n = positions.shape[1]
+    clock = np.zeros(len(ids))
+    tie = 1e-9 * max(horizon, 1.0)
+    ended = [(positions[:0], species[:0])]  # final states of the stopped rows
+    while True:
+        size = len(ids)
+        ahead = np.zeros((size, n), dtype=bool)  # particle k + 1 at x_k + 1
+        ahead[:, :-1] = positions[:, 1:] == positions[:, :-1] + 1
+        rates = np.empty((size, n, 2))
+        higher = species[:, :-1] > species[:, 1:]
+        lower = species[:, :-1] < species[:, 1:]
+        rates[:, :, 0] = 1.0
+        rates[:, :-1, 0] = np.where(ahead[:, :-1], np.where(higher, 1.0, q * lower), 1.0)
+        rates[:, :, 1] = q
+        rates[:, 1:, 1] *= ~ahead[:, :-1]
+        rates = rates.reshape(size, 2 * n)
+        acc = np.cumsum(rates, axis=1)
+        total = acc[:, -1] if n else np.zeros(size)
+        u = buf[:, column].take(ids) if column < UNIFORMS_PER_SAMPLE else np.zeros(size)
+        with np.errstate(divide="ignore"):
+            t = clock - np.log(u) / total
+        live = total > 0.0
+        failed = live & ((u <= 0.0) | (np.abs(t - horizon) <= tie))
+        moving = live & ~failed & (t <= horizon)
+        if column + 1 >= UNIFORMS_PER_SAMPLE:
+            failed |= moving
+            moving[:] = False
+        stopped = np.flatnonzero(~moving & ~failed)
+        ended.append((positions.take(stopped, axis=0), species.take(stopped, axis=0)))
+        retry[ids[failed]] = True
+        keep = np.flatnonzero(moving)
+        if not keep.size:
+            break
+        ids, clock = ids.take(keep), t.take(keep)
+        positions, species, rates, acc, ahead = (
+            a.take(keep, axis=0) for a in (positions, species, rates, acc, ahead))
+        x = buf[:, column + 1].take(ids) * acc[:, -1]
+        column += 2
+        present = rates > 0.0
+        hit = present & (x[:, None] <= acc)
+        slot = hit.argmax(axis=1)
+        miss = ~hit.any(axis=1)
+        if miss.any():  # x above the last running sum: the last present move
+            slot[miss] = 2 * n - 1 - present[miss, ::-1].argmax(axis=1)
+        k, left = slot >> 1, (slot & 1).astype(bool)
+        cell = np.arange(len(ids)) * n + k  # flat index of the moving particle
+        swap = ~left & ahead.take(cell)
+        pair = cell[swap]
+        right_of = species.take(pair + 1)
+        species.put(pair + 1, species.take(pair))
+        species.put(pair, right_of)
+        positions.put(cell, positions.take(cell) + ~swap * (1 - 2 * left))
+    successes = int(_events_hold(job.event, *map(np.concatenate, zip(*ended))).sum())
+    first = chunk_index * CHUNK
+    for row in np.nonzero(retry)[0]:
+        draw = _UniformStream(buf[row], job.seed, first + int(row))
+        successes += _event_holds(job.event, *_simulate(job, draw))
     return successes
 
 
@@ -318,86 +423,128 @@ class WindowGenerator:
         return self.index[key]
 
 
+def _lex_keys(digits: np.ndarray, radix: int):
+    """Keys of the rows of ``digits`` (each digit < radix) that increase with
+    their lexicographic order, and the weight of each digit; Python ints
+    where radix**n would overflow int64."""
+    n = digits.shape[1]
+    dtype = np.int64 if radix**n < 2**63 else object
+    weights = np.array([radix ** (n - 1 - k) for k in range(n)], dtype=dtype)
+    return digits.astype(dtype) @ weights, weights
+
+
+def _window_jumps(sets: np.ndarray, orders: np.ndarray, width: int, q: float):
+    """(rates, (rows, cols)) of every jump between window states.
+
+    ``sets`` (C, n) are the occupied site offsets in [0, width) and
+    ``orders`` (P, n) the colour orders as ranks of the colours, both in
+    lexicographic order; state ``c * P + o`` puts order ``o`` on set ``c``,
+    and state C * P is the sink.  Each move type is one array operation over
+    the sets or the orders, and the rank of a moved set or order comes from
+    ``np.searchsorted`` on lexicographic keys.
+    """
+    (C, n), P = sets.shape, len(orders)
+    sink = C * P
+    # c_k - k is nondecreasing in [0, width - n]: the same lexicographic order
+    set_keys, set_weights = _lex_keys(sets - np.arange(n), width - n + 1)
+    order_keys, order_weights = _lex_keys(orders, int(orders.max(initial=0)) + 1)
+    adjacent = sets[:, 1:] == sets[:, :-1] + 1  # particles k and k + 1
+    every_order = np.arange(P)
+    no_block = np.zeros(C, dtype=bool)
+    sources, dests, rates = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [0.0]
+
+    def grid(set_ids, order_ids):
+        return (set_ids[:, None] * P + order_ids).ravel()
+
+    def add(source, dest, rate):
+        sources.append(source)
+        dests.append(dest)
+        rates.append(rate)
+
+    def step(k, mask, shift, rate):
+        """Particle k of the masked sets moves by shift, inside the window."""
+        picked = np.nonzero(mask)[0]
+        ranks = np.searchsorted(set_keys, set_keys[picked] + shift * set_weights[k])
+        add(grid(picked, every_order), grid(ranks, every_order), rate)
+
+    def leave(mask, rate):
+        source = grid(np.nonzero(mask)[0], every_order)
+        add(source, np.full(len(source), sink), rate)
+
+    for k in range(n):
+        blocked_right = adjacent[:, k] if k + 1 < n else no_block
+        blocked_left = adjacent[:, k - 1] if k > 0 else no_block
+        # rightward move or swap at rate 1 (higher colour passes lower)
+        step(k, ~blocked_right & (sets[:, k] < width - 1), 1, 1.0)
+        leave(~blocked_right & (sets[:, k] == width - 1), 1.0)
+        if k + 1 < n:
+            cl, cr = orders[:, k], orders[:, k + 1]
+            swapped = order_keys + (cr - cl) * (order_weights[k] - order_weights[k + 1])
+            target = np.searchsorted(order_keys, swapped)
+            picked = np.nonzero(blocked_right)[0]
+            down = np.nonzero(cl > cr)[0]
+            add(grid(picked, down), grid(picked, target[down]), 1.0)
+            if q > 0.0:
+                up = np.nonzero(cl < cr)[0]
+                add(grid(picked, up), grid(picked, target[up]), q)
+        # leftward move at rate q
+        if q > 0.0:
+            step(k, ~blocked_left & (sets[:, k] > 0), -1, q)
+            leave(~blocked_left & (sets[:, k] == 0), q)
+    vals = np.repeat(rates, [len(s) for s in sources])
+    return vals, (np.concatenate(sources), np.concatenate(dests))
+
+
 def build_window_generator(
     particles: ParticleConfig, window, params: ModelParams, cap: int = STATE_CAP
 ) -> WindowGenerator:
     """Enumerate all placements of the given colour multiset in the window
-    and assemble the rate matrix, draining out-of-window jumps into a sink."""
+    and assemble the rate matrix, draining out-of-window jumps into a sink.
+
+    States run over the position sets, then over the colour orders, both in
+    lexicographic order; ``_window_jumps`` builds the jumps from arrays.
+    """
     import itertools
 
     a, b = int(window[0]), int(window[1])
     if not all(a <= x <= b for x in particles.positions):
         raise ValidationError("initial positions must lie inside the window")
     n = particles.n
-    sites = list(range(a, b + 1))
+    width = b - a + 1
     colour_orders = list(_multiset_permutations(particles.species))
-    n_states = math.comb(len(sites), n) * len(colour_orders)
-    if n_states > cap:
-        raise ResourceLimitError(
-            f"window state space {n_states} exceeds the cap {cap}"
-        )
-    states = []
-    index = {}
-    for pos in itertools.combinations(sites, n):
-        for spc in colour_orders:
-            index[(pos, spc)] = len(states)
-            states.append((pos, spc))
-    D = len(states)
-    sink = D
-    rows, cols, vals = [], [], []
-    q = params.q
-
-    def add(i, j, rate):
-        rows.append(i)
-        cols.append(j)
-        vals.append(rate)
-
-    for i, (pos, spc) in enumerate(states):
-        pos_l = list(pos)
-        spc_l = list(spc)
-        occupied = set(pos)
-        for k in range(n):
-            # rightward move or swap at rate 1 (higher colour passes lower)
-            if pos_l[k] + 1 not in occupied:
-                if pos_l[k] + 1 > b:
-                    add(i, sink, 1.0)
-                else:
-                    new_pos = tuple(sorted(pos_l[:k] + [pos_l[k] + 1] + pos_l[k + 1:]))
-                    add(i, index[(new_pos, tuple(spc_l))], 1.0)
-            elif k + 1 < n and pos_l[k + 1] == pos_l[k] + 1:
-                cl, cr = spc_l[k], spc_l[k + 1]
-                swapped = tuple(spc_l[:k] + [cr, cl] + spc_l[k + 2:])
-                if cl > cr:
-                    add(i, index[(pos, swapped)], 1.0)
-                elif cl < cr and q > 0.0:
-                    add(i, index[(pos, swapped)], q)
-            # leftward move at rate q
-            if q > 0.0 and pos_l[k] - 1 not in occupied:
-                if pos_l[k] - 1 < a:
-                    add(i, sink, q)
-                else:
-                    new_pos = tuple(sorted(pos_l[:k] + [pos_l[k] - 1] + pos_l[k + 1:]))
-                    add(i, index[(new_pos, tuple(spc_l))], q)
+    C, P = math.comb(width, n), len(colour_orders)
+    D = C * P
+    if D > cap:
+        raise ResourceLimitError(f"window state space {D} exceeds the cap {cap}")
+    states = tuple(itertools.product(itertools.combinations(range(a, b + 1), n), colour_orders))
+    index = dict(zip(states, range(D)))
+    sets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(width), n)),
+                       dtype=np.int64, count=C * n).reshape(C, n)
+    orders = np.searchsorted(np.unique(particles.species),
+                             np.array(colour_orders, dtype=np.int64).reshape(P, n))
     off_diag = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(D + 1, D + 1), dtype=float
+        _window_jumps(sets, orders, width, params.q), shape=(D + 1, D + 1), dtype=float
     ).tocsr()
     # pin the diagonal so that row sums vanish in floating point; ulp-level
     # fix-up passes reach exact zero whenever the rate sums are representable
     # (always for dyadic q), else leave a <= 1 ulp residual
     diag = -np.asarray(off_diag.sum(axis=1)).ravel()
     matrix = (off_diag + sp.diags(diag, format="csr")).tocsr()
+    # a row without a diagonal entry has no jumps and sums to zero, so each
+    # fix-up pass only rewrites existing diagonal entries
+    entry_rows = np.repeat(np.arange(D + 1), np.diff(matrix.indptr))
+    on_diag = np.nonzero(matrix.indices == entry_rows)[0]
     for _ in range(8):
         resid = np.asarray(matrix.sum(axis=1)).ravel()
-        bad = np.nonzero(resid)[0]
-        if bad.size == 0:
+        bad = resid != 0.0
+        if not bad.any():
             break
-        for i in bad:
-            target = diag[i] - resid[i]
-            if target == diag[i]:
-                target = np.nextafter(diag[i], diag[i] - resid[i] * 1e6)
-            diag[i] = target
-        matrix = (off_diag + sp.diags(diag, format="csr")).tocsr()
-    return WindowGenerator((a, b), tuple(states), index, matrix)
+        target = diag - resid
+        stuck = bad & (target == diag)
+        target[stuck] = np.nextafter(diag[stuck], (diag - resid * 1e6)[stuck])
+        diag = np.where(bad, target, diag)
+        matrix.data[on_diag] = diag[entry_rows[on_diag]]
+    return WindowGenerator((a, b), states, index, matrix)
 
 
 def transition_row(gen: WindowGenerator, mu: ParticleConfig, t: float) -> np.ndarray:

@@ -714,6 +714,13 @@ class TestResult:
         binet = cumulative_crossing_one_wall(query, form="cauchy_binet")
         assert abs(collapsed - binet) <= collapsed.est_err + binet.est_err < 1e-12
 
+    def test_clamped_zero_is_positive(self):
+        # the one-wall residue sum cancels to a tiny negative value here
+        lost = cumulative_crossing_one_wall(WallQuery(-6, 3, 0.5, 4, 0, 4.0))
+        assert float(lost) == 0.0 and math.copysign(1.0, lost) == 1.0
+        for value in (-0.0, -1e-14, 0.0):
+            assert math.copysign(1.0, _finalize_probability(complex(value))) == 1.0
+
     def test_schutz_and_single_particle_green_are_laurent(self):
         schutz = schutz_determinant((0, 2), (1, 4), 0.7)
         green = two_tasep_green(

@@ -1,10 +1,13 @@
+import itertools
 import math
 import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.stats import poisson
 
+from asepcross import oracle
 from asepcross.core import (
     ModelParams,
     ParticleConfig,
@@ -22,7 +25,10 @@ from asepcross.oracle import (
     transition_row,
     _chunk_uniforms,
     _event_holds,
+    _multiset_permutations,
     _row_uniforms,
+    _simulate,
+    _UniformStream,
 )
 
 GOLDEN_2TASEP = 0.06766764161830637  # mu=(0,1) p0={1} -> nu=(1,2) p={2}, t=1
@@ -113,7 +119,8 @@ class TestEstimators:
 
 
 class TestMonteCarloJob:
-    @pytest.mark.parametrize("q, t", [(-0.5, 1.0), (0.0, -1.0), (0.0, math.inf)])
+    @pytest.mark.parametrize("q, t", [(-0.5, 1.0), (0.0, -1.0), (0.0, math.inf),
+                                      (math.inf, 1.0)])
     def test_rate_and_horizon_checked(self, q, t):
         with pytest.raises(ValidationError):
             _job((0,), (1,), q, t)
@@ -128,6 +135,13 @@ class TestMonteCarloJob:
     def test_unknown_event_refused_at_construction(self):
         with pytest.raises(ValidationError, match="unknown event kind"):
             _job((0,), (1,), 0.0, 1.0, event=("all_beyond", 4))
+
+    @pytest.mark.parametrize("event", [("target", (1, 0), (1, 1)),
+                                       ("target", (0, 1), (1,)),
+                                       ("target", (2**63,), (1,))])
+    def test_target_event_must_be_a_state(self, event):
+        with pytest.raises(ValidationError):
+            _job((0, 1), (1, 1), 0.0, 1.0, event=event)
 
     def test_run_needs_an_event(self):
         with pytest.raises(ValidationError):
@@ -179,6 +193,117 @@ class TestGoldenCounts:
         assert held == counted
 
 
+def _scalar_successes(job):
+    """The event count of ``job`` with every sample run alone by ``_simulate``
+    on its own row of the chunk uniforms."""
+    held = 0
+    for chunk in range(-(-job.samples // CHUNK)):
+        buf = oracle._chunk_uniforms(job.seed, chunk, CHUNK)
+        for row in range(min(CHUNK, job.samples - chunk * CHUNK)):
+            draw = _UniformStream(buf[row], job.seed, chunk * CHUNK + row)
+            held += _event_holds(job.event, *_simulate(job, draw))
+    return held
+
+
+def _count_scalar_runs(monkeypatch):
+    """Count the rows that ``_run_chunk`` hands to the scalar ``_simulate``."""
+    runs = []
+
+    def counted(job, draw, events=None):
+        runs.append(draw.index)
+        return _simulate(job, draw, events)
+
+    monkeypatch.setattr(oracle, "_simulate", counted)
+    return runs
+
+
+# 1,030 samples: one full chunk and a partial one of 6 rows
+BATCHED_JOBS = dict(
+    GOLDEN_JOBS,
+    target_q03_n3=lambda seed, samples: _job(
+        (0, 1, 2), (2, 1, 2), 0.3, 1.0, seed=seed, samples=samples,
+        event=("target", (0, 1, 3), (1, 2, 2))),
+)
+
+
+def _long_horizon_job(seed, samples, bernoulli=False):
+    # about 56 jumps per sample: most rows run past their 96 uniforms; the
+    # Bernoulli gap shifts the steps by one column, so those rows run out
+    # between a clock uniform and its move uniform
+    if bernoulli:
+        return MonteCarloJob(q=1.0, horizon=14.0, samples=samples, seed=seed,
+                             bernoulli=(0.5, 1, 2), event=("wall", -3, 2))
+    return _job((0, 2), (1, 2), 1.0, 14.0, seed=seed, samples=samples,
+                event=("wall", -2, 4))
+
+
+class TestBatchedCounts:
+    @pytest.mark.parametrize("shape", sorted(BATCHED_JOBS))
+    def test_counts_equal_the_scalar_path(self, shape):
+        for seed in range(20):
+            job = BATCHED_JOBS[shape](seed, 1030)
+            assert run_monte_carlo(job)[2] == _scalar_successes(job), seed
+
+    @pytest.mark.parametrize("bernoulli", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_long_horizon_counts_equal_the_scalar_path(self, seed, bernoulli):
+        job = _long_horizon_job(seed, 1030, bernoulli)
+        assert run_monte_carlo(job)[2] == _scalar_successes(job)
+
+    def test_long_horizon_uses_the_scalar_fallback(self, monkeypatch):
+        runs = _count_scalar_runs(monkeypatch)
+        run_monte_carlo(_long_horizon_job(1, 1030))
+        assert len(runs) > 700
+
+    def test_zero_and_integer_gap_uniforms_fall_back(self, monkeypatch):
+        # u == 0 makes the scalar path draw again: in a Bernoulli gap
+        # (column 0) and in a clock draw (columns 1 and 2); u = 1/4 at
+        # rho = 1/2 puts log(u) / log(1 - rho) on the integer 2, where the
+        # rounding of the logarithm decides the gap
+        original = oracle._chunk_uniforms
+
+        def patched(seed, chunk_index, count):
+            buf = original(seed, chunk_index, count)
+            buf[::7, 0] = 0.0
+            buf[3::7, 0] = 0.25
+            buf[1::5, 1] = 0.0
+            buf[2::9, 2] = 0.0
+            return buf
+
+        monkeypatch.setattr(oracle, "_chunk_uniforms", patched)
+        for shape in ("wall_q0", "target_q03_n3"):
+            job = BATCHED_JOBS[shape](4, 1030)
+            assert run_monte_carlo(job)[2] == _scalar_successes(job)
+        runs = _count_scalar_runs(monkeypatch)
+        run_monte_carlo(BATCHED_JOBS["wall_q0"](4, 1030))
+        assert {i for i in range(1030) if i % CHUNK % 7 in (0, 3)} <= set(runs)
+
+    def test_clock_tie_with_the_horizon_falls_back(self, monkeypatch):
+        # a horizon equal to the time of sample 0's first jump: the scalar
+        # comparison t > horizon decides that row
+        probe = _job((0, 1, 2), (2, 1, 2), 0.3, 5.0, seed=8)
+        events = []
+        simulate_sample(probe, 0, events)
+        horizon = events[0][0]
+        job = _job((0, 1, 2), (2, 1, 2), 0.3, horizon, seed=8, samples=40,
+                   event=("target", (0, 1, 2), (2, 1, 2)))
+        runs = _count_scalar_runs(monkeypatch)
+        assert run_monte_carlo(job)[2] == _scalar_successes(job)
+        assert 0 in runs
+
+    def test_positions_near_the_int64_limit_fall_back(self, monkeypatch):
+        top = 2**63 - 10
+        job = _job((top - 1, top), (1, 2), 0.5, 2.0, seed=6, samples=50,
+                   event=("target", (top - 1, top + 1), (1, 2)))
+        runs = _count_scalar_runs(monkeypatch)
+        assert run_monte_carlo(job)[2] == _scalar_successes(job) > 0
+        assert len(runs) == 50
+
+    def test_two_workers_give_the_same_counts(self):
+        job = BATCHED_JOBS["wall_q0"](5, 2100)
+        assert run_monte_carlo(job, threads=1) == run_monte_carlo(job, threads=2)
+
+
 class TestWindowGenerator:
     def test_single_particle_structure(self):
         gen = build_window_generator(
@@ -225,6 +350,119 @@ class TestWindowGenerator:
         lo, hi = default_window((0, 1), 1.0)
         assert lo <= -5 and hi >= 8
 
+
+def _reference_window(particles, window, q):
+    """The per-state loop that built window generators before the array
+    builder: (states, index, CSR matrix)."""
+    a, b = window
+    n = particles.n
+    colour_orders = list(_multiset_permutations(particles.species))
+    states = []
+    index = {}
+    for pos in itertools.combinations(range(a, b + 1), n):
+        for spc in colour_orders:
+            index[(pos, spc)] = len(states)
+            states.append((pos, spc))
+    D = len(states)
+    sink = D
+    rows, cols, vals = [], [], []
+
+    def add(i, j, rate):
+        rows.append(i)
+        cols.append(j)
+        vals.append(rate)
+
+    for i, (pos, spc) in enumerate(states):
+        pos_l = list(pos)
+        spc_l = list(spc)
+        occupied = set(pos)
+        for k in range(n):
+            if pos_l[k] + 1 not in occupied:
+                if pos_l[k] + 1 > b:
+                    add(i, sink, 1.0)
+                else:
+                    new_pos = tuple(sorted(pos_l[:k] + [pos_l[k] + 1] + pos_l[k + 1:]))
+                    add(i, index[(new_pos, tuple(spc_l))], 1.0)
+            elif k + 1 < n and pos_l[k + 1] == pos_l[k] + 1:
+                cl, cr = spc_l[k], spc_l[k + 1]
+                swapped = tuple(spc_l[:k] + [cr, cl] + spc_l[k + 2:])
+                if cl > cr:
+                    add(i, index[(pos, swapped)], 1.0)
+                elif cl < cr and q > 0.0:
+                    add(i, index[(pos, swapped)], q)
+            if q > 0.0 and pos_l[k] - 1 not in occupied:
+                if pos_l[k] - 1 < a:
+                    add(i, sink, q)
+                else:
+                    new_pos = tuple(sorted(pos_l[:k] + [pos_l[k] - 1] + pos_l[k + 1:]))
+                    add(i, index[(new_pos, tuple(spc_l))], q)
+    off_diag = sp.coo_matrix(
+        (vals, (rows, cols)), shape=(D + 1, D + 1), dtype=float
+    ).tocsr()
+    diag = -np.asarray(off_diag.sum(axis=1)).ravel()
+    matrix = (off_diag + sp.diags(diag, format="csr")).tocsr()
+    for _ in range(8):
+        resid = np.asarray(matrix.sum(axis=1)).ravel()
+        bad = np.nonzero(resid)[0]
+        if bad.size == 0:
+            break
+        for i in bad:
+            target = diag[i] - resid[i]
+            if target == diag[i]:
+                target = np.nextafter(diag[i], diag[i] - resid[i] * 1e6)
+            diag[i] = target
+        matrix = (off_diag + sp.diags(diag, format="csr")).tocsr()
+    return tuple(states), index, matrix
+
+
+WINDOW_GRID = [
+    # (colours, window): the particles start on both window edges, so the
+    # enumerated states include every exit to the sink
+    ((1,), (0, 3)),
+    ((1, 1), (0, 4)),
+    ((2, 1), (-2, 3)),
+    ((1, 2, 2), (0, 5)),
+    ((3, 2, 1), (-1, 4)),
+    ((1, 1, 1), (0, 4)),
+    ((2, 1, 2, 1), (0, 6)),
+    ((1, 3, 2, 3), (-1, 5)),
+]
+
+
+class TestWindowBuilderEqualsReference:
+    @pytest.mark.parametrize("q", [0.0, 0.3, 0.5, 0.7, 1.7])
+    @pytest.mark.parametrize("colours, window", WINDOW_GRID)
+    def test_bit_identical(self, colours, window, q):
+        n = len(colours)
+        particles = ParticleConfig((window[0],) + tuple(range(window[1] - n + 2, window[1] + 1)),
+                                   colours)
+        gen = build_window_generator(particles, window, ModelParams(q=q))
+        states, index, matrix = _reference_window(particles, window, q)
+        assert gen.states == states
+        assert gen.index == index
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(gen.matrix, part), getattr(matrix, part))
+
+    def test_generic_rate_fix_up_bit_identical(self):
+        # q = 0.3: most row sums need the ulp fix-up
+        particles = ParticleConfig((0, 1, 2), (2, 1, 1))
+        gen = build_window_generator(particles, (-6, 9), ModelParams(q=0.3))
+        states, _, matrix = _reference_window(particles, (-6, 9), 0.3)
+        assert gen.states == states
+        assert np.array_equal(gen.matrix.diagonal(), matrix.diagonal())
+        assert (gen.matrix != matrix).nnz == 0
+
+    @pytest.mark.parametrize("colours, window", [
+        ((1,) * 40, (0, 41)),  # 3**40 position-set keys
+        ((3, 2) + (1,) * 38, (0, 39)),  # 3**40 colour-order keys
+    ])
+    def test_keys_past_int64(self, colours, window):
+        particles = ParticleConfig(tuple(range(40)), colours)
+        gen = build_window_generator(particles, window, ModelParams(q=0.5))
+        states, index, matrix = _reference_window(particles, window, 0.5)
+        assert gen.states == states and gen.index == index
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(gen.matrix, part), getattr(matrix, part))
 
 class TestUniformization:
     def test_delta_at_t0(self):
