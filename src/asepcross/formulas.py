@@ -15,8 +15,9 @@ that also carries ``est_err`` and ``method``.  Every quadrature evaluator
 goes through ``_integrate`` (dimension cap, contour product, trapezoid
 driver, prefactor), takes its convergence tolerance ``tol`` and its
 per-integral evaluation cap ``node_budget`` as arguments (``GreenQuery``
-fields for the Green's function) and reports |prefactor|·|I_n - I_{n/2}|,
-the difference of its last two node-doubling iterates, as ``est_err``.
+fields for the Green's function) and reports |prefactor| times the
+driver's ``est_err`` (the estimated error of the returned trapezoid sum
+plus its round-off level) as ``est_err``.
 Every residue evaluator goes through ``_residues`` (one-variable residue
 sums multiplied over the monomials of a polynomial, whose determinant
 factors ``_det_poly`` expands) and reports method 'laurent' with ROUNDING
@@ -163,8 +164,9 @@ def _finalize_probability(value: complex, est_err: float = 0.0,
 
 def _integrate(integrand, contours, tol, node_budget, scale=1.0, roles=()) -> Result:
     """scale times the integral of ``integrand`` over the product of
-    ``contours``, with |scale|·|I_n - I_{n/2}| as its error; more than
-    DIMENSION_BUDGET variables are refused before any evaluation."""
+    ``contours``, with |scale| times the driver's est_err (the estimated
+    error of the returned sum plus its round-off level) as its error; more
+    than DIMENSION_BUDGET variables are refused before any evaluation."""
     if len(contours) > DIMENSION_BUDGET:
         raise ResourceLimitError(
             f"{len(contours)} integration variables exceed the budget {DIMENSION_BUDGET}"

@@ -1,5 +1,6 @@
 import math
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -144,6 +145,20 @@ class TestTwoTasepGreen:
             assert sink < 1e-8
             val = two_tasep_green(GreenQuery(ini, fin, t, tol=1e-9))
             assert abs(val - oracle) < 1e-7
+
+    def test_full_path_in_four_variables(self):
+        # |I_64 - I_32| is 1e-10 here, so confirming I_64 by the next full
+        # level would need 128^4 nodes, over the default budget
+        ini = _two_species((0, 1, 2), (2,))
+        fin = _two_species((1, 2, 4), (3,))
+        gen = build_window_generator(ini, (-4, 14), ModelParams(q=0.0))
+        oracle, sink = expm_transition(gen, ini, fin, 1.0)
+        assert sink < 1e-10
+        start = time.process_time()
+        val = two_tasep_green(GreenQuery(ini, fin, 1.0))
+        assert time.process_time() - start < 2.0
+        assert val.method == "quadrature"
+        assert abs(val - oracle) <= val.est_err < 1e-10
 
     def test_out_of_regime_value_vanishes(self):
         ini = _two_species((0, 1), (1,))

@@ -1,11 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from asepcross import formulas
 from asepcross.core import AccuracyError, ResourceLimitError, ValidationError
 from asepcross.quadrature import (
+    DEFAULT_MAX_NODES,
+    DEFAULT_START_NODES,
     EVAL_CHUNK,
+    ROUNDOFF,
     ContourProduct,
     ContourSpec,
     OpenGrid,
@@ -15,6 +20,7 @@ from asepcross.quadrature import (
     product_integrate,
     residue_terms,
 )
+from conftest import make_blocks
 
 
 class TestContourSpecs:
@@ -56,8 +62,8 @@ class TestCircleIntegrate:
 
     def test_laurent_polynomial_exactness(self, rng):
         # trapezoid on N nodes is exact when no power but -1 is -1 mod N:
-        # with powers -20..20 the 32- and 64-node levels both are, so the
-        # driver stops at 64
+        # with powers -20..20 the 32- and 64-node rules are and the 16-node
+        # rule is not, so the 32 new nodes of the 64-node grid confirm it
         powers = range(-20, 21)
         coeffs = {p: complex(*rng.normal(size=2)) for p in powers}
 
@@ -67,10 +73,22 @@ class TestCircleIntegrate:
                 out = out + c * z**p
             return out
 
-        g, levels = counted(lambda Z: f(Z[0]))
-        val, _ = product_integrate(g, ContourProduct((ContourSpec(0.0, 0.8),)))
-        assert levels == {32: 32, 64: 64}
+        cp = ContourProduct((ContourSpec(0.0, 0.8),))
+        g, levels = counted(lambda Z: f(Z[0]), cp)
+        val, _ = product_integrate(g, cp)
+        assert levels == {(32,): 32, (64,): 32}
         assert abs(val - coeffs[-1]) < 1e-12 * max(abs(c) for c in coeffs.values())
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_aliasing_negative_control(self, d):
+        # z^31 z = z^32 is 1 at every node of the 8-, 16- and 32-node rules,
+        # so their sums agree on 1 against a true 0 and differ by rounding
+        # only: the 32-node grid must not be accepted
+        cp = ContourProduct((ContourSpec(0.0, 1.0),) * d)
+        g, levels = counted(lambda Z: math.prod(z**31 for z in Z), cp)
+        value, err = product_integrate(g, cp)
+        assert abs(value) <= err < 1e-14
+        assert set(levels) != {(32,) * d}
 
     def test_pole_on_contour_detected(self):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -108,48 +126,146 @@ class TestProductIntegrate:
         assert abs(a - b) < 1e-12
 
     def test_budget_failure_reports_iterates(self):
+        # the 1/Z[1] axis is exact under every rule, so it is trusted only
+        # once doubled, and that second 32 x 32 grid is over the budget
         cp = ContourProduct((ContourSpec(0, 0.5), ContourSpec(0, 0.6)))
-        with pytest.raises(AccuracyError, match="budget"):
+        with pytest.raises(AccuracyError, match="budget") as info:
             product_integrate(
                 lambda Z: np.exp(1.0 / Z[0]) / Z[1], cp, tol=1e-14, node_budget=1500
             )
+        message = str(info.value)
+        assert "nodes per axis (32, 32), 1024 evaluations" in message
+        value, est = re.search(r"last value (\S+) with est_err (\S+)$", message).groups()
+        assert abs(complex(value) - 1.0) < 1e-12
+        assert est == "inf"
+
+    def test_node_cap_failure_reports_iterates(self):
+        # a pole 1e-4 inside the circle: the rules converge like 0.9999^n
+        cp = ContourProduct((ContourSpec(0, 1.0),))
+        with pytest.raises(AccuracyError, match="did not reach") as info:
+            product_integrate(lambda Z: 1.0 / (Z[0] - 0.9999), cp)
+        message = str(info.value)
+        assert f"nodes per axis ({DEFAULT_MAX_NODES},), {DEFAULT_MAX_NODES} evaluations" in message
+        assert re.search(r"last value \S+ with est_err \S+$", message)
+
+    def test_est_err_bounds_the_doubled_grid(self):
+        # each evaluator's integral against the same trapezoid rule with
+        # twice its final nodes on every axis, in 2 and 3 variables
+        calls = [
+            lambda: formulas.cumulative_crossing_step((-1, 0), 1, -3, 2, 2.0),
+            lambda: formulas.rainbow_total_crossing((1, 0), (1, 2), 0.5, 1.0),
+            lambda: formulas.r_asep_transition((1, 0), (0, 2), 0.5, 1.0),
+            lambda: formulas.cumulative_crossing_step((-2, -1, 0), 2, -3, 2, 1.0),
+            lambda: formulas.block_crossing(formulas.CrossingQuery(
+                make_blocks([[1, 0], [-1]], "initial"), make_blocks([[2, 1], [3]], "final"),
+                0.5, 1.0)),
+        ]
+        seen = []
+
+        def recording(f, cp, **kwargs):
+            g, levels = counted(f, cp)
+            value, err = product_integrate(g, cp, **kwargs)
+            seen.append((f, cp, value, err, max(levels)))
+            return value, err
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formulas, "product_integrate", recording)
+            for call in calls:
+                call()
+        assert [cp.dim for _, cp, *_ in seen] == [2, 2, 2, 3, 3]
+        for f, cp, value, err, counts in seen:
+            assert abs(value - trapezoid(f, cp, [2 * n for n in counts])) <= err
 
 
-def flat_reference(f, cp, tol=1e-10, start=32, max_nodes=4096):
-    """Node doubling on the flat (d, M) list of all node tuples, one call per
-    level; returns (value, err, {nodes per axis: points evaluated})."""
-    d = cp.dim
-    orient = math.prod(c.orientation for c in cp.contours)
-    prev = value = None
-    levels = {}
-    n = start
-    while n <= max_nodes:
-        axes = [c.points(n) for c in cp.contours]
-        idx = np.indices((n,) * d).reshape(d, -1)
-        pts = np.array([axes[k][idx[k]] for k in range(d)])
-        weight = np.prod([pts[k] - c.center for k, c in enumerate(cp.contours)], axis=0)
-        vals = np.broadcast_to(f(pts), weight.shape)
-        levels[n] = pts.shape[1]
-        prev, value = value, orient * complex(np.sum(vals * weight)) / n**d
-        if prev is not None and abs(value - prev) < tol:
-            return value, abs(value - prev), levels
-        n *= 2
-    raise AssertionError("flat reference did not converge")
+def node_grid(z, c: ContourSpec) -> int:
+    """Node count of the coarsest grid of ``c`` (a power of two up to
+    DEFAULT_MAX_NODES) that holds every node in ``z``, read off the angles."""
+    j = np.rint(np.angle(np.ravel(z) - c.center) / (2 * np.pi) * DEFAULT_MAX_NODES)
+    j = j.astype(int) % DEFAULT_MAX_NODES
+    return DEFAULT_MAX_NODES // int(np.gcd.reduce(np.append(j, DEFAULT_MAX_NODES)))
 
 
-def counted(f, blocks=None):
-    """Wrap f to tally node tuples per level (the last axis is always whole)."""
+def counted(f, cp, blocks=None):
+    """Wrap f to tally node tuples by nodes per axis: an axis's count is the
+    coarsest grid holding all of its nodes handed to f so far (at least
+    DEFAULT_START_NODES), so each block is tallied under the grid it fills."""
+    counts = [DEFAULT_START_NODES] * cp.dim
     levels = {}
 
     def g(Z):
         assert isinstance(Z, OpenGrid)
-        n = Z[-1].size
-        levels[n] = levels.get(n, 0) + Z.shape[1]
+        for k, (z, c) in enumerate(zip(Z, cp.contours)):
+            counts[k] = max(counts[k], node_grid(z, c))
+        key = tuple(counts)
+        levels[key] = levels.get(key, 0) + Z.shape[1]
         if blocks is not None:
             blocks.append(Z)
         return f(Z)
 
     return g, levels
+
+
+def trapezoid(f, cp, counts):
+    """The counts[k]-node trapezoid rule on axis k, summed over slabs of 8
+    nodes of the first axis."""
+    d = cp.dim
+    axes = [c.points(n) for c, n in zip(cp.contours, counts)]
+    total = 0.0
+    for i in range(0, counts[0], 8):
+        grid = OpenGrid(
+            (a[i:i + 8] if k == 0 else a).reshape((1,) * k + (-1,) + (1,) * (d - 1 - k))
+            for k, a in enumerate(axes)
+        )
+        weight = math.prod(
+            c.orientation * (z - c.center) / n for c, z, n in zip(cp.contours, grid, counts)
+        )
+        total += complex(np.sum(f(grid) * weight))
+    return total
+
+
+def flat_reference(f, cp, tol=1e-10):
+    """The driver's stopping rule on the flat (d, M) list of all node
+    tuples: each grid is evaluated whole and each rule summed over its own
+    nodes.  Returns (value, est_err, {nodes per axis: new node tuples})."""
+    d = cp.dim
+    counts = [DEFAULT_START_NODES] * d
+    levels = {tuple(counts): math.prod(counts)}
+    while True:
+        idx = np.indices(counts).reshape(d, -1)
+        pts = np.array([c.points(n)[i] for c, n, i in zip(cp.contours, counts, idx)])
+        vals = np.broadcast_to(f(pts), idx.shape[1:])
+        terms = vals * np.prod(
+            [c.orientation * (p - c.center) / n for c, n, p in zip(cp.contours, counts, pts)],
+            axis=0,
+        )
+
+        def rule(k, step):  # every step-th node on axis k, every node elsewhere
+            return step * complex(np.sum(terms[idx[k] % step == 0]))
+
+        value = rule(0, 1)
+        floor = ROUNDOFF * float(np.sum(np.abs(vals))) * math.prod(
+            c.radius / n for c, n in zip(cp.contours, counts)
+        )
+        errs = []
+        for k in range(d):
+            half, quarter = rule(k, 2), rule(k, 4)
+            delta, coarse = abs(value - half), abs(half - quarter)
+            err = math.inf
+            if 0 < delta < coarse and coarse > 1e3 * floor:
+                err = 10 * delta**2 / coarse
+            if counts[k] > DEFAULT_START_NODES:
+                err = min(err, delta)
+            errs.append(err)
+        est = sum(errs) + floor
+        if est < tol:
+            return value, est, levels
+        share = min((tol - floor) / d, max(errs))
+        for k in range(d):
+            if errs[k] >= share:
+                assert counts[k] < DEFAULT_MAX_NODES
+                before = math.prod(counts)
+                counts[k] *= 2
+                levels[tuple(counts)] = math.prod(counts) - before
 
 
 def random_laurent(rng, d, terms=6):
@@ -187,10 +303,15 @@ def circles(d):
 class TestOpenGrid:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_block_shape_and_size(self, d):
+        # every rule is exact, so each axis is doubled once, in order: the
+        # k-th doubling adds 32 new nodes times the 64^k x 32^(d-1-k) others
         blocks = []
-        g, levels = counted(lambda Z: 1.0 / math.prod(Z), blocks)
-        product_integrate(g, ContourProduct((ContourSpec(0.0, 0.5),) * d))
-        assert levels == {32: 32**d, 64: 64**d}
+        cp = ContourProduct((ContourSpec(0.0, 0.5),) * d)
+        g, levels = counted(lambda Z: 1.0 / math.prod(Z), cp, blocks)
+        product_integrate(g, cp)
+        assert levels == {(32,) * d: 32**d} | {
+            (64,) * (k + 1) + (32,) * (d - 1 - k): 2**k * 32**d for k in range(d)
+        }
         for Z in blocks:
             M = math.prod(np.broadcast_shapes(*(z.shape for z in Z)))
             assert Z.shape == (d, M)
@@ -208,10 +329,11 @@ class TestOpenGrid:
     def test_broadcast_integrands(self, f):
         # a variable the integrand does not depend on integrates to zero
         cp = circles(3)
-        g, levels = counted(f)
+        g, levels = counted(f, cp)
         value, err = product_integrate(g, cp)
         ref_value, ref_err, ref_levels = flat_reference(f, cp)
         assert abs(value) < 1e-14 and abs(value - ref_value) < 1e-14
+        assert abs(err - ref_err) < 1e-14
         assert levels == ref_levels
 
     def test_nan_at_one_node_of_broadcast_axis(self):
@@ -228,7 +350,7 @@ class TestOpenGrid:
         cp = circles(d)
         poly, residue = random_laurent(rng, d)
         for f, exact in ((poly, residue), exp_product(d)):
-            g, levels = counted(f)
+            g, levels = counted(f, cp)
             value, err = product_integrate(g, cp)
             ref_value, ref_err, ref_levels = flat_reference(f, cp)
             assert levels == ref_levels
