@@ -18,12 +18,15 @@ per-integral evaluation cap ``node_budget`` as arguments (``GreenQuery``
 fields for the Green's function) and reports |prefactor| times the
 driver's ``est_err`` (the estimated error of the returned trapezoid sum
 plus its round-off level) as ``est_err``.
-Every residue evaluator goes through ``_residues`` (one-variable residue
-sums multiplied over the monomials of a polynomial, whose determinant
-factors ``_det_poly`` expands) and reports method 'laurent' with ROUNDING
-times the summed size of the terms that cancel as est_err, except
-``schutz_determinant``, whose entries are Poisson series (est_err 0.0);
-structural zeros (an infeasible wall, t = 0 in ``gamma_wall``) report 0.0
+Every wall residue evaluator goes through ``_andreief``: one moment table
+(``quadrature.residue_moments``) per variable, Andréief's identity turning
+the symmetric variables' squared Vandermonde into one determinant of their
+moments, and ``_residues`` summing the other variables' moments over the
+monomials that determinant leaves.  It reports method 'laurent' with
+ROUNDING times the size of the terms that cancel as est_err, where the size
+of a determinant is the permanent of its entries' sizes.
+``schutz_determinant``, whose entries are Poisson series, reports est_err
+0.0; structural zeros (an infeasible wall, t = 0 in ``gamma_wall``) report 0.0
 with method 'exact'.  A NaN is refused like any other value outside
 [0, 1].  Negative ``t`` or ``q`` is refused with ValidationError.
 """
@@ -48,15 +51,13 @@ from .quadrature import (
     DEFAULT_NODE_BUDGET,
     ContourProduct,
     ContourSpec,
-    MultivariatePolynomial,
     OpenGrid,
     RationalExpDescriptor,
     batched_det,
     laurent_residue,  # not called here; bench/tracing.py patches formulas.laurent_residue
     product_integrate,
-    residue_terms,
+    residue_moments,
     spectral_rows,
-    vandermonde_squared_poly,
 )
 from .vertex import f_mu, sfF_lambda, xi_mu
 
@@ -574,58 +575,101 @@ def _pole_variable(t: float, factors, points):
     return RationalExpDescriptor(t, factors), points
 
 
-def _det_poly(nvars: int, k: int, entry, signed: bool = True) -> dict:
-    """det[entry(i, j)] over i, j < k (the permanent if not ``signed``),
-    expanded into one exponent -> coefficient map in nvars variables; each
-    entry is such a map."""
-    terms: dict[tuple[int, ...], complex] = {}
-    for perm, sgn in signed_permutations(k):
-        poly = MultivariatePolynomial(nvars)
-        for i in range(k):
-            poly.multiply_terms(entry(i, perm[i]))
-        for key, cf in poly.items():
-            terms[key] = terms.get(key, 0.0) + (sgn if signed else 1) * cf
-    return {key: cf for key, cf in terms.items() if cf != 0}
+def _det_and_permanent(perms, values, sizes) -> tuple[complex, float]:
+    """det of the square matrix ``values`` and the permanent of ``sizes``,
+    in one Leibniz pass over ``perms`` (``signed_permutations``)."""
+    det, per = 0.0, 0.0
+    for perm, sgn in perms:
+        term, bound = sgn, 1.0
+        for a, b in enumerate(perm):
+            term *= values[a][b]
+            bound *= sizes[a][b]
+        det += term
+        per += bound
+    return det, per
 
 
-def _residues(variables, terms: dict) -> tuple[complex, float]:
-    """Sum over the monomials c x^e of ``terms`` of c times the product of
-    one-variable residue sums, and the same sum over |c| and the absolute
-    values of the single residues.
-
-    Variable i is a (RationalExpDescriptor, points) pair; x_i^e shifts its
-    power at 0 by e, and each residue sum is computed once per (i, e).  The
-    second number is the size of the terms that cancel in the first, which
-    sets its rounding error.
+def _residues(variables, terms: dict, beta: int | None) -> tuple[complex, float]:
+    """The residues in the k variables w_i of Σ_c v_c·w^c·det_k[w_i^(k-1-j) -
+    w_i^beta] over the monomials w^c of ``terms`` (c -> (v_c, s_c)), and
+    their size.  Variable i is a (RationalExpDescriptor, points) pair with
+    moment table (M_i, S_i) over the exponents its column uses.  Row i of
+    the border depends on w_i alone, so a monomial adds v_c·det_k[M_i(c_i+k-1-j)
+    - M_i(c_i+beta)], and s_c times the permanent of S_i(c_i+k-1-j) +
+    S_i(c_i+beta) to the size.  Without ``beta`` the border is 1 (k = 1).
     """
-    cache: dict[tuple[int, int], tuple[complex, float]] = {}
-
-    def one(i: int, e: int) -> tuple[complex, float]:
-        if (i, e) not in cache:
-            desc, points = variables[i]
-            if e:
-                desc = RationalExpDescriptor(desc.exp_coeff, desc.factors + ((0j, e),))
-            residues = residue_terms(desc, points)
-            cache[i, e] = sum(residues, 0.0 + 0.0j), sum(map(abs, residues))
-        return cache[i, e]
-
+    k = len(variables)
+    b, sub = (0, 0.0) if beta is None else (beta, 1.0)
+    tables = []
+    for i, (desc, points) in enumerate(variables):
+        lo, hi = min(c[i] for c in terms) + min(0, b), max(c[i] for c in terms) + max(k - 1, b)
+        tables.append((lo, *residue_moments(desc, points, lo, hi)))
+    perms = signed_permutations(k)
     total, size = 0.0 + 0.0j, 0.0
-    for expo, cf in terms.items():
-        term, term_size = complex(cf), abs(cf)
-        for i, e in enumerate(expo):
-            value, value_size = one(i, e)
-            term *= value
-            term_size *= value_size
-        total += term
-        size += term_size
+    for c, (v, s) in terms.items():
+        values, bounds = [], []
+        for e, (lo, moments, sizes) in zip(c, tables):
+            e -= lo
+            values.append([moments[e + k - 1 - j] - sub * moments[e + b] for j in range(k)])
+            bounds.append([sizes[e + k - 1 - j] + sub * sizes[e + b] for j in range(k)])
+        det, per = _det_and_permanent(perms, values, bounds)
+        total += v * det
+        size += s * per
     return total, size
 
 
-def _residue_probability(scale: float, variables, terms: dict) -> Result:
-    """scale times ``_residues``, with ROUNDING·|scale| times the size of
-    its terms as the error."""
-    value, size = _residues(variables, terms)
-    return _finalize_probability(complex(scale * value), ROUNDING * abs(scale * size))
+def _andreief(scale: float, z, m: int, w=(), beta: int | None = None) -> Result:
+    """The wall residue integral over m symmetric variables z_i and k = len(w)
+    further variables w_j, by Andréief's identity.
+
+    ``z`` and each entry of ``w`` are (RationalExpDescriptor, points) pairs;
+    L_z maps z^p to the moment h_p of ``z``, and L_w takes the w_j's
+    residues (``_residues``, with the border det_k[w_i^(k-1-j) - w_i^beta]).
+    The integral
+
+        (1/m!) L_z^m L_w[prod_{i != j} (z_j - z_i) prod_{i, j} (z_i - w_j) border(w)]
+
+    equals (-1)^(m(m-1)/2) L_w[det_m[H_{a+b}(w)] border(w)], a, b < m:
+    - prod_{i != j} (z_j - z_i) = (-1)^(m(m-1)/2) Δ(z)², Δ(z) = det[z_i^a];
+    - prod_j (z - w_j) = Σ_r (-1)^r e_r(w) z^(k-r), e_r elementary symmetric;
+    - Andréief, (1/m!) L_z^m[det[f_a(z_i)] det[g_b(z_i)]] = det[L_z(f_a g_b)]
+      with f_a = z^a and g_b = z^b prod_j (z - w_j), gives the entries
+      H_p(w) = Σ_r (-1)^r e_r(w) h_{p+k-r}.
+    At k = 0 this is the Hankel determinant det[h_{a+b}].  Expanding each
+    row of det_m[H] over the subsets T_a of the w's in e_r (multilinearity)
+    leaves scalar determinants det[h_{a+b+k-|T_a|}] times (-1)^Σ|T_a| and the
+    monomial prod_a w^(T_a); one determinant serves every choice with the
+    same subset sizes.
+
+    Returns scale times the integral, with ROUNDING·|scale|·size as est_err:
+    the size is the same sum with each determinant replaced by the
+    permanent of its entries' sizes S, so it bounds every product the sum
+    adds up.  An est_err of 1 or more leaves no digit of a probability, and
+    is refused with AccuracyError.
+    """
+    k = len(w)
+    h, hs = residue_moments(*z, 0, 2 * m + k - 2) if m else ((), ())
+    perms = signed_permutations(m)
+    dets: dict[tuple[int, ...], tuple[complex, float]] = {}
+    terms: dict[tuple[int, ...], tuple[complex, float]] = {}
+    for rows in itertools.product(itertools.product((0, 1), repeat=k), repeat=m):
+        shift = tuple(k - sum(row) for row in rows)  # row a reads h[a + b + shift[a]]
+        if shift not in dets:
+            hankel = [[a + b + shift[a] for b in range(m)] for a in range(m)]
+            dets[shift] = _det_and_permanent(
+                perms, *([[x[i] for i in row] for row in hankel] for x in (h, hs))
+            )
+        det, per = dets[shift]
+        key = tuple(map(sum, zip(*rows, (0,) * k)))
+        value, size = terms.get(key, (0.0, 0.0))
+        terms[key] = (value + (-det if (m * k - sum(shift)) % 2 else det), size + per)
+    value, size = _residues(w, terms, beta) if w else terms[()]
+    scale *= (-1) ** (m * (m - 1) // 2)
+    err = ROUNDING * abs(scale * size)
+    if err >= 1.0:
+        raise AccuracyError(f"residue terms of size {abs(scale * size):.3g} cancel: "
+                            f"their rounding bound {err:.3g} spans all of [0, 1]")
+    return _finalize_probability(complex(scale * value), err)
 
 
 def cumulative_crossing_bernoulli(
@@ -661,39 +705,29 @@ def cumulative_crossing_bernoulli(
 
         return _integrate(integrand, _origin_contours(m, k), tol, node_budget,
                           scale=rho**m / math.factorial(m))
-    # inverted form: variables z_i (m of them) then w_i (k of them)
-    poly = vandermonde_squared_poly(n, m)
-    for i in range(m):
-        for j in range(k):
-            poly.multiply_linear({i: 1.0, m + j: -1.0})
-    if k:
-        # det[w_i^(k-1-j) - w_i^beta]; beta < 0 on a feasible wall, so the
-        # two monomials of an entry never coincide
-        beta = k + s1 - s2 - 1
-
-        def entry(i, j):
-            mono = lambda e: (0,) * (m + i) + (e,) + (0,) * (k - 1 - i)
-            return {mono(k - 1 - j): 1.0, mono(beta): -1.0}
-
-        poly.multiply_terms(_det_poly(n, k, entry))
+    # inverted form: m symmetric variables z, then k variables w_i, coupled
+    # by prod (z_i - w_j) and bordered by det[w_i^(k-1-j) - w_i^beta]
     z = _pole_variable(t, ((1.0, -n), (1.0 - rho, -1), (0.0, -s2 - m + 1)),
                        (0.0, 1.0, 1.0 - rho))
     w = [_pole_variable(t, ((1.0, i - k), (0.0, -s1 - m)), (0.0, 1.0)) for i in range(k)]
-    return _residue_probability(rho**m / math.factorial(m), [z] * m + w, poly.terms)
+    return _andreief(rho**m, z, m, w, k + s1 - s2 - 1)
 
 
 def cumulative_crossing_one_wall(query: WallQuery, form: str = "collapsed") -> Result:
     """Cumulative crossing when the lower wall is irrelevant (s1 <= -m).
 
-    ``form='collapsed'`` evaluates the (m+1)-fold residue integral in which
-    the type-1 integrals have collapsed to a single variable;
-    ``form='cauchy_binet'`` evaluates the equivalent determinant of
-    one-dimensional integrals.  Both carry the overall sign (-1)^(m+1)
-    that the successive residue evaluation of the type-1 block produces;
-    the determinant form also carries (-1)^(m(m-1)/2), the sign of
-    reversing the order of its m rows.  The collapse needs at least one
-    type-1 particle, so n = m is refused; the signs are tested against
-    cumulative_crossing_bernoulli for m up to 4.
+    The type-1 integrals collapse to one variable w, so the value is the
+    (m+1)-fold residue integral
+    (-1)^(m+1) rho^m/m! L_z^m L_w[prod_{i != j} (z_j - z_i) prod_i (w - z_i)],
+    the sign (-1)^(m+1) coming from the successive residue evaluation of
+    the type-1 block.  With prod_i (w - z_i) = (-1)^m prod_i (z_i - w) it is
+    ``_andreief`` with k = 1 and scale -rho^m, i.e.
+    -(-1)^(m(m-1)/2) rho^m L_w[det_m[h_{a+b+1} - w h_{a+b}]] over the
+    moments h of z.  That determinant of one-dimensional integrals is also
+    the Cauchy-Binet form, so ``form='collapsed'`` and
+    ``form='cauchy_binet'`` name one computation.  The collapse needs at
+    least one type-1 particle, so n = m is refused; the signs are tested
+    against cumulative_crossing_bernoulli for m up to 4.
     """
     if query.s1 > -query.m:
         raise ValidationError(
@@ -712,24 +746,7 @@ def cumulative_crossing_one_wall(query: WallQuery, form: str = "collapsed") -> R
     z = _pole_variable(t, ((1.0, -(m + 1)), (1.0 - rho, -1), (0.0, -s2 - m + 1)),
                        (0.0, 1.0, 1.0 - rho))
     w = _pole_variable(t, ((1.0, -1), (0.0, n - 2 * m - s2 - 1)), (0.0,))
-    if form == "collapsed":
-        poly = vandermonde_squared_poly(m + 1, m)
-        for i in range(m):
-            poly.multiply_linear({m: 1.0, i: -1.0})
-        return _residue_probability((-1.0) ** (m + 1) * rho**m / math.factorial(m),
-                                    [z] * m + [w], poly.terms)
-    # Cauchy-Binet form: det(w A - B) of z-integrals, A_ij = h[i+j] and
-    # B_ij = h[i+j+1] with h[p] the z-integral of z^p (a Hankel matrix), then
-    # one w-integral
-    h = [_residues([z], {(p,): 1.0}) for p in range(2 * m)]
-    w_poly = _det_poly(1, m, lambda i, j: {(1,): h[i + j][0], (0,): -h[i + j + 1][0]})
-    # the m factors h of a product and the w-residues each bring their
-    # rounding: m + 1 times the w-integral of the permanent of the sizes of h
-    h_size = lambda i, j: {(1,): h[i + j][1], (0,): h[i + j + 1][1]}
-    size = (m + 1) * _residues([w], _det_poly(1, m, h_size, signed=False))[1]
-    scale = (-1.0) ** (m + 1 + m * (m - 1) // 2) * rho**m
-    value = scale * _residues([w], w_poly)[0]
-    return _finalize_probability(complex(value), ROUNDING * abs(scale * size))
+    return _andreief(-(rho**m), z, m, [w])
 
 
 def gamma_wall(n: int, s: int, t: float, method: str = "laurent",
@@ -737,7 +754,8 @@ def gamma_wall(n: int, s: int, t: float, method: str = "laurent",
     """Probability that all n step-start particles (at 1..n) pass the wall s.
 
     The symmetrized n-fold integral is evaluated exactly by residues at
-    {0, 1} after expanding the squared Vandermonde coupling, or by circle
+    {0, 1}, as the Hankel determinant (-1)^(n(n-1)/2) det[h_{a+b}] of the
+    one-variable moments h (``_andreief`` with k = 0), or by circle
     quadrature for cross-checking.  At t = 0 it is an exact 0.
     """
     if s <= n:
@@ -749,8 +767,7 @@ def gamma_wall(n: int, s: int, t: float, method: str = "laurent",
         return Result(0.0, 0.0, "exact")
     if method == "laurent":
         z = _pole_variable(t, ((1.0, -n), (0.0, 1 - s)), (0.0, 1.0))
-        return _residue_probability(1.0 / math.factorial(n), [z] * n,
-                                    vandermonde_squared_poly(n).terms)
+        return _andreief(1.0, z, n)
 
     def integrand(Z):
         out = 1.0

@@ -15,14 +15,19 @@ varying along its own dimension, so a factor in one variable is evaluated
 once per axis node and only the coupled parts run over every node tuple.  ``batched_det`` is the one determinant kernel on
 such grids: a Leibniz sum over ``core.signed_permutations`` whose products
 keep the entries' broadcast shape.  A separate series-based residue engine
-(``laurent_residue``, at each distinct point by ``residue_terms``) handles
-integrands of rational-times-exponential form exactly.
+handles integrands g of rational-times-exponential form exactly:
+``residue_moments`` returns the moment table of g, the residue sums
+M(e) = Σ_p Res_{z=p} g(z)·z^e for a range of e with their sizes Σ_p |Res|,
+from one Taylor series per pole; ``laurent_residue`` (one pole, e = 0) and
+``residue_terms`` (one residue per distinct point) are read off it.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -370,18 +375,18 @@ class RationalExpDescriptor:
         return out
 
 
-def _binomial_series(shift: complex, exponent: int, length: int) -> np.ndarray:
+def _binomial_series(shift: complex, exponent: int, length: int) -> list[complex]:
     """Coefficients of (x + shift)^exponent as a series in x, truncated.
 
     Exact for all exponents: positive exponents terminate, negative ones use
     the generalized binomial series (requires shift != 0).
     """
-    coeffs = np.zeros(length, dtype=complex)
+    coeffs = [0j] * length
     if shift == 0:
         if exponent < 0:
             raise ValidationError("pole collision: factor vanishes at expansion point")
         if exponent < length:
-            coeffs[exponent] = 1.0
+            coeffs[exponent] = 1.0 + 0.0j
         return coeffs
     top = length - 1 if exponent < 0 else min(exponent, length - 1)
     try:
@@ -397,58 +402,99 @@ def _binomial_series(shift: complex, exponent: int, length: int) -> np.ndarray:
     return coeffs
 
 
-def laurent_residue(
-    descriptor: RationalExpDescriptor, at: complex, order_cap: int = 4096
-) -> complex:
-    """Residue of a rational-times-exponential integrand at one of its poles.
-
-    The residue is the coefficient of x^(b-1) (x = z - pole, b = pole order)
-    in the product of the remaining factors; every factor is expanded to
-    length b, so the extraction is exact up to rounding.  Pole orders above
-    ``order_cap`` are refused.
-    """
-    at = complex(at)
-    order = 0
-    rest = []
-    for point, expo in descriptor.factors:
-        if abs(point - at) < 1e-12:
-            if expo >= 0:
-                return 0.0 + 0.0j
-            order = -expo
-            if order > order_cap:
-                raise ResourceLimitError(
-                    f"pole order {order} exceeds the cap {order_cap}"
-                )
-        else:
-            rest.append((point, expo))
-    if order == 0:
-        return 0.0 + 0.0j
-    # exp(a x) = sum c_k x^k with c_k = c_{k-1} a / k: no a^k or k! to overflow
-    coeffs = [1.0 + 0.0j]
-    for k in range(1, order):
-        coeffs.append(coeffs[-1] * descriptor.exp_coeff / k)
-    series = np.array(coeffs) * np.exp(descriptor.exp_coeff * (at - 1.0))
-    for point, expo in rest:
-        series = np.convolve(series, _binomial_series(at - point, expo, order))[:order]
-    return complex(series[order - 1])
-
-
-def residue_terms(descriptor: RationalExpDescriptor, points) -> list[complex]:
-    """Residues at the given points, each point within 1e-12 of another
-    counted once."""
+def _distinct(points) -> list[complex]:
+    """The points, each point within 1e-12 of an earlier one dropped."""
     seen: list[complex] = []
     for p in points:
         p = complex(p)
         if not any(abs(p - s) < 1e-12 for s in seen):
             seen.append(p)
-    return [laurent_residue(descriptor, p) for p in seen]
+    return seen
+
+
+def residue_moments(
+    descriptor: RationalExpDescriptor, points, lo: int, hi: int, order_cap: int = 4096
+) -> tuple[list[complex], list[float]]:
+    """Moment table of a rational-times-exponential integrand g over the
+    distinct ``points``: two lists whose entries e - lo, for e = lo..hi, are
+    M(e) = Σ_p Res_{z=p} g(z)·z^e and S(e) = Σ_p |Res_{z=p} g(z)·z^e|.
+
+    One Taylor series per pole p serves every e.  With x = z - p and b the
+    pole order of g·z^lo at p, the residue is the coefficient of x^(b-1) in
+    the product of the other factors, each expanded to length b.  At p = 0
+    the power z^(e-lo) lowers b by e - lo, so the residue for e is
+    coefficient b - 1 - (e - lo) of the same series; at p != 0 the series is
+    combined with (p + x)^(e-lo), whose coefficients the loop carries from
+    one e to the next.  Pole orders above ``order_cap`` are refused.
+    """
+    if lo:
+        descriptor = RationalExpDescriptor(
+            descriptor.exp_coeff, descriptor.factors + ((0.0, lo),)
+        )
+    size = hi - lo + 1
+    moments, sizes = [0j] * size, [0.0] * size
+    for at in _distinct(points):
+        order = 0
+        rest = []
+        for point, expo in descriptor.factors:
+            if abs(point - at) < 1e-12:
+                order = -expo
+            else:
+                rest.append((point, expo))
+        if order <= 0:
+            continue
+        if order > order_cap:
+            raise ResourceLimitError(f"pole order {order} exceeds the cap {order_cap}")
+        # exp(a x) = sum c_k x^k with c_k = c_{k-1} a / k: no a^k or k! to overflow;
+        # e^(a(p-1)) comes last, so underflow times overflow is NaN, not a silent 0
+        series = [1.0 + 0.0j]
+        for k in range(1, order):
+            series.append(series[-1] * descriptor.exp_coeff / k)
+        scale = complex(np.exp(descriptor.exp_coeff * (at - 1.0)))
+        series = [c * scale for c in series]
+        for point, expo in rest:
+            factor = _binomial_series(at - point, expo, order)
+            # C for the long series of long walls, where an O(order²) Python sum is slow
+            series = (np.convolve(series, factor)[:order].tolist() if order > 16 else
+                      [sum(map(operator.mul, series[k::-1], factor)) for k in range(order)])
+        backward = series[::-1]
+        if abs(at) < 1e-12:
+            residues = backward[:size]
+        else:
+            residues = []
+            power = [1.0 + 0.0j] + [0j] * (order - 1)  # (at + x)^(e-lo), truncated
+            for _ in range(size):
+                residues.append(sum(map(operator.mul, power, backward)))
+                power = [at * power[0]] + [at * a + b for a, b in zip(power[1:], power)]
+            if not all(map(cmath.isfinite, residues)):
+                raise AccuracyError(f"factor ({at:.3g})^{size - 1} overflows the float range")
+        for j, r in enumerate(residues):
+            moments[j] += r
+            sizes[j] += abs(r)
+    return moments, sizes
+
+
+def laurent_residue(
+    descriptor: RationalExpDescriptor, at: complex, order_cap: int = 4096
+) -> complex:
+    """Residue of a rational-times-exponential integrand at one of its poles:
+    the e = 0 entry of its one-point moment table (exact up to rounding).
+    Pole orders above ``order_cap`` are refused."""
+    return residue_moments(descriptor, (at,), 0, 0, order_cap)[0][0]
+
+
+def residue_terms(descriptor: RationalExpDescriptor, points) -> list[complex]:
+    """Residues at the given points, each point within 1e-12 of another
+    counted once."""
+    return [laurent_residue(descriptor, p) for p in _distinct(points)]
 
 
 class MultivariatePolynomial:
     """Sparse multivariate polynomial keyed by exponent tuples.
 
-    Supports only what the residue route needs: start from 1, multiply in
-    linear forms ``sum c_k x_k`` and other polynomials, and iterate monomials.
+    Start from 1, multiply in linear forms ``sum c_k x_k`` and other
+    polynomials, and iterate monomials: the monomial expansion that the
+    tests keep as the reference for the residue routes.
     """
 
     def __init__(self, nvars: int):
@@ -480,16 +526,3 @@ class MultivariatePolynomial:
 
     def items(self):
         return self.terms.items()
-
-
-def vandermonde_squared_poly(nvars: int, k: int | None = None) -> MultivariatePolynomial:
-    """Expansion of prod_{i != j} (x_j - x_i) over the first k of nvars
-    variables (all of them by default) into monomials."""
-    k = nvars if k is None else k
-    poly = MultivariatePolynomial(nvars)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            poly.multiply_linear({j: 1.0, i: -1.0})
-    return poly

@@ -24,7 +24,6 @@ from .quadrature import (
     ContourProduct,
     ContourSpec,
     OpenGrid,
-    batched_det,
     product_integrate,
     spectral_rows,
 )
@@ -44,6 +43,21 @@ def _tail_sum(I, start):
     return sum(I[start:])
 
 
+def _spectral_point(z, s):
+    """``z`` as a complex scalar (a 0-d input included) or a complex array,
+    refused at the pole s*z = 1.  A Python or NumPy scalar skips the array
+    calls: the partition functions ask for one weight per vertex."""
+    if isinstance(z, (complex, float, int)) or not np.ndim(z):
+        z = complex(z)
+        at_pole = abs(s * z - 1.0) < 1e-14
+    else:
+        z = np.asarray(z, dtype=complex)
+        at_pole = np.any(np.abs(s * z - 1.0) < 1e-14)
+    if at_pole:
+        raise ConfigurationError("vertex weight has a pole at s*z = 1")
+    return z
+
+
 def weight_L(I, j, K, l, z, q, s):
     """Vertex weight for rightward travel; zero unless I + e_j = K + e_l.
 
@@ -54,18 +68,15 @@ def weight_L(I, j, K, l, z, q, s):
     n = len(I)
     if len(K) != n or not (0 <= j <= n) or not (0 <= l <= n):
         raise ValidationError("inconsistent vertex state dimensions")
-    if np.any(np.abs(np.asarray(s) * np.asarray(z) - 1.0) < 1e-14):
-        raise ConfigurationError("vertex weight has a pole at s*z = 1")
+    z = _spectral_point(z, s)
     lhs = list(I)
     if j >= 1:
         lhs[j - 1] += 1
     rhs = list(K)
     if l >= 1:
         rhs[l - 1] += 1
-    zero = np.zeros_like(np.asarray(z, dtype=complex))
     if lhs != rhs:
-        return zero if np.ndim(z) else 0.0 + 0.0j
-    z = np.asarray(z, dtype=complex) if np.ndim(z) else complex(z)
+        return np.zeros_like(z) if isinstance(z, np.ndarray) else 0.0 + 0.0j
     denom = 1.0 - s * z
     if j == 0 and l == 0:
         num = 1.0 - s * z * q ** _tail_sum(I, 0)
@@ -96,18 +107,15 @@ def weight_M(I, j, K, l, z, q, s):
         raise ValidationError("inconsistent vertex state dimensions")
     if s == 0 or q == 0:
         raise ConfigurationError("leftward weights require nonzero s and q")
-    if np.any(np.abs(np.asarray(s) * np.asarray(z) - 1.0) < 1e-14):
-        raise ConfigurationError("vertex weight has a pole at s*z = 1")
+    z = _spectral_point(z, s)
     lhs = list(I)
     if j >= 1:
         lhs[j - 1] += 1
     rhs = list(K)
     if l >= 1:
         rhs[l - 1] += 1
-    zero = np.zeros_like(np.asarray(z, dtype=complex))
     if lhs != rhs:
-        return zero if np.ndim(z) else 0.0 + 0.0j
-    z = np.asarray(z, dtype=complex) if np.ndim(z) else complex(z)
+        return np.zeros_like(z) if isinstance(z, np.ndarray) else 0.0 + 0.0j
     qi = 1.0 / q
     denom = s * z - 1.0
     if j == 0 and l == 0:
@@ -123,13 +131,6 @@ def weight_M(I, j, K, l, z, q, s):
     else:
         num = z * (1.0 - qi ** I[l - 1]) * qi ** _tail_sum(I, l)
     return num / denom
-
-
-def weight_M_stochastic(I, j, K, l, y, q):
-    """Stochastic leftward weight: M at z = y/sqrt(q), s = 1/sqrt(q), gauged."""
-    rq = q ** -0.5
-    gauge = (-(q**0.5)) if j >= 1 else 1.0
-    return gauge * weight_M(I, j, K, l, rq * y, q, rq)
 
 
 def out_states(I, j):
@@ -415,20 +416,6 @@ def sfF_lambda(lam, u, q, cap: int = FACTORIAL_CAP):
     U, finish = spectral_rows(u, len(lam))
     return finish(_symmetrize(U, lambda a, b: (b - q * a) / (b - a),
                               [(1.0 - x) / (1.0 - q * x) for x in U], lam, cap))
-
-
-def sfF_lambda_det0(lam, u):
-    """q = 0 determinant form of sfF_lambda, Vandermonde-normalized.  The
-    determinant is a Leibniz sum, so len(lam) above the factorial cap is refused."""
-    lam = [int(x) for x in lam]
-    N = len(lam)
-    U, finish = spectral_rows(u, N)
-    dets = batched_det(N, lambda i, j: U[j] ** i * (1.0 - U[j]) ** lam[i])
-    vand = 1.0
-    for i in range(N):
-        for j in range(i + 1, N):
-            vand = vand * (U[j] - U[i])
-    return finish(dets / vand)
 
 
 def xi_mu(mu, u, q):

@@ -1,0 +1,99 @@
+"""The wall residue routes by monomial expansion: the reference for Andréief.
+
+Each route multiplies out its polynomial coupling (the squared Vandermonde
+prod_{i != j} (x_j - x_i) of the symmetric variables, the couplings and the
+border determinant) into monomials in all variables, and sums c times the
+product of one-variable residue sums, one ``residue_terms`` call per
+(variable, exponent).  It returns (value, err) with err = ROUNDING times
+|scale| times the summed size of the terms, the error the residue routes
+reported before Andréief.  The expansion has 3, 19, 201 and 2,961 terms
+for 2, ..., 5 symmetric variables.
+"""
+
+from __future__ import annotations
+
+import math
+
+from asepcross.core import signed_permutations
+from asepcross.formulas import ROUNDING, WallQuery
+from asepcross.quadrature import MultivariatePolynomial, RationalExpDescriptor, residue_terms
+
+
+def vandermonde_squared_poly(nvars: int, k: int) -> MultivariatePolynomial:
+    """prod_{i != j} (x_j - x_i) over the first k of nvars variables."""
+    poly = MultivariatePolynomial(nvars)
+    for i in range(k):
+        for j in range(k):
+            if i != j:
+                poly.multiply_linear({j: 1.0, i: -1.0})
+    return poly
+
+
+def monomial_residues(scale: float, variables, terms: dict) -> tuple[complex, float]:
+    """scale times the sum over the monomials c x^e of ``terms`` of c times
+    prod_i (residue sum of variable i times x_i^e_i), and its error."""
+    cache = {}
+
+    def one(i, e):
+        if (i, e) not in cache:
+            desc, points = variables[i]
+            if e:
+                desc = RationalExpDescriptor(desc.exp_coeff, desc.factors + ((0j, e),))
+            residues = residue_terms(desc, points)
+            cache[i, e] = sum(residues, 0j), sum(map(abs, residues))
+        return cache[i, e]
+
+    total, size = 0j, 0.0
+    for expo, cf in terms.items():
+        term, term_size = complex(cf), abs(cf)
+        for i, e in enumerate(expo):
+            value, value_size = one(i, e)
+            term *= value
+            term_size *= value_size
+        total += term
+        size += term_size
+    return scale * total, ROUNDING * abs(scale * size)
+
+
+def _variable(t, factors, points):
+    return RationalExpDescriptor(t, factors), points
+
+
+def gamma_wall(n: int, s: int, t: float):
+    z = _variable(t, ((1.0, -n), (0.0, 1 - s)), (0.0, 1.0))
+    return monomial_residues(1.0 / math.factorial(n), [z] * n,
+                             vandermonde_squared_poly(n, n).terms)
+
+
+def bernoulli_inverted(q: WallQuery):
+    n, m, rho, t, s1, s2 = q.n, q.m, q.rho, q.t, q.s1, q.s2
+    k = n - m
+    poly = vandermonde_squared_poly(n, m)
+    for i in range(m):
+        for j in range(k):
+            poly.multiply_linear({i: 1.0, m + j: -1.0})
+    beta = k + s1 - s2 - 1
+    border = {}
+    for cols, sgn in signed_permutations(k):
+        term = MultivariatePolynomial(n)
+        for i, j in enumerate(cols):
+            mono = lambda e: (0,) * (m + i) + (e,) + (0,) * (k - 1 - i)
+            term.multiply_terms({mono(k - 1 - j): 1.0, mono(beta): -1.0})
+        for key, cf in term.items():
+            border[key] = border.get(key, 0.0) + sgn * cf
+    poly.multiply_terms({key: cf for key, cf in border.items() if cf != 0})
+    z = _variable(t, ((1.0, -n), (1.0 - rho, -1), (0.0, -s2 - m + 1)), (0.0, 1.0, 1.0 - rho))
+    w = [_variable(t, ((1.0, i - k), (0.0, -s1 - m)), (0.0, 1.0)) for i in range(k)]
+    return monomial_residues(rho**m / math.factorial(m), [z] * m + w, poly.terms)
+
+
+def one_wall(q: WallQuery):
+    n, m, rho, t, s2 = q.n, q.m, q.rho, q.t, q.s2
+    poly = vandermonde_squared_poly(m + 1, m)
+    for i in range(m):
+        poly.multiply_linear({m: 1.0, i: -1.0})
+    z = _variable(t, ((1.0, -(m + 1)), (1.0 - rho, -1), (0.0, -s2 - m + 1)),
+                  (0.0, 1.0, 1.0 - rho))
+    w = _variable(t, ((1.0, -1), (0.0, n - 2 * m - s2 - 1)), (0.0,))
+    return monomial_residues((-1.0) ** (m + 1) * rho**m / math.factorial(m),
+                             [z] * m + [w], poly.terms)

@@ -38,6 +38,7 @@ from asepcross.oracle import (
     expm_transition,
     run_monte_carlo,
 )
+import residue_reference
 from conftest import make_blocks
 
 GOLDEN_2TASEP = 0.06766764161830637
@@ -567,6 +568,48 @@ class TestGammaWall:
             assert abs(lhs - rhs) < 1e-10
 
 
+def _andreief_grid():
+    """(evaluator call, monomial-reference call) pairs of the reference grid."""
+    grid = []
+    for n in range(1, 6):
+        for s in (n + 1, n + 3):
+            for t in (0.5, 2.0):
+                grid.append(pytest.param(lambda a=(n, s, t): gamma_wall(*a),
+                                         lambda a=(n, s, t): residue_reference.gamma_wall(*a),
+                                         id=f"gamma_wall({n},{s},{t})"))
+    for n in range(1, 5):
+        for m in range(n + 1):
+            for s1, s2, rho, t in ((-m - 2, 2, 0.5, 2.0), (-m - 3, 3, 0.3, 1.0),
+                                   (-1, 1, 0.7, 3.0)):
+                q = WallQuery(s1, s2, rho, n, m, t)
+                if not q.feasible:  # an exact 0, no residues
+                    continue
+                grid.append(pytest.param(lambda q=q: cumulative_crossing_bernoulli(q),
+                                         lambda q=q: residue_reference.bernoulli_inverted(q),
+                                         id=f"bernoulli{(s1, s2, rho, n, m, t)}"))
+    for n in range(2, 6):
+        for m in range(n):
+            for s2, rho, t in ((2, 0.5, 2.0), (3, 0.4, 1.0), (1, 0.8, 3.0)):
+                q = WallQuery(-m - 2, s2, rho, n, m, t)
+                if not q.feasible:
+                    continue
+                grid.append(pytest.param(lambda q=q: cumulative_crossing_one_wall(q),
+                                         lambda q=q: residue_reference.one_wall(q),
+                                         id=f"one_wall{(-m - 2, s2, rho, n, m, t)}"))
+    return grid
+
+
+class TestAndreiefAgainstMonomials:
+    """The determinant routes against the monomial expansion they replace."""
+
+    @pytest.mark.parametrize("evaluate, reference", _andreief_grid())
+    def test_value_within_errors_and_error_never_smaller(self, evaluate, reference):
+        new = evaluate()
+        value, err = reference()
+        assert abs(new - min(max(value.real, 0.0), 1.0)) <= new.est_err + err
+        assert new.est_err >= err * (1 - 1e-12)
+
+
 class TestLargeArguments:
     """Large t and long jumps: exact digits or a typed error, never overflow."""
 
@@ -622,6 +665,13 @@ class TestLargeArguments:
             assert "nan" not in str(exc)
         else:
             assert 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_underflowed_origin_residue_fails_typed(self, n):
+        # e^-t underflows to 0 while t^k/k! overflows, and the residue at 0
+        # is not negligible (for n = 1 the value is P(Poisson(950) >= 999) ~ 0.06)
+        with pytest.raises(AccuracyError):
+            gamma_wall(n, 1000, 950.0)
 
     @pytest.mark.parametrize("evaluate", [cumulative_crossing_bernoulli,
                                           cumulative_crossing_one_wall])

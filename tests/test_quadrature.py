@@ -16,8 +16,10 @@ from asepcross.quadrature import (
     OpenGrid,
     RationalExpDescriptor,
     batched_det,
+    _binomial_series,
     laurent_residue,
     product_integrate,
+    residue_moments,
     residue_terms,
 )
 from conftest import make_blocks
@@ -436,3 +438,62 @@ class TestLaurentResidue:
             denom = max(1.0, abs(exact))
             worst = max(worst, abs(exact - quad) / denom)
         assert worst < 1e-10
+
+
+class TestResidueMoments:
+    @staticmethod
+    def shifted(desc, e):
+        return RationalExpDescriptor(desc.exp_coeff, desc.factors + ((0.0, e),))
+
+    def test_matches_residue_terms_at_every_shift(self, rng):
+        for _ in range(20):
+            rho = float(rng.uniform(0.2, 0.8))
+            desc = RationalExpDescriptor(
+                exp_coeff=float(rng.uniform(0.2, 3.0)),
+                factors=((0.0, -int(rng.integers(0, 6))), (1.0, -int(rng.integers(1, 4))),
+                         (1.0 - rho, -int(rng.integers(0, 3))), (2.5, int(rng.integers(0, 3)))),
+            )
+            points = (0.0, 1.0, 1.0 - rho)
+            lo, hi = -int(rng.integers(1, 5)), int(rng.integers(0, 6))
+            moments, sizes = residue_moments(desc, points, lo, hi)
+            assert len(moments) == len(sizes) == hi - lo + 1
+            for e in range(lo, hi + 1):
+                terms = residue_terms(self.shifted(desc, e), points)
+                size = sum(map(abs, terms))
+                assert abs(moments[e - lo] - sum(terms)) <= 1e-13 * max(size, 1e-300)
+                assert sizes[e - lo] == pytest.approx(size, rel=1e-13, abs=1e-300)
+
+    def test_pole_order_199_at_the_origin(self):
+        desc = RationalExpDescriptor(1.0, ((1.0, -1), (0.0, -199)))
+        moments, _ = residue_moments(desc, (0.0, 1.0), 0, 3)
+        assert all(map(math.isfinite, (abs(m) for m in moments)))
+        for e in range(4):
+            terms = residue_terms(self.shifted(desc, e), (0.0, 1.0))
+            assert moments[e] == pytest.approx(sum(terms), rel=1e-12, abs=1e-300)
+
+    def test_one_table_per_symmetric_variable(self, monkeypatch):
+        calls = []
+
+        def counting(desc, points, lo, hi):
+            calls.append((lo, hi))
+            return residue_moments(desc, points, lo, hi)
+
+        monkeypatch.setattr(formulas, "residue_moments", counting)
+        formulas.gamma_wall(3, 5, 1.0)
+        assert calls == [(0, 4)]  # [z] * 3: one table over the Hankel range
+        calls.clear()
+        formulas.cumulative_crossing_bernoulli(formulas.WallQuery(-5, 2, 0.5, 4, 2, 2.0))
+        assert len(calls) == 3  # z once, then each of the k = 2 w's
+
+    def test_errors_keep_their_types(self):
+        # 0.5^-1100 at the pole 0.5 and 10^400 from the table's powers
+        with pytest.raises(AccuracyError, match="overflows"):
+            residue_moments(RationalExpDescriptor(2.0, ((0.5, -1), (0.0, -1100))), (0.5,), 0, 1)
+        with pytest.raises(AccuracyError, match="overflows"):
+            residue_moments(RationalExpDescriptor(0.0, ((10.0, -2),)), (10.0,), 0, 400)
+        # the order at the origin is that of the lowest shift: 5 + 8 > 10
+        with pytest.raises(ResourceLimitError):
+            residue_moments(RationalExpDescriptor(0.0, ((0.0, -5),)), (0.0,), -8, 0, order_cap=10)
+        with pytest.raises(ValidationError, match="pole collision"):
+            _binomial_series(0.0, -1, 3)
+

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from asepcross.core import ConfigurationError, ValidationError
+from asepcross.quadrature import batched_det, spectral_rows
 from asepcross.vertex import (
     F_lambda_sym,
     G_mu_nu,
@@ -16,15 +17,34 @@ from asepcross.vertex import (
     out_states,
     pochhammer,
     sfF_lambda,
-    sfF_lambda_det0,
     stochastic_weights_check,
     weight_L,
     weight_M,
-    weight_M_stochastic,
     xi_mu,
 )
 
 Q, S = 1.7 + 0.1j, 0.23 - 0.05j
+
+
+def weight_M_stochastic(I, j, K, l, y, q):
+    """Stochastic leftward weight: M at z = y/sqrt(q), s = 1/sqrt(q), gauged."""
+    rq = q ** -0.5
+    gauge = (-(q**0.5)) if j >= 1 else 1.0
+    return gauge * weight_M(I, j, K, l, rq * y, q, rq)
+
+
+def sfF_lambda_det0(lam, u):
+    """q = 0 determinant form of sfF_lambda, Vandermonde-normalized.  The
+    determinant is a Leibniz sum, so len(lam) above the factorial cap is refused."""
+    lam = [int(x) for x in lam]
+    N = len(lam)
+    U, finish = spectral_rows(u, N)
+    dets = batched_det(N, lambda i, j: U[j] ** i * (1.0 - U[j]) ** lam[i])
+    vand = 1.0
+    for i in range(N):
+        for j in range(i + 1, N):
+            vand = vand * (U[j] - U[i])
+    return finish(dets / vand)
 
 
 def _states_upto(n, bound):
