@@ -724,8 +724,9 @@ def cumulative_crossing_one_wall(query: WallQuery, form: str = "collapsed") -> R
     ``_andreief`` with k = 1 and scale -rho^m, i.e.
     -(-1)^(m(m-1)/2) rho^m L_w[det_m[h_{a+b+1} - w h_{a+b}]] over the
     moments h of z.  That determinant of one-dimensional integrals is also
-    the Cauchy-Binet form, so ``form='collapsed'`` and
-    ``form='cauchy_binet'`` name one computation.  The collapse needs at
+    the Cauchy-Binet form, so ``form='cauchy_binet'`` is an alias of
+    ``form='collapsed'``, kept so that existing calls and CLI payloads
+    run; both give the same computation.  The collapse needs at
     least one type-1 particle, so n = m is refused; the signs are tested
     against cumulative_crossing_bernoulli for m up to 4.
     """

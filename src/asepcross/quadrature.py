@@ -451,13 +451,10 @@ def residue_moments(
         for k in range(1, order):
             series.append(series[-1] * descriptor.exp_coeff / k)
         scale = complex(np.exp(descriptor.exp_coeff * (at - 1.0)))
-        series = [c * scale for c in series]
+        series = np.array([c * scale for c in series])
         for point, expo in rest:
-            factor = _binomial_series(at - point, expo, order)
-            # C for the long series of long walls, where an O(order²) Python sum is slow
-            series = (np.convolve(series, factor)[:order].tolist() if order > 16 else
-                      [sum(map(operator.mul, series[k::-1], factor)) for k in range(order)])
-        backward = series[::-1]
+            series = np.convolve(series, _binomial_series(at - point, expo, order))[:order]
+        backward = series[::-1].tolist()
         if abs(at) < 1e-12:
             residues = backward[:size]
         else:
@@ -466,8 +463,9 @@ def residue_moments(
             for _ in range(size):
                 residues.append(sum(map(operator.mul, power, backward)))
                 power = [at * power[0]] + [at * a + b for a, b in zip(power[1:], power)]
-            if not all(map(cmath.isfinite, residues)):
-                raise AccuracyError(f"factor ({at:.3g})^{size - 1} overflows the float range")
+        if not all(map(cmath.isfinite, residues)):
+            raise AccuracyError(f"the Laurent series of g at the pole {at:.3g} "
+                                "overflows the float range")
         for j, r in enumerate(residues):
             moments[j] += r
             sizes[j] += abs(r)

@@ -497,3 +497,11 @@ class TestResidueMoments:
         with pytest.raises(ValidationError, match="pole collision"):
             _binomial_series(0.0, -1, 3)
 
+    @pytest.mark.parametrize("at", [1.0, 0.0])
+    def test_non_finite_residue_fails_typed(self, at):
+        # e^(a x) with a = 1e300: a^2 / 2 overflows; at the origin the
+        # prefactor e^(-a) underflows as well, and 0 * inf is NaN
+        desc = RationalExpDescriptor(1e300, ((at, -3),))
+        with pytest.raises(AccuracyError, match=re.escape(f"pole {complex(at):.3g} overflows")):
+            laurent_residue(desc, at)
+
