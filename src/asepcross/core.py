@@ -168,22 +168,16 @@ class ModelParams:
             raise ValidationError("q must be >= 0")
 
 
-def permutation_sign(perm) -> int:
-    """Sign of a permutation given as a tuple of 0-based images."""
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
 def signed_permutations(N: int, cap: int = FACTORIAL_CAP) -> list[tuple[tuple[int, ...], int]]:
-    """All permutations of {0, .., N-1} with their signs, as a list reused
-    across mesh nodes.
+    """All permutations of {0, .., N-1} in lexicographic order with their
+    signs, as a list reused across mesh nodes.
 
-    Raises ResourceLimitError when N exceeds the factorial cap, which guards
-    every permutation-sum evaluator against accidental blowups.
+    The signs come with the order: a permutation whose first image is v
+    has v inversions more than the permutation of the remaining values
+    after it, so the sign list of N repeats that of N - 1 once per v,
+    negated for odd v.  Raises ResourceLimitError when N exceeds the
+    factorial cap, which guards every permutation-sum evaluator against
+    accidental blowups.
     """
     if N < 0:
         raise ValidationError("N must be nonnegative")
@@ -191,7 +185,10 @@ def signed_permutations(N: int, cap: int = FACTORIAL_CAP) -> list[tuple[tuple[in
         raise ResourceLimitError(
             f"permutation sum of size {N} exceeds the factorial cap {cap}"
         )
-    return [(perm, permutation_sign(perm)) for perm in itertools.permutations(range(N))]
+    signs = [1]
+    for n in range(2, N + 1):
+        signs = [-s if v % 2 else s for v in range(n) for s in signs]
+    return list(zip(itertools.permutations(range(N)), signs))
 
 
 def inversions(mu) -> int:

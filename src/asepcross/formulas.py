@@ -13,11 +13,12 @@ and clamped within [0, 1] only inside a small tolerance band; anything
 further out raises AccuracyError.  It is returned as a ``Result``: a float
 that also carries ``est_err`` and ``method``.  Every quadrature evaluator
 goes through ``_integrate`` (dimension cap, contour product, trapezoid
-driver, prefactor), takes its convergence tolerance ``tol`` and its
-per-integral evaluation cap ``node_budget`` as arguments (``GreenQuery``
-fields for the Green's function) and reports |prefactor| times the
-driver's ``est_err`` (the estimated error of the returned trapezoid sum
-plus its round-off level) as ``est_err``.
+driver on half of each grid, as every integrand has real coefficients and
+real contour centres, prefactor), takes its convergence tolerance ``tol``
+and its per-integral evaluation cap ``node_budget`` as arguments
+(``GreenQuery`` fields for the Green's function) and reports |prefactor|
+times the driver's ``est_err`` (the estimated error of the returned
+trapezoid sum plus its round-off level) as ``est_err``.
 Every wall residue evaluator goes through ``_andreief``: one moment table
 (``quadrature.residue_moments``) per variable, Andréief's identity turning
 the symmetric variables' squared Vandermonde into one determinant of their
@@ -167,13 +168,16 @@ def _integrate(integrand, contours, tol, node_budget, scale=1.0, roles=()) -> Re
     """scale times the integral of ``integrand`` over the product of
     ``contours``, with |scale| times the driver's est_err (the estimated
     error of the returned sum plus its round-off level) as its error; more
-    than DIMENSION_BUDGET variables are refused before any evaluation."""
+    than DIMENSION_BUDGET variables are refused before any evaluation.
+    The integrand must satisfy f(z̄) = conj f(z): the driver evaluates half
+    of each grid."""
     if len(contours) > DIMENSION_BUDGET:
         raise ResourceLimitError(
             f"{len(contours)} integration variables exceed the budget {DIMENSION_BUDGET}"
         )
     value, err = product_integrate(
-        integrand, ContourProduct(contours, roles), tol=tol, node_budget=node_budget
+        integrand, ContourProduct(contours, roles), tol=tol, node_budget=node_budget,
+        conjugate_symmetric=True,
     )
     return _finalize_probability(scale * value, abs(scale) * err, "quadrature")
 
@@ -448,8 +452,13 @@ def r_asep_transition(mu, nu, q: float, t: float, tol: float = 1e-10,
         out = _around_one(Z, q, t, mu, [(1.0 - q * z) / z for z in Z])
         return out * f_mu(nu, OpenGrid(rq / z for z in Z), q, rq)
 
+    try:
+        scale = (-rq) ** sum(nu)
+    except OverflowError:
+        raise AccuracyError(f"prefactor q^(-sum(nu)/2) overflows the float range "
+                            f"at q={q:.3g}") from None
     contours = _around_one_contours([min(0.2, abs(q - 1.0) / 3.0)] * n)
-    return _integrate(integrand, contours, tol, node_budget, scale=(-rq) ** sum(nu))
+    return _integrate(integrand, contours, tol, node_budget, scale=scale)
 
 
 def rainbow_total_crossing(mu, nu, q: float, t: float, tol: float = 1e-10,

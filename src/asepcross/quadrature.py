@@ -9,11 +9,18 @@ nodes squares the error) and is exact for truncated Laurent series.
 and n/4-point rules of every axis off one evaluation of the nested grid,
 and stops on a geometric-rate estimate of the error of the returned sum,
 guarded against rounding and aliasing; ``est_err`` is that estimate plus
-the round-off level.  Integrands see the tensor grid as an open grid
-(``OpenGrid``, in the style of ``np.ix_``): one array per variable, each
-varying along its own dimension, so a factor in one variable is evaluated
-once per axis node and only the coupled parts run over every node tuple.  ``batched_det`` is the one determinant kernel on
-such grids: a Leibniz sum over ``core.signed_permutations`` whose products
+the round-off level.  Every grid is exactly mirrored in the horizontal
+line through its centre, so an integrand with f(z̄) = conj f(z) (real
+coefficients, real centres) is evaluated on half of it:
+``conjugate_symmetric=True`` takes the first axis's nodes 0..n/2 only,
+counts the interior ones twice, returns the real part, and checks that the
+two self-conjugate slices z_0 = c ± r sum to a real number within a margin
+of their own round-off level.  Integrands see the tensor grid as an open
+grid (``OpenGrid``, in the style of ``np.ix_``): one array per variable,
+each varying along its own dimension, so a factor in one variable is
+evaluated once per axis node and only the coupled parts run over every
+node tuple.  ``batched_det`` is the one determinant kernel on such grids:
+a Leibniz sum over ``core.signed_permutations`` whose products
 keep the entries' broadcast shape.  A separate series-based residue engine
 handles integrands g of rational-times-exponential form exactly:
 ``residue_moments`` returns the moment table of g, the residue sums
@@ -46,8 +53,28 @@ NOISE_MARGIN = 1e3  # δ' must exceed this many round-off levels
 # high power amplifies their phase errors (the exact 128-node sum of z^31
 # over the rounded unit-circle nodes is 1.7ε, not 0)
 ROUNDOFF = 2.0 * float(np.finfo(float).eps)
-# weight multiples of node j, by j mod 4, in the n-, n/2- and n/4-point rules
-_RULE_PATTERN = np.array([[1.0, 2.0, 4.0], [1.0, 0.0, 0.0], [1.0, 2.0, 0.0], [1.0, 0.0, 0.0]])
+# row j: the weight multiples of node j in the n-, n/2- and n/4-point rules,
+# which depend on j mod 4 only
+_RULE_ROWS = np.tile([[1.0, 2.0, 4.0], [1.0, 0.0, 0.0], [1.0, 2.0, 0.0], [1.0, 0.0, 0.0]],
+                     (DEFAULT_MAX_NODES // 4, 1))
+_RULE_ROWS.flags.writeable = False
+
+
+def _roots(num: int) -> np.ndarray:
+    """The num-th roots of unity e^(2πij/num), exactly mirrored: root
+    num - j is the conjugate of root j, root 0 is 1 and root num/2 (num
+    even) is -1."""
+    unit = np.exp(2j * np.pi / num * np.arange(num // 2 + 1))
+    unit[0] = 1.0
+    if num % 2 == 0:
+        unit[-1] = -1.0
+    return np.concatenate((unit, unit[(num + 1) // 2 - 1:0:-1].conj()))
+
+
+# every driver grid reads its roots off this one: the n-th roots of a power
+# of two n are every (DEFAULT_MAX_NODES/n)-th entry, bit for bit
+_ROOTS = _roots(DEFAULT_MAX_NODES)
+_ROOTS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -65,8 +92,10 @@ class ContourSpec:
             raise ValidationError("orientation must be +1 or -1")
 
     def points(self, num: int) -> np.ndarray:
-        theta = 2.0 * np.pi * np.arange(num) / num
-        return self.center + self.radius * np.exp(1j * theta)
+        """``num`` equally spaced nodes from center + radius, exactly
+        mirrored: node num - j is node j reflected in the horizontal line
+        through the centre, and node num/2 (num even) is center - radius."""
+        return self.center + self.radius * _roots(num)
 
 
 @dataclass(frozen=True)
@@ -182,21 +211,33 @@ def _blocks(shape):
             yield [slice(i, i + 1) for i in head] + [slice(start, start + step)] + tail
 
 
-def _rule_weights(c: ContourSpec, nodes: np.ndarray) -> np.ndarray:
-    """(n, 3) weights of the n-, n/2- and n/4-point trapezoid rules at the n
-    ``nodes`` of ``c``: the coarser rules use every 2nd and every 4th node."""
-    w = c.orientation * (nodes - c.center) / nodes.size
-    return (w.reshape(-1, 4, 1) * _RULE_PATTERN).reshape(-1, 3)
+def _axis_grid(c: ContourSpec, n: int, half: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The evaluated nodes of an n-node axis on ``c`` (n a power of two up
+    to DEFAULT_MAX_NODES) and their (., 3) weights in the n-, n/2- and
+    n/4-point trapezoid rules (the coarser rules use every 2nd and every
+    4th node).  With ``half`` these are nodes 0..n/2 only: each interior
+    node also stands for its mirror image n - j, so its weights count
+    twice."""
+    step = DEFAULT_MAX_NODES // n
+    unit = _ROOTS[:DEFAULT_MAX_NODES // 2 + 1:step] if half else _ROOTS[::step]
+    rules = _RULE_ROWS[:unit.size] * (c.orientation * c.radius / n)
+    if half:
+        rules[1:-1] *= 2.0
+    return c.center + c.radius * unit, unit[:, None] * rules
 
 
 def _grid_sums(f, axes, mats):
     """Evaluate ``f`` on the tensor grid of the node arrays ``axes``, block
-    by block, and return (T, abs_sum): T is the contraction of the values
-    with the per-axis weight matrices ``mats`` (axis k of the values
-    against the rows of mats[k], so T has one entry per choice of rule
-    column on each axis) and abs_sum is the sum of |f| over the nodes."""
+    by block, and return (T, row_abs, row_sums): T is the contraction of
+    the values with the per-axis weight matrices ``mats`` (axis k of the
+    values against the rows of mats[k], so T has one entry per choice of
+    rule column on each axis); for each node of axis 0, row_abs is the sum
+    of |f| over the nodes of the other axes and row_sums the sum of f
+    times the other axes' first rule columns."""
     d = len(axes)
-    T, abs_sum = 0.0, 0.0
+    T = 0.0
+    row_abs = np.zeros(axes[0].size)
+    row_sums = np.zeros(axes[0].size, dtype=complex)
     for block in _blocks([a.size for a in axes]):
         grid = OpenGrid(
             a[s].reshape((1,) * k + (-1,) + (1,) * (d - 1 - k))
@@ -204,18 +245,16 @@ def _grid_sums(f, axes, mats):
         )
         vals = np.asarray(f(grid), dtype=complex)
         vals = vals.reshape((1,) * (d - vals.ndim) + vals.shape)
-        # NaN or inf at any node makes the sum of |f| non-finite
-        size = math.prod(z.size for z in grid)
-        block_abs = float(np.abs(vals).sum()) * (size / vals.size)
-        if not math.isfinite(block_abs):
-            raise AccuracyError("integrand is non-finite on the contour product")
-        abs_sum += block_abs
+        mags = np.abs(vals).reshape(len(vals), -1).sum(axis=1)
+        if vals.size < math.prod(z.size for z in grid):  # f is constant along an axis
+            mags *= math.prod(z.size for z in grid[1:]) * len(vals) / vals.size
+        row_abs[block[0]] += mags
         # matmul, not einsum: einsum's three-column loop is 2-5x slower.  The
         # last axis goes first in products of at most 2^14 values: OpenBLAS
         # splits larger ones across threads, and a (512, 512) @ (512, 3)
         # then took 8 ms instead of 0.4 ms with two threads on two cores
         out = vals
-        for k in reversed(range(d)):
+        for k in range(d - 1, 0, -1):
             w = mats[k][block[k]]
             if out.shape[k] == 1 < len(w):  # f does not vary along axis k
                 w = w.sum(axis=0, keepdims=True)
@@ -228,8 +267,13 @@ def _grid_sums(f, axes, mats):
                 out = (w.T @ out.reshape(lead + (out.shape[k], -1))).reshape(
                     lead + (w.shape[1],) + tail
                 )
-        T = T + out
-    return T, abs_sum
+        flat = out.reshape(len(out), -1)
+        row_sums[block[0]] += flat[:, 0]
+        w = mats[0][block[0]]
+        if len(out) == 1 < len(w):
+            w = w.sum(axis=0, keepdims=True)
+        T = T + (w.T @ flat).reshape(w.shape[1:] + out.shape[1:])
+    return T, row_abs, row_sums
 
 
 def _axis_error(line, floor: float, doubled: bool) -> float:
@@ -250,6 +294,7 @@ def product_integrate(
     cp: ContourProduct,
     tol: float = 1e-10,
     node_budget: int = DEFAULT_NODE_BUDGET,
+    conjugate_symmetric: bool = False,
 ) -> tuple[complex, float]:
     """Tensor-product contour integral with nested per-axis node doubling.
 
@@ -270,19 +315,38 @@ def product_integrate(
     returned value, is below ``tol``.  Until then each axis whose e_k is
     at least its share of ``tol`` is doubled by evaluating only its new odd
     nodes times the other axes' current nodes: no node is evaluated twice.
-    ``node_budget`` caps the integrand evaluations (node tuples) of this one
-    call and must be at least 64.  Exceeding it or the node cap, or a
-    round-off level at ``tol``, raises AccuracyError naming the nodes per
-    axis, the evaluations spent and the last value and est_err.
+
+    ``conjugate_symmetric=True`` declares f(z̄) = conj f(z), as holds for
+    an integrand with real coefficients; every centre must then be real
+    (else ValidationError).  The grids are closed under conjugation (node
+    n - j of an axis mirrors node j exactly), so the values on half of
+    them fix every sum: axis 0 is evaluated on its nodes 0..n_0/2 only,
+    a doubling of it on the first half of its new odd nodes, the interior
+    nodes count twice in the rules and in Σ|f·w|, and each rule sum is the
+    real part of that weighted contraction.  The end nodes z_0 = c ± r
+    are their own mirror images, and the sum over the other axes of each
+    such slice must be real: an imaginary part above NOISE_MARGIN times
+    the slice's own round-off level raises AccuracyError ("integrand is
+    not conjugate-symmetric").  Nodes per axis, the stopping rule and the
+    round-off level are those of the full grid.
+
+    ``node_budget`` caps the integrand evaluations (node tuples) this one
+    call makes and must be at least 64.  Exceeding it or the node cap, or
+    a round-off level at ``tol``, raises AccuracyError naming the nodes per
+    axis, the evaluations made and the last value and est_err.
     """
     if node_budget < MIN_NODE_BUDGET:
         raise ValidationError(f"node budget must be at least {MIN_NODE_BUDGET}")
+    if conjugate_symmetric and any(complex(c.center).imag for c in cp.contours):
+        raise ValidationError("a conjugate-symmetric integrand needs real contour centres")
     d = cp.dim
     if d == 0:
         return complex(np.sum(f(OpenGrid()))), 0.0
     counts = [DEFAULT_START_NODES] * d
-    axes = [c.points(n) for c, n in zip(cp.contours, counts)]
-    mats = [_rule_weights(c, a) for c, a in zip(cp.contours, axes)]
+    axes, mats = map(list, zip(*(
+        _axis_grid(c, n, conjugate_symmetric and k == 0)
+        for k, (c, n) in enumerate(zip(cp.contours, counts))
+    )))
     spent, value, est = 0, None, math.inf
 
     def fail(reason: str) -> AccuracyError:
@@ -291,14 +355,34 @@ def product_integrate(
             f"last value {value} with est_err {est:.3g}"
         )
 
-    def evaluate(axes, mats):
+    def evaluate(axes, mats, ends: bool = True):
+        """The rule sums and Σ|f| of the grid ``axes``; under the symmetry,
+        axis 0 holds mirrored nodes, with its two self-conjugate end nodes
+        when ``ends`` (a half grid) and without them (new odd nodes) when
+        not."""
         nonlocal spent
         size = math.prod(a.size for a in axes)
         if spent + size > node_budget:
             raise fail(f"node budget {node_budget} exhausted before convergence "
                        f"at tol={tol}")
         spent += size
-        return _grid_sums(f, axes, mats)
+        T, row_abs, row_sums = _grid_sums(f, axes, mats)
+        abs_sum = float(row_abs.sum())
+        # NaN or inf at any node makes the sum of |f| non-finite
+        if not math.isfinite(abs_sum):
+            raise fail("integrand is non-finite on the contour product")
+        if not conjugate_symmetric:
+            return T, abs_sum
+        if not ends:
+            return T.real, 2.0 * abs_sum
+        level = ROUNDOFF * math.prod(abs(m[0, 0]) for m in mats[1:])
+        for j in (0, -1):
+            if abs(row_sums[j].imag) > NOISE_MARGIN * level * row_abs[j]:
+                raise fail(f"integrand is not conjugate-symmetric: the slice "
+                           f"z_0 = {axes[0][j]:.6g} sums to {row_sums[j]:.3g}, "
+                           f"imaginary part above {NOISE_MARGIN:g} times its "
+                           f"round-off level {level * row_abs[j]:.3g}")
+        return T.real, 2.0 * abs_sum - float(row_abs[0] + row_abs[-1])
 
     T, abs_sum = evaluate(axes, mats)
     while True:
@@ -320,12 +404,12 @@ def product_integrate(
             if n >= DEFAULT_MAX_NODES:
                 raise fail(f"contour quadrature did not reach tol={tol} "
                            f"within {DEFAULT_MAX_NODES} nodes per axis")
-            fine = c.points(2 * n)
-            odd = fine[1::2]
+            # the doubled axis, whose odd rows are the nodes new to it
+            fine, fine_mats = _axis_grid(c, 2 * n, conjugate_symmetric and k == 0)
             U, odd_abs = evaluate(
-                axes[:k] + [odd] + axes[k + 1:],
-                mats[:k] + [(c.orientation * (odd - c.center) / (2 * n))[:, None]]
-                + mats[k + 1:],
+                axes[:k] + [fine[1::2]] + axes[k + 1:],
+                mats[:k] + [fine_mats[1::2, :1]] + mats[k + 1:],
+                ends=k > 0,
             )
             # rules n and n/2 of the axis become rules 2n/2 and 2n/4, and
             # rule 2n is half of rule n plus the new nodes' sum
@@ -334,8 +418,7 @@ def product_integrate(
             T[head] = 0.5 * T[head] + U[head]
             abs_sum += odd_abs
             counts[k] = 2 * n
-            axes[k] = fine
-            mats[k] = _rule_weights(c, fine)
+            axes[k], mats[k] = fine, fine_mats
 
 
 @dataclass(frozen=True)

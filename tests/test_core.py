@@ -11,7 +11,6 @@ from asepcross.core import (
     StrictSignature,
     ValidationError,
     inversions,
-    permutation_sign,
     signed_permutations,
 )
 from conftest import make_blocks
@@ -122,7 +121,6 @@ class TestPermutations:
     def test_cap_error_names_cap(self):
         with pytest.raises(ResourceLimitError, match="cap 9"):
             list(signed_permutations(10))
-        assert permutation_sign((1, 0, 2)) == -1
 
     def test_inversions(self):
         assert inversions((1, 3, 2)) == 2

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from asepcross.core import (
     AccuracyError,
@@ -38,6 +40,7 @@ from asepcross.oracle import (
     expm_transition,
     run_monte_carlo,
 )
+from asepcross.quadrature import NOISE_MARGIN, ROUNDOFF, OpenGrid
 import residue_reference
 from conftest import make_blocks
 
@@ -685,6 +688,11 @@ class TestLargeArguments:
         with pytest.raises(AccuracyError):
             cumulative_crossing_bernoulli(WallQuery(-3, 180, 0.5, 2, 1, 2.0))
 
+    def test_tiny_q_prefactor_overflow_fails_typed(self):
+        # (-q^(-1/2))^sum(nu) is (1e150)^3 at q = 1e-300
+        with pytest.raises(AccuracyError, match="overflows"):
+            r_asep_transition((1, 0), (0, 3), 1e-300, 1.0)
+
 
 class TestFinalization:
     def test_imaginary_part_rejected(self):
@@ -742,7 +750,7 @@ class TestResult:
         import asepcross.formulas as formulas
 
         def integral_returning(value):
-            return lambda f, cp, tol, node_budget: (value, 1e-12)
+            return lambda f, cp, tol, node_budget, **kwargs: (value, 1e-12)
 
         # prefactors (1 - q)^n = 0.25 and (-q^(-1/2))^sum(nu) = -sqrt(2)
         monkeypatch.setattr(formulas, "product_integrate", integral_returning(0.5 + 0j))
@@ -805,3 +813,141 @@ class TestResult:
         val = two_tasep_crossing((0, 1), (1, 3), 1, 1.0)
         back = pickle.loads(pickle.dumps(val))
         assert (float(back), back.est_err, back.method) == (float(val), val.est_err, val.method)
+
+
+# The quadrature evaluators hand product_integrate conjugate_symmetric=True,
+# which evaluates half of each grid.  That needs f(z̄) = conj f(z) for every
+# integrand, over each evaluator's accepted range, long jumps included.
+JUMP = 60
+TIMES = st.floats(0.0, 16.0)
+RATES = st.floats(0.0, 2.0, exclude_max=True).filter(lambda q: q != 1.0)
+
+
+def _sites(data, n, decreasing=False):
+    sites = sorted(data.draw(st.lists(st.integers(-JUMP, JUMP), min_size=n,
+                                      max_size=n, unique=True)))
+    return sites[::-1] if decreasing else sites
+
+
+def _draw_green(data):
+    n = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(0, min(n, 5 - n)))  # n + m <= DIMENSION_BUDGET
+    p0, p = (sorted(data.draw(st.sets(st.integers(1, n), min_size=m, max_size=m)))
+             for _ in range(2))
+    query = GreenQuery(_two_species(_sites(data, n), p0), _two_species(_sites(data, n), p),
+                       data.draw(TIMES), method="quadrature")
+    return lambda: two_tasep_green(query)
+
+
+def _draw_two_tasep_crossing(data):
+    n = data.draw(st.integers(1, 3))
+    mu, nu, m, t = _sites(data, n), _sites(data, n), data.draw(st.integers(0, n)), data.draw(TIMES)
+    return lambda: two_tasep_crossing(mu, nu, m, t)
+
+
+def _draw_r_asep(data):
+    n, q, t = data.draw(st.integers(1, 3)), data.draw(RATES), data.draw(TIMES)
+    mu, nu = _sites(data, n, decreasing=True), _sites(data, n)
+    if q:  # at q = 0 only increasing nu are supported
+        nu = data.draw(st.permutations(nu))
+    return lambda: r_asep_transition(mu, nu, q, t)
+
+
+def _draw_rainbow(data):
+    n, q, t = data.draw(st.integers(1, 3)), data.draw(RATES), data.draw(TIMES)
+    mu, nu = _sites(data, n, decreasing=True), _sites(data, n)
+    return lambda: rainbow_total_crossing(mu, nu, q, t)
+
+
+def _draw_blocks(data, q):
+    n = data.draw(st.integers(1, 3))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    bounds = list(zip([0] + cuts, cuts + [n]))
+    initial, final = _sites(data, n, decreasing=True), _sites(data, n)
+    return CrossingQuery(make_blocks([initial[a:b] for a, b in bounds], "initial"),
+                         make_blocks([final[a:b][::-1] for a, b in bounds], "final"),
+                         q, data.draw(TIMES))
+
+
+def _draw_block_crossing(data):
+    query = _draw_blocks(data, data.draw(RATES))
+    return lambda: block_crossing(query)
+
+
+def _draw_tasep_block_crossing(data):
+    query = _draw_blocks(data, 0.0)
+    return lambda: tasep_block_crossing(query)
+
+
+def _draw_step(data):
+    n = data.draw(st.integers(1, 3))
+    mu, m, t = _sites(data, n), data.draw(st.integers(0, n)), data.draw(TIMES)
+    s1 = data.draw(st.integers(-JUMP, JUMP))
+    s2 = s1 + n - m + data.draw(st.integers(0, JUMP))  # a feasible wall
+    return lambda: cumulative_crossing_step(mu, m, s1, s2, t)
+
+
+def _draw_bernoulli(data):
+    n = data.draw(st.integers(1, 3))
+    m, t = data.draw(st.integers(0, n)), data.draw(TIMES)
+    rho = data.draw(st.floats(0.0, 1.0, exclude_min=True))
+    s1 = data.draw(st.integers(-JUMP, JUMP))
+    s2 = s1 + n - m + data.draw(st.integers(0, JUMP))
+    query = WallQuery(s1, s2, rho, n, m, t)
+    return lambda: cumulative_crossing_bernoulli(query, form="direct")
+
+
+def _draw_gamma(data):
+    n = data.draw(st.integers(1, 3))
+    s, t = n + data.draw(st.integers(1, JUMP)), data.draw(st.floats(0.0, 16.0, exclude_min=True))
+    return lambda: gamma_wall(n, s, t, method="quadrature")
+
+
+class TestConjugateSymmetry:
+    @pytest.mark.parametrize("draw", [
+        _draw_green, _draw_two_tasep_crossing, _draw_r_asep, _draw_rainbow,
+        _draw_block_crossing, _draw_tasep_block_crossing, _draw_step, _draw_bernoulli,
+        _draw_gamma,
+    ], ids=lambda draw: draw.__name__[len("_draw_"):])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_integrands_are_conjugate_symmetric(self, draw, data):
+        # off the real axis, on 8 exactly mirrored nodes per axis at the
+        # angles (2j + 1)π/8, the value at the mirrored node tuple is the
+        # conjugate bit for bit.  At the real nodes c ± r, where numpy's
+        # power of a negative real through exp and log has its branch cut,
+        # the value is real to within the slice check's margin.
+        import asepcross.formulas as formulas
+
+        seen = []
+
+        def recording(f, cp, **kwargs):
+            assert kwargs["conjugate_symmetric"] is True
+            seen.append((f, cp))
+            return 0j, 0.0
+
+        call = draw(data)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formulas, "product_integrate", recording)
+            try:
+                call()
+            except AccuracyError:  # refused before any integrand was built
+                reject()
+        assert len(seen) == 1
+        f, cp = seen[0]
+        d = cp.dim
+
+        def values_on(nodes):
+            grid = OpenGrid((c.center + c.radius * nodes).reshape((1,) * k + (-1,) + (1,) * (d - 1 - k))
+                            for k, c in enumerate(cp.contours))
+            with np.errstate(all="ignore"):
+                values = np.broadcast_to(f(grid), (nodes.size,) * d)
+            if not np.isfinite(values).all():  # the driver refuses it as non-finite
+                reject()
+            return values
+
+        half = np.exp(1j * np.pi / 8 * np.arange(1, 8, 2))
+        values = values_on(np.concatenate((half, half[::-1].conj())))
+        np.testing.assert_array_equal(values[np.ix_(*[np.arange(7, -1, -1)] * d)], values.conj())
+        real = values_on(np.array([1.0, -1.0]))
+        assert np.all(np.abs(real.imag) <= NOISE_MARGIN * ROUNDOFF * np.abs(real))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from asepcross import formulas
-from asepcross.core import AccuracyError, ResourceLimitError, ValidationError
+from asepcross.core import AccuracyError, ParticleConfig, ResourceLimitError, ValidationError
 from asepcross.quadrature import (
     DEFAULT_MAX_NODES,
     DEFAULT_START_NODES,
@@ -359,6 +359,109 @@ class TestOpenGrid:
             assert abs(value - ref_value) < 1e-14
             assert abs(err - ref_err) < 1e-14
             assert abs(value - exact) < 1e-10
+
+
+def half_grid_matches_full(f, cp, **kwargs):
+    """``f`` integrated over ``cp`` on the half grid and on the full grid:
+    the same nodes per axis, (n_0/2 + 1)/n_0 of the evaluations, values
+    within est_err and est_err within 10 %.  Returns the half grid's
+    (value, est_err)."""
+    runs = []
+    for symmetric in (True, False):
+        g, levels = counted(f, cp)
+        value, err = product_integrate(g, cp, conjugate_symmetric=symmetric, **kwargs)
+        runs.append((value, err, levels))
+    (value, err, levels), (full_value, full_err, full_levels) = runs
+    counts = [max(key[k] for key in levels) for k in range(cp.dim)]
+    assert counts == [max(key[k] for key in full_levels) for k in range(cp.dim)]
+    assert sum(levels.values()) * counts[0] == sum(full_levels.values()) * (counts[0] // 2 + 1)
+    assert value.imag == 0.0
+    assert abs(value - full_value) <= min(err, full_err)
+    assert abs(err - full_err) <= 0.1 * full_err
+    return value, err
+
+
+class TestConjugateSymmetric:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_half_grid_matches_full_grid(self, d):
+        f, exact = exp_product(d)  # real coefficients: f(z̄) = conj f(z)
+        value, err = half_grid_matches_full(f, circles(d))
+        assert abs(value - exact) < 1e-10
+
+    def test_budget_counts_evaluations_made(self):
+        # exact rules double each axis once: 17 x 32, then 16 x 32 new
+        # nodes on axis 0 and 33 x 32 on axis 1, 2112 = 33 x 64 in all
+        cp = ContourProduct((ContourSpec(0, 0.5), ContourSpec(0, 0.6)))
+        f = lambda Z: 1.0 / (Z[0] * Z[1])
+        g, levels = counted(f, cp)
+        product_integrate(g, cp, node_budget=2112, conjugate_symmetric=True)
+        assert sum(levels.values()) == 2112
+        with pytest.raises(AccuracyError, match="budget 2111") as info:
+            product_integrate(f, cp, node_budget=2111, conjugate_symmetric=True)
+        assert "nodes per axis (64, 32), 1056 evaluations" in str(info.value)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_round_off_level_is_the_full_grids(self, symmetric):
+        # |f·w| sums to 1 over the full 32 x 32 grid: the level is ROUNDOFF
+        cp = ContourProduct((ContourSpec(0, 0.5), ContourSpec(0, 0.6)))
+        with pytest.raises(AccuracyError, match=f"round-off level {ROUNDOFF:.3g} is not"):
+            product_integrate(lambda Z: 1.0 / (Z[0] * Z[1]), cp, tol=1e-17,
+                              conjugate_symmetric=symmetric)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_asymmetric_integrand_fails_the_slice_check(self, d):
+        # e^(i z_0) is not real at z_0 = ±0.5, and the other axis sums 1/z_1 to 1
+        cp = circles(d)
+        with pytest.raises(AccuracyError, match="not conjugate-symmetric"):
+            product_integrate(lambda Z: np.exp(1j * Z[0]) / Z[d - 1] ** (d - 1), cp,
+                              conjugate_symmetric=True)
+
+    def test_complex_centre_is_refused(self):
+        cp = ContourProduct((ContourSpec(0.5 + 0.1j, 0.3),))
+        with pytest.raises(ValidationError, match="real contour centres"):
+            product_integrate(lambda Z: 1.0 / Z[0], cp, conjugate_symmetric=True)
+
+    def test_evaluators_on_the_bench_cases(self):
+        # the contour workload's calls, each integral run on both grids
+        green = [
+            ((0, 1), (1,), (1, 3), (2,), 1.0), ((-1, 0, 1), (1,), (1, 2, 4), (3,), 1.0),
+            ((-1, 0, 1), (), (1, 2, 4), (), 1.0), ((0, 1), (2,), (2, 3), (2,), 0.5),
+        ]
+        calls = [
+            lambda query=formulas.GreenQuery(ParticleConfig.from_two_species(mu, p0),
+                                             ParticleConfig.from_two_species(nu, p), t):
+            formulas.two_tasep_green(query) for mu, p0, nu, p, t in green
+        ] + [
+            lambda: formulas.two_tasep_crossing((0, 1), (1, 3), 1, 1.0),
+            lambda: formulas.two_tasep_crossing((-1, 0, 1), (1, 2, 4), 1, 1.0),
+            lambda: formulas.tasep_block_crossing(formulas.CrossingQuery(
+                make_blocks([[1, 0], [-1]], "initial"), make_blocks([[2, 1], [4]], "final"),
+                0.0, 1.0)),
+            lambda: formulas.rainbow_total_crossing((1, 0), (1, 2), 0.5, 1.0),
+            lambda: formulas.rainbow_total_crossing((3, 1, 0), (0, 1, 3), 0.5, 1.0),
+            lambda: formulas.rainbow_total_crossing((3, 2, 0), (0, 2, 3), 0.5, 1.0),
+            lambda: formulas.r_asep_transition((1, 0), (0, 2), 0.5, 1.0),
+            lambda: formulas.r_asep_transition((2, 1, 0), (1, 3, 0), 0.5, 1.0),
+            lambda: formulas.block_crossing(formulas.CrossingQuery(
+                make_blocks([[1, 0], [-1]], "initial"), make_blocks([[2, 1], [3]], "final"),
+                0.5, 1.0)),
+            lambda: formulas.cumulative_crossing_step((-1, 0), 1, -3, 2, 2.0),
+            lambda: formulas.cumulative_crossing_step((-2, -1, 0), 2, -3, 2, 1.0),
+            lambda: formulas.cumulative_crossing_bernoulli(
+                formulas.WallQuery(-3, 2, 0.5, 2, 1, 2.0), form="direct"),
+        ]
+        dims = []
+
+        def both(f, cp, **kwargs):
+            assert kwargs.pop("conjugate_symmetric") is True
+            dims.append(cp.dim)
+            return half_grid_matches_full(f, cp, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formulas, "product_integrate", both)
+            for call in calls:
+                call()
+        assert dims == [2, 3, 3, 3, 2, 3, 3, 2, 3, 3, 2, 3, 3, 2, 3, 2]
 
 
 class TestBatchedDet:
