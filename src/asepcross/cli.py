@@ -73,10 +73,6 @@ def dumps_record(record: dict) -> str:
     return _format_value(record)
 
 
-def loads_record(line: str) -> dict:
-    return json.loads(line)
-
-
 def _emit(record: dict, out_path: str | None, csv_path: str | None) -> None:
     line = dumps_record(record)
     print(line)
@@ -140,6 +136,16 @@ def _wall_query(p) -> WallQuery:
                      n=int(p["n"]), m=int(p["m"]), t=float(p["t"]))
 
 
+def _one_wall(p):
+    """The one-wall payload; its ``variant`` names one of the paper's two
+    forms of the same determinant, so either runs the one evaluator."""
+    variant = p.get("variant", "collapsed")
+    if variant not in ("collapsed", "cauchy_binet"):
+        raise ValidationError(f"one_wall variant must be 'collapsed' or 'cauchy_binet', "
+                              f"got {variant!r}")
+    return cumulative_crossing_one_wall(_wall_query(p))
+
+
 # The payload field that picks the formula, and its default, per command.
 SELECTORS = {"green": ("kind", "two_species"), "crossing": ("kind", "blocks"),
              "wall": ("form", "bernoulli")}
@@ -168,8 +174,7 @@ EVALUATORS = {
         int(p["n"]), int(p["s"]), float(p["t"])),
     ("wall", "bernoulli"): lambda p, tol, budget: cumulative_crossing_bernoulli(
         _wall_query(p), form=p.get("variant", "inverted"), tol=tol, node_budget=budget),
-    ("wall", "one_wall"): lambda p, tol, budget: cumulative_crossing_one_wall(
-        _wall_query(p), form=p.get("variant", "collapsed")),
+    ("wall", "one_wall"): lambda p, tol, budget: _one_wall(p),
 }
 
 

@@ -168,22 +168,22 @@ class ModelParams:
             raise ValidationError("q must be >= 0")
 
 
-def signed_permutations(N: int, cap: int = FACTORIAL_CAP) -> list[tuple[tuple[int, ...], int]]:
+def signed_permutations(N: int) -> list[tuple[tuple[int, ...], int]]:
     """All permutations of {0, .., N-1} in lexicographic order with their
     signs, as a list reused across mesh nodes.
 
     The signs come with the order: a permutation whose first image is v
     has v inversions more than the permutation of the remaining values
     after it, so the sign list of N repeats that of N - 1 once per v,
-    negated for odd v.  Raises ResourceLimitError when N exceeds the
-    factorial cap, which guards every permutation-sum evaluator against
+    negated for odd v.  Raises ResourceLimitError when N exceeds
+    FACTORIAL_CAP, which guards every permutation-sum evaluator against
     accidental blowups.
     """
     if N < 0:
         raise ValidationError("N must be nonnegative")
-    if N > cap:
+    if N > FACTORIAL_CAP:
         raise ResourceLimitError(
-            f"permutation sum of size {N} exceeds the factorial cap {cap}"
+            f"permutation sum of size {N} exceeds the factorial cap {FACTORIAL_CAP}"
         )
     signs = [1]
     for n in range(2, N + 1):

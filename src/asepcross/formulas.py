@@ -578,12 +578,6 @@ def _wall_w_part(Z, W, t, powers, gap):
     return out * batched_det(k, lambda i, j: W[i] ** j - W[i] ** gap)
 
 
-def _pole_variable(t: float, factors, points):
-    """One variable of the inverted integrands, e^((z-1)t) prod (z-a)^e over
-    ``factors``, with the points its residues are summed over."""
-    return RationalExpDescriptor(t, factors), points
-
-
 def _det_and_permanent(perms, values, sizes) -> tuple[complex, float]:
     """det of the square matrix ``values`` and the permanent of ``sizes``,
     in one Leibniz pass over ``perms`` (``signed_permutations``)."""
@@ -631,9 +625,11 @@ def _andreief(scale: float, z, m: int, w=(), beta: int | None = None) -> Result:
     """The wall residue integral over m symmetric variables z_i and k = len(w)
     further variables w_j, by Andréief's identity.
 
-    ``z`` and each entry of ``w`` are (RationalExpDescriptor, points) pairs;
-    L_z maps z^p to the moment h_p of ``z``, and L_w takes the w_j's
-    residues (``_residues``, with the border det_k[w_i^(k-1-j) - w_i^beta]).
+    ``z`` and each entry of ``w`` are (RationalExpDescriptor, points) pairs:
+    one variable's integrand e^((z-1)t) prod (z-a)^e and the points its
+    residues are summed over.  L_z maps z^p to the moment h_p of ``z``, and
+    L_w takes the w_j's residues (``_residues``, with the border
+    det_k[w_i^(k-1-j) - w_i^beta]).
     The integral
 
         (1/m!) L_z^m L_w[prod_{i != j} (z_j - z_i) prod_{i, j} (z_i - w_j) border(w)]
@@ -716,13 +712,14 @@ def cumulative_crossing_bernoulli(
                           scale=rho**m / math.factorial(m))
     # inverted form: m symmetric variables z, then k variables w_i, coupled
     # by prod (z_i - w_j) and bordered by det[w_i^(k-1-j) - w_i^beta]
-    z = _pole_variable(t, ((1.0, -n), (1.0 - rho, -1), (0.0, -s2 - m + 1)),
-                       (0.0, 1.0, 1.0 - rho))
-    w = [_pole_variable(t, ((1.0, i - k), (0.0, -s1 - m)), (0.0, 1.0)) for i in range(k)]
+    z = (RationalExpDescriptor(t, ((1.0, -n), (1.0 - rho, -1), (0.0, -s2 - m + 1))),
+         (0.0, 1.0, 1.0 - rho))
+    w = [(RationalExpDescriptor(t, ((1.0, i - k), (0.0, -s1 - m))), (0.0, 1.0))
+         for i in range(k)]
     return _andreief(rho**m, z, m, w, k + s1 - s2 - 1)
 
 
-def cumulative_crossing_one_wall(query: WallQuery, form: str = "collapsed") -> Result:
+def cumulative_crossing_one_wall(query: WallQuery) -> Result:
     """Cumulative crossing when the lower wall is irrelevant (s1 <= -m).
 
     The type-1 integrals collapse to one variable w, so the value is the
@@ -732,12 +729,11 @@ def cumulative_crossing_one_wall(query: WallQuery, form: str = "collapsed") -> R
     the type-1 block.  With prod_i (w - z_i) = (-1)^m prod_i (z_i - w) it is
     ``_andreief`` with k = 1 and scale -rho^m, i.e.
     -(-1)^(m(m-1)/2) rho^m L_w[det_m[h_{a+b+1} - w h_{a+b}]] over the
-    moments h of z.  That determinant of one-dimensional integrals is also
-    the Cauchy-Binet form, so ``form='cauchy_binet'`` is an alias of
-    ``form='collapsed'``, kept so that existing calls and CLI payloads
-    run; both give the same computation.  The collapse needs at
-    least one type-1 particle, so n = m is refused; the signs are tested
-    against cumulative_crossing_bernoulli for m up to 4.
+    moments h of z, one Andréief determinant (the collapsed and the
+    Cauchy-Binet forms of the paper are this one determinant).  The collapse
+    needs at least one type-1 particle, so n = m is refused; the value is
+    tested against cumulative_crossing_bernoulli, within the two est_errs,
+    for m up to 4.
     """
     if query.s1 > -query.m:
         raise ValidationError(
@@ -747,15 +743,13 @@ def cumulative_crossing_one_wall(query: WallQuery, form: str = "collapsed") -> R
         raise ValidationError(
             "one-wall evaluator requires n > m; use cumulative_crossing_bernoulli"
         )
-    if form not in ("collapsed", "cauchy_binet"):
-        raise ValidationError("form must be 'collapsed' or 'cauchy_binet'")
     if not query.feasible:
         return Result(0.0, 0.0, "exact")
     n, m, rho, t = query.n, query.m, query.rho, query.t
     s2 = query.s2
-    z = _pole_variable(t, ((1.0, -(m + 1)), (1.0 - rho, -1), (0.0, -s2 - m + 1)),
-                       (0.0, 1.0, 1.0 - rho))
-    w = _pole_variable(t, ((1.0, -1), (0.0, n - 2 * m - s2 - 1)), (0.0,))
+    z = (RationalExpDescriptor(t, ((1.0, -(m + 1)), (1.0 - rho, -1), (0.0, -s2 - m + 1))),
+         (0.0, 1.0, 1.0 - rho))
+    w = (RationalExpDescriptor(t, ((1.0, -1), (0.0, n - 2 * m - s2 - 1))), (0.0,))
     return _andreief(-(rho**m), z, m, [w])
 
 
@@ -776,7 +770,7 @@ def gamma_wall(n: int, s: int, t: float, method: str = "laurent",
     if t == 0:
         return Result(0.0, 0.0, "exact")
     if method == "laurent":
-        z = _pole_variable(t, ((1.0, -n), (0.0, 1 - s)), (0.0, 1.0))
+        z = (RationalExpDescriptor(t, ((1.0, -n), (0.0, 1 - s))), (0.0, 1.0))
         return _andreief(1.0, z, n)
 
     def integrand(Z):

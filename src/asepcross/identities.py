@@ -10,6 +10,7 @@ u-sum checks evaluate the production kernel, ``formulas.u_sum_determinant``
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +22,9 @@ from .formulas import GreenQuery, eigenfunction_P, two_tasep_green
 from .quadrature import DEFAULT_NODE_BUDGET, ContourProduct, ContourSpec, product_integrate
 
 POLE_MARGIN = 0.05
+TIME_STEP = 1e-3  # check_free_evolution's central-difference step h
+PROBE_RADIUS = 0.02  # check_removable_poles' circle about each probed pole
+INITIAL_SPAN = 2  # check_initial_condition's window: mu_i - 1 .. mu_i + this
 
 
 @dataclass(frozen=True)
@@ -55,11 +59,11 @@ def _sample_points(rng, count, lo=0.25, hi=0.9, avoid=(1.0,)):
     return np.array(pts)
 
 
-def check_free_evolution(nu, p, t, z, u, h=1e-3) -> IdentityReport:
+def check_free_evolution(nu, p, t, z, u) -> IdentityReport:
     """Central-difference time derivative against the lattice generator action.
 
-    Requires well-separated coordinates; reports the error at step h and
-    confirms second-order decay at h/2.
+    Requires well-separated coordinates; reports the error at step
+    h = TIME_STEP and confirms second-order decay at h/2.
     """
     nu = [int(x) for x in nu]
     if any(b - a < 2 for a, b in zip(nu, nu[1:])):
@@ -72,7 +76,7 @@ def check_free_evolution(nu, p, t, z, u, h=1e-3) -> IdentityReport:
         rhs = rhs + eigenfunction_P(shifted, p, t, z, u)
     resids = []
     errs = []
-    for step in (h, h / 2):
+    for step in (TIME_STEP, TIME_STEP / 2):
         lhs = (
             eigenfunction_P(nu, p, t + step, z, u)
             - eigenfunction_P(nu, p, t - step, z, u)
@@ -187,14 +191,14 @@ def _u_sum_with_poles(p, z, perm, u_values, substituted=0, identity_term=False):
     return out
 
 
-def check_removable_poles(n, m, rng, probe_radius=0.02) -> IdentityReport:
+def check_removable_poles(n, m, rng) -> IdentityReport:
     """Contour probes of the symmetrized integrand around each u_k = z_l.
 
-    After taking residues u_i = z_i for i < k, the probe integral around
-    z_l (l < k) must vanish once the permutation sum is complete.  The
-    negative control keeps a single permutation term on a configuration
-    whose numerator does not vanish at the probed pole; its probe residue
-    must be visibly nonzero.
+    After taking residues u_i = z_i for i < k, the probe integral on the
+    circle of radius PROBE_RADIUS around z_l (l < k) must vanish once the
+    permutation sum is complete.  The negative control keeps a single
+    permutation term on a configuration whose numerator does not vanish at
+    the probed pole; its probe residue must be visibly nonzero.
     """
     z = _sample_points(rng, n, lo=0.3, hi=0.7)
     p = sorted(rng.choice(np.arange(1, n + 1), size=m, replace=False).tolist())
@@ -218,7 +222,7 @@ def check_removable_poles(n, m, rng, probe_radius=0.02) -> IdentityReport:
                 pp, zz, pm, U, substituted=k - 1, identity_term=identity_term
             )
 
-        contour = ContourProduct((ContourSpec(complex(zz[l - 1]), probe_radius),))
+        contour = ContourProduct((ContourSpec(complex(zz[l - 1]), PROBE_RADIUS),))
         return product_integrate(lambda W: with_probe(W[0]), contour)[0]
 
     for k in range(2, m + 1):
@@ -315,17 +319,16 @@ def check_symmetrization(z, s2=3, rho=None) -> IdentityReport:
     return IdentityReport("symmetrization", 1, worst, threshold=1e-10)
 
 
-def check_initial_condition(mu_cfg: ParticleConfig, span=2,
+def check_initial_condition(mu_cfg: ParticleConfig,
                             node_budget: int = DEFAULT_NODE_BUDGET) -> IdentityReport:
-    """Green's function at t = 0 against the Kronecker delta over a window."""
-    import itertools
-
+    """Green's function at t = 0 against the Kronecker delta over the window
+    mu_i - 1 .. mu_i + INITIAL_SPAN of each particle."""
     n, m = mu_cfg.n, mu_cfg.m
     mu = mu_cfg.positions
     worst = 0.0
     count = 0
     lo = [x - 1 for x in mu]
-    hi = [x + span for x in mu]
+    hi = [x + INITIAL_SPAN for x in mu]
     for pos in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
         if any(b <= a for a, b in zip(pos, pos[1:])):
             continue

@@ -53,6 +53,8 @@ NOISE_MARGIN = 1e3  # δ' must exceed this many round-off levels
 # high power amplifies their phase errors (the exact 128-node sum of z^31
 # over the rounded unit-circle nodes is 1.7ε, not 0)
 ROUNDOFF = 2.0 * float(np.finfo(float).eps)
+SAME_POINT = 1e-12  # the residue engine takes points this close to be one point
+ORDER_CAP = 4096  # the highest pole order the residue engine expands
 # row j: the weight multiples of node j in the n-, n/2- and n/4-point rules,
 # which depend on j mod 4 only
 _RULE_ROWS = np.tile([[1.0, 2.0, 4.0], [1.0, 0.0, 0.0], [1.0, 2.0, 0.0], [1.0, 0.0, 0.0]],
@@ -90,12 +92,6 @@ class ContourSpec:
             raise ValidationError("contour radius must be positive")
         if self.orientation not in (1, -1):
             raise ValidationError("orientation must be +1 or -1")
-
-    def points(self, num: int) -> np.ndarray:
-        """``num`` equally spaced nodes from center + radius, exactly
-        mirrored: node num - j is node j reflected in the horizontal line
-        through the centre, and node num/2 (num even) is center - radius."""
-        return self.center + self.radius * _roots(num)
 
 
 @dataclass(frozen=True)
@@ -426,10 +422,10 @@ class RationalExpDescriptor:
     """Integrand of the form exp(exp_coeff*(z - 1)) * prod (z-a)^e.
 
     ``factors`` maps points to integer exponents; negative exponents are
-    poles.  Repeated points are merged at construction.  Centring the
-    exponential at 1 keeps it finite at the pole 1 of the residue routes:
-    e^((z-1)t) there is 1 for any t, where e^(-t) * e^(t z) is 0 * inf
-    past t = 745.
+    poles.  Points within SAME_POINT of each other are merged at
+    construction.  Centring the exponential at 1 keeps it finite at the pole
+    1 of the residue routes: e^((z-1)t) there is 1 for any t, where
+    e^(-t) * e^(t z) is 0 * inf past t = 745.
     """
 
     exp_coeff: complex = 0.0
@@ -442,7 +438,7 @@ class RationalExpDescriptor:
                 raise ValidationError("factor exponents must be integers")
             point = complex(point)
             for known in merged:
-                if abs(known - point) < 1e-12:
+                if abs(known - point) < SAME_POINT:
                     point = known
                     break
             merged[point] = merged.get(point, 0) + int(expo)
@@ -486,17 +482,17 @@ def _binomial_series(shift: complex, exponent: int, length: int) -> list[complex
 
 
 def _distinct(points) -> list[complex]:
-    """The points, each point within 1e-12 of an earlier one dropped."""
+    """The points, each point within SAME_POINT of an earlier one dropped."""
     seen: list[complex] = []
     for p in points:
         p = complex(p)
-        if not any(abs(p - s) < 1e-12 for s in seen):
+        if not any(abs(p - s) < SAME_POINT for s in seen):
             seen.append(p)
     return seen
 
 
 def residue_moments(
-    descriptor: RationalExpDescriptor, points, lo: int, hi: int, order_cap: int = 4096
+    descriptor: RationalExpDescriptor, points, lo: int, hi: int
 ) -> tuple[list[complex], list[float]]:
     """Moment table of a rational-times-exponential integrand g over the
     distinct ``points``: two lists whose entries e - lo, for e = lo..hi, are
@@ -508,7 +504,8 @@ def residue_moments(
     the power z^(e-lo) lowers b by e - lo, so the residue for e is
     coefficient b - 1 - (e - lo) of the same series; at p != 0 the series is
     combined with (p + x)^(e-lo), whose coefficients the loop carries from
-    one e to the next.  Pole orders above ``order_cap`` are refused.
+    one e to the next.  A pole order above ORDER_CAP (at the origin, that of
+    g·z^lo) is refused with ResourceLimitError before any series is built.
     """
     if lo:
         descriptor = RationalExpDescriptor(
@@ -520,14 +517,14 @@ def residue_moments(
         order = 0
         rest = []
         for point, expo in descriptor.factors:
-            if abs(point - at) < 1e-12:
+            if abs(point - at) < SAME_POINT:
                 order = -expo
             else:
                 rest.append((point, expo))
         if order <= 0:
             continue
-        if order > order_cap:
-            raise ResourceLimitError(f"pole order {order} exceeds the cap {order_cap}")
+        if order > ORDER_CAP:
+            raise ResourceLimitError(f"pole order {order} exceeds the cap {ORDER_CAP}")
         # exp(a x) = sum c_k x^k with c_k = c_{k-1} a / k: no a^k or k! to overflow;
         # e^(a(p-1)) comes last, so underflow times overflow is NaN, not a silent 0
         series = [1.0 + 0.0j]
@@ -538,7 +535,7 @@ def residue_moments(
         for point, expo in rest:
             series = np.convolve(series, _binomial_series(at - point, expo, order))[:order]
         backward = series[::-1].tolist()
-        if abs(at) < 1e-12:
+        if abs(at) < SAME_POINT:
             residues = backward[:size]
         else:
             residues = []
@@ -555,17 +552,15 @@ def residue_moments(
     return moments, sizes
 
 
-def laurent_residue(
-    descriptor: RationalExpDescriptor, at: complex, order_cap: int = 4096
-) -> complex:
+def laurent_residue(descriptor: RationalExpDescriptor, at: complex) -> complex:
     """Residue of a rational-times-exponential integrand at one of its poles:
     the e = 0 entry of its one-point moment table (exact up to rounding).
-    Pole orders above ``order_cap`` are refused."""
-    return residue_moments(descriptor, (at,), 0, 0, order_cap)[0][0]
+    Pole orders above ORDER_CAP are refused."""
+    return residue_moments(descriptor, (at,), 0, 0)[0][0]
 
 
 def residue_terms(descriptor: RationalExpDescriptor, points) -> list[complex]:
-    """Residues at the given points, each point within 1e-12 of another
+    """Residues at the given points, each point within SAME_POINT of another
     counted once."""
     return [laurent_residue(descriptor, p) for p in _distinct(points)]
 

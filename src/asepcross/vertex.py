@@ -9,6 +9,7 @@ sparse set of reachable edge states, never by path enumeration.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,6 @@ import numpy as np
 from .core import (
     ConfigurationError,
     ValidationError,
-    FACTORIAL_CAP,
     inversions,
     signed_permutations,
 )
@@ -29,6 +29,8 @@ from .quadrature import (
 )
 
 MIN_POINT_SEPARATION = 1e-8
+WEIGHT_CHECK_TOTAL = 2  # stochastic_weights_check covers occupation totals up to this
+CONTOUR_MARGIN = 0.05  # relative clearance of admissible circles from s and 1/s
 
 
 def _as_state(vec) -> tuple[int, ...]:
@@ -36,11 +38,6 @@ def _as_state(vec) -> tuple[int, ...]:
     if any(x < 0 for x in state):
         raise ValidationError("colour occupation numbers must be nonnegative")
     return state
-
-
-def _tail_sum(I, start):
-    # sum of I[start:], with colours 1-based: tail strictly above colour `start`
-    return sum(I[start:])
 
 
 def _spectral_point(z, s):
@@ -62,6 +59,7 @@ def weight_L(I, j, K, l, z, q, s):
     """Vertex weight for rightward travel; zero unless I + e_j = K + e_l.
 
     ``z`` may be a complex scalar or ndarray; ``q`` and ``s`` are scalars.
+    With colours 1-based, sum(I[c:]) counts the paths of colours above c.
     """
     I = _as_state(I)
     K = _as_state(K)
@@ -79,17 +77,17 @@ def weight_L(I, j, K, l, z, q, s):
         return np.zeros_like(z) if isinstance(z, np.ndarray) else 0.0 + 0.0j
     denom = 1.0 - s * z
     if j == 0 and l == 0:
-        num = 1.0 - s * z * q ** _tail_sum(I, 0)
+        num = 1.0 - s * z * q ** sum(I)
     elif j == l:
-        num = (z - s * q ** I[j - 1]) * q ** _tail_sum(I, j)
+        num = (z - s * q ** I[j - 1]) * q ** sum(I[j:])
     elif j == 0:
-        num = z * (1.0 - q ** I[l - 1]) * q ** _tail_sum(I, l)
+        num = z * (1.0 - q ** I[l - 1]) * q ** sum(I[l:])
     elif l == 0:
-        num = 1.0 - s * s * q ** _tail_sum(I, 0)
+        num = 1.0 - s * s * q ** sum(I)
     elif j < l:
-        num = z * (1.0 - q ** I[l - 1]) * q ** _tail_sum(I, l)
+        num = z * (1.0 - q ** I[l - 1]) * q ** sum(I[l:])
     else:
-        num = s * (1.0 - q ** I[l - 1]) * q ** _tail_sum(I, l)
+        num = s * (1.0 - q ** I[l - 1]) * q ** sum(I[l:])
     return num / denom
 
 
@@ -119,17 +117,17 @@ def weight_M(I, j, K, l, z, q, s):
     qi = 1.0 / q
     denom = s * z - 1.0
     if j == 0 and l == 0:
-        num = s * z - qi ** _tail_sum(I, 0)
+        num = s * z - qi ** sum(I)
     elif j == l:
-        num = (s - z * qi ** I[j - 1]) * qi ** _tail_sum(I, j)
+        num = (s - z * qi ** I[j - 1]) * qi ** sum(I[j:])
     elif j == 0:
-        num = -(1.0 - qi ** I[l - 1]) * qi ** _tail_sum(I, l)
+        num = -(1.0 - qi ** I[l - 1]) * qi ** sum(I[l:])
     elif l == 0:
-        num = -z * (s * s - qi ** _tail_sum(I, 0))
+        num = -z * (s * s - qi ** sum(I))
     elif j < l:
-        num = s * (1.0 - qi ** I[l - 1]) * qi ** _tail_sum(I, l)
+        num = s * (1.0 - qi ** I[l - 1]) * qi ** sum(I[l:])
     else:
-        num = z * (1.0 - qi ** I[l - 1]) * qi ** _tail_sum(I, l)
+        num = z * (1.0 - qi ** I[l - 1]) * qi ** sum(I[l:])
     return num / denom
 
 
@@ -170,37 +168,23 @@ def stochastic_weights_check(
     z: complex,
     q: complex,
     s: complex,
-    max_total: int = 2,
     perturb: float = 1.0,
 ) -> tuple[StochasticityReport, StochasticityReport]:
-    """Verify sum-to-unity of the gauged L and M weights over all out-states.
+    """Verify sum-to-unity of the gauged L and M weights over all out-states
+    of every occupation vector of length n and total at most
+    WEIGHT_CHECK_TOTAL.
 
     ``perturb`` scales the colour-preserving pass-through entry and exists as
     a negative control: any value != 1 must break the sums.
     """
-
-    def states_upto(bound):
-        # occupation vectors of length n with sum <= bound
-        def rec(prefix, remaining, slots):
-            if slots == 0:
-                yield tuple(prefix)
-                return
-            for k in range(remaining + 1):
-                yield from rec(prefix + [k], remaining - k, slots - 1)
-
-        seen = set()
-        for tot in range(bound + 1):
-            for st in rec([], tot, n):
-                if st not in seen:
-                    seen.add(st)
-                    yield st
-
+    states = [I for I in itertools.product(range(WEIGHT_CHECK_TOTAL + 1), repeat=n)
+              if sum(I) <= WEIGHT_CHECK_TOTAL]
     reports = []
     for family in ("L", "M"):
         max_dev = 0.0
         min_w = np.inf
         cases = 0
-        for I in states_upto(max_total):
+        for I in states:
             for j in range(n + 1):
                 total = 0.0 + 0.0j
                 for K, l in out_states(I, j):
@@ -222,8 +206,9 @@ def stochastic_weights_check(
     return tuple(reports)
 
 
-def _column_exit_vector(mu, column):
-    return tuple(1 if m == column else 0 for m in mu)
+def _exit_vector(parts, column):
+    """Which of the paths ending at ``parts`` leave at ``column``."""
+    return tuple(1 if p == column else 0 for p in parts)
 
 
 def _f_mu_nonneg(mu, Z, q, s):
@@ -238,7 +223,7 @@ def _f_mu_nonneg(mu, Z, q, s):
     weights = {}
     states = {tuple(range(1, n + 1)): 1.0}
     for column in range(max(mu) + 1 if mu else 0):
-        target = _column_exit_vector(mu, column)
+        target = _exit_vector(mu, column)
         new_states: dict[tuple[int, ...], np.ndarray] = {}
         for h, amp in states.items():
             # contract the n vertices of this column from bottom to top
@@ -314,10 +299,6 @@ def g_star_mu(mu, z, q, s):
     return finish(pref * scale * val)
 
 
-def _boundary_vectors(parts, columns):
-    return {c: tuple(1 if p == c else 0 for p in parts) for c in columns}
-
-
 def G_mu_nu(mu, nu, ys, q, s):
     """Skew partition function G_mu/nu with leftward travel over len(ys) rows.
 
@@ -336,10 +317,7 @@ def G_mu_nu(mu, nu, ys, q, s):
     n = len(mu)
     lo, hi = min(nu), max(mu)
     columns = list(range(lo, hi + 1))
-    bottom = _boundary_vectors(mu, columns)
-    top = _boundary_vectors(nu, columns)
-    state0 = tuple(bottom[c] for c in columns)
-    states = {state0: 1.0 + 0.0j}
+    states = {tuple(_exit_vector(mu, c) for c in columns): 1.0 + 0.0j}
     for y in ys:
         new_states: dict[tuple, complex] = {}
         for state, amp in states.items():
@@ -361,11 +339,10 @@ def G_mu_nu(mu, nu, ys, q, s):
                 key = tops
                 new_states[key] = new_states.get(key, 0.0) + w
         states = new_states
-    target = tuple(top[c] for c in columns)
-    return states.get(target, 0.0 + 0.0j)
+    return states.get(tuple(_exit_vector(nu, c) for c in columns), 0.0 + 0.0j)
 
 
-def _symmetrize(X, pair, ratio, lam, cap):
+def _symmetrize(X, pair, ratio, lam):
     """Sum over sigma in S_n of prod_{i<j} pair(X_sigma(i), X_sigma(j)) *
     prod_i ratio[sigma(i)]^lam_i; coincident points are refused."""
     n = len(lam)
@@ -376,7 +353,7 @@ def _symmetrize(X, pair, ratio, lam, cap):
                     "coincident spectral parameters in symmetrized sum; perturb them"
                 )
     total = 0.0
-    for perm, _ in signed_permutations(n, cap):
+    for perm, _ in signed_permutations(n):
         term = 1.0
         for i in range(n):
             for j in range(i + 1, n):
@@ -387,7 +364,7 @@ def _symmetrize(X, pair, ratio, lam, cap):
     return total
 
 
-def F_lambda_sym(lam, z, q, s, cap: int = FACTORIAL_CAP):
+def F_lambda_sym(lam, z, q, s):
     """Symmetric rational function F_lambda (weakly decreasing lambda)."""
     lam = [int(x) for x in lam]
     if any(b > a for a, b in zip(lam, lam[1:])):
@@ -404,18 +381,18 @@ def F_lambda_sym(lam, z, q, s, cap: int = FACTORIAL_CAP):
     for i in range(n):
         denom = denom * (1.0 - s * Z[i])
     total = _symmetrize(Z, lambda a, b: (a - q * b) / (a - b),
-                        [(x - s) / (1.0 - s * x) for x in Z], lam, cap)
+                        [(x - s) / (1.0 - s * x) for x in Z], lam)
     return finish(pref / denom * total)
 
 
-def sfF_lambda(lam, u, q, cap: int = FACTORIAL_CAP):
+def sfF_lambda(lam, u, q):
     """Permutation sum F_lambda over a strict signature (Hall-Littlewood type)."""
     lam = [int(x) for x in lam]
     if any(b >= a for a, b in zip(lam, lam[1:])):
         raise ValidationError("lambda must be strictly decreasing")
     U, finish = spectral_rows(u, len(lam))
     return finish(_symmetrize(U, lambda a, b: (b - q * a) / (b - a),
-                              [(1.0 - x) / (1.0 - q * x) for x in U], lam, cap))
+                              [(1.0 - x) / (1.0 - q * x) for x in U], lam))
 
 
 def xi_mu(mu, u, q):
@@ -428,19 +405,20 @@ def xi_mu(mu, u, q):
     return finish(out)
 
 
-def admissible_contours(q, s, n: int, enclose=(), margin: float = 0.05):
+def admissible_contours(q, s, n: int, enclose=()):
     """Nested origin-centered circles admissible for (q, s).
 
-    Each circle surrounds s (and every point in ``enclose``), none surrounds
-    1/s, and both C_i and q*C_i fit inside C_{i+1}.  Raises when no such
-    radii exist for origin-centered circles.
+    Each circle surrounds s (and every point in ``enclose``) and none
+    surrounds 1/s, with a relative clearance of CONTOUR_MARGIN, and both
+    C_i and q*C_i fit inside C_{i+1}.  Raises when no such radii exist for
+    origin-centered circles.
     """
     s_abs = abs(s)
     if s_abs == 0:
         raise ConfigurationError("admissible contours need s != 0")
     q_abs = max(abs(q), 1.0)
-    inner_floor = max([s_abs] + [abs(p) for p in enclose]) * (1.0 + margin)
-    outer_cap = (1.0 / s_abs) * (1.0 - margin)
+    inner_floor = max([s_abs] + [abs(p) for p in enclose]) * (1.0 + CONTOUR_MARGIN)
+    outer_cap = (1.0 / s_abs) * (1.0 - CONTOUR_MARGIN)
     radii = [max(2.0 * s_abs, inner_floor * 1.05)]
     growth = 1.25 * q_abs
     for _ in range(n - 1):
@@ -455,28 +433,26 @@ def admissible_contours(q, s, n: int, enclose=(), margin: float = 0.05):
                     f"no admissible origin-centered circles for q={q}, s={s}, n={n}"
                 )
             radii = [inner_floor * growth**k for k in range(n)]
-    if radii[0] <= inner_floor / (1.0 + margin) or radii[-1] > outer_cap + 1e-12:
+    if radii[0] <= inner_floor / (1.0 + CONTOUR_MARGIN) or radii[-1] > outer_cap + 1e-12:
         raise ConfigurationError(
             f"no admissible origin-centered circles for q={q}, s={s}, n={n}"
         )
     return [ContourSpec(center=0.0, radius=r) for r in radii]
 
 
-def orthogonality_check(mu, nu, q, s, radii=None, tol: float = 1e-8):
+def orthogonality_check(mu, nu, q, s, tol: float = 1e-8):
     """Evaluate the biorthogonality integral of f_nu against g*_mu.
 
-    Returns the complex value of the n-fold contour integral, which equals 1
-    when mu == nu and 0 otherwise.
+    Returns the complex value of the n-fold contour integral over the
+    ``admissible_contours`` for (q, s), which equals 1 when mu == nu and 0
+    otherwise.
     """
     mu = [int(x) for x in mu]
     nu = [int(x) for x in nu]
     n = len(mu)
     if len(nu) != n:
         raise ValidationError("mu and nu must have equal length")
-    if radii is None:
-        contours = admissible_contours(q, s, n)
-    else:
-        contours = [ContourSpec(center=0.0, radius=r) for r in radii]
+    contours = admissible_contours(q, s, n)
 
     def integrand(Z):
         out = 1.0

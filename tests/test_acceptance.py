@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from asepcross.cli import loads_record, main as cli_main
+from asepcross.cli import main as cli_main
 from asepcross.core import ModelParams, ParticleConfig
 from asepcross.formulas import (
     CrossingQuery,
@@ -221,7 +221,7 @@ def test_a7_vertex_layer(rng):
         q = float(rng.uniform(1.2, 3.0))
         s = float(rng.uniform(0.15, 0.8))
         for n in (1, 2):
-            rep_l, rep_m = stochastic_weights_check(n, z, q, s, max_total=2)
+            rep_l, rep_m = stochastic_weights_check(n, z, q, s)
             sum_dev = max(sum_dev, rep_l.max_deviation, rep_m.max_deviation)
     # factorization / stability / symmetrization at 100 random points
     ident_dev = 0.0
@@ -271,7 +271,7 @@ def test_a7_vertex_layer(rng):
         val = orthogonality_check(mu, nu, 2.0, 0.1)
         orth_dev = max(orth_dev, abs(val - (1.0 if mu == nu else 0.0)))
     for mu, nu in (([1, 0], [1, 0]), ([1, 0], [2, 0]), ([2, 1], [2, 1])):
-        val = orthogonality_check(mu, nu, 2.0, 0.1, radii=(0.2, 0.5), tol=1e-8)
+        val = orthogonality_check(mu, nu, 2.0, 0.1, tol=1e-8)
         orth_dev = max(orth_dev, abs(val - (1.0 if mu == nu else 0.0)))
     # truncated Cauchy identity within its reported tail bound
     cauchy_ok = True
@@ -304,11 +304,9 @@ def test_a9_cumulative_crossing():
     query = WallQuery(s1=-3, s2=2, rho=0.5, n=2, m=1, t=2.0)
     direct = cumulative_crossing_bernoulli(query, form="direct")
     inverted = cumulative_crossing_bernoulli(query, form="inverted")
-    collapsed = cumulative_crossing_one_wall(query, form="collapsed")
-    cbinet = cumulative_crossing_one_wall(query, form="cauchy_binet")
-    form_dev = max(
-        abs(direct - inverted), abs(inverted - collapsed), abs(collapsed - cbinet)
-    )
+    one_wall = cumulative_crossing_one_wall(query)
+    form_dev = max(abs(direct - inverted), abs(inverted - one_wall))
+    within_est = abs(inverted - one_wall) <= inverted.est_err + one_wall.est_err
     job = MonteCarloJob(
         q=0.0, horizon=2.0, samples=1_000_000, seed=2024,
         bernoulli=(0.5, 1, 2), event=("wall", -3, 2),
@@ -323,10 +321,11 @@ def test_a9_cumulative_crossing():
     # crossings, after aligning the two initial-position conventions
     n, s2, t = 2, 2, 2.0
     gamma_dev = abs(rho1 - (gamma_wall(n - 1, s2 + n, t) - gamma_wall(n, s2 + n, t)))
-    ok = form_dev < 1e-9 and mc_ok and rho_dev < 1e-9 and gamma_dev < 1e-8
+    ok = form_dev < 1e-9 and within_est and mc_ok and rho_dev < 1e-9 and gamma_dev < 1e-8
     _report(
         "A9", ok,
-        f"four forms agree to {form_dev:.2e} (tol 1e-9); MC {est:.6f}+-{err:.1e} vs "
+        f"three routes agree to {form_dev:.2e} (tol 1e-9), one-wall against "
+        f"inverted within their est_errs: {within_est}; MC {est:.6f}+-{err:.1e} vs "
         f"{inverted:.6f} within 3 stderr: {mc_ok}; rho->1 dev {rho_dev:.2e} "
         f"(tol 1e-9); wall-splitting dev {gamma_dev:.2e} (tol 1e-8)",
     )
@@ -344,7 +343,7 @@ def test_a10_reproducibility(capsys, tmp_path):
         )
         assert code == 0
         line = capsys.readouterr().out.strip().splitlines()[-1]
-        rec = loads_record(line)
+        rec = json.loads(line)
         rec.pop("wall_ms")  # timing is the one volatile field
         records.append(json.dumps(rec, sort_keys=True))
     ok = records[0] == records[1] == records[2]

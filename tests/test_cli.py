@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from asepcross.cli import EVALUATORS, SELECTORS, dumps_record, loads_record, main
+from asepcross.cli import EVALUATORS, SELECTORS, dumps_record, main
 from asepcross.core import ParticleConfig
 from asepcross.oracle import MonteCarloJob, run_monte_carlo
 from asepcross.quadrature import ContourProduct, ContourSpec, product_integrate
@@ -26,7 +26,7 @@ class TestSerialization:
             "note": None,
         }
         line = dumps_record(record)
-        parsed = loads_record(line)
+        parsed = json.loads(line)
         assert dumps_record(parsed) == line
 
     def test_sorted_keys(self):
@@ -45,7 +45,7 @@ class TestGreenCommand:
             '{"kind":"two_species","mu":[0],"p0":[],"nu":[0],"p":[],"t":0.0}',
         )
         assert code == 0
-        rec = loads_record(out[-1])
+        rec = json.loads(out[-1])
         assert rec["value"] == 1.0
         assert rec["method"] == "laurent"
 
@@ -54,7 +54,7 @@ class TestGreenCommand:
             capsys, "green", "--json",
             '{"kind":"two_species","mu":[0],"p0":[],"nu":[2],"p":[],"t":1.0}',
         )
-        rec = loads_record(out[-1])
+        rec = json.loads(out[-1])
         assert abs(rec["value"] - math.exp(-1) / 2) < 1e-12
 
     def test_long_jump_query(self, capsys):
@@ -64,7 +64,7 @@ class TestGreenCommand:
             '{"kind":"two_species","mu":[0],"p0":[],"nu":[200],"p":[],"t":1.0}',
         )
         assert code == 0
-        rec = loads_record(out[-1])
+        rec = json.loads(out[-1])
         assert 0.0 <= rec["value"] < 1e-300 and rec["method"] == "laurent"
 
     def test_rainbow_payload(self, capsys):
@@ -73,7 +73,7 @@ class TestGreenCommand:
             '{"kind":"rainbow_asep","mu":[1,0],"nu":[0,1],"q":0.5,"t":0.0}',
         )
         assert code == 0
-        rec = loads_record(out[-1])
+        rec = json.loads(out[-1])
         assert abs(rec["value"]) < 1e-10
 
     def test_golden_instance_from_config_file(self, capsys, tmp_path):
@@ -84,7 +84,7 @@ class TestGreenCommand:
         )
         code, out = run_cli(capsys, "green", "--config", str(cfg))
         assert code == 0
-        assert abs(loads_record(out[-1])["value"] - golden) < 1e-9
+        assert abs(json.loads(out[-1])["value"] - golden) < 1e-9
 
 
 class TestCrossingCommand:
@@ -95,7 +95,7 @@ class TestCrossingCommand:
             '"lambda_blocks":[[2],[3]],"t":0.0}',
         )
         assert code == 0
-        assert abs(loads_record(out[-1])["value"]) < 1e-12
+        assert abs(json.loads(out[-1])["value"]) < 1e-12
 
     def test_blocks_match_python_api(self, capsys):
         from asepcross.formulas import CrossingQuery, block_crossing
@@ -106,7 +106,7 @@ class TestCrossingCommand:
             '{"kind":"blocks","mu_blocks":[[1],[0]],'
             '"lambda_blocks":[[2],[3]],"q":0.5,"t":1.0}',
         )
-        rec = loads_record(out[-1])
+        rec = json.loads(out[-1])
         query = CrossingQuery(
             make_blocks([[1], [0]], "initial"),
             make_blocks([[2], [3]], "final"),
@@ -123,7 +123,7 @@ class TestWallCommand:
             '{"form":"step","mu":[-1,0],"m":1,"s1":0,"s2":0,"t":1.0}',
         )
         assert code == 0
-        assert loads_record(out[-1])["value"] == 0.0
+        assert json.loads(out[-1])["value"] == 0.0
 
     def test_rho_one_matches_step(self, capsys):
         _, out1 = run_cli(
@@ -134,15 +134,15 @@ class TestWallCommand:
             capsys, "wall", "--json",
             '{"form":"step","mu":[-1,0],"m":1,"s1":-3,"s2":2,"t":2.0}',
         )
-        v1 = loads_record(out1[-1])["value"]
-        v2 = loads_record(out2[-1])["value"]
+        v1 = json.loads(out1[-1])["value"]
+        v2 = json.loads(out2[-1])["value"]
         assert abs(v1 - v2) < 1e-9
 
     def test_gamma_form(self, capsys):
         _, out = run_cli(
             capsys, "wall", "--json", '{"form":"gamma","n":1,"s":2,"t":1.0}'
         )
-        assert abs(loads_record(out[-1])["value"] - (1 - math.exp(-1))) < 1e-12
+        assert abs(json.loads(out[-1])["value"] - (1 - math.exp(-1))) < 1e-12
 
 
 class TestSimulateCommand:
@@ -151,7 +151,7 @@ class TestSimulateCommand:
             capsys, "simulate", "--json",
             '{"task":"run","positions":[0,2],"species":[2,1],"t":0.0}',
         )
-        rec = loads_record(out[-1])
+        rec = json.loads(out[-1])
         assert rec["result"] == {"positions": [0, 2], "species": [2, 1]}
 
     def test_fixed_seed_reproducible(self, capsys):
@@ -163,7 +163,7 @@ class TestSimulateCommand:
         )
         _, out1 = run_cli(capsys, *argv)
         _, out2 = run_cli(capsys, *argv)
-        rec1, rec2 = loads_record(out1[-1]), loads_record(out2[-1])
+        rec1, rec2 = json.loads(out1[-1]), json.loads(out2[-1])
         rec1.pop("wall_ms")
         rec2.pop("wall_ms")
         assert rec1 == rec2
@@ -177,7 +177,7 @@ class TestSimulateCommand:
         )
         _, out1 = run_cli(capsys, *base, "--threads", "1")
         _, out2 = run_cli(capsys, *base, "--threads", "2")
-        rec1, rec2 = loads_record(out1[-1]), loads_record(out2[-1])
+        rec1, rec2 = json.loads(out1[-1]), json.loads(out2[-1])
         rec1.pop("wall_ms")
         rec2.pop("wall_ms")
         assert rec1 == rec2
@@ -194,7 +194,7 @@ class TestSimulateCommand:
         for payload, fields in runs:
             code, out = run_cli(capsys, "simulate", "--json", payload, "--seed", str(seed))
             assert code == 0
-            final = loads_record(out[-1])["result"]
+            final = json.loads(out[-1])["result"]
             event = ("target", tuple(final["positions"]), tuple(final["species"]))
             job = MonteCarloJob(samples=1, seed=seed, event=event, **fields)
             assert run_monte_carlo(job)[2] == 1
@@ -206,7 +206,7 @@ class TestSimulateCommand:
             '"samples":50000,"target_positions":[1],"target_species":[1]}',
             "--budget", "5000",
         )
-        assert loads_record(out[-1])["samples"] == 5000
+        assert json.loads(out[-1])["samples"] == 5000
 
 
 class TestVerifyCommand:
@@ -216,7 +216,7 @@ class TestVerifyCommand:
             '{"suite":"vertex","negative_control":true}',
         )
         assert code == 0
-        rec = loads_record(out[-1])
+        rec = json.loads(out[-1])
         assert rec["all_passed"] is True
         names = [c["name"] for c in rec["checks"]]
         assert "perturbation_control_breaks_sums" in names
@@ -263,7 +263,7 @@ class TestEvaluatorTable:
         tol = 1e-10
         code, out = run_cli(capsys, command, "--json", payload, "--tol", str(tol))
         assert code == 0
-        rec = loads_record(out[-1])
+        rec = json.loads(out[-1])
         assert rec["method"] == method
         if method == "quadrature":
             assert 0.0 <= rec["est_error"] < tol
@@ -273,6 +273,21 @@ class TestEvaluatorTable:
             assert 0.0 < rec["est_error"] < 1e-12
         else:
             assert rec["est_error"] == 0.0
+
+    def test_one_wall_variants_run_the_one_evaluator(self, capsys):
+        base = {"form": "one_wall", "s1": -3, "s2": 2, "rho": 0.5, "n": 2, "m": 1, "t": 2.0}
+        records = []
+        for variant in ("collapsed", "cauchy_binet", None):
+            payload = dict(base) if variant is None else dict(base, variant=variant)
+            code, out = run_cli(capsys, "wall", "--json", json.dumps(payload))
+            assert code == 0
+            rec = json.loads(out[-1])
+            rec.pop("wall_ms")
+            rec["input"].pop("variant", None)  # the echoed payload names it
+            records.append(dumps_record(rec))
+        assert records[0] == records[1] == records[2]
+        code, _ = run_cli(capsys, "wall", "--json", json.dumps(dict(base, variant="bogus")))
+        assert code == 2
 
     @pytest.mark.parametrize("command, field", [
         ("green", "kind"), ("crossing", "kind"), ("wall", "form"),
@@ -286,7 +301,7 @@ class TestEvaluatorTable:
         from asepcross.formulas import GreenQuery, two_tasep_green
 
         code, out = run_cli(capsys, "green", "--json", TABLE_PAYLOADS[0][1])
-        rec = loads_record(out[-1])
+        rec = json.loads(out[-1])
         val = two_tasep_green(GreenQuery(
             ParticleConfig.from_two_species((0, 1), (1,)),
             ParticleConfig.from_two_species((1, 2), (2,)), 1.0,
@@ -364,7 +379,7 @@ class TestExitCodes:
         assert abs(value - 1.0) < 1e-12
         code, out = run_cli(capsys, "green", "--json", payload)
         assert code == 0
-        assert abs(loads_record(out[-1])["value"] - 0.06766764161830637) < 1e-9
+        assert abs(json.loads(out[-1])["value"] - 0.06766764161830637) < 1e-9
 
 
 class TestOutputs:
@@ -379,7 +394,7 @@ class TestOutputs:
         run_cli(capsys, *argv)
         lines = out_path.read_text().strip().splitlines()
         assert len(lines) == 2
-        assert loads_record(lines[0])["command"] == "green"
+        assert json.loads(lines[0])["command"] == "green"
 
     def test_csv_export(self, capsys, tmp_path):
         csv_path = tmp_path / "table.csv"

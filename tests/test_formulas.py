@@ -480,10 +480,8 @@ class TestCumulativeBernoulli:
     def test_one_wall_forms_agree(self):
         query = WallQuery(s1=-3, s2=2, rho=0.5, n=2, m=1, t=2.0)
         i = cumulative_crossing_bernoulli(query, form="inverted")
-        c = cumulative_crossing_one_wall(query, form="collapsed")
-        cb = cumulative_crossing_one_wall(query, form="cauchy_binet")
-        assert abs(i - c) < 1e-9
-        assert abs(c - cb) < 1e-9
+        c = cumulative_crossing_one_wall(query)
+        assert abs(i - c) <= i.est_err + c.est_err < 1e-12
 
     def test_rho_one_matches_step(self):
         query = WallQuery(s1=-3, s2=2, rho=1.0, n=2, m=1, t=2.0)
@@ -499,18 +497,18 @@ class TestCumulativeBernoulli:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_cauchy_binet_sign(self, m):
         query = WallQuery(s1=-2 * m, s2=1, rho=0.5, n=m + 1, m=m, t=3.0)
-        cb = cumulative_crossing_one_wall(query, form="cauchy_binet")
-        assert cb > 0
-        assert abs(cb - cumulative_crossing_one_wall(query, form="collapsed")) < 1e-10
-        assert abs(cb - cumulative_crossing_bernoulli(query)) < 1e-10
+        one_wall = cumulative_crossing_one_wall(query)
+        bernoulli = cumulative_crossing_bernoulli(query)
+        assert one_wall > 0
+        assert abs(one_wall - bernoulli) < 1e-10
+        assert abs(one_wall - bernoulli) <= one_wall.est_err + bernoulli.est_err
 
-    @pytest.mark.parametrize("form", ["collapsed", "cauchy_binet"])
-    def test_one_wall_refuses_n_equal_m(self, form):
-        # both forms were silently wrong here (0.199489 against 0.205159 at n = m = 1)
+    def test_one_wall_refuses_n_equal_m(self):
+        # the collapse was silently wrong here (0.199489 against 0.205159 at n = m = 1)
         for n in (1, 2):
             query = WallQuery(s1=-n - 1, s2=2, rho=0.5, n=n, m=n, t=2.0)
             with pytest.raises(ValidationError, match="cumulative_crossing_bernoulli"):
-                cumulative_crossing_one_wall(query, form=form)
+                cumulative_crossing_one_wall(query)
 
     def test_m0_reduces_to_type1_window(self):
         # no type 2: the event is all particles staying below s2
@@ -781,11 +779,12 @@ class TestResult:
         tail = gamma_wall(1, 5, 2.0)
         exact = 1.0 - sum(math.exp(-2.0) * 2.0**k / math.factorial(k) for k in range(4))
         assert abs(tail - exact) <= tail.est_err < 1e-14
-        # the two one-wall forms sum the same residues in different orders
+        # the one-wall collapse and the Bernoulli route sum different
+        # residues; each covers the other within the two error bars
         query = WallQuery(-6, 3, 0.5, 4, 2, 4.0)
-        collapsed = cumulative_crossing_one_wall(query)
-        binet = cumulative_crossing_one_wall(query, form="cauchy_binet")
-        assert abs(collapsed - binet) <= collapsed.est_err + binet.est_err < 1e-12
+        one_wall = cumulative_crossing_one_wall(query)
+        bernoulli = cumulative_crossing_bernoulli(query)
+        assert abs(one_wall - bernoulli) <= one_wall.est_err + bernoulli.est_err < 1e-9
 
     def test_clamped_zero_is_positive(self):
         # the one-wall residue sum cancels to a tiny negative value here

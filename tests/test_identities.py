@@ -31,7 +31,7 @@ class TestFreeEvolution:
 
     def test_mixed_species_order(self, spectral):
         z, u = spectral
-        rep = check_free_evolution([0, 2, 5], [2], 0.4, z, u, h=1e-3)
+        rep = check_free_evolution([0, 2, 5], [2], 0.4, z, u)
         assert rep.passed
         err_h, err_h2 = (
             float(tok.split("=")[1]) for tok in rep.details.split()

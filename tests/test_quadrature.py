@@ -4,12 +4,13 @@ import re
 import numpy as np
 import pytest
 
-from asepcross import formulas
+from asepcross import formulas, quadrature
 from asepcross.core import AccuracyError, ParticleConfig, ResourceLimitError, ValidationError
 from asepcross.quadrature import (
     DEFAULT_MAX_NODES,
     DEFAULT_START_NODES,
     EVAL_CHUNK,
+    ORDER_CAP,
     ROUNDOFF,
     ContourProduct,
     ContourSpec,
@@ -17,6 +18,7 @@ from asepcross.quadrature import (
     RationalExpDescriptor,
     batched_det,
     _binomial_series,
+    _roots,
     laurent_residue,
     product_integrate,
     residue_moments,
@@ -211,7 +213,7 @@ def trapezoid(f, cp, counts):
     """The counts[k]-node trapezoid rule on axis k, summed over slabs of 8
     nodes of the first axis."""
     d = cp.dim
-    axes = [c.points(n) for c, n in zip(cp.contours, counts)]
+    axes = [c.center + c.radius * _roots(n) for c, n in zip(cp.contours, counts)]
     total = 0.0
     for i in range(0, counts[0], 8):
         grid = OpenGrid(
@@ -234,7 +236,8 @@ def flat_reference(f, cp, tol=1e-10):
     levels = {tuple(counts): math.prod(counts)}
     while True:
         idx = np.indices(counts).reshape(d, -1)
-        pts = np.array([c.points(n)[i] for c, n, i in zip(cp.contours, counts, idx)])
+        pts = np.array([(c.center + c.radius * _roots(n))[i]
+                        for c, n, i in zip(cp.contours, counts, idx)])
         vals = np.broadcast_to(f(pts), idx.shape[1:])
         terms = vals * np.prod(
             [c.orientation * (p - c.center) / n for c, n, p in zip(cp.contours, counts, pts)],
@@ -514,11 +517,12 @@ class TestLaurentResidue:
             RationalExpDescriptor(factors=((0.0, -1.5),))
 
     def test_order_cap(self):
-        from asepcross.core import ResourceLimitError
-
-        desc = RationalExpDescriptor(factors=((0.0, -12),))
-        with pytest.raises(ResourceLimitError):
-            laurent_residue(desc, 0.0, order_cap=10)
+        # 1/(z^N (z - 1)) has residue -1 at the origin for every N
+        at_cap = RationalExpDescriptor(factors=((0.0, -ORDER_CAP), (1.0, -1)))
+        assert laurent_residue(at_cap, 0.0) == -1.0
+        desc = RationalExpDescriptor(factors=((0.0, -4097), (1.0, -1)))
+        with pytest.raises(ResourceLimitError, match="pole order 4097 exceeds the cap 4096"):
+            laurent_residue(desc, 0.0)
 
     def test_merges_repeated_points(self):
         desc = RationalExpDescriptor(factors=((0.0, -1), (1e-13, -2)))
@@ -588,15 +592,21 @@ class TestResidueMoments:
         formulas.cumulative_crossing_bernoulli(formulas.WallQuery(-5, 2, 0.5, 4, 2, 2.0))
         assert len(calls) == 3  # z once, then each of the k = 2 w's
 
-    def test_errors_keep_their_types(self):
+    def test_errors_keep_their_types(self, monkeypatch):
         # 0.5^-1100 at the pole 0.5 and 10^400 from the table's powers
         with pytest.raises(AccuracyError, match="overflows"):
             residue_moments(RationalExpDescriptor(2.0, ((0.5, -1), (0.0, -1100))), (0.5,), 0, 1)
         with pytest.raises(AccuracyError, match="overflows"):
             residue_moments(RationalExpDescriptor(0.0, ((10.0, -2),)), (10.0,), 0, 400)
-        # the order at the origin is that of the lowest shift: 5 + 8 > 10
-        with pytest.raises(ResourceLimitError):
-            residue_moments(RationalExpDescriptor(0.0, ((0.0, -5),)), (0.0,), -8, 0, order_cap=10)
+        # the order at the origin is that of the lowest shift: 5 + 4092 > 4096,
+        # refused before any series is built
+        def unbuilt(*args):
+            raise AssertionError("a series was built past the order cap")
+
+        monkeypatch.setattr(quadrature, "_binomial_series", unbuilt)
+        desc = RationalExpDescriptor(0.0, ((0.0, -5), (1.0, -1)))
+        with pytest.raises(ResourceLimitError, match="pole order 4097 exceeds the cap 4096"):
+            residue_moments(desc, (0.0,), -4092, 0)
         with pytest.raises(ValidationError, match="pole collision"):
             _binomial_series(0.0, -1, 3)
 

@@ -345,16 +345,17 @@ class TestOrthogonality:
         assert abs(orthogonality_check([0], [1], 2.0, 0.1)) < 1e-8
 
     def test_diagonal_n2(self):
-        val = orthogonality_check([1, 0], [1, 0], 2.0, 0.1, radii=(0.2, 0.5))
+        val = orthogonality_check([1, 0], [1, 0], 2.0, 0.1)
         assert abs(val - 1.0) < 1e-6
 
     def test_off_diagonal_n2(self):
-        val = orthogonality_check([1, 0], [2, 0], 2.0, 0.1, radii=(0.2, 0.5))
+        val = orthogonality_check([1, 0], [2, 0], 2.0, 0.1)
         assert abs(val) < 1e-6
 
     def test_admissible_contour_construction(self):
         contours = admissible_contours(2.0, 0.1, 2)
         radii = [c.radius for c in contours]
+        assert radii == [0.2, 0.5]  # the circles orthogonality_check uses at n = 2
         assert radii[0] > 0.1 and radii[1] < 10.0
         assert radii[1] > 2.0 * radii[0]
         with pytest.raises(ConfigurationError):
