@@ -6,8 +6,8 @@ stdout).  Records are serialized with sorted keys and 17-significant-digit
 decimal floats so reruns are byte-for-byte comparable; the wall_ms field is
 the only volatile entry.
 
-Exit codes: 0 success, 1 verification failure, 2 validation error,
-3 accuracy failure, 4 resource cap exceeded.
+Exit codes: 0 success, 1 verification failure, 2 validation error (a
+malformed payload included), 3 accuracy failure, 4 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from . import __version__
 from .core import (
     AccuracyError,
     BlockSignatureVector,
-    ConfigurationError,
     ParticleConfig,
     ResourceLimitError,
     StrictSignature,
@@ -46,7 +45,7 @@ from .formulas import (
 from .identities import run_identity_suite
 from .oracle import MonteCarloJob, run_monte_carlo, simulate_sample
 from .quadrature import DEFAULT_NODE_BUDGET, MIN_NODE_BUDGET
-from .vertex import stochastic_weights_check
+from .vertex import SUM_TOL, stochastic_weights_check
 
 
 def _format_value(v) -> str:
@@ -258,7 +257,7 @@ def cmd_verify(payload, args, started):
                 checks.append(
                     {"name": f"sum_to_unity_{rep.family}_n{n}",
                      "max_rel_err": rep.max_deviation,
-                     "threshold": rep.tol, "passed": rep.sums_ok}
+                     "threshold": SUM_TOL, "passed": rep.sums_ok}
                 )
                 ok = ok and rep.sums_ok
         rep_l, rep_m = stochastic_weights_check(2, 0.1, 2.0, 0.3)
@@ -273,7 +272,7 @@ def cmd_verify(payload, args, started):
         control_failed = not rep_l.sums_ok
         checks.append(
             {"name": "perturbation_control_breaks_sums",
-             "max_rel_err": rep_l.max_deviation, "threshold": 1e-12,
+             "max_rel_err": rep_l.max_deviation, "threshold": SUM_TOL,
              "passed": control_failed}
         )
         ok = ok and control_failed
@@ -315,17 +314,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.config and args.json:
         parser.error("supply --config or --json, not both")
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    elif args.json:
-        payload = json.loads(args.json)
-    elif args.command == "verify":
-        payload = {}
-    else:
+    if not (args.config or args.json or args.command == "verify"):
         parser.error("a payload is required: pass --config FILE or --json STRING")
     started = time.perf_counter()
     try:
+        if args.config:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+        else:
+            payload = json.loads(args.json) if args.json else {}
+        if not isinstance(payload, dict):
+            raise ValidationError(f"the payload must be a JSON object, got {payload!r}")
         if args.command == "verify":
             record, ok = cmd_verify(payload, args, started)
             _emit(record, args.out, args.csv)
@@ -336,7 +335,10 @@ def main(argv=None) -> int:
             record = cmd_evaluate(args.command, payload, args, started)
         _emit(record, args.out, args.csv)
         return 0
-    except (ValidationError, ConfigurationError, KeyError) as exc:
+    # a malformed payload: JSON that does not parse or a field of the wrong
+    # value (ValueError, as is ValidationError), a missing field (KeyError),
+    # a field of the wrong type (TypeError), an unreadable --config (OSError)
+    except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except AccuracyError as exc:

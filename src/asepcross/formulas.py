@@ -16,7 +16,8 @@ goes through ``_integrate`` (dimension cap, contour product, trapezoid
 driver on half of each grid, as every integrand has real coefficients and
 real contour centres, prefactor), takes its convergence tolerance ``tol``
 and its per-integral evaluation cap ``node_budget`` as arguments
-(``GreenQuery`` fields for the Green's function) and reports |prefactor|
+(``GreenQuery`` fields for the Green's function; ``gamma_wall``'s
+quadrature cross-check runs at the driver's defaults) and reports |prefactor|
 times the driver's ``est_err`` (the estimated error of the returned
 trapezoid sum plus its round-off level) as ``est_err``.
 Every wall residue evaluator goes through ``_andreief``: one moment table
@@ -50,6 +51,7 @@ from .core import (
 )
 from .quadrature import (
     DEFAULT_NODE_BUDGET,
+    DEFAULT_TOL,
     ContourProduct,
     ContourSpec,
     OpenGrid,
@@ -164,7 +166,7 @@ def _finalize_probability(value: complex, est_err: float = 0.0,
     return Result(0.0 if v <= 0.0 else min(v, 1.0), est_err, method)  # never -0.0
 
 
-def _integrate(integrand, contours, tol, node_budget, scale=1.0, roles=()) -> Result:
+def _integrate(integrand, contours, tol, node_budget, scale=1.0) -> Result:
     """scale times the integral of ``integrand`` over the product of
     ``contours``, with |scale| times the driver's est_err (the estimated
     error of the returned sum plus its round-off level) as its error; more
@@ -176,7 +178,7 @@ def _integrate(integrand, contours, tol, node_budget, scale=1.0, roles=()) -> Re
             f"{len(contours)} integration variables exceed the budget {DIMENSION_BUDGET}"
         )
     value, err = product_integrate(
-        integrand, ContourProduct(contours, roles), tol=tol, node_budget=node_budget,
+        integrand, ContourProduct(contours), tol=tol, node_budget=node_budget,
         conjugate_symmetric=True,
     )
     return _finalize_probability(scale * value, abs(scale) * err, "quadrature")
@@ -292,34 +294,26 @@ def two_tasep_green(query: GreenQuery) -> Result:
                 "laurent evaluation applies to the single-particle case only"
             )
         return schutz_determinant(mu, nu, t)
-    if all(p0[i] == i + 1 for i in range(m)):
+    # type 2 on indices 1..m: u_a = z_a is the residue that consumes the pole j = a
+    fast = all(p0[a] == a + 1 for a in range(m))
+    if fast:
         contours = tuple(ContourSpec(0.0, r) for r in _spread_radii(n, 0.30, 0.60))
-        roles = ()
-
-        def integrand(Z):
-            out = 1.0
-            for i in range(n):
-                out = out * (Z[i] ** (-mu[i] - 1) * (1.0 - Z[i]) ** (m - min(i, m)))
-            for a in range(m):
-                for j in range(a):
-                    out = out / (Z[a] - Z[j])
-            return out * eigenfunction_P(nu, p, t, Z, Z[:m])
     else:
         contours = _origin_contours(n, m, U_RADIUS)
-        roles = ("z",) * n + ("u",) * m
 
-        def integrand(ZU):
-            Z, U = ZU[:n], ZU[n:]
-            out = 1.0
-            for i in range(n):
-                below = sum(1 for x in p0 if x <= i)
-                out = out * (Z[i] ** (-mu[i] - 1) * (1.0 - Z[i]) ** (m - below))
-            for a in range(m):
-                for j in range(p0[a]):
-                    out = out / (U[a] - Z[j])
-            return out * eigenfunction_P(nu, p, t, Z, U)
+    def integrand(ZU):
+        Z = ZU[:n]
+        U = Z[:m] if fast else ZU[n:]
+        out = 1.0
+        for i in range(n):
+            below = sum(1 for x in p0 if x <= i)
+            out = out * (Z[i] ** (-mu[i] - 1) * (1.0 - Z[i]) ** (m - below))
+        for a in range(m):
+            for j in range(p0[a] - fast):
+                out = out / (U[a] - Z[j])
+        return out * eigenfunction_P(nu, p, t, Z, U)
 
-    return _integrate(integrand, contours, query.tol, query.node_budget, roles=roles)
+    return _integrate(integrand, contours, query.tol, query.node_budget)
 
 
 def _poisson_series_entry(a: int, x: int, t: float) -> float:
@@ -753,14 +747,14 @@ def cumulative_crossing_one_wall(query: WallQuery) -> Result:
     return _andreief(-(rho**m), z, m, [w])
 
 
-def gamma_wall(n: int, s: int, t: float, method: str = "laurent",
-               tol: float = 1e-10) -> Result:
+def gamma_wall(n: int, s: int, t: float, method: str = "laurent") -> Result:
     """Probability that all n step-start particles (at 1..n) pass the wall s.
 
     The symmetrized n-fold integral is evaluated exactly by residues at
     {0, 1}, as the Hankel determinant (-1)^(n(n-1)/2) det[h_{a+b}] of the
     one-variable moments h (``_andreief`` with k = 0), or by circle
-    quadrature for cross-checking.  At t = 0 it is an exact 0.
+    quadrature at the driver's default tolerance for cross-checking.  At
+    t = 0 it is an exact 0.
     """
     if s <= n:
         raise ValidationError("gamma_wall requires s > n")
@@ -783,5 +777,5 @@ def gamma_wall(n: int, s: int, t: float, method: str = "laurent",
                     out = out * (Z[j] - Z[i])
         return out
 
-    return _integrate(integrand, (ContourSpec(0.5, 1.2),) * n, tol, DEFAULT_NODE_BUDGET,
-                      scale=1.0 / math.factorial(n))
+    return _integrate(integrand, (ContourSpec(0.5, 1.2),) * n, DEFAULT_TOL,
+                      DEFAULT_NODE_BUDGET, scale=1.0 / math.factorial(n))

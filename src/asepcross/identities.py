@@ -25,6 +25,7 @@ POLE_MARGIN = 0.05
 TIME_STEP = 1e-3  # check_free_evolution's central-difference step h
 PROBE_RADIUS = 0.02  # check_removable_poles' circle about each probed pole
 INITIAL_SPAN = 2  # check_initial_condition's window: mu_i - 1 .. mu_i + this
+NESTED_TRUNCATION = 400  # check_nested_geometric's window T per nesting level
 
 
 @dataclass(frozen=True)
@@ -97,12 +98,11 @@ def check_free_evolution(nu, p, t, z, u) -> IdentityReport:
     )
 
 
-def check_boundary_conditions(nu, l, p, z, u, case=None) -> IdentityReport:
+def check_boundary_conditions(nu, l, p, z, u) -> IdentityReport:
     """One of the three contact relations at a coordinate collision.
 
     ``nu`` must satisfy nu[l] == nu[l-1] (1-based l selects the pair); the
-    case is inferred from the membership pattern of l and l+1 in p, and a
-    ``case`` argument (1, 2 or 3) that contradicts the pattern is rejected.
+    case is inferred from the membership pattern of l and l+1 in p.
     """
     nu = [int(x) for x in nu]
     p = tuple(int(x) for x in p)
@@ -110,12 +110,6 @@ def check_boundary_conditions(nu, l, p, z, u, case=None) -> IdentityReport:
         raise ValidationError("boundary check needs nu_{l+1} == nu_l")
     in_l = l in p
     in_l1 = (l + 1) in p
-    if case is not None:
-        pattern = 1 if (in_l and not in_l1) else 2 if (not in_l and in_l1) else 3
-        if case != pattern:
-            raise ValidationError(
-                f"requested case {case} does not match the membership pattern"
-            )
     base = eigenfunction_P(nu, p, 0.3, z, u)
     bumped = list(nu)
     bumped[l] += 1
@@ -264,14 +258,15 @@ def _nested_geometric_sum(z, s2, truncation) -> complex:
     return complex(g[0])
 
 
-def check_nested_geometric(z, s2, truncation=400) -> IdentityReport:
-    """Truncated nested geometric sum against its product form."""
+def check_nested_geometric(z, s2) -> IdentityReport:
+    """Nested geometric sum, truncated at T = NESTED_TRUNCATION, against its
+    product form."""
     z = np.asarray(z, dtype=complex)
     m = len(z)
     for i in range(m):
         if abs(np.prod(z[i:])) >= 1.0:
             raise ValidationError("nested geometric sum diverges for these z")
-    lhs = _nested_geometric_sum(z, s2, truncation)
+    lhs = _nested_geometric_sum(z, s2, NESTED_TRUNCATION)
     rhs = 1.0 + 0.0j
     for i in range(m):
         rhs *= z[i] ** (s2 + i) / (1 - np.prod(z[i:]))
@@ -280,11 +275,11 @@ def check_nested_geometric(z, s2, truncation=400) -> IdentityReport:
     )
 
 
-def check_symmetrization(z, s2=3, rho=None) -> IdentityReport:
+def check_symmetrization(z, s2, rho) -> IdentityReport:
     """Permutation-sum symmetrization identities behind the wall formulas.
 
-    Checks the Vandermonde form, the wall-exponent form, and (when rho is
-    given) the density-weighted variant.
+    Checks the Vandermonde form, the wall-exponent form at ``s2`` and the
+    variant weighted by the density ``rho``.
     """
     z = np.asarray(z, dtype=complex)
     m = len(z)
@@ -299,12 +294,10 @@ def check_symmetrization(z, s2=3, rho=None) -> IdentityReport:
         (lambda zi, i: zi**i * (1 - zi) ** (m - i), suffix, vand),
         (lambda zi, i: zi ** (s2 + i) / (1 - zi) ** (i + 1), suffix,
          vand * np.prod(z**s2 / (z - 1) ** (m + 1))),
+        (lambda zi, i: ((1 - zi) / zi) ** (i + 1),
+         lambda zs, i: 1 - (1 - rho) * np.prod(zs[:i + 1]),
+         (-1) ** (m * (m - 1) // 2) * vand * np.prod((1 - z) / (z**m * (1 - (1 - rho) * z)))),
     ]
-    if rho is not None:
-        forms.append((lambda zi, i: ((1 - zi) / zi) ** (i + 1),
-                      lambda zs, i: 1 - (1 - rho) * np.prod(zs[:i + 1]),
-                      (-1) ** (m * (m - 1) // 2) * vand
-                      * np.prod((1 - z) / (z**m * (1 - (1 - rho) * z)))))
     worst = 0.0
     for factor, denom, rhs in forms:
         lhs = 0.0 + 0.0j

@@ -496,13 +496,14 @@ def _window_jumps(sets: np.ndarray, orders: np.ndarray, width: int, q: float):
 
 
 def build_window_generator(
-    particles: ParticleConfig, window, params: ModelParams, cap: int = STATE_CAP
+    particles: ParticleConfig, window, params: ModelParams
 ) -> WindowGenerator:
     """Enumerate all placements of the given colour multiset in the window
     and assemble the rate matrix, draining out-of-window jumps into a sink.
 
     States run over the position sets, then over the colour orders, both in
-    lexicographic order; ``_window_jumps`` builds the jumps from arrays.
+    lexicographic order; ``_window_jumps`` builds the jumps from arrays.  A
+    window of more than STATE_CAP states is refused with ResourceLimitError.
     """
     import itertools
 
@@ -514,8 +515,8 @@ def build_window_generator(
     colour_orders = list(_multiset_permutations(particles.species))
     C, P = math.comb(width, n), len(colour_orders)
     D = C * P
-    if D > cap:
-        raise ResourceLimitError(f"window state space {D} exceeds the cap {cap}")
+    if D > STATE_CAP:
+        raise ResourceLimitError(f"window state space {D} exceeds the cap {STATE_CAP}")
     states = tuple(itertools.product(itertools.combinations(range(a, b + 1), n), colour_orders))
     index = dict(zip(states, range(D)))
     sets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(width), n)),

@@ -25,8 +25,8 @@ keep the entries' broadcast shape.  A separate series-based residue engine
 handles integrands g of rational-times-exponential form exactly:
 ``residue_moments`` returns the moment table of g, the residue sums
 M(e) = Σ_p Res_{z=p} g(z)·z^e for a range of e with their sizes Σ_p |Res|,
-from one Taylor series per pole; ``laurent_residue`` (one pole, e = 0) and
-``residue_terms`` (one residue per distinct point) are read off it.
+from one Taylor series per pole; ``laurent_residue`` (one pole, e = 0) is
+read off it.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .core import AccuracyError, ResourceLimitError, ValidationError
 DEFAULT_START_NODES = 32
 DEFAULT_MAX_NODES = 4096
 DEFAULT_NODE_BUDGET = 2**26
+DEFAULT_TOL = 1e-10
 EVAL_CHUNK = 2**17
 MIN_NODE_BUDGET = 64
 RATE_SAFETY = 10.0  # S in the geometric-rate error estimate S·δ²/δ'
@@ -96,29 +97,9 @@ class ContourSpec:
 
 @dataclass(frozen=True)
 class ContourProduct:
-    """Ordered list of circles (innermost first) with per-variable roles.
-
-    Roles tag each variable as inner ('z') or outer ('u') type; the nesting
-    contract requires every z-type radius to stay below every u-type radius
-    when the circles share a common center.
-    """
+    """Ordered tuple of circles, one per integration variable."""
 
     contours: tuple[ContourSpec, ...]
-    roles: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        contours = tuple(self.contours)
-        roles = tuple(self.roles) if self.roles else ("z",) * len(contours)
-        if len(roles) != len(contours):
-            raise ValidationError("one role per contour is required")
-        if any(r not in ("z", "u") for r in roles):
-            raise ValidationError("roles must be 'z' or 'u'")
-        z_radii = [c.radius for c, r in zip(contours, roles) if r == "z"]
-        u_radii = [c.radius for c, r in zip(contours, roles) if r == "u"]
-        if z_radii and u_radii and max(z_radii) >= min(u_radii):
-            raise ValidationError("z-type contours must nest inside u-type contours")
-        object.__setattr__(self, "contours", contours)
-        object.__setattr__(self, "roles", roles)
 
     @property
     def dim(self) -> int:
@@ -288,7 +269,7 @@ def _axis_error(line, floor: float, doubled: bool) -> float:
 def product_integrate(
     f,
     cp: ContourProduct,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
     node_budget: int = DEFAULT_NODE_BUDGET,
     conjugate_symmetric: bool = False,
 ) -> tuple[complex, float]:
@@ -557,12 +538,6 @@ def laurent_residue(descriptor: RationalExpDescriptor, at: complex) -> complex:
     the e = 0 entry of its one-point moment table (exact up to rounding).
     Pole orders above ORDER_CAP are refused."""
     return residue_moments(descriptor, (at,), 0, 0)[0][0]
-
-
-def residue_terms(descriptor: RationalExpDescriptor, points) -> list[complex]:
-    """Residues at the given points, each point within SAME_POINT of another
-    counted once."""
-    return [laurent_residue(descriptor, p) for p in _distinct(points)]
 
 
 class MultivariatePolynomial:

@@ -10,12 +10,14 @@ sparse set of reachable edge states, never by path enumeration.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     ConfigurationError,
+    ResourceLimitError,
     ValidationError,
     inversions,
     signed_permutations,
@@ -30,7 +32,11 @@ from .quadrature import (
 
 MIN_POINT_SEPARATION = 1e-8
 WEIGHT_CHECK_TOTAL = 2  # stochastic_weights_check covers occupation totals up to this
+SUM_TOL = 1e-12  # a stochastic weight family sums to 1 within this
 CONTOUR_MARGIN = 0.05  # relative clearance of admissible circles from s and 1/s
+ORTHOGONALITY_TOL = 1e-8  # quadrature tolerance of orthogonality_check
+CAUCHY_TERM_FLOOR = 1e-16  # cauchy_check sums kappa until r^T falls below this
+CAUCHY_MAX_TERMS = 20_000  # the largest kappa box cauchy_check sums
 
 
 def _as_state(vec) -> tuple[int, ...]:
@@ -55,17 +61,17 @@ def _spectral_point(z, s):
     return z
 
 
-def weight_L(I, j, K, l, z, q, s):
-    """Vertex weight for rightward travel; zero unless I + e_j = K + e_l.
-
-    ``z`` may be a complex scalar or ndarray; ``q`` and ``s`` are scalars.
-    With colours 1-based, sum(I[c:]) counts the paths of colours above c.
-    """
+def _vertex(I, j, K, l, z, q, s, leftward):
+    """The validated state ``I`` and spectral point ``z`` of one vertex, and
+    whether it conserves paths (I + e_j = K + e_l); a leftward vertex
+    refuses s = 0 or q = 0."""
     I = _as_state(I)
     K = _as_state(K)
     n = len(I)
     if len(K) != n or not (0 <= j <= n) or not (0 <= l <= n):
         raise ValidationError("inconsistent vertex state dimensions")
+    if leftward and (s == 0 or q == 0):
+        raise ConfigurationError("leftward weights require nonzero s and q")
     z = _spectral_point(z, s)
     lhs = list(I)
     if j >= 1:
@@ -73,7 +79,17 @@ def weight_L(I, j, K, l, z, q, s):
     rhs = list(K)
     if l >= 1:
         rhs[l - 1] += 1
-    if lhs != rhs:
+    return I, z, lhs == rhs
+
+
+def weight_L(I, j, K, l, z, q, s):
+    """Vertex weight for rightward travel; zero unless I + e_j = K + e_l.
+
+    ``z`` may be a complex scalar or ndarray; ``q`` and ``s`` are scalars.
+    With colours 1-based, sum(I[c:]) counts the paths of colours above c.
+    """
+    I, z, conserved = _vertex(I, j, K, l, z, q, s, False)
+    if not conserved:
         return np.zeros_like(z) if isinstance(z, np.ndarray) else 0.0 + 0.0j
     denom = 1.0 - s * z
     if j == 0 and l == 0:
@@ -98,21 +114,8 @@ def weight_M(I, j, K, l, z, q, s):
     table below is that substitution simplified, which stays finite at z = 0
     (the substitution form has a removable singularity there).
     """
-    I = _as_state(I)
-    K = _as_state(K)
-    n = len(I)
-    if len(K) != n or not (0 <= j <= n) or not (0 <= l <= n):
-        raise ValidationError("inconsistent vertex state dimensions")
-    if s == 0 or q == 0:
-        raise ConfigurationError("leftward weights require nonzero s and q")
-    z = _spectral_point(z, s)
-    lhs = list(I)
-    if j >= 1:
-        lhs[j - 1] += 1
-    rhs = list(K)
-    if l >= 1:
-        rhs[l - 1] += 1
-    if lhs != rhs:
+    I, z, conserved = _vertex(I, j, K, l, z, q, s, True)
+    if not conserved:
         return np.zeros_like(z) if isinstance(z, np.ndarray) else 0.0 + 0.0j
     qi = 1.0 / q
     denom = s * z - 1.0
@@ -152,11 +155,10 @@ class StochasticityReport:
     cases: int
     max_deviation: float
     min_weight: float
-    tol: float = 1e-12
 
     @property
     def sums_ok(self) -> bool:
-        return self.max_deviation < self.tol
+        return self.max_deviation < SUM_TOL
 
     @property
     def positive(self) -> bool:
@@ -440,12 +442,12 @@ def admissible_contours(q, s, n: int, enclose=()):
     return [ContourSpec(center=0.0, radius=r) for r in radii]
 
 
-def orthogonality_check(mu, nu, q, s, tol: float = 1e-8):
+def orthogonality_check(mu, nu, q, s):
     """Evaluate the biorthogonality integral of f_nu against g*_mu.
 
     Returns the complex value of the n-fold contour integral over the
     ``admissible_contours`` for (q, s), which equals 1 when mu == nu and 0
-    otherwise.
+    otherwise, to the quadrature tolerance ORTHOGONALITY_TOL.
     """
     mu = [int(x) for x in mu]
     nu = [int(x) for x in nu]
@@ -462,7 +464,8 @@ def orthogonality_check(mu, nu, q, s, tol: float = 1e-8):
                 out = out * ((Z[j] - Z[i]) / (Z[j] - q * Z[i]))
         return out * (f_mu(nu, OpenGrid(1.0 / z for z in Z), q, s) * g_star_mu(mu, Z, q, s))
 
-    value, _ = product_integrate(integrand, ContourProduct(tuple(contours)), tol=tol)
+    value, _ = product_integrate(integrand, ContourProduct(tuple(contours)),
+                                 tol=ORTHOGONALITY_TOL)
     return value
 
 
@@ -477,11 +480,15 @@ class CauchyReport:
         return abs(self.lhs - self.rhs) <= self.tail_bound
 
 
-def cauchy_check(nu, z, y, q, s, truncation: int = 20) -> CauchyReport:
+def cauchy_check(nu, z, y, q, s) -> CauchyReport:
     """Truncated Cauchy summation of f_kappa * G_kappa/nu against its product form.
 
-    The kappa sum runs over the box nu_i <= kappa_i <= nu_i + truncation; the
-    reported tail bound is a geometric estimate from the outermost shell.
+    The terms decay like r^|kappa - nu|, r the largest |(y-s)/(1-sy) *
+    (z-s)/(1-sz)| over the pairs of y and z, so the kappa sum runs over the
+    box nu_i <= kappa_i <= nu_i + T with T = ceil(ln CAUCHY_TERM_FLOOR / ln r)
+    (T = 0 when r = 0), where r^T is below CAUCHY_TERM_FLOOR.  A box of
+    more than CAUCHY_MAX_TERMS kappa is refused with ResourceLimitError.
+    The reported tail bound is a geometric estimate from the outermost shell.
     """
     nu = [int(x) for x in nu]
     n = len(nu)
@@ -499,6 +506,12 @@ def cauchy_check(nu, z, y, q, s, truncation: int = 20) -> CauchyReport:
     if r >= 1.0:
         raise ConfigurationError(
             "Cauchy summation does not converge for these parameters"
+        )
+    truncation = math.ceil(math.log(CAUCHY_TERM_FLOOR) / math.log(r)) if r > 0 else 0
+    if (truncation + 1) ** n > CAUCHY_MAX_TERMS:
+        raise ResourceLimitError(
+            f"Cauchy summation needs {truncation + 1}^{n} terms at decay ratio {r:.3g}, "
+            f"above the cap {CAUCHY_MAX_TERMS}"
         )
     lhs = 0.0 + 0.0j
     shell_max = 0.0
@@ -529,7 +542,7 @@ def cauchy_check(nu, z, y, q, s, truncation: int = 20) -> CauchyReport:
     return CauchyReport(lhs, complex(rhs), float(tail))
 
 
-def discrete_transition(mu, nu, ys, q, s, tol: float = 1e-10):
+def discrete_transition(mu, nu, ys, q, s):
     """Integral formula for the discrete-time transition weight.
 
     ``mu`` must be weakly decreasing.  Equals (-s)^(|nu|-|mu|) G_mu/nu(ys)
@@ -558,6 +571,6 @@ def discrete_transition(mu, nu, ys, q, s, tol: float = 1e-10):
                 out = out * ((Z[j] - Z[i]) / (Z[j] - q * Z[i]))
         return out * f_mu(nu, OpenGrid(1.0 / z for z in Z), q, s)
 
-    value, _ = product_integrate(integrand, ContourProduct(tuple(contours)), tol=tol)
+    value, _ = product_integrate(integrand, ContourProduct(tuple(contours)))
     weight_diff = sum(nu) - sum(mu)
     return complex((-s) ** weight_diff * q ** (-float(ell * n)) * value)

@@ -3,8 +3,8 @@
 Each route multiplies out its polynomial coupling (the squared Vandermonde
 prod_{i != j} (x_j - x_i) of the symmetric variables, the couplings and the
 border determinant) into monomials in all variables, and sums c times the
-product of one-variable residue sums, one ``residue_terms`` call per
-(variable, exponent).  It returns (value, err) with err = ROUNDING times
+product of one-variable residue sums, one ``laurent_residue`` call per
+(variable, exponent, pole).  It returns (value, err) with err = ROUNDING times
 |scale| times the summed size of the terms, the error the residue routes
 reported before Andréief.  The expansion has 3, 19, 201 and 2,961 terms
 for 2, ..., 5 symmetric variables.
@@ -16,7 +16,7 @@ import math
 
 from asepcross.core import signed_permutations
 from asepcross.formulas import ROUNDING, WallQuery
-from asepcross.quadrature import MultivariatePolynomial, RationalExpDescriptor, residue_terms
+from asepcross.quadrature import MultivariatePolynomial, RationalExpDescriptor, laurent_residue
 
 
 def vandermonde_squared_poly(nvars: int, k: int) -> MultivariatePolynomial:
@@ -39,7 +39,7 @@ def monomial_residues(scale: float, variables, terms: dict) -> tuple[complex, fl
             desc, points = variables[i]
             if e:
                 desc = RationalExpDescriptor(desc.exp_coeff, desc.factors + ((0j, e),))
-            residues = residue_terms(desc, points)
+            residues = [laurent_residue(desc, p) for p in points]
             cache[i, e] = sum(residues, 0j), sum(map(abs, residues))
         return cache[i, e]
 

@@ -335,6 +335,23 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command, argv", [
+        ("green", ["--json", '{"mu":[0],"nu":[2],"t":"abc"}']),
+        ("green", ["--json", '{"mu":[0],"nu":[2']),
+        ("green", ["--json", '{"mu":5,"nu":[2],"t":1.0}']),
+        ("green", ["--json", '[{"mu":[0],"nu":[2],"t":1.0}]']),
+        ("simulate", ["--json", '{"task":"run","positions":[0],"species":[1],"t":"x"}']),
+        ("verify", ["--json", '{"suite":"vertex","samples":"x"}']),
+        ("green", ["--config", "missing.json"]),
+    ], ids=["bad_float", "truncated_json", "bad_type", "array_payload", "simulate_bad_t",
+            "verify_bad_samples", "missing_config"])
+    def test_malformed_payload_is_validation_error(self, capsys, tmp_path, command, argv):
+        argv = [str(tmp_path / a) if a == "missing.json" else a for a in argv]
+        code = main([command, *argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("validation error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("form", ["bernoulli", "one_wall"])
     def test_long_wall_overflow_is_accuracy_error(self, capsys, form):
         code, _ = run_cli(

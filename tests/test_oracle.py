@@ -343,7 +343,6 @@ class TestWindowGenerator:
                 ParticleConfig(tuple(range(10)), (1,) * 10),
                 (-40, 40),
                 ModelParams(q=0.0),
-                cap=1000,
             )
 
     def test_default_window_covers_drift(self):

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from asepcross.core import ConfigurationError, ValidationError
+from asepcross import vertex
+from asepcross.core import ConfigurationError, ResourceLimitError, ValidationError
 from asepcross.quadrature import batched_det, spectral_rows
 from asepcross.vertex import (
     F_lambda_sym,
@@ -364,12 +365,12 @@ class TestOrthogonality:
 
 class TestCauchy:
     def test_converges_to_product_form(self):
-        rep = cauchy_check([0], [0.55], [0.5], 2.0, 0.6, truncation=25)
+        rep = cauchy_check([0], [0.55], [0.5], 2.0, 0.6)
         assert abs(rep.lhs - rep.rhs) < 1e-10
         assert rep.within_bound
 
     def test_degenerate_row_y_zero(self):
-        rep = cauchy_check([0], [0.55], [0.0], 2.0, 0.6, truncation=3)
+        rep = cauchy_check([0], [0.55], [0.0], 2.0, 0.6)
         assert abs(rep.lhs - rep.rhs) < 1e-14
         # only kappa = nu survives at y = 0
         q, s = 2.0, 0.6
@@ -377,13 +378,31 @@ class TestCauchy:
         assert abs(rep.lhs - only) < 1e-14
 
     def test_two_colours(self):
-        rep = cauchy_check([1, 0], [0.55, 0.62], [0.5], 2.0, 0.6, truncation=18)
+        rep = cauchy_check([1, 0], [0.55, 0.62], [0.5], 2.0, 0.6)
         assert rep.within_bound
         assert abs(rep.lhs - rep.rhs) <= max(rep.tail_bound, 1e-11)
 
     def test_divergent_parameters_rejected(self):
         with pytest.raises(ConfigurationError):
             cauchy_check([0], [-20.0], [-20.0], 2.0, 0.6)
+
+    def test_box_from_the_decay_ratio(self, monkeypatch):
+        # r = 0.0107 at these points: T = ceil(ln 1e-16 / ln r) = 9, so a
+        # 10 x 10 box of kappa and one more f_mu call for the product side
+        calls = []
+        monkeypatch.setattr(vertex, "f_mu", lambda mu, *a: calls.append(mu) or f_mu(mu, *a))
+        rep = cauchy_check([1, 0], [0.55, 0.62], [0.5], 2.0, 0.6)
+        assert len(calls) == 10**2 + 1
+        assert max(kappa[0] for kappa in calls) == 1 + 9
+        assert rep.within_bound
+
+    @pytest.mark.parametrize("nu, z, y", [
+        ([0], [-0.999], [-0.999]),  # r = 0.9995: T + 1 = 73,647 for one colour
+        ([1, 0], [-0.9, -0.85], [-0.9]),  # r = 0.949: (T + 1)^2 = 491,401
+    ])
+    def test_ratio_near_one_is_refused(self, nu, z, y):
+        with pytest.raises(ResourceLimitError, match="above the cap 20000"):
+            cauchy_check(nu, z, y, 2.0, 0.6)
 
 
 class TestContinuumLimit:
