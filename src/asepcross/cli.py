@@ -155,7 +155,7 @@ EVALUATORS = {
     ("green", "two_species"): lambda p, tol, budget: two_tasep_green(GreenQuery(
         ParticleConfig.from_two_species(p["mu"], p.get("p0", ())),
         ParticleConfig.from_two_species(p["nu"], p.get("p", ())), float(p["t"]),
-        method=p.get("method", "auto"), tol=tol, node_budget=budget)),
+        tol=tol, node_budget=budget)),
     ("green", "rainbow_asep"): lambda p, tol, budget: r_asep_transition(
         p["mu"], p["nu"], float(p["q"]), float(p["t"]), tol=tol, node_budget=budget),
     ("crossing", "two_species"): lambda p, tol, budget: two_tasep_crossing(

@@ -16,10 +16,12 @@ goes through ``_integrate`` (dimension cap, contour product, trapezoid
 driver on half of each grid, as every integrand has real coefficients and
 real contour centres, prefactor), takes its convergence tolerance ``tol``
 and its per-integral evaluation cap ``node_budget`` as arguments
-(``GreenQuery`` fields for the Green's function; ``gamma_wall``'s
-quadrature cross-check runs at the driver's defaults) and reports |prefactor|
+(``GreenQuery`` fields for the Green's function) and reports |prefactor|
 times the driver's ``est_err`` (the estimated error of the returned
-trapezoid sum plus its round-off level) as ``est_err``.
+trapezoid sum plus its round-off level) as ``est_err``.  The formulas
+around 1 are stated on clockwise circles; they are integrated
+counterclockwise, and their prefactors carry the sign (-1)^n of the n
+reversed circles.
 Every wall residue evaluator goes through ``_andreief``: one moment table
 (``quadrature.residue_moments``) per variable, Andréief's identity turning
 the symmetric variables' squared Vandermonde into one determinant of their
@@ -51,7 +53,6 @@ from .core import (
 )
 from .quadrature import (
     DEFAULT_NODE_BUDGET,
-    DEFAULT_TOL,
     ContourProduct,
     ContourSpec,
     OpenGrid,
@@ -67,7 +68,10 @@ from .vertex import f_mu, sfF_lambda, xi_mu
 Z_RADIUS = 0.45
 U_RADIUS = 0.80
 W_RADIUS = 0.55
-DIMENSION_BUDGET = 5
+DIMENSION_BUDGET = 4
+# the smallest circle about 1 the evaluators around 1 accept: a smaller one
+# collapses onto its pole at 1 in floating point
+RADIUS_FLOOR = 1e-12
 IMAG_TOL = 1e-9
 NEG_TOL = 1e-9
 ROUNDING = 4 * float(np.finfo(float).eps)  # per unit size of a residue sum's terms
@@ -80,14 +84,11 @@ class GreenQuery:
     initial: ParticleConfig
     final: ParticleConfig
     t: float
-    method: str = "auto"  # auto | laurent | quadrature
     tol: float = 1e-10
     node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
         _check_rates(self.t)
-        if self.method not in ("auto", "laurent", "quadrature"):
-            raise ValidationError("method must be auto, laurent or quadrature")
         if self.initial.n != self.final.n or self.initial.m != self.final.m:
             raise ValidationError("initial and final configs must share (n, m)")
 
@@ -154,8 +155,7 @@ class Result(float):
         return Result, (float(self), self.est_err, self.method)
 
 
-def _finalize_probability(value: complex, est_err: float = 0.0,
-                          method: str = "laurent") -> Result:
+def _finalize_probability(value: complex, est_err: float, method: str) -> Result:
     if not abs(value.imag) <= IMAG_TOL:
         raise AccuracyError(
             f"probability has imaginary part {value.imag:.3e} above tolerance"
@@ -206,9 +206,13 @@ def _origin_contours(m: int, k: int, outer: float = W_RADIUS) -> tuple[ContourSp
     return (ContourSpec(0.0, Z_RADIUS),) * m + (ContourSpec(0.0, outer),) * k
 
 
-def _around_one_contours(radii) -> tuple[ContourSpec, ...]:
-    """Clockwise circles about 1, one per radius."""
-    return tuple(ContourSpec(1.0, r, orientation=-1) for r in radii)
+def _around_one_contours(q: float, radii) -> tuple[ContourSpec, ...]:
+    """Circles about 1, one per radius; a radius below RADIUS_FLOOR, left
+    by a q too close to 1, is refused with AccuracyError."""
+    if min(radii) < RADIUS_FLOOR:
+        raise AccuracyError(f"contour radius {min(radii):.3g} about 1 at q={q!r} is "
+                            f"below {RADIUS_FLOOR:g}: q is too close to 1")
+    return tuple(ContourSpec(1.0, r) for r in radii)
 
 
 def _block_slices(sizes) -> list[slice]:
@@ -285,14 +289,7 @@ def two_tasep_green(query: GreenQuery) -> Result:
     mu, nu = ini.positions, fin.positions
     p0, p = ini.type2_indices, fin.type2_indices
     t = query.t
-    method = query.method
-    if method == "auto":
-        method = "laurent" if (n == 1 and m == 0) else "quadrature"
-    if method == "laurent":
-        if not (n == 1 and m == 0):
-            raise ValidationError(
-                "laurent evaluation applies to the single-particle case only"
-            )
+    if n == 1 and m == 0:
         return schutz_determinant(mu, nu, t)
     # type 2 on indices 1..m: u_a = z_a is the residue that consumes the pole j = a
     fast = all(p0[a] == a + 1 for a in range(m))
@@ -358,7 +355,8 @@ def schutz_determinant(mu, nu, t: float) -> Result:
     n = len(mu)
     mat = [[_poisson_series_entry(k - i, nu[i] - mu[k], t) for i in range(n)]
            for k in range(n)]
-    return _finalize_probability(complex(np.linalg.det(np.array(mat).reshape(n, n))))
+    return _finalize_probability(complex(np.linalg.det(np.array(mat).reshape(n, n))),
+                                 0.0, "laurent")
 
 
 def two_tasep_crossing(mu, nu, m: int, t: float, tol: float = 1e-10,
@@ -425,7 +423,8 @@ def r_asep_transition(mu, nu, q: float, t: float, tol: float = 1e-10,
 
     ``mu`` must be strictly decreasing; ``nu`` strict but unordered.  The
     integrand carries the vertex partition function evaluated at reflected
-    arguments; all contours are one small clockwise circle around 1.  At
+    arguments; all contours are one small circle around 1, clockwise in the
+    formula, so the prefactor carries (-1)^n.  At
     q = 0 the partition function degenerates and only fully reversed final
     orders are supported (where the factorized limit applies).
     """
@@ -447,11 +446,11 @@ def r_asep_transition(mu, nu, q: float, t: float, tol: float = 1e-10,
         return out * f_mu(nu, OpenGrid(rq / z for z in Z), q, rq)
 
     try:
-        scale = (-rq) ** sum(nu)
+        scale = (-1) ** n * (-rq) ** sum(nu)
     except OverflowError:
         raise AccuracyError(f"prefactor q^(-sum(nu)/2) overflows the float range "
                             f"at q={q:.3g}") from None
-    contours = _around_one_contours([min(0.2, abs(q - 1.0) / 3.0)] * n)
+    contours = _around_one_contours(q, [min(0.2, abs(q - 1.0) / 3.0)] * n)
     return _integrate(integrand, contours, tol, node_budget, scale=scale)
 
 
@@ -469,9 +468,9 @@ def rainbow_total_crossing(mu, nu, q: float, t: float, tol: float = 1e-10,
         raise ValidationError("the symmetric point q = 1 is not supported")
     n = len(mu)
     powers = [a - b for a, b in zip(mu, nu)]
-    contours = _around_one_contours([min(0.2, abs(q - 1.0) / 3.0)] * n)
+    contours = _around_one_contours(q, [min(0.2, abs(q - 1.0) / 3.0)] * n)
     return _integrate(lambda Z: _around_one(Z, q, t, powers), contours, tol, node_budget,
-                      scale=(1.0 - q) ** n)
+                      scale=(q - 1.0) ** n)
 
 
 def block_crossing(query: CrossingQuery, tol: float = 1e-10,
@@ -493,8 +492,8 @@ def block_crossing(query: CrossingQuery, tol: float = 1e-10,
             out = out * (xi_mu(block_mu.parts, Z[b], q) * sfF_lambda(block_lam.parts, Z[b], q))
         return out
 
-    return _integrate(integrand, _around_one_contours(_around_one_radii(q, n)), tol,
-                      node_budget, scale=(1.0 - q) ** n)
+    return _integrate(integrand, _around_one_contours(q, _around_one_radii(q, n)), tol,
+                      node_budget, scale=(q - 1.0) ** n)
 
 
 def tasep_block_crossing(query: CrossingQuery, tol: float = 1e-10,
@@ -523,8 +522,8 @@ def tasep_block_crossing(query: CrossingQuery, tol: float = 1e-10,
             )
         return out
 
-    return _integrate(integrand, _around_one_contours(_around_one_radii(0.0, n)), tol,
-                      node_budget)
+    return _integrate(integrand, _around_one_contours(0.0, _around_one_radii(0.0, n)), tol,
+                      node_budget, scale=(-1) ** n)
 
 
 def cumulative_crossing_step(mu, m: int, s1: int, s2: int, t: float,
@@ -668,7 +667,7 @@ def _andreief(scale: float, z, m: int, w=(), beta: int | None = None) -> Result:
     if err >= 1.0:
         raise AccuracyError(f"residue terms of size {abs(scale * size):.3g} cancel: "
                             f"their rounding bound {err:.3g} spans all of [0, 1]")
-    return _finalize_probability(complex(scale * value), err)
+    return _finalize_probability(complex(scale * value), err, "laurent")
 
 
 def cumulative_crossing_bernoulli(
@@ -747,35 +746,19 @@ def cumulative_crossing_one_wall(query: WallQuery) -> Result:
     return _andreief(-(rho**m), z, m, [w])
 
 
-def gamma_wall(n: int, s: int, t: float, method: str = "laurent") -> Result:
+def gamma_wall(n: int, s: int, t: float) -> Result:
     """Probability that all n step-start particles (at 1..n) pass the wall s.
 
     The symmetrized n-fold integral is evaluated exactly by residues at
     {0, 1}, as the Hankel determinant (-1)^(n(n-1)/2) det[h_{a+b}] of the
-    one-variable moments h (``_andreief`` with k = 0), or by circle
-    quadrature at the driver's default tolerance for cross-checking.  At
-    t = 0 it is an exact 0.
+    one-variable moments h (``_andreief`` with k = 0).  It is the
+    probability ``cumulative_crossing_step(range(1, n + 1), n, s, s, t)``
+    computes by quadrature.  At t = 0 it is an exact 0.
     """
     if s <= n:
         raise ValidationError("gamma_wall requires s > n")
-    if method not in ("laurent", "quadrature"):
-        raise ValidationError("method must be 'laurent' or 'quadrature'")
     _check_rates(t)
     if t == 0:
         return Result(0.0, 0.0, "exact")
-    if method == "laurent":
-        z = (RationalExpDescriptor(t, ((1.0, -n), (0.0, 1 - s))), (0.0, 1.0))
-        return _andreief(1.0, z, n)
-
-    def integrand(Z):
-        out = 1.0
-        for i in range(n):
-            out = out * (np.exp((Z[i] - 1.0) * t) * Z[i] ** (1 - s) / (Z[i] - 1.0) ** n)
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    out = out * (Z[j] - Z[i])
-        return out
-
-    return _integrate(integrand, (ContourSpec(0.5, 1.2),) * n, DEFAULT_TOL,
-                      DEFAULT_NODE_BUDGET, scale=1.0 / math.factorial(n))
+    z = (RationalExpDescriptor(t, ((1.0, -n), (0.0, 1 - s))), (0.0, 1.0))
+    return _andreief(1.0, z, n)

@@ -33,7 +33,7 @@ class IdentityReport:
     name: str
     samples: int
     max_rel_err: float
-    threshold: float = 1e-10
+    threshold: float
     details: str = ""
 
     @property

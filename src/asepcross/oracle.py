@@ -25,6 +25,7 @@ any partition of samples across workers.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -367,10 +368,12 @@ def run_monte_carlo(job: MonteCarloJob, threads: int = 1):
         chunks.append((idx, take))
         idx += 1
         remaining -= take
-    if threads <= 1 or len(chunks) == 1:
+    # a pool starts all its workers at once: no more than chunks or cores
+    workers = min(threads, len(chunks), os.cpu_count() or 1)
+    if workers <= 1:
         successes = sum(_run_chunk(job, ci, cnt) for ci, cnt in chunks)
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_chunk, job, ci, cnt) for ci, cnt in chunks]
             successes = sum(f.result() for f in futures)
     phat = successes / job.samples

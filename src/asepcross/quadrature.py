@@ -82,17 +82,15 @@ _ROOTS.flags.writeable = False
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """A circle in the complex plane used as an integration contour."""
+    """A circle in the complex plane, traversed counterclockwise as an
+    integration contour."""
 
     center: complex = 0.0
     radius: float = 1.0
-    orientation: int = 1
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ValidationError("contour radius must be positive")
-        if self.orientation not in (1, -1):
-            raise ValidationError("orientation must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -197,7 +195,7 @@ def _axis_grid(c: ContourSpec, n: int, half: bool) -> tuple[np.ndarray, np.ndarr
     twice."""
     step = DEFAULT_MAX_NODES // n
     unit = _ROOTS[:DEFAULT_MAX_NODES // 2 + 1:step] if half else _ROOTS[::step]
-    rules = _RULE_ROWS[:unit.size] * (c.orientation * c.radius / n)
+    rules = _RULE_ROWS[:unit.size] * (c.radius / n)
     if half:
         rules[1:-1] *= 2.0
     return c.center + c.radius * unit, unit[:, None] * rules

@@ -372,7 +372,7 @@ class TestExitCodes:
         code, _ = run_cli(
             capsys, "green", "--json",
             '{"kind":"two_species","mu":[0,1,2,3,4,5],"p0":[],'
-            '"nu":[1,2,3,4,5,6],"p":[],"t":1.0,"method":"quadrature"}',
+            '"nu":[1,2,3,4,5,6],"p":[],"t":1.0}',
         )
         assert code == 4
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import time
@@ -302,6 +303,39 @@ class TestBatchedCounts:
     def test_two_workers_give_the_same_counts(self):
         job = BATCHED_JOBS["wall_q0"](5, 2100)
         assert run_monte_carlo(job, threads=1) == run_monte_carlo(job, threads=2)
+
+    @pytest.mark.parametrize("threads, cores, workers", [
+        (1000, 8, [3]),  # no more workers than the job's 3 chunks
+        (1000, 2, [2]),  # nor than cores
+        (1000, None, []),  # an unknown core count runs inline
+        (2, 8, [2]),
+    ])
+    def test_worker_count_is_bounded(self, monkeypatch, threads, cores, workers):
+        # a pool starts all its workers at once, so none is started here:
+        # the stand-in pool records its size and runs each chunk inline
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        job = BATCHED_JOBS["wall_q0"](5, 2100)
+        serial = run_monte_carlo(job, threads=1)
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: cores)
+        assert run_monte_carlo(job, threads=threads) == serial
+        assert started == workers
 
 
 class TestWindowGenerator:

@@ -30,8 +30,6 @@ class TestContourSpecs:
     def test_validation(self):
         with pytest.raises(ValidationError):
             ContourSpec(radius=0.0)
-        with pytest.raises(ValidationError):
-            ContourSpec(orientation=2)
 
 
 def residues(desc, points) -> list[complex]:
@@ -58,10 +56,6 @@ class TestCircleIntegrate:
     def test_essential_singularity(self):
         val = one_circle(lambda z: np.exp(1.0 / z), ContourSpec(0.0, 0.5))
         assert abs(val - 1.0) < 1e-12
-
-    def test_orientation(self):
-        val = one_circle(lambda z: 1.0 / z, ContourSpec(0.0, 1.0, orientation=-1))
-        assert abs(val + 1.0) < 1e-15
 
     def test_laurent_polynomial_exactness(self, rng):
         # trapezoid on N nodes is exact when no power but -1 is -1 mod N:
@@ -220,7 +214,7 @@ def trapezoid(f, cp, counts):
             for k, a in enumerate(axes)
         )
         weight = math.prod(
-            c.orientation * (z - c.center) / n for c, z, n in zip(cp.contours, grid, counts)
+            (z - c.center) / n for c, z, n in zip(cp.contours, grid, counts)
         )
         total += complex(np.sum(f(grid) * weight))
     return total
@@ -239,7 +233,7 @@ def flat_reference(f, cp, tol=1e-10):
                         for c, n, i in zip(cp.contours, counts, idx)])
         vals = np.broadcast_to(f(pts), idx.shape[1:])
         terms = vals * np.prod(
-            [c.orientation * (p - c.center) / n for c, n, p in zip(cp.contours, counts, pts)],
+            [(p - c.center) / n for c, n, p in zip(cp.contours, counts, pts)],
             axis=0,
         )
 
