@@ -159,16 +159,14 @@ EVALUATORS = {
     ("green", "rainbow_asep"): lambda p, tol, budget: r_asep_transition(
         p["mu"], p["nu"], float(p["q"]), float(p["t"]), tol=tol, node_budget=budget),
     ("crossing", "two_species"): lambda p, tol, budget: two_tasep_crossing(
-        p["mu"], p["nu"], int(p["m"]), float(p["t"]), tol=tol, node_budget=budget),
+        p["mu"], p["nu"], int(p["m"]), float(p["t"])),
     ("crossing", "rainbow"): lambda p, tol, budget: rainbow_total_crossing(
         p["mu"], p["nu"], float(p["q"]), float(p["t"]), tol=tol, node_budget=budget),
     ("crossing", "blocks"): lambda p, tol, budget: block_crossing(
         _crossing_query(p), tol=tol, node_budget=budget),
-    ("crossing", "tasep_blocks"): lambda p, tol, budget: tasep_block_crossing(
-        _crossing_query(p), tol=tol, node_budget=budget),
+    ("crossing", "tasep_blocks"): lambda p, tol, budget: tasep_block_crossing(_crossing_query(p)),
     ("wall", "step"): lambda p, tol, budget: cumulative_crossing_step(
-        p["mu"], int(p["m"]), int(p["s1"]), int(p["s2"]), float(p["t"]),
-        tol=tol, node_budget=budget),
+        p["mu"], int(p["m"]), int(p["s1"]), int(p["s2"]), float(p["t"])),
     ("wall", "gamma"): lambda p, tol, budget: gamma_wall(
         int(p["n"]), int(p["s"]), float(p["t"])),
     ("wall", "bernoulli"): lambda p, tol, budget: cumulative_crossing_bernoulli(

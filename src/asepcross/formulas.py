@@ -1,38 +1,29 @@
 """Closed-form transition and crossing probability evaluators.
 
 Three families of formulas live here: the two-species TASEP Green's
-function (a nested double permutation sum under an (n+m)-fold contour
-integral around the origin), the multi-species ASEP formulas built on the
-vertex-model partition functions (integrals around 1), and the cumulative
-wall-crossing formulas (integrals around the origin, or in inverted
-variables around {0, 1, 1-rho} where the integrand becomes rational times
-an exponential and residues are extracted exactly).
+function (a double permutation sum under an (n+m)-fold integral around the
+origin), the multi-species ASEP formulas built on the vertex-model
+partition functions (integrals around 1), and the cumulative wall-crossing
+formulas (integrals around the origin, or rational-times-exponential ones
+in inverted variables whose residues at {0, 1, 1-rho} are exact).
 
-Every probability-valued result is checked for a vanishing imaginary part
-and clamped within [0, 1] only inside a small tolerance band; anything
-further out raises AccuracyError.  It is returned as a ``Result``: a float
-that also carries ``est_err`` and ``method``.  Every quadrature evaluator
-goes through ``_integrate`` (dimension cap, contour product, trapezoid
-driver on half of each grid, as every integrand has real coefficients and
-real contour centres, prefactor), takes its convergence tolerance ``tol``
-and its per-integral evaluation cap ``node_budget`` as arguments
-(``GreenQuery`` fields for the Green's function) and reports |prefactor|
-times the driver's ``est_err`` (the estimated error of the returned
-trapezoid sum plus its round-off level) as ``est_err``.  The formulas
-around 1 are stated on clockwise circles; they are integrated
-counterclockwise, and their prefactors carry the sign (-1)^n of the n
-reversed circles.
-Every wall residue evaluator goes through ``_andreief``: one moment table
-(``quadrature.residue_moments``) per variable, Andréief's identity turning
-the symmetric variables' squared Vandermonde into one determinant of their
-moments, and ``_residues`` summing the other variables' moments over the
-monomials that determinant leaves.  It reports method 'laurent' with
-ROUNDING times the size of the terms that cancel as est_err, where the size
-of a determinant is the permanent of its entries' sizes.
-``schutz_determinant``, whose entries are Poisson series, reports est_err
-0.0; structural zeros (an infeasible wall, t = 0 in ``gamma_wall``) report 0.0
-with method 'exact'.  A NaN is refused like any other value outside
-[0, 1].  Negative ``t`` or ``q`` is refused with ValidationError.
+Each probability is a ``Result``, a float that also carries ``est_err`` and
+``method``.  Its imaginary part must vanish, and it is clamped to [0, 1]
+only within a small band; anything further out, NaN included, raises
+AccuracyError.  Negative ``t`` or ``q`` raises ValidationError.  At q = 0
+every crossing formula but the Bernoulli ``form='direct'`` is an exact sum
+of products of determinants of one-variable residue moments
+(``_moment_determinants``, after Andréief's identity on the wall routes):
+method 'laurent', with ROUNDING times the size of the terms that cancel as
+est_err.  The Green's function, the formulas at q > 0 and the Bernoulli
+direct form go through ``_integrate`` (dimension cap, trapezoid driver on
+half of each grid, as every integrand has real coefficients and real
+contour centres), take ``tol`` and ``node_budget`` (``GreenQuery`` fields
+for the Green's function) and report |prefactor| times the driver's
+est_err.  The formulas around 1 are stated on clockwise circles; they are
+integrated counterclockwise, and their prefactors carry the sign (-1)^n.
+``schutz_determinant`` reports est_err 0.0, and structural zeros (an
+infeasible wall, t = 0 in ``gamma_wall``) 0.0 with method 'exact'.
 """
 
 from __future__ import annotations
@@ -75,6 +66,8 @@ RADIUS_FLOOR = 1e-12
 IMAG_TOL = 1e-9
 NEG_TOL = 1e-9
 ROUNDING = 4 * float(np.finfo(float).eps)  # per unit size of a residue sum's terms
+# the most coupled variable pairs the moment determinants expand: 2^12 products
+COUPLING_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -201,7 +194,7 @@ def _strict(values, name: str, decreasing: bool = False) -> list[int]:
     return values
 
 
-def _origin_contours(m: int, k: int, outer: float = W_RADIUS) -> tuple[ContourSpec, ...]:
+def _origin_contours(m: int, k: int, outer: float) -> tuple[ContourSpec, ...]:
     """m circles of radius Z_RADIUS about the origin, then k of radius ``outer``."""
     return (ContourSpec(0.0, Z_RADIUS),) * m + (ContourSpec(0.0, outer),) * k
 
@@ -359,46 +352,24 @@ def schutz_determinant(mu, nu, t: float) -> Result:
                                  0.0, "laurent")
 
 
-def two_tasep_crossing(mu, nu, m: int, t: float, tol: float = 1e-10,
-                       node_budget: int = DEFAULT_NODE_BUDGET) -> Result:
+def two_tasep_crossing(mu, nu, m: int, t: float) -> Result:
     """Total-crossing transition probability of the two-species TASEP.
 
     ``mu`` holds the initial positions with the m type-2 particles first
     (leftmost); ``nu`` the final positions with the type-2 particles last.
-    The two determinant blocks couple only through prod (w_j - z_i).
+    The determinant blocks of the m variables z_i and the n - m variables
+    w_j on circles about the origin couple only through prod (w_j - z_i);
+    ``_moment_determinants`` sums them exactly in x = 1/z.
     """
     _check_rates(t)
     mu, nu = _strict(mu, "mu"), _strict(nu, "nu")
     k = len(mu) - m
-
-    def integrand(ZW):
-        Z, W = ZW[:m], ZW[m:]
-        out = 1.0
-        for i in range(m):
-            out = out * (np.exp((1.0 / Z[i] - 1.0) * t) / (1.0 - Z[i]) ** k)
-        for i in range(k):
-            out = out * np.exp((1.0 / W[i] - 1.0) * t)
-        for i in range(m):
-            for j in range(k):
-                out = out * (W[j] - Z[i])
-        out = out * batched_det(
-            m, lambda i, j: Z[i] ** (nu[k + j] - mu[i] - 1) * (1.0 - Z[i]) ** (i - j)
-        )
-        return out * batched_det(
-            k, lambda i, j: W[i] ** (nu[j] - mu[m + i] - 1) * (1.0 - W[i]) ** (i - j)
-        )
-
-    return _integrate(integrand, _origin_contours(m, k), tol, node_budget)
-
-
-def _around_one_radii(q: float, n: int) -> list[float]:
-    bounds = [0.25, abs(1.0 - q) / (1.0 + q)]
-    if q > 0:
-        bounds.append(abs(1.0 - 1.0 / q))
-    rmax = 0.9 * min(bounds)
-    if rmax <= 0:
-        raise ValidationError("no valid contour radius around 1 for this q")
-    return _spread_radii(n, 0.7 * rmax, rmax)
+    z_block = [[(_variable(0, t, nu[k + j] - mu[i] - 1, i - j - k, k), 0, None)
+                for j in range(m)] for i in range(m)]
+    w_block = [[(_variable(0, t, nu[j] - mu[m + i] - 1, i - j, m), 0, None)
+                for j in range(k)] for i in range(k)]
+    pairs = [(i, m + j) for i in range(m) for j in range(k)]  # prod (w_j - z_i)
+    return _moment_determinants(1.0, [z_block, w_block], _expand_pairs(m + k, pairs))
 
 
 def _around_one(Z, q, t, powers, scale=None):
@@ -438,7 +409,7 @@ def r_asep_transition(mu, nu, q: float, t: float, tol: float = 1e-10,
         raise ValidationError("the symmetric point q = 1 is not supported")
     if q == 0:
         _strict(nu, "at q = 0, nu")
-        return rainbow_total_crossing(mu, nu, q, t, tol=tol, node_budget=node_budget)
+        return rainbow_total_crossing(mu, nu, q, t)
     rq = q**-0.5
 
     def integrand(Z):
@@ -460,12 +431,17 @@ def rainbow_total_crossing(mu, nu, q: float, t: float, tol: float = 1e-10,
 
     Requires mu strictly decreasing and nu strictly increasing.  The
     integrand depends on the data only through the differences mu_j - nu_j,
-    which realizes the shift-invariance property exactly.
+    which realizes the shift-invariance property exactly.  At q = 0 it is
+    ``tasep_block_crossing`` with one colour per block.
     """
     _check_rates(t, q)
     mu, nu = _strict(mu, "mu", decreasing=True), _strict(nu, "nu")
     if q == 1:
         raise ValidationError("the symmetric point q = 1 is not supported")
+    if q == 0:
+        return tasep_block_crossing(CrossingQuery(
+            BlockSignatureVector([(x,) for x in mu], "initial"),
+            BlockSignatureVector([(x,) for x in nu], "final"), q, t))
     n = len(mu)
     powers = [a - b for a, b in zip(mu, nu)]
     contours = _around_one_contours(q, [min(0.2, abs(q - 1.0) / 3.0)] * n)
@@ -480,11 +456,17 @@ def block_crossing(query: CrossingQuery, tol: float = 1e-10,
     The integration variables split into blocks matching the signature
     blocks; each block contributes its own symmetrized factor, so variables
     within a block ride on slightly different radii to stay clear of the
-    apparent coincident-point poles of the permutation sum.
+    apparent coincident-point poles of the permutation sum.  At q = 0 it is
+    ``tasep_block_crossing``.
     """
+    if query.q == 0:
+        return tasep_block_crossing(query)
     mu_vec, lam_vec = query.initial, query.final
     q, t, n = query.q, query.t, mu_vec.n
     blocks = list(zip(_block_slices(mu_vec.sizes), mu_vec.blocks, lam_vec.blocks))
+    rmax = 0.9 * min(0.25, abs(1.0 - q) / (1.0 + q), abs(1.0 - 1.0 / q))
+    if rmax <= 0:
+        raise ValidationError("no valid contour radius around 1 for this q")
 
     def integrand(Z):
         out = _around_one(Z, q, t, [0] * n)
@@ -492,48 +474,44 @@ def block_crossing(query: CrossingQuery, tol: float = 1e-10,
             out = out * (xi_mu(block_mu.parts, Z[b], q) * sfF_lambda(block_lam.parts, Z[b], q))
         return out
 
-    return _integrate(integrand, _around_one_contours(q, _around_one_radii(q, n)), tol,
-                      node_budget, scale=(q - 1.0) ** n)
+    return _integrate(integrand, _around_one_contours(q, _spread_radii(n, 0.7 * rmax, rmax)),
+                      tol, node_budget, scale=(q - 1.0) ** n)
 
 
-def tasep_block_crossing(query: CrossingQuery, tol: float = 1e-10,
-                         node_budget: int = DEFAULT_NODE_BUDGET) -> Result:
-    """Block total crossing at q = 0: one determinant per colour block."""
+def tasep_block_crossing(query: CrossingQuery) -> Result:
+    """Block total crossing at q = 0: one determinant per colour block.
+
+    The integrand is e^(zt/(1-z)) per variable, det[z_j^(i-j-start)
+    (1-z_j)^(lam_i-mu_j-1)] per block and prod (z_j - z_i) over the variables i
+    of each block and j of each later one, on clockwise circles about 1, and
+    ``_moment_determinants`` sums it exactly in y = 1/(1-z).
+    """
     if query.q != 0:
         raise ValidationError("this evaluator requires q = 0")
     mu_vec, lam_vec = query.initial, query.final
     t, n = query.t, mu_vec.n
     slices = _block_slices(mu_vec.sizes)
-
-    def integrand(Z):
-        out = 1.0
-        for j in range(n):
-            out = out * np.exp(Z[j] * t / (1.0 - Z[j]))
-        for k, a in enumerate(slices):
-            for b in slices[k + 1:]:
-                for i in range(a.start, a.stop):
-                    for j in range(b.start, b.stop):
-                        out = out * (Z[j] - Z[i])
-        for a, block_mu, block_lam in zip(slices, mu_vec.blocks, lam_vec.blocks):
-            zb, lam, mu = Z[a], block_lam.parts, block_mu.parts
-            out = out * batched_det(
-                len(mu),
-                lambda i, j: zb[j] ** (i - j - a.start) * (1.0 - zb[j]) ** (lam[i] - mu[j] - 1),
-            )
-        return out
-
-    return _integrate(integrand, _around_one_contours(0.0, _around_one_radii(0.0, n)), tol,
-                      node_budget, scale=(-1) ** n)
+    pairs = [(j, i) for k, a in enumerate(slices) for b in slices[k + 1:]
+             for i in range(a.start, a.stop) for j in range(b.start, b.stop)]
+    blocks = []
+    for a, block_mu, block_lam in zip(slices, mu_vec.blocks, lam_vec.blocks):
+        lam, mu, other = block_lam.parts, block_mu.parts, n - len(block_mu)
+        blocks.append([[(_variable(1, t, i - j - a.start, lam[i] - mu[j] - 1, other),
+                         0, None) for i in range(len(mu))] for j in range(len(mu))])
+    # (-1)^n for the clockwise circles, (-1)^n from the map to y
+    return _moment_determinants(1.0, blocks, _expand_pairs(n, pairs))
 
 
-def cumulative_crossing_step(mu, m: int, s1: int, s2: int, t: float,
-                             tol: float = 1e-10,
-                             node_budget: int = DEFAULT_NODE_BUDGET) -> Result:
+def cumulative_crossing_step(mu, m: int, s1: int, s2: int, t: float) -> Result:
     """Cumulative crossing probability for deterministic initial positions.
 
     ``mu`` is the full sorted initial vector with the m type-2 particles
     first.  Returns an exact 0 when the wall gap cannot accommodate the
-    type-1 block.
+    type-1 block.  On circles about the origin, the integrand is prod
+    (w_j - z_i) times e^((1/z-1)t) z_i^(s2-1-mu_i) (1-z_i)^(i-n) and det[z_i^j]
+    over m variables z_i, and e^((1/w-1)t) w_i^(s1-1-mu_(m+i)) (1-w_i)^(i-k)
+    and det[w_i^j - w_i^(s2-s1)] over k = n - m variables w_i, summed exactly
+    in x = 1/z by ``_moment_determinants``.
     """
     _check_rates(t)
     mu = _strict(mu, "mu")
@@ -541,77 +519,109 @@ def cumulative_crossing_step(mu, m: int, s1: int, s2: int, t: float,
     k = n - m
     if s2 - s1 < k:
         return Result(0.0, 0.0, "exact")
-
-    def integrand(ZW):
-        Z, W = ZW[:m], ZW[m:]
-        out = 1.0
-        for i in range(m):
-            out = out * (np.exp((1.0 / Z[i] - 1.0) * t) * Z[i] ** (s2 - 1 - mu[i])
-                         / (1.0 - Z[i]) ** (n - i))
-        for i in range(m):
-            for j in range(i + 1, m):
-                out = out * (Z[j] - Z[i])
-        return out * _wall_w_part(Z, W, t, [s1 - 1 - x for x in mu[m:]], s2 - s1)
-
-    return _integrate(integrand, _origin_contours(m, k), tol, node_budget)
+    z_block = [[(_variable(0, t, s2 - 1 - mu[i], i - n, k), -j, None) for j in range(m)]
+               for i in range(m)]
+    w_block = [[(_variable(0, t, s1 - 1 - mu[m + i], i - k, m), -j, s1 - s2)
+                for j in range(k)] for i in range(k)]
+    pairs = [(i, m + j) for i in range(m) for j in range(k)]  # prod (w_j - z_i)
+    return _moment_determinants(1.0, [z_block, w_block], _expand_pairs(m + k, pairs))
 
 
-def _wall_w_part(Z, W, t, powers, gap):
-    """The w-variable factors of the wall integrands: for each w_i,
-    exp((1/w_i - 1)t) w_i^powers[i] / (1-w_i)^(k-i), the couplings
-    prod (w_j - z_i) and det[w_i^j - w_i^gap]."""
-    k = len(W)
-    out = 1.0
-    for i in range(k):
-        out = out * (np.exp((1.0 / W[i] - 1.0) * t) * W[i] ** powers[i]
-                     / (1.0 - W[i]) ** (k - i))
-    for i in range(len(Z)):
-        for j in range(k):
-            out = out * (W[j] - Z[i])
-    return out * batched_det(k, lambda i, j: W[i] ** j - W[i] ** gap)
+def _variable(centre: int, t: float, e: int, b: int, pairs: int):
+    """z^e (1-z)^b times e^((1/z-1)t) on a circle about 0 (centre 0), or times
+    e^(zt/(1-z)) on one about 1 (centre 1), as the (RationalExpDescriptor,
+    points) pair ``_moment_determinants`` reads: in x = 1/z its integral is
+    the sum of the residues at x = 0, 1 of e^((x-1)t) x^(-e-b-2) (x-1)^b, in
+    y = 1/(1-z) minus that of e^((y-1)t) y^(-e-b-2) (y-1)^e (the caller's
+    scale carries the minus).  ``pairs`` more powers of 1/x (1/y) carry its
+    share of the couplings, z_a - z_b = (x_b - x_a)/(x_a x_b) = (y_a - y_b)/(y_a y_b)."""
+    factor = (1.0, e if centre else b)
+    return RationalExpDescriptor(t, (factor, (0.0, -e - b - 2 - pairs))), (0.0, 1.0)
 
 
-def _det_and_permanent(perms, values, sizes) -> tuple[complex, float]:
-    """det of the square matrix ``values`` and the permanent of ``sizes``,
-    in one Leibniz pass over ``perms`` (``signed_permutations``)."""
+def _expand_pairs(nvars: int, pairs) -> dict:
+    """The monomials of prod (x_a - x_b) over ``pairs`` (a, b) of nvars
+    variables, as exponent tuple -> (coefficient, |coefficient|), without the
+    ones that cancel; more than COUPLING_CAP pairs are refused first."""
+    if len(pairs) > COUPLING_CAP:
+        raise ResourceLimitError(f"{len(pairs)} coupled pairs exceed the cap {COUPLING_CAP}")
+    terms = {(0,) * nvars: 1}
+    for a, b in pairs:
+        grown: dict[tuple[int, ...], int] = {}
+        for c, v in terms.items():
+            for var, sign in ((a, v), (b, -v)):
+                key = c[:var] + (c[var] + 1,) + c[var + 1:]
+                grown[key] = grown.get(key, 0) + sign
+        terms = grown
+    return {c: (v, abs(v)) for c, v in terms.items() if v}
+
+
+def _det_and_permanent(perms, cells) -> tuple[complex, float]:
+    """det of the values and permanent of the sizes of a square matrix of
+    (value, size) ``cells``, in one Leibniz pass over ``signed_permutations``."""
     det, per = 0.0, 0.0
     for perm, sgn in perms:
         term, bound = sgn, 1.0
         for a, b in enumerate(perm):
-            term *= values[a][b]
-            bound *= sizes[a][b]
+            value, size = cells[a][b]
+            term *= value
+            bound *= size
         det += term
         per += bound
     return det, per
 
 
-def _residues(variables, terms: dict, beta: int | None) -> tuple[complex, float]:
-    """The residues in the k variables w_i of Σ_c v_c·w^c·det_k[w_i^(k-1-j) -
-    w_i^beta] over the monomials w^c of ``terms`` (c -> (v_c, s_c)), and
-    their size.  Variable i is a (RationalExpDescriptor, points) pair with
-    moment table (M_i, S_i) over the exponents its column uses.  Row i of
-    the border depends on w_i alone, so a monomial adds v_c·det_k[M_i(c_i+k-1-j)
-    - M_i(c_i+beta)], and s_c times the permanent of S_i(c_i+k-1-j) +
-    S_i(c_i+beta) to the size.  Without ``beta`` the border is 1 (k = 1).
+def _moment(table, e: int, plus: int, minus: int | None) -> tuple[complex, float]:
+    """One entry of ``_moment_determinants`` at the exponent e: (value, size)."""
+    lo, moments, sizes = table
+    a = e + plus - lo
+    if minus is None:
+        return moments[a], sizes[a]
+    b = e + minus - lo
+    return moments[a] - moments[b], sizes[a] + sizes[b]
+
+
+def _moment_determinants(scale: float, blocks, terms: dict) -> Result:
+    """scale·Σ_c v_c·prod_blocks det[M_ij(c_i)], the exact integral of
+    Σ_c v_c x^c (``terms``: c -> (v_c, s_c)) times one determinant per block
+    whose rows each depend on one variable; est_err is ROUNDING·|scale|·size,
+    size = Σ_c s_c·prod_blocks per[S_ij(c_i)], which bounds every product
+    the sum adds up, and an est_err of 1 or more is refused (AccuracyError).
+
+    The rows of the ``blocks`` in order are the variables x_i.  An entry is
+    (variable, plus, minus): a (RationalExpDescriptor, points) pair, whose
+    moment table M, S (``residue_moments``) it reads at c_i + plus, less M at
+    c_i + minus unless minus is None (the sizes add).  By multilinearity a
+    monomial's integral is the product of its blocks' determinants, each
+    computed once per exponent tuple of its block.
     """
-    k = len(variables)
-    b, sub = (0, 0.0) if beta is None else (beta, 1.0)
-    tables = []
-    for i, (desc, points) in enumerate(variables):
-        lo, hi = min(c[i] for c in terms) + min(0, b), max(c[i] for c in terms) + max(k - 1, b)
-        tables.append((lo, *residue_moments(desc, points, lo, hi)))
-    perms = signed_permutations(k)
+    spans: dict = {}
+    for i, row in enumerate(row for block in blocks for row in block):
+        low, high = min(c[i] for c in terms), max(c[i] for c in terms)
+        for variable, *offsets in row:
+            offsets = [o for o in offsets if o is not None]
+            lo, hi = spans.get(variable, (math.inf, -math.inf))
+            spans[variable] = min(lo, low + min(offsets)), max(hi, high + max(offsets))
+    tables = {v: (lo, *residue_moments(*v, lo, hi)) for v, (lo, hi) in spans.items()}
+    parts = [(block, start, signed_permutations(len(block)), {})  # {exponents: (det, per)}
+             for block, start in zip(blocks, itertools.accumulate(map(len, blocks), initial=0))]
     total, size = 0.0 + 0.0j, 0.0
     for c, (v, s) in terms.items():
-        values, bounds = [], []
-        for e, (lo, moments, sizes) in zip(c, tables):
-            e -= lo
-            values.append([moments[e + k - 1 - j] - sub * moments[e + b] for j in range(k)])
-            bounds.append([sizes[e + k - 1 - j] + sub * sizes[e + b] for j in range(k)])
-        det, per = _det_and_permanent(perms, values, bounds)
+        det, per = 1.0, 1.0
+        for block, start, perms, cache in parts:
+            key = c[start:start + len(block)]
+            if key not in cache:
+                cache[key] = _det_and_permanent(perms, [
+                    [_moment(tables[var], e, plus, minus) for var, plus, minus in row]
+                    for row, e in zip(block, key)])
+            det, per = det * cache[key][0], per * cache[key][1]
         total += v * det
         size += s * per
-    return total, size
+    err = ROUNDING * abs(scale * size)
+    if err >= 1.0:
+        raise AccuracyError(f"residue terms of size {abs(scale * size):.3g} cancel: "
+                            f"their rounding bound {err:.3g} spans all of [0, 1]")
+    return _finalize_probability(complex(scale * total), err, "laurent")
 
 
 def _andreief(scale: float, z, m: int, w=(), beta: int | None = None) -> Result:
@@ -621,13 +631,10 @@ def _andreief(scale: float, z, m: int, w=(), beta: int | None = None) -> Result:
     ``z`` and each entry of ``w`` are (RationalExpDescriptor, points) pairs:
     one variable's integrand e^((z-1)t) prod (z-a)^e and the points its
     residues are summed over.  L_z maps z^p to the moment h_p of ``z``, and
-    L_w takes the w_j's residues (``_residues``, with the border
-    det_k[w_i^(k-1-j) - w_i^beta]).
-    The integral
-
-        (1/m!) L_z^m L_w[prod_{i != j} (z_j - z_i) prod_{i, j} (z_i - w_j) border(w)]
-
-    equals (-1)^(m(m-1)/2) L_w[det_m[H_{a+b}(w)] border(w)], a, b < m:
+    L_w takes the w_j's residues (``_moment_determinants``, with the border
+    det_k[w_i^(k-1-j) - w_i^beta], or 1 at k = 1 without ``beta``).  The
+    integral (1/m!) L_z^m L_w[prod_{i != j} (z_j - z_i) prod_{i, j} (z_i - w_j)
+    border(w)] equals (-1)^(m(m-1)/2) L_w[det_m[H_{a+b}(w)] border(w)], a, b < m:
     - prod_{i != j} (z_j - z_i) = (-1)^(m(m-1)/2) Δ(z)², Δ(z) = det[z_i^a];
     - prod_j (z - w_j) = Σ_r (-1)^r e_r(w) z^(k-r), e_r elementary symmetric;
     - Andréief, (1/m!) L_z^m[det[f_a(z_i)] det[g_b(z_i)]] = det[L_z(f_a g_b)]
@@ -637,13 +644,7 @@ def _andreief(scale: float, z, m: int, w=(), beta: int | None = None) -> Result:
     row of det_m[H] over the subsets T_a of the w's in e_r (multilinearity)
     leaves scalar determinants det[h_{a+b+k-|T_a|}] times (-1)^Σ|T_a| and the
     monomial prod_a w^(T_a); one determinant serves every choice with the
-    same subset sizes.
-
-    Returns scale times the integral, with ROUNDING·|scale|·size as est_err:
-    the size is the same sum with each determinant replaced by the
-    permanent of its entries' sizes S, so it bounds every product the sum
-    adds up.  An est_err of 1 or more leaves no digit of a probability, and
-    is refused with AccuracyError.
+    same subset sizes, and its permanent of the sizes of h is their size.
     """
     k = len(w)
     h, hs = residue_moments(*z, 0, 2 * m + k - 2) if m else ((), ())
@@ -653,27 +654,19 @@ def _andreief(scale: float, z, m: int, w=(), beta: int | None = None) -> Result:
     for rows in itertools.product(itertools.product((0, 1), repeat=k), repeat=m):
         shift = tuple(k - sum(row) for row in rows)  # row a reads h[a + b + shift[a]]
         if shift not in dets:
-            hankel = [[a + b + shift[a] for b in range(m)] for a in range(m)]
-            dets[shift] = _det_and_permanent(
-                perms, *([[x[i] for i in row] for row in hankel] for x in (h, hs))
-            )
+            dets[shift] = _det_and_permanent(perms, [
+                [(h[a + b + shift[a]], hs[a + b + shift[a]]) for b in range(m)] for a in range(m)])
         det, per = dets[shift]
         key = tuple(map(sum, zip(*rows, (0,) * k)))
         value, size = terms.get(key, (0.0, 0.0))
         terms[key] = (value + (-det if (m * k - sum(shift)) % 2 else det), size + per)
-    value, size = _residues(w, terms, beta) if w else terms[()]
-    scale *= (-1) ** (m * (m - 1) // 2)
-    err = ROUNDING * abs(scale * size)
-    if err >= 1.0:
-        raise AccuracyError(f"residue terms of size {abs(scale * size):.3g} cancel: "
-                            f"their rounding bound {err:.3g} spans all of [0, 1]")
-    return _finalize_probability(complex(scale * value), err, "laurent")
+    border = [[(v, k - 1 - j, beta) for j in range(k)] for v in w]
+    return _moment_determinants(scale * (-1) ** (m * (m - 1) // 2), [border] if w else [],
+                                terms)
 
 
-def cumulative_crossing_bernoulli(
-    query: WallQuery, form: str = "inverted", tol: float = 1e-10,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> Result:
+def cumulative_crossing_bernoulli(query: WallQuery, form: str = "inverted", tol: float = 1e-10,
+                                  node_budget: int = DEFAULT_NODE_BUDGET) -> Result:
     """Cumulative crossing with density-rho initial data for type 2.
 
     ``form='direct'`` integrates around the origin by quadrature;
@@ -699,9 +692,16 @@ def cumulative_crossing_bernoulli(
                 for j in range(m):
                     if i != j:
                         out = out * (Z[j] - Z[i])
-            return out * _wall_w_part(Z, W, t, [s1 - 1 - i for i in range(k)], s2 - s1)
+            w_part = 1.0
+            for i in range(k):
+                w_part = w_part * (np.exp((1.0 / W[i] - 1.0) * t) * W[i] ** (s1 - 1 - i)
+                                   / (1.0 - W[i]) ** (k - i))
+            for i in range(m):
+                for j in range(k):
+                    w_part = w_part * (W[j] - Z[i])
+            return out * (w_part * batched_det(k, lambda i, j: W[i] ** j - W[i] ** (s2 - s1)))
 
-        return _integrate(integrand, _origin_contours(m, k), tol, node_budget,
+        return _integrate(integrand, _origin_contours(m, k, W_RADIUS), tol, node_budget,
                           scale=rho**m / math.factorial(m))
     # inverted form: m symmetric variables z, then k variables w_i, coupled
     # by prod (z_i - w_j) and bordered by det[w_i^(k-1-j) - w_i^beta]
@@ -753,7 +753,7 @@ def gamma_wall(n: int, s: int, t: float) -> Result:
     {0, 1}, as the Hankel determinant (-1)^(n(n-1)/2) det[h_{a+b}] of the
     one-variable moments h (``_andreief`` with k = 0).  It is the
     probability ``cumulative_crossing_step(range(1, n + 1), n, s, s, t)``
-    computes by quadrature.  At t = 0 it is an exact 0.
+    computes without Andréief's identity.  At t = 0 it is an exact 0.
     """
     if s <= n:
         raise ValidationError("gamma_wall requires s > n")

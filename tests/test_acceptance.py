@@ -113,14 +113,14 @@ def test_a3_stochasticity(green_vs_oracle_instance):
 def test_a4_crossing_consistency():
     started = time.perf_counter()
     mu, nu, t = (-1, 0, 1), (2, 3, 5), 3.0
-    v_det = two_tasep_crossing(mu, nu, 1, t, tol=1e-9)
+    v_det = two_tasep_crossing(mu, nu, 1, t)
     query = CrossingQuery(
         make_blocks([[1, 0], [-1]], "initial"),
         make_blocks([[3, 2], [5]], "final"),
         0.0,
         t,
     )
-    v_blocks = tasep_block_crossing(query, tol=1e-9)
+    v_blocks = tasep_block_crossing(query)
     v_green = two_tasep_green(
         GreenQuery(
             ParticleConfig.from_two_species(mu, (1,)),
@@ -204,8 +204,8 @@ def test_a6_block_formula_degenerations():
         0.0,
         t,
     )
-    c = block_crossing(query_q0, tol=1e-12)
-    d = tasep_block_crossing(query_q0, tol=1e-12)
+    c = block_crossing(query_q0)
+    d = tasep_block_crossing(query_q0)
     dev_q0 = abs(c - d)
     _report(
         "A6", dev_r1 < 1e-10 and dev_q0 < 1e-10,

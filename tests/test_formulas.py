@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 import time
@@ -46,10 +47,34 @@ import residue_reference
 from conftest import make_blocks
 
 GOLDEN_2TASEP = 0.06766764161830637
+# At q = 0 no particle moves left, and a path that leaves the window
+# [min(mu + nu), max(mu + nu)] cannot come back, so the window's master
+# equation gives every probability of a target inside it exactly; this is
+# the allowance for the rounding of its uniformization
+ORACLE_ALLOWANCE = 1e-13
 
 
 def _two_species(positions, p):
     return ParticleConfig.from_two_species(positions, p)
+
+
+def schutz_mpmath(mu, nu, t, dps=60):
+    """The Schütz determinant from its Poisson series at ``dps`` digits,
+    each entry summed to 60 standard deviations past its mean."""
+    mpmath = pytest.importorskip("mpmath")
+    n = len(mu)
+    with mpmath.workdps(dps):
+        def entry(a, x):
+            total, j = mpmath.mpf(0), max(0, -x)
+            while x + j <= t + 60 * math.sqrt(t) + 60 and not (a >= 0 and j > a):
+                total += ((-1) ** j * mpmath.binomial(a, j) * mpmath.mpf(t) ** (x + j)
+                          / mpmath.factorial(x + j))
+                j += 1
+            return total * mpmath.exp(-t)
+
+        mat = mpmath.matrix([[entry(k - i, nu[i] - mu[k]) for i in range(n)]
+                             for k in range(n)])
+        return float(mpmath.det(mat))
 
 
 class TestEigenfunction:
@@ -165,20 +190,24 @@ class TestTwoTasepGreen:
         fin = _two_species((-2, 1), (1,))
         assert abs(two_tasep_green(GreenQuery(ini, fin, 1.0))) < 1e-10
 
-    @pytest.mark.parametrize("call", [
-        lambda: two_tasep_green(GreenQuery(_two_species(tuple(range(6)), ()),
-                                           _two_species(tuple(range(1, 7)), ()), 1.0)),
+    @pytest.mark.parametrize("call, match", [
+        (lambda: two_tasep_green(GreenQuery(_two_species(tuple(range(6)), ()),
+                                            _two_species(tuple(range(1, 7)), ()), 1.0)),
+         "integration variables"),
         # each 5-variable case below spent 34,603,008 evaluations of the
         # default budget and then raised AccuracyError
-        lambda: two_tasep_green(GreenQuery(_two_species((0, 1, 2), (1, 3)),
-                                           _two_species((1, 3, 4), (2, 3)), 1.0)),
-        lambda: rainbow_total_crossing((4, 3, 2, 1, 0), (1, 2, 3, 4, 5), 0.3, 2.0),
-        lambda: two_tasep_crossing((0, 1, 2, 3, 4), (1, 2, 3, 4, 5), 2, 1.0),
-        lambda: cumulative_crossing_step((0, 1, 2, 3, 4), 2, 3, 6, 1.0),
-    ], ids=["green_n6", "green_n3m2", "rainbow_n5", "two_tasep_crossing_n5", "step_n5"])
-    def test_dimension_budget(self, call):
+        (lambda: two_tasep_green(GreenQuery(_two_species((0, 1, 2), (1, 3)),
+                                            _two_species((1, 3, 4), (2, 3)), 1.0)),
+         "integration variables"),
+        (lambda: rainbow_total_crossing((4, 3, 2, 1, 0), (1, 2, 3, 4, 5), 0.3, 2.0),
+         "integration variables"),
+        # 20 coupled pairs: 2^20 products, refused before any is formed
+        (lambda: two_tasep_crossing(tuple(range(9)), tuple(range(2, 11)), 4, 1.0),
+         "coupled pairs"),
+    ], ids=["green_n6", "green_n3m2", "rainbow_n5", "two_tasep_crossing_n9m4"])
+    def test_dimension_budget(self, call, match):
         start = time.process_time()
-        with pytest.raises(ResourceLimitError, match="integration variables"):
+        with pytest.raises(ResourceLimitError, match=match):
             call()
         assert time.process_time() - start < 0.01
 
@@ -216,9 +245,12 @@ class TestSchutzReduction:
 
 
 class TestTwoTasepCrossing:
-    def test_m0_reduces_to_schutz(self):
-        val = two_tasep_crossing((0, 2), (1, 4), 0, 0.7)
-        assert abs(val - schutz_determinant((0, 2), (1, 4), 0.7)) < 1e-10
+    # a 60-site jump at t = 16 read 9.42e-12 +- 1.5e-13 on the quadrature route
+    @pytest.mark.parametrize("mu, nu, t", [((0, 2), (1, 4), 0.7), ((0,), (60,), 16.0)])
+    def test_m0_reduces_to_schutz(self, mu, nu, t):
+        val = two_tasep_crossing(mu, nu, 0, t)
+        assert val.method == "laurent"
+        assert abs(val - schutz_mpmath(mu, nu, t)) <= val.est_err
 
     def test_matches_green_n2(self):
         val = two_tasep_crossing((0, 1), (2, 3), 1, 1.0)
@@ -233,8 +265,17 @@ class TestTwoTasepCrossing:
         gen = build_window_generator(ini, (-8, 18), ModelParams(q=0.0))
         oracle, sink = expm_transition(gen, ini, _two_species(nu, (3,)), t)
         assert sink < 1e-7
-        val = two_tasep_crossing(mu, nu, 1, t, tol=1e-9)
+        val = two_tasep_crossing(mu, nu, 1, t)
         assert abs(val - oracle) < 1e-6
+
+    def test_five_particles_against_oracle(self):
+        # 6 coupled pairs in 5 variables, beyond what the quadrature took
+        mu, nu = (0, 1, 2, 3, 4), (1, 2, 3, 4, 5)
+        ini, fin = _two_species(mu, (1, 2)), _two_species(nu, (4, 5))
+        gen = build_window_generator(ini, (0, 5), ModelParams(q=0.0))
+        oracle, _ = expm_transition(gen, ini, fin, 1.0)
+        val = two_tasep_crossing(mu, nu, 2, 1.0)
+        assert abs(val - oracle) <= val.est_err + ORACLE_ALLOWANCE
 
 
 class TestRAsep:
@@ -339,16 +380,20 @@ class TestBlockCrossing:
         oracle, _ = expm_transition(gen, ini, ParticleConfig((2, 3), (1, 1)), 1.0)
         assert abs(a - oracle) < 1e-6
 
-    def test_q0_matches_determinant_route(self):
-        query = CrossingQuery(
-            make_blocks([[0], [-1]], "initial"),
-            make_blocks([[2], [3]], "final"),
-            0.0,
-            1.0,
-        )
-        a = block_crossing(query)
-        b = tasep_block_crossing(query)
-        assert abs(a - b) < 1e-10
+    # one block at q = 0 is Schütz's determinant; on the quadrature routes the
+    # first read 8.529388115850625e-4 +- 6.2e-12 (6.5e-12 off), and
+    # block_crossing read 1.36e-10 +- 7.6e-11 for the second, where no particle
+    # can move left
+    @pytest.mark.parametrize("evaluate", [block_crossing, tasep_block_crossing])
+    @pytest.mark.parametrize("initial, final, t", [
+        ([5, 3, -4], [10, 8, -2], 2.5), ([5], [4], 3.0), ([1, 0], [3, 2], 1.0),
+    ])
+    def test_q0_matches_determinant_route(self, evaluate, initial, final, t):
+        query = CrossingQuery(make_blocks([initial], "initial"), make_blocks([final], "final"),
+                              0.0, t)
+        val = evaluate(query)
+        assert val.method == "laurent"
+        assert abs(val - schutz_mpmath(initial[::-1], final[::-1], t)) <= val.est_err
 
     def test_orientation_validation(self):
         with pytest.raises(ValidationError):
@@ -422,7 +467,7 @@ class TestTasepBlockCrossing:
             0.0,
             1.5,
         )
-        val = tasep_block_crossing(query, tol=1e-9)
+        val = tasep_block_crossing(query)
         ini = ParticleConfig((-2, -1, 0), (2, 2, 1))
         gen = build_window_generator(ini, (-8, 12), ModelParams(q=0.0))
         fin = ParticleConfig((1, 2, 4), (1, 2, 2))
@@ -442,13 +487,16 @@ class TestTasepBlockCrossing:
 
 
 class TestCumulativeStep:
-    def test_brute_force_sum(self):
-        s1, s2, t = 0, 2, 1.0
-        val = cumulative_crossing_step((-1, 0), 1, s1, s2, t)
+    # the second case has 6 coupled pairs in 5 variables, beyond what the
+    # quadrature took
+    @pytest.mark.parametrize("mu, m, s1, s2", [((-1, 0), 1, 0, 2), ((0, 1, 2, 3, 4), 2, 3, 6)])
+    def test_brute_force_sum(self, mu, m, s1, s2):
+        t = 1.0
+        val = cumulative_crossing_step(mu, m, s1, s2, t)
         brute = sum(
-            two_tasep_crossing((-1, 0), (n1, n2), 1, t)
-            for n1 in range(s1, s2)
-            for n2 in range(s2, s2 + 30)
+            two_tasep_crossing(mu, type1 + type2, m, t)
+            for type1 in itertools.combinations(range(s1, s2), len(mu) - m)
+            for type2 in itertools.combinations(range(s2, s2 + 30), m)
         )
         assert abs(val - brute) < 1e-7
 
@@ -462,11 +510,14 @@ class TestCumulativeStep:
         est, err, _ = run_monte_carlo(job)
         assert abs(est - val) <= 3 * err
 
-    def test_pure_type2_poisson_tail(self):
-        # single type-2 particle: crossing means position >= s2
-        val = cumulative_crossing_step((-1,), 1, -5, 2, 1.0)
-        exact = 1 - sum(math.exp(-1) / math.factorial(k) for k in range(3))
-        assert abs(val - exact) < 1e-10
+    # a single type-2 particle crosses when it reaches s2; the quadrature route
+    # read 4.09e-13 +- 7e-19 for P(Poisson(4) >= 40) = 3.0e-26
+    @pytest.mark.parametrize("mu, s1, s2, t", [(-1, -5, 2, 1.0), (1, 41, 41, 4.0)])
+    def test_pure_type2_poisson_tail(self, mu, s1, s2, t):
+        val = cumulative_crossing_step((mu,), 1, s1, s2, t)
+        exact = sum(math.exp(k * math.log(t) - t - math.lgamma(k + 1))
+                    for k in range(s2 - mu, s2 - mu + 200))
+        assert abs(val - exact) <= val.est_err < 1e-14
 
     def test_pure_type1_window(self):
         val = cumulative_crossing_step((0,), 0, 1, 3, 1.0)
@@ -631,25 +682,6 @@ class TestAndreiefAgainstMonomials:
 class TestLargeArguments:
     """Large t and long jumps: exact digits or a typed error, never overflow."""
 
-    @staticmethod
-    def schutz_mpmath(mu, nu, t, dps=60):
-        """The Schütz determinant from its Poisson series at ``dps`` digits,
-        each entry summed to 60 standard deviations past its mean."""
-        mpmath = pytest.importorskip("mpmath")
-        n = len(mu)
-        with mpmath.workdps(dps):
-            def entry(a, x):
-                total, j = mpmath.mpf(0), max(0, -x)
-                while x + j <= t + 60 * math.sqrt(t) + 60 and not (a >= 0 and j > a):
-                    total += ((-1) ** j * mpmath.binomial(a, j) * mpmath.mpf(t) ** (x + j)
-                              / mpmath.factorial(x + j))
-                    j += 1
-                return total * mpmath.exp(-t)
-
-            mat = mpmath.matrix([[entry(k - i, nu[i] - mu[k]) for i in range(n)]
-                                 for k in range(n)])
-            return float(mpmath.det(mat))
-
     def test_gamma_wall_long_jump(self):
         # pole order 199 at the origin: beyond where t^k / k! overflows
         assert 0.0 <= gamma_wall(1, 200, 1.0) <= 1e-15
@@ -664,7 +696,17 @@ class TestLargeArguments:
     def test_schutz_large_t(self, t):
         mu, nu = (0, 1), (t + 1, t + 3)
         assert abs(schutz_determinant(mu, nu, float(t))
-                   - self.schutz_mpmath(mu, nu, t)) < 1e-13
+                   - schutz_mpmath(mu, nu, t)) < 1e-13
+
+    @pytest.mark.parametrize("jump", [33, 65])
+    def test_long_jumps_match_the_window_oracle(self, jump):
+        # the quadrature route refused the first with AccuracyError
+        mu, nu, t = (0, 1, 2), (jump, jump + 1, jump + 2), jump - 1.0
+        ini, fin = _two_species(mu, (1,)), _two_species(nu, (3,))
+        gen = build_window_generator(ini, (0, nu[-1]), ModelParams(q=0.0))
+        oracle, _ = expm_transition(gen, ini, fin, t)
+        val = two_tasep_crossing(mu, nu, 1, t)
+        assert abs(val - oracle) <= val.est_err + ORACLE_ALLOWANCE
 
     @pytest.mark.parametrize("call, expected", [
         (lambda: gamma_wall(1, 5, 800.0), 1.0),
@@ -755,7 +797,7 @@ class TestNegativeRates:
 
 class TestResult:
     def test_quadrature_result_carries_measured_error(self):
-        val = two_tasep_crossing((0, 1), (1, 3), 1, 1.0, tol=1e-10)
+        val = rainbow_total_crossing((1, 0), (1, 2), 0.5, 1.0, tol=1e-10)
         assert isinstance(val, Result) and isinstance(val, float)
         assert val.method == "quadrature"
         assert 0.0 <= val.est_err < 1e-10
@@ -832,10 +874,11 @@ class TestResult:
 
 # The quadrature evaluators hand product_integrate conjugate_symmetric=True,
 # which evaluates half of each grid.  That needs f(z̄) = conj f(z) for every
-# integrand, over each evaluator's accepted range, long jumps included.
+# integrand, over each evaluator's accepted range, long jumps included.  At
+# q = 0 the formulas around 1 no longer integrate, so only q > 0 is drawn.
 JUMP = 60
 TIMES = st.floats(0.0, 16.0)
-RATES = st.floats(0.0, 2.0, exclude_max=True).filter(lambda q: q != 1.0)
+RATES = st.floats(0.0, 2.0, exclude_min=True, exclude_max=True).filter(lambda q: q != 1.0)
 
 
 def _sites(data, n, decreasing=False):
@@ -854,17 +897,9 @@ def _draw_green(data):
     return lambda: two_tasep_green(query)
 
 
-def _draw_two_tasep_crossing(data):
-    n = data.draw(st.integers(1, 3))
-    mu, nu, m, t = _sites(data, n), _sites(data, n), data.draw(st.integers(0, n)), data.draw(TIMES)
-    return lambda: two_tasep_crossing(mu, nu, m, t)
-
-
 def _draw_r_asep(data):
     n, q, t = data.draw(st.integers(1, 3)), data.draw(RATES), data.draw(TIMES)
-    mu, nu = _sites(data, n, decreasing=True), _sites(data, n)
-    if q:  # at q = 0 only increasing nu are supported
-        nu = data.draw(st.permutations(nu))
+    mu, nu = _sites(data, n, decreasing=True), data.draw(st.permutations(_sites(data, n)))
     return lambda: r_asep_transition(mu, nu, q, t)
 
 
@@ -874,32 +909,20 @@ def _draw_rainbow(data):
     return lambda: rainbow_total_crossing(mu, nu, q, t)
 
 
-def _draw_blocks(data, q):
-    n = data.draw(st.integers(1, 3))
+def _block_bounds(data, n):
+    """The index ranges of a random split of n particles into colour blocks."""
     cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
-    bounds = list(zip([0] + cuts, cuts + [n]))
-    initial, final = _sites(data, n, decreasing=True), _sites(data, n)
-    return CrossingQuery(make_blocks([initial[a:b] for a, b in bounds], "initial"),
-                         make_blocks([final[a:b][::-1] for a, b in bounds], "final"),
-                         q, data.draw(TIMES))
+    return list(zip([0] + cuts, cuts + [n]))
 
 
 def _draw_block_crossing(data):
-    query = _draw_blocks(data, data.draw(RATES))
-    return lambda: block_crossing(query)
-
-
-def _draw_tasep_block_crossing(data):
-    query = _draw_blocks(data, 0.0)
-    return lambda: tasep_block_crossing(query)
-
-
-def _draw_step(data):
     n = data.draw(st.integers(1, 3))
-    mu, m, t = _sites(data, n), data.draw(st.integers(0, n)), data.draw(TIMES)
-    s1 = data.draw(st.integers(-JUMP, JUMP))
-    s2 = s1 + n - m + data.draw(st.integers(0, JUMP))  # a feasible wall
-    return lambda: cumulative_crossing_step(mu, m, s1, s2, t)
+    bounds = _block_bounds(data, n)
+    initial, final = _sites(data, n, decreasing=True), _sites(data, n)
+    query = CrossingQuery(make_blocks([initial[a:b] for a, b in bounds], "initial"),
+                          make_blocks([final[a:b][::-1] for a, b in bounds], "final"),
+                          data.draw(RATES), data.draw(TIMES))
+    return lambda: block_crossing(query)
 
 
 def _draw_bernoulli(data):
@@ -914,8 +937,7 @@ def _draw_bernoulli(data):
 
 class TestConjugateSymmetry:
     @pytest.mark.parametrize("draw", [
-        _draw_green, _draw_two_tasep_crossing, _draw_r_asep, _draw_rainbow,
-        _draw_block_crossing, _draw_tasep_block_crossing, _draw_step, _draw_bernoulli,
+        _draw_green, _draw_r_asep, _draw_rainbow, _draw_block_crossing, _draw_bernoulli,
     ], ids=lambda draw: draw.__name__[len("_draw_"):])
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
@@ -959,3 +981,46 @@ class TestConjugateSymmetry:
         np.testing.assert_array_equal(values[np.ix_(*[np.arange(7, -1, -1)] * d)], values.conj())
         real = values_on(np.array([1.0, -1.0]))
         assert np.all(np.abs(real.imag) <= NOISE_MARGIN * ROUNDOFF * np.abs(real))
+
+
+def _colours(blocks):
+    """Sites and colours of blocks of sites, block c holding colour c + 1."""
+    sites = sorted((x, c + 1) for c, block in enumerate(blocks) for x in block)
+    return ParticleConfig(tuple(x for x, _ in sites), tuple(c for _, c in sites))
+
+
+class TestQ0WindowOracle:
+    """Every q = 0 crossing evaluator against the window master equation,
+    within its est_err and ORACLE_ALLOWANCE, at long times and long jumps."""
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_value_within_est_err(self, data):
+        n = data.draw(st.integers(1, 3))
+        evaluator = data.draw(st.sampled_from(
+            [two_tasep_crossing, tasep_block_crossing, rainbow_total_crossing]))
+        if evaluator is two_tasep_crossing:
+            m = data.draw(st.integers(0, n))
+            bounds = [(a, b) for a, b in ((0, n - m), (n - m, n)) if a < b]
+        elif evaluator is rainbow_total_crossing:
+            bounds = [(i, i + 1) for i in range(n)]
+        else:
+            bounds = _block_bounds(data, n)
+        mu, nu = (sorted(data.draw(st.lists(st.integers(0, 12), min_size=n, max_size=n,
+                                            unique=True))) for _ in range(2))
+        t = data.draw(st.floats(0.0, 32.0))
+        # block c is the c-th from the right initially and from the left finally
+        initial = [mu[::-1][a:b] for a, b in bounds]
+        final = [nu[a:b][::-1] for a, b in bounds]
+        if evaluator is two_tasep_crossing:
+            value = two_tasep_crossing(mu, nu, m, t)
+        elif evaluator is rainbow_total_crossing:
+            value = rainbow_total_crossing(mu[::-1], nu, 0.0, t)
+        else:
+            value = tasep_block_crossing(CrossingQuery(
+                make_blocks(initial, "initial"), make_blocks(final, "final"), 0.0, t))
+        ini, fin = _colours(initial), _colours(final)
+        gen = build_window_generator(ini, (min(mu + nu), max(mu + nu)), ModelParams(q=0.0))
+        oracle, _ = expm_transition(gen, ini, fin, t)
+        assert value.method == "laurent"
+        assert abs(value - oracle) <= value.est_err + ORACLE_ALLOWANCE
