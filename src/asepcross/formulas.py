@@ -11,19 +11,19 @@ Each probability is a ``Result``, a float that also carries ``est_err`` and
 ``method``.  Its imaginary part must vanish, and it is clamped to [0, 1]
 only within a small band; anything further out, NaN included, raises
 AccuracyError.  Negative ``t`` or ``q`` raises ValidationError.  At q = 0
-every crossing formula but the Bernoulli ``form='direct'`` is an exact sum
-of products of determinants of one-variable residue moments
-(``_moment_determinants``, after Andréief's identity on the wall routes):
-method 'laurent', with ROUNDING times the size of the terms that cancel as
-est_err.  The Green's function, the formulas at q > 0 and the Bernoulli
-direct form go through ``_integrate`` (dimension cap, trapezoid driver on
-half of each grid, as every integrand has real coefficients and real
-contour centres), take ``tol`` and ``node_budget`` (``GreenQuery`` fields
-for the Green's function) and report |prefactor| times the driver's
-est_err.  The formulas around 1 are stated on clockwise circles; they are
-integrated counterclockwise, and their prefactors carry the sign (-1)^n.
-``schutz_determinant`` reports est_err 0.0, and structural zeros (an
-infeasible wall, t = 0 in ``gamma_wall``) 0.0 with method 'exact'.
+every crossing formula but the Bernoulli ``form='direct'``, and the Green's
+function of one species or of one type-2 particle that starts leftmost, is
+an exact sum of products of determinants of one-variable residue moments
+(after Andréief's identity on the wall routes): method 'laurent', with
+ROUNDING times the size of the terms that cancel as est_err.  The other
+Green's functions, the formulas at q > 0 and the Bernoulli direct form go
+through ``_integrate`` (dimension cap, trapezoid driver on half of each
+grid, as every integrand has real coefficients and real contour centres),
+take ``tol`` and ``node_budget`` (``GreenQuery`` fields for the Green's
+function) and report |prefactor| times the driver's est_err.  The formulas
+around 1 are stated on clockwise circles; they are integrated
+counterclockwise, and their prefactors carry the sign (-1)^n.  Structural
+zeros (an infeasible wall, t = 0 in ``gamma_wall``) are 0.0, method 'exact'.
 """
 
 from __future__ import annotations
@@ -270,20 +270,21 @@ def u_sum_determinant(p, U, Zp):
 def two_tasep_green(query: GreenQuery) -> Result:
     """Transition probability of the two-species TASEP.
 
-    When the type-2 particles initially occupy indices 1..m, the outer
-    integrals reduce to residues at u_i = z_i (the remaining apparent poles
-    cancel after symmetrization), which cuts the integral dimension from
-    n + m to n; otherwise the full tensor quadrature runs with the u-circles
-    enclosing the z-circles.  A single free particle is the n = 1 Schütz
-    determinant, a Poisson probability.
+    One species is ``schutz_determinant``, one type-2 particle that starts
+    leftmost ``_leftmost_second_class``; ``tol`` and ``node_budget`` apply
+    to the quadrature of the rest.  With type 2 on indices 1..m, the outer
+    integrals reduce to residues at u_i = z_i (the other apparent poles
+    cancel), n + m variables to n; otherwise the u-circles enclose the z's.
     """
     ini, fin = query.initial, query.final
     n, m = ini.n, ini.m
     mu, nu = ini.positions, fin.positions
     p0, p = ini.type2_indices, fin.type2_indices
     t = query.t
-    if n == 1 and m == 0:
+    if m == 0:
         return schutz_determinant(mu, nu, t)
+    if p0 == (1,):
+        return _leftmost_second_class(mu, nu, p[0], t)
     # type 2 on indices 1..m: u_a = z_a is the residue that consumes the pole j = a
     fast = all(p0[a] == a + 1 for a in range(m))
     if fast:
@@ -306,33 +307,70 @@ def two_tasep_green(query: GreenQuery) -> Result:
     return _integrate(integrand, contours, query.tol, query.node_budget)
 
 
-def _poisson_series_entry(a: int, x: int, t: float) -> float:
-    """Residue at the origin of (1-z)^a z^(x-1) e^((1/z - 1)t).
+def _leftmost_second_class(mu, nu, p: int, t: float) -> Result:
+    """The Green's function of one type-2 particle from index 1 to index p.
+    With u = z_0 the permutation sum of ``eigenfunction_P`` is
+    det[single_kl (z_0 - z_k)^[l < p-1]], zero in row 0's first p - 1
+    columns.  Expanding along row 0 (column l0), then each (z_0 - z_k) over
+    the columns S that take -z_k, leaves rows of one variable each:
+    sum (-1)^(l0+|S|) g(0, l0, p-1-|S|) det_{k>=1, l!=l0}[g(k, l, [l in S])]
+    over l0 >= p - 1 and S, g(k, l, s) the moment of z^(nu_l-mu_k-1+s)
+    (1-z)^(k-l-[l<p]+[k=0]) e^((1/z-1)t)."""
+    n = len(mu)
+    g = {}  # g[k, l][s]: (value, size) of the moment of z^s, x^-s in x = 1/z
+    for k in range(n):
+        for l in range(p - 1 if k == 0 else 0, n):
+            top = p - 1 if k == 0 else int(l < p - 1)  # the highest s read
+            variable = _variable(0, t, nu[l] - mu[k] - 1, k - l - (l < p) + (k == 0), 0)
+            g[k, l] = list(zip(*residue_moments(*variable, -top, 0)))[::-1]
+    perms, total, size = signed_permutations(n - 1), 0.0, 0.0
+    for l0 in range(p - 1, n):
+        for S in itertools.product((0, 1), repeat=p - 1):
+            head, head_size = g[0, l0][p - 1 - sum(S)]
+            det, per = _det_and_permanent(perms, [
+                [g[k, l][S[l] if l < p - 1 else 0] for l in range(n) if l != l0]
+                for k in range(1, n)])
+            total += (-1) ** (l0 + sum(S)) * head * det
+            size += head_size * per
+    return _laurent(1.0, total, size)
 
-    The series sum_j (-1)^j C(a, j) e^(-t) t^(x+j) / (x+j)! runs until its
-    terms are negligible; each Poisson weight is formed in log space, so
-    large t and long jumps neither overflow nor stop early.
-    """
+
+def _poisson_series_entry(a: int, x: int, t: float) -> tuple[float, float]:
+    """Residue at the origin of (1-z)^a z^(x-1) e^((1/z - 1)t), and its size:
+    the series sum_j (-1)^j C(a, j) e^(-t) t^(x+j) / (x+j)! until its terms
+    are negligible.  A Poisson weight is the last times t/k, or below 1e-250
+    formed in log space, so large t and long jumps neither overflow nor stop
+    early.  The size sums |term| times 1 + 2j + the last log-space exponent's
+    spread, the rounding of that exponent and of two steps per j."""
     if x < 0 and a >= 0 and x + a < 0:
-        return 0.0
+        return 0.0, 0.0
     log_t = math.log(t) if t > 0 else -math.inf
     j = max(0, -x)
     coeff = 1.0  # (-1)^j C(a, j)
     for i in range(1, j + 1):
         coeff *= (i - 1 - a) / i
-    total = 0.0
+    k = x + j
+    weight = total = size = 0.0
     stop = max(t, 1.0) + 20
     while True:
-        k = x + j
-        term = coeff * (math.exp(k * log_t - t - math.lgamma(k + 1)) if k else math.exp(-t))
+        if weight > 1e-250:
+            weight *= t / k
+            factor += 2.0
+        else:  # the exponent rounds by about ε(|k log t| + t + lgamma(k+1))
+            rise, fall = (k * log_t if k else 0.0), t + math.lgamma(k + 1)
+            weight = math.exp(rise - fall)
+            factor = 1.0 + 2 * j + (abs(rise) + fall if weight else 0.0)
+        term = coeff * weight
         total += term
+        size += abs(term) * factor
         j += 1
         if a >= 0 and j > a:
             break
         coeff *= (j - 1 - a) / j
         if k + 1 > stop and abs(term) < 1e-18 * (abs(total) + 1e-300):
             break
-    return total
+        k += 1
+    return total, size
 
 
 def schutz_determinant(mu, nu, t: float) -> Result:
@@ -340,16 +378,15 @@ def schutz_determinant(mu, nu, t: float) -> Result:
 
     Entry (k, i) is the one-dimensional residue integral with winding
     exponent k - i and displacement nu_i - mu_k, evaluated by series.  At
-    n = 1 it is the free particle's Poisson probability.
+    n = 1 it is the free particle's Poisson probability.  est_err is
+    ROUNDING times the permanent of the entries' sizes.
     """
     _check_rates(t)
-    mu = [int(x) for x in mu]
-    nu = [int(x) for x in nu]
+    mu, nu = [int(x) for x in mu], [int(x) for x in nu]
     n = len(mu)
-    mat = [[_poisson_series_entry(k - i, nu[i] - mu[k], t) for i in range(n)]
-           for k in range(n)]
-    return _finalize_probability(complex(np.linalg.det(np.array(mat).reshape(n, n))),
-                                 0.0, "laurent")
+    det, per = _det_and_permanent(signed_permutations(n), [
+        [_poisson_series_entry(k - i, nu[i] - mu[k], t) for i in range(n)] for k in range(n)])
+    return _laurent(1.0, det, per)
 
 
 def two_tasep_crossing(mu, nu, m: int, t: float) -> Result:
@@ -363,6 +400,8 @@ def two_tasep_crossing(mu, nu, m: int, t: float) -> Result:
     """
     _check_rates(t)
     mu, nu = _strict(mu, "mu"), _strict(nu, "nu")
+    if len(nu) != len(mu) or not 0 <= m <= len(mu):
+        raise ValidationError("need len(nu) == len(mu) and 0 <= m <= len(mu)")
     k = len(mu) - m
     z_block = [[(_variable(0, t, nu[k + j] - mu[i] - 1, i - j - k, k), 0, None)
                 for j in range(m)] for i in range(m)]
@@ -516,6 +555,8 @@ def cumulative_crossing_step(mu, m: int, s1: int, s2: int, t: float) -> Result:
     _check_rates(t)
     mu = _strict(mu, "mu")
     n = len(mu)
+    if not 0 <= m <= n:
+        raise ValidationError("need 0 <= m <= len(mu)")
     k = n - m
     if s2 - s1 < k:
         return Result(0.0, 0.0, "exact")
@@ -617,6 +658,11 @@ def _moment_determinants(scale: float, blocks, terms: dict) -> Result:
             det, per = det * cache[key][0], per * cache[key][1]
         total += v * det
         size += s * per
+    return _laurent(scale, total, size)
+
+
+def _laurent(scale: float, total, size: float) -> Result:
+    """scale·total with est_err ROUNDING·|scale|·size, refused at 1 or more."""
     err = ROUNDING * abs(scale * size)
     if err >= 1.0:
         raise AccuracyError(f"residue terms of size {abs(scale * size):.3g} cancel: "

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import (
     ModelParams,
@@ -46,6 +47,22 @@ UNIFORMS_PER_SAMPLE = 96
 STATE_CAP = 200_000
 
 
+class _Key(ISeedSequence):
+    """A Philox key passed as the seed sequence: ``Philox(key=...)`` would
+    also draw an OS-entropy SeedSequence that a keyed stream never reads."""
+
+    def __init__(self, a: int, b: int):
+        self.words = (a & MASK64, b & MASK64)
+
+    def generate_state(self, n_words, dtype):
+        return np.array(self.words, dtype=np.uint64)
+
+
+def _philox(a: int, b: int, counter: int) -> np.random.Generator:
+    """The Philox4x64 stream with key (a, b), ``counter`` steps in."""
+    return np.random.Generator(np.random.Philox(_Key(a, b), counter=counter))
+
+
 class _UniformStream:
     """Pre-drawn uniforms with a deterministic per-sample overflow stream."""
 
@@ -59,17 +76,9 @@ class _UniformStream:
         self.rng = None
 
     def __call__(self) -> float:
-        if self.i < len(self.buf):
-            v = self.buf[self.i]
-            self.i += 1
-            return v
-        if self.rng is None:
-            key = np.array([(self.seed ^ GOLDEN) & MASK64, self.index & MASK64],
-                           dtype=np.uint64)
-            self.rng = np.random.Generator(np.random.Philox(key=key))
-            self.buf = self.rng.random(256)
-            self.i = 0
         if self.i >= len(self.buf):
+            if self.rng is None:
+                self.rng = _philox(self.seed ^ GOLDEN, self.index, 0)
             self.buf = self.rng.random(256)
             self.i = 0
         v = self.buf[self.i]
@@ -77,21 +86,15 @@ class _UniformStream:
         return v
 
 
-def _chunk_generator(seed: int, chunk_index: int, counter: int = 0) -> np.random.Generator:
-    key = np.array([seed & MASK64, chunk_index & MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
-
-
 def _chunk_uniforms(seed: int, chunk_index: int, count: int) -> np.ndarray:
-    return _chunk_generator(seed, chunk_index).random((count, UNIFORMS_PER_SAMPLE))
+    return _philox(seed, chunk_index, 0).random((count, UNIFORMS_PER_SAMPLE))
 
 
 def _row_uniforms(seed: int, chunk_index: int, row: int) -> np.ndarray:
     """Row ``row`` of _chunk_uniforms(seed, chunk_index, CHUNK), drawn alone:
     each uniform takes one 64-bit output and a Philox4x64 counter step
     yields four, so the row starts row * UNIFORMS_PER_SAMPLE / 4 steps in."""
-    rng = _chunk_generator(seed, chunk_index, row * UNIFORMS_PER_SAMPLE // 4)
-    return rng.random(UNIFORMS_PER_SAMPLE)
+    return _philox(seed, chunk_index, row * UNIFORMS_PER_SAMPLE // 4).random(UNIFORMS_PER_SAMPLE)
 
 
 def _gillespie_core(positions, species, q, horizon, draw, events=None):

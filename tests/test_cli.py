@@ -225,8 +225,10 @@ class TestVerifyCommand:
 # The README payloads, one or more per EVALUATORS entry, with the method each
 # record must report.
 TABLE_PAYLOADS = [
-    ("green", '{"kind":"two_species","mu":[0,1],"p0":[1],"nu":[1,2],"p":[2],"t":1.0}',
+    ("green", '{"kind":"two_species","mu":[0,1],"p0":[2],"nu":[1,3],"p":[2],"t":1.0}',
      "quadrature"),
+    ("green", '{"kind":"two_species","mu":[0,1],"p0":[1],"nu":[1,2],"p":[2],"t":1.0}',
+     "laurent"),
     ("green", '{"kind":"two_species","mu":[0],"p0":[],"nu":[2],"p":[],"t":1.0}', "laurent"),
     ("green", '{"kind":"rainbow_asep","mu":[1,0],"nu":[0,1],"q":0.5,"t":1.0}', "quadrature"),
     ("crossing", '{"kind":"two_species","mu":[0,1],"nu":[1,3],"m":1,"t":1.0}', "laurent"),
@@ -268,8 +270,8 @@ class TestEvaluatorTable:
         if method == "quadrature":
             assert 0.0 <= rec["est_error"] < tol
             assert rec["est_error"] != tol
-        elif method == "laurent" and command in ("crossing", "wall"):
-            # moment and residue sums report the rounding of their terms
+        elif method == "laurent":
+            # moment, residue and series sums report the rounding of their terms
             assert 0.0 < rec["est_error"] < 1e-12
         else:
             assert rec["est_error"] == 0.0
@@ -303,8 +305,8 @@ class TestEvaluatorTable:
         code, out = run_cli(capsys, "green", "--json", TABLE_PAYLOADS[0][1])
         rec = json.loads(out[-1])
         val = two_tasep_green(GreenQuery(
-            ParticleConfig.from_two_species((0, 1), (1,)),
-            ParticleConfig.from_two_species((1, 2), (2,)), 1.0,
+            ParticleConfig.from_two_species((0, 1), (2,)),
+            ParticleConfig.from_two_species((1, 3), (2,)), 1.0,
         ))
         assert (rec["value"], rec["est_error"], rec["method"]) == (
             float(val), val.est_err, val.method
@@ -369,24 +371,36 @@ class TestExitCodes:
         assert code == 2
 
     def test_resource_cap(self, capsys):
+        # the full path in 5 variables
         code, _ = run_cli(
             capsys, "green", "--json",
-            '{"kind":"two_species","mu":[0,1,2,3,4,5],"p0":[],'
-            '"nu":[1,2,3,4,5,6],"p":[],"t":1.0}',
+            '{"kind":"two_species","mu":[0,1,2,3],"p0":[2],'
+            '"nu":[1,2,3,5],"p":[2],"t":1.0}',
         )
         assert code == 4
+
+    @pytest.mark.parametrize("command, payload", [
+        ("crossing", '{"kind":"two_species","mu":[0,1],"nu":[1,2,3],"m":1,"t":1.0}'),
+        ("crossing", '{"kind":"two_species","mu":[0,1],"nu":[1,2],"m":3,"t":1.0}'),
+        ("wall", '{"form":"step","mu":[-1,0],"m":3,"s1":-3,"s2":2,"t":2.0}'),
+    ], ids=["crossing_nu_longer", "crossing_m_above_n", "step_m_above_n"])
+    def test_malformed_particle_counts_are_validation_errors(self, capsys, command, payload):
+        code = main([command, "--json", payload])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("validation error: ") and "Traceback" not in err
 
     def test_accuracy_failure_under_tiny_budget(self, capsys):
         code, _ = run_cli(
             capsys, "green", "--json",
-            '{"kind":"two_species","mu":[0,1],"p0":[1],"nu":[1,2],"p":[2],"t":1.0}',
+            '{"kind":"two_species","mu":[0,1],"p0":[2],"nu":[1,3],"p":[2],"t":1.0}',
             "--budget", "64",
         )
         assert code == 3
 
     def test_budget_applies_to_one_invocation_only(self, capsys):
         payload = (
-            '{"kind":"two_species","mu":[0,1],"p0":[1],"nu":[1,2],"p":[2],"t":1.0}'
+            '{"kind":"two_species","mu":[0,1],"p0":[2],"nu":[1,3],"p":[2],"t":1.0}'
         )
         code, _ = run_cli(capsys, "green", "--json", payload, "--budget", "64")
         assert code == 3
@@ -396,6 +410,7 @@ class TestExitCodes:
         assert abs(value - 1.0) < 1e-12
         code, out = run_cli(capsys, "green", "--json", payload)
         assert code == 0
+        # e^-2 / 2, the window oracle's value for this payload
         assert abs(json.loads(out[-1])["value"] - 0.06766764161830637) < 1e-9
 
 

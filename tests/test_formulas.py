@@ -153,8 +153,24 @@ class TestTwoTasepGreen:
         ini = _two_species((0, 1), (1,))
         fin = _two_species((1, 2), (2,))
         val = two_tasep_green(GreenQuery(ini, fin, 1.0))
-        assert val.method == "quadrature"
-        assert abs(val - GOLDEN_2TASEP) < 1e-10
+        assert val.method == "laurent"
+        assert abs(val - GOLDEN_2TASEP) <= val.est_err < 1e-14
+
+    @pytest.mark.parametrize("mu, nu, p, t", [
+        # about 1 s by quadrature in 4 variables
+        ((0, 1, 2, 3), (1, 2, 4, 5), 3, 0.8),
+        # the quadrature route raised AccuracyError (round-off level 3.8e-10)
+        ((0, 1, 2), (17, 18, 19), 2, 16.0),
+    ], ids=["n4", "t16"])
+    def test_leftmost_second_class_against_oracle(self, mu, nu, p, t):
+        ini, fin = _two_species(mu, (1,)), _two_species(nu, (p,))
+        start = time.process_time()
+        val = two_tasep_green(GreenQuery(ini, fin, t))
+        assert time.process_time() - start < 0.1
+        gen = build_window_generator(ini, (mu[0], nu[-1]), ModelParams(q=0.0))
+        oracle, _ = expm_transition(gen, ini, fin, t)
+        assert val.method == "laurent"
+        assert abs(val - oracle) <= val.est_err + ORACLE_ALLOWANCE
 
     def test_full_path_against_oracle(self):
         # type 2 initially on the right: no residue shortcut applies
@@ -191,8 +207,8 @@ class TestTwoTasepGreen:
         assert abs(two_tasep_green(GreenQuery(ini, fin, 1.0))) < 1e-10
 
     @pytest.mark.parametrize("call, match", [
-        (lambda: two_tasep_green(GreenQuery(_two_species(tuple(range(6)), ()),
-                                            _two_species(tuple(range(1, 7)), ()), 1.0)),
+        (lambda: two_tasep_green(GreenQuery(_two_species((0, 1, 2, 3), (2,)),
+                                            _two_species((1, 2, 3, 5), (2,)), 1.0)),
          "integration variables"),
         # each 5-variable case below spent 34,603,008 evaluations of the
         # default budget and then raised AccuracyError
@@ -204,7 +220,7 @@ class TestTwoTasepGreen:
         # 20 coupled pairs: 2^20 products, refused before any is formed
         (lambda: two_tasep_crossing(tuple(range(9)), tuple(range(2, 11)), 4, 1.0),
          "coupled pairs"),
-    ], ids=["green_n6", "green_n3m2", "rainbow_n5", "two_tasep_crossing_n9m4"])
+    ], ids=["green_n4m1", "green_n3m2", "rainbow_n5", "two_tasep_crossing_n9m4"])
     def test_dimension_budget(self, call, match):
         start = time.process_time()
         with pytest.raises(ResourceLimitError, match=match):
@@ -276,6 +292,14 @@ class TestTwoTasepCrossing:
         oracle, _ = expm_transition(gen, ini, fin, 1.0)
         val = two_tasep_crossing(mu, nu, 2, 1.0)
         assert abs(val - oracle) <= val.est_err + ORACLE_ALLOWANCE
+
+    @pytest.mark.parametrize("nu, m", [
+        ((1, 2, 3), 1),  # read 0.0677, ignoring the site 3
+        ((1,), 1), ((1, 2), 3), ((1, 2), -1),  # raised IndexError
+    ], ids=["nu_longer", "nu_shorter", "m_above_n", "m_negative"])
+    def test_malformed_input_is_refused(self, nu, m):
+        with pytest.raises(ValidationError):
+            two_tasep_crossing((0, 1), nu, m, 1.0)
 
 
 class TestRAsep:
@@ -527,6 +551,11 @@ class TestCumulativeStep:
     def test_infeasible_wall_returns_zero(self):
         assert cumulative_crossing_step((-1, 0), 1, 0, 0, 1.0) == 0.0
 
+    @pytest.mark.parametrize("m", [3, -1])
+    def test_type2_count_outside_range_is_refused(self, m):
+        with pytest.raises(ValidationError):
+            cumulative_crossing_step((-1, 0), m, -3, 2, 1.0)
+
 
 class TestCumulativeBernoulli:
     def test_direct_and_inverted_agree(self, rng):
@@ -695,8 +724,16 @@ class TestLargeArguments:
     @pytest.mark.parametrize("t", [80, 200, 380])
     def test_schutz_large_t(self, t):
         mu, nu = (0, 1), (t + 1, t + 3)
-        assert abs(schutz_determinant(mu, nu, float(t))
-                   - schutz_mpmath(mu, nu, t)) < 1e-13
+        val = schutz_determinant(mu, nu, float(t))
+        err = abs(val - schutz_mpmath(mu, nu, t))
+        assert err < 1e-13 and err <= val.est_err
+
+    def test_schutz_long_jump_error_bar(self):
+        # 4.2e-14 relative off the 60-digit value: the log-space Poisson
+        # weight's exponent, about 370 in size, rounds by a few ulps
+        val = schutz_determinant((0,), (60,), 16.0)
+        exact = schutz_mpmath((0,), (60,), 16)
+        assert abs(val - exact) <= val.est_err < 1e-12 * exact
 
     @pytest.mark.parametrize("jump", [33, 65])
     def test_long_jumps_match_the_window_oracle(self, jump):
@@ -856,10 +893,11 @@ class TestResult:
         green = two_tasep_green(
             GreenQuery(_two_species((0,), ()), _two_species((3,), ()), 1.0)
         )
-        for value in (schutz, green):
+        for value, exact in ((schutz, schutz_mpmath((0, 2), (1, 4), 0.7)),
+                             (green, math.exp(-1.0) / 6.0)):
             assert isinstance(value, Result)
-            assert (value.method, value.est_err) == ("laurent", 0.0)
-        assert float(green) == pytest.approx(math.exp(-1.0) / 6.0, abs=1e-15)
+            assert value.method == "laurent"
+            assert abs(value - exact) <= value.est_err < 1e-14
 
     def test_arithmetic_gives_plain_floats(self):
         val = gamma_wall(1, 2, 1.0)
@@ -888,10 +926,12 @@ def _sites(data, n, decreasing=False):
 
 
 def _draw_green(data):
-    n = data.draw(st.integers(1, 3))
-    m = data.draw(st.integers(n == 1, min(n, 4 - n)))  # n + m <= DIMENSION_BUDGET
-    p0, p = (sorted(data.draw(st.sets(st.integers(1, n), min_size=m, max_size=m)))
-             for _ in range(2))
+    # m = 0, and m = 1 with the type-2 particle leftmost, are exact: not drawn
+    n = data.draw(st.integers(2, 3))
+    m = data.draw(st.integers(1, min(n, 4 - n)))  # n + m <= DIMENSION_BUDGET
+    p0 = sorted(data.draw(st.sets(st.integers(1, n), min_size=m, max_size=m)
+                          .filter(lambda s: s != {1})))
+    p = sorted(data.draw(st.sets(st.integers(1, n), min_size=m, max_size=m)))
     query = GreenQuery(_two_species(_sites(data, n), p0), _two_species(_sites(data, n), p),
                        data.draw(TIMES))
     return lambda: two_tasep_green(query)
@@ -990,8 +1030,25 @@ def _colours(blocks):
 
 
 class TestQ0WindowOracle:
-    """Every q = 0 crossing evaluator against the window master equation,
-    within its est_err and ORACLE_ALLOWANCE, at long times and long jumps."""
+    """Every q = 0 crossing evaluator, and the exact Green's functions,
+    against the window master equation, within its est_err and
+    ORACLE_ALLOWANCE, at long times and long jumps."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_green_within_est_err(self, data):
+        n = data.draw(st.integers(1, 3))
+        m = data.draw(st.integers(0, 1))
+        mu, nu = (sorted(data.draw(st.lists(st.integers(0, 12), min_size=n, max_size=n,
+                                            unique=True))) for _ in range(2))
+        p = (data.draw(st.integers(1, n)),) if m else ()
+        ini, fin = _two_species(mu, (1,) if m else ()), _two_species(nu, p)
+        t = data.draw(st.floats(0.0, 32.0))
+        value = two_tasep_green(GreenQuery(ini, fin, t))
+        gen = build_window_generator(ini, (min(mu + nu), max(mu + nu)), ModelParams(q=0.0))
+        oracle, _ = expm_transition(gen, ini, fin, t)
+        assert value.method == "laurent"
+        assert abs(value - oracle) <= value.est_err + ORACLE_ALLOWANCE
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)

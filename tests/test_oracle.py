@@ -79,6 +79,15 @@ class TestGillespie:
                 if kind == 1:  # swap of (k, k+1); labels recorded post-swap
                     assert species_after[k] < species_after[k + 1]
 
+    @pytest.mark.parametrize("a, b, counter", [
+        (5, 3, 0), (2**64 + 7, -1, 24), (oracle.GOLDEN ^ 11, 2**63, 2**70 + 5),
+    ])
+    def test_keyed_stream_is_numpys_keyed_philox(self, a, b, counter):
+        # the streams skip the constructor's OS-entropy draw, not its output
+        key = np.array([a & oracle.MASK64, b & oracle.MASK64], dtype=np.uint64)
+        expected = np.random.Generator(np.random.Philox(counter=counter, key=key)).random(40)
+        assert np.array_equal(oracle._philox(a, b, counter).random(40), expected)
+
     @pytest.mark.parametrize("chunk", [0, 3])
     def test_single_row_draw_equals_chunk_row(self, chunk):
         full = _chunk_uniforms(5, chunk, CHUNK)

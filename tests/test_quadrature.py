@@ -417,6 +417,7 @@ class TestConjugateSymmetric:
 
     def test_evaluators_on_the_bench_cases(self):
         # the contour workload's calls, each integral run on both grids; the
+        # Green's functions with m = 0 or a leftmost type-2 particle and the
         # two_tasep_crossing, tasep_block_crossing and step calls are exact
         # moment sums and integrate nothing
         green = [
@@ -457,7 +458,7 @@ class TestConjugateSymmetric:
             mp.setattr(formulas, "product_integrate", both)
             for call in calls:
                 call()
-        assert dims == [2, 3, 3, 3, 2, 3, 3, 2, 3, 3, 2]
+        assert dims == [3, 2, 3, 3, 2, 3, 3, 2]
 
 
 class TestBatchedDet:
