@@ -68,6 +68,7 @@ NEG_TOL = 1e-9
 ROUNDING = 4 * float(np.finfo(float).eps)  # per unit size of a residue sum's terms
 # the most coupled variable pairs the moment determinants expand: 2^12 products
 COUPLING_CAP = 12
+LEIBNIZ_CAP = 10**6  # the most Leibniz terms one exact route sums: about 1 s
 
 
 @dataclass(frozen=True)
@@ -317,6 +318,9 @@ def _leftmost_second_class(mu, nu, p: int, t: float) -> Result:
     over l0 >= p - 1 and S, g(k, l, s) the moment of z^(nu_l-mu_k-1+s)
     (1-z)^(k-l-[l<p]+[k=0]) e^((1/z-1)t)."""
     n = len(mu)
+    leibniz = (n - p + 1) * 2 ** (p - 1) * math.factorial(n - 1)
+    if leibniz > LEIBNIZ_CAP:
+        raise ResourceLimitError(f"{leibniz} Leibniz terms exceed the cap {LEIBNIZ_CAP}")
     g = {}  # g[k, l][s]: (value, size) of the moment of z^s, x^-s in x = 1/z
     for k in range(n):
         for l in range(p - 1 if k == 0 else 0, n):
@@ -634,8 +638,14 @@ def _moment_determinants(scale: float, blocks, terms: dict) -> Result:
     moment table M, S (``residue_moments``) it reads at c_i + plus, less M at
     c_i + minus unless minus is None (the sizes add).  By multilinearity a
     monomial's integral is the product of its blocks' determinants, each
-    computed once per exponent tuple of its block.
+    computed once per exponent tuple of its block; more than LEIBNIZ_CAP
+    Leibniz terms over all blocks are refused first (ResourceLimitError).
     """
+    starts = list(itertools.accumulate(map(len, blocks), initial=0))
+    leibniz = sum(len({c[s:s + len(b)] for c in terms}) * math.factorial(len(b))
+                  for b, s in zip(blocks, starts))
+    if leibniz > LEIBNIZ_CAP:
+        raise ResourceLimitError(f"{leibniz} Leibniz terms exceed the cap {LEIBNIZ_CAP}")
     spans: dict = {}
     for i, row in enumerate(row for block in blocks for row in block):
         low, high = min(c[i] for c in terms), max(c[i] for c in terms)
@@ -645,7 +655,7 @@ def _moment_determinants(scale: float, blocks, terms: dict) -> Result:
             spans[variable] = min(lo, low + min(offsets)), max(hi, high + max(offsets))
     tables = {v: (lo, *residue_moments(*v, lo, hi)) for v, (lo, hi) in spans.items()}
     parts = [(block, start, signed_permutations(len(block)), {})  # {exponents: (det, per)}
-             for block, start in zip(blocks, itertools.accumulate(map(len, blocks), initial=0))]
+             for block, start in zip(blocks, starts)]
     total, size = 0.0 + 0.0j, 0.0
     for c, (v, s) in terms.items():
         det, per = 1.0, 1.0

@@ -24,6 +24,9 @@ any partition of samples across workers.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -363,14 +366,8 @@ def run_monte_carlo(job: MonteCarloJob, threads: int = 1):
     """
     if not job.event:
         raise ValidationError("run_monte_carlo needs an event")
-    chunks = []
-    remaining = job.samples
-    idx = 0
-    while remaining > 0:
-        take = min(CHUNK, remaining)
-        chunks.append((idx, take))
-        idx += 1
-        remaining -= take
+    chunks = [(ci, min(CHUNK, job.samples - ci * CHUNK))
+              for ci in range(-(-job.samples // CHUNK))]
     # a pool starts all its workers at once: no more than chunks or cores
     workers = min(threads, len(chunks), os.cpu_count() or 1)
     if workers <= 1:
@@ -394,39 +391,49 @@ def default_window(mu_positions, t, nu_positions=None, q: float = 0.0):
     return (lo, hi)
 
 
-def _multiset_permutations(colours):
+def _multiset_permutations(colours) -> list:
+    """The distinct orders of the colours, in lexicographic order."""
     colours = tuple(sorted(colours))
     if not colours:
-        yield ()
-        return
-    seen = set()
-    for i, c in enumerate(colours):
-        if c in seen:
-            continue
-        seen.add(c)
-        rest = colours[:i] + colours[i + 1:]
-        for tail in _multiset_permutations(rest):
-            yield (c,) + tail
+        return [()]
+    return [(c,) + tail for i, c in enumerate(colours) if colours.index(c) == i
+            for tail in _multiset_permutations(colours[:i] + colours[i + 1:])]
 
 
 @dataclass(frozen=True)
 class WindowGenerator:
-    """Exact generator of the process restricted to a window with a sink."""
+    """Exact generator of the process restricted to a window with a sink;
+    ``states`` and ``index`` are built on first use only."""
 
     window: tuple[int, int]
-    states: tuple
-    index: dict
+    orders: tuple  # the colour orders, in lexicographic order
+    n: int
     matrix: sp.csr_matrix  # (D+1) x (D+1); last row/column is the sink
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return math.comb(self.window[1] - self.window[0] + 1, self.n) * len(self.orders)
+
+    @functools.cached_property
+    def states(self) -> tuple:
+        a, b = self.window
+        return tuple(itertools.product(itertools.combinations(range(a, b + 1), self.n),
+                                       self.orders))
+
+    @functools.cached_property
+    def index(self) -> dict:
+        return dict(zip(self.states, range(self.size)))
 
     def state_of(self, config: ParticleConfig) -> int:
-        key = (config.positions, config.species)
-        if key not in self.index:
+        """Position-set rank (combinadic) times len(orders) plus order rank."""
+        (a, b), n = self.window, self.n
+        o = bisect.bisect_left(self.orders, config.species)
+        if (config.n != n or not all(a <= x <= b for x in config.positions)
+                or self.orders[o:o + 1] != (config.species,)):
             raise ValidationError("configuration lies outside the window state space")
-        return self.index[key]
+        rank = math.comb(b - a + 1, n) - 1 - sum(
+            math.comb(b - x, n - k) for k, x in enumerate(config.positions))
+        return rank * len(self.orders) + o
 
 
 def _lex_keys(digits: np.ndarray, radix: int):
@@ -511,20 +518,16 @@ def build_window_generator(
     lexicographic order; ``_window_jumps`` builds the jumps from arrays.  A
     window of more than STATE_CAP states is refused with ResourceLimitError.
     """
-    import itertools
-
     a, b = int(window[0]), int(window[1])
     if not all(a <= x <= b for x in particles.positions):
         raise ValidationError("initial positions must lie inside the window")
     n = particles.n
     width = b - a + 1
-    colour_orders = list(_multiset_permutations(particles.species))
+    colour_orders = tuple(_multiset_permutations(particles.species))
     C, P = math.comb(width, n), len(colour_orders)
     D = C * P
     if D > STATE_CAP:
         raise ResourceLimitError(f"window state space {D} exceeds the cap {STATE_CAP}")
-    states = tuple(itertools.product(itertools.combinations(range(a, b + 1), n), colour_orders))
-    index = dict(zip(states, range(D)))
     sets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(width), n)),
                        dtype=np.int64, count=C * n).reshape(C, n)
     orders = np.searchsorted(np.unique(particles.species),
@@ -551,7 +554,7 @@ def build_window_generator(
         target[stuck] = np.nextafter(diag[stuck], (diag - resid * 1e6)[stuck])
         diag = np.where(bad, target, diag)
         matrix.data[on_diag] = diag[entry_rows[on_diag]]
-    return WindowGenerator((a, b), states, index, matrix)
+    return WindowGenerator((a, b), colour_orders, n, matrix)
 
 
 def transition_row(gen: WindowGenerator, mu: ParticleConfig, t: float) -> np.ndarray:
@@ -575,7 +578,8 @@ def transition_row(gen: WindowGenerator, mu: ParticleConfig, t: float) -> np.nda
         return v
     if lam * t > 600:
         raise ResourceLimitError("uniformization rate * t too large for this window")
-    P = sp.eye(D + 1, format="csr") + gen.matrix / lam
+    # the CSR transpose adds each entry of v in the order the CSC P.T does
+    PT = (sp.eye(D + 1, format="csr") + gen.matrix / lam).T.tocsr()
     out = np.zeros(D + 1)
     lt = lam * t
     weight = math.exp(-lt)
@@ -583,7 +587,7 @@ def transition_row(gen: WindowGenerator, mu: ParticleConfig, t: float) -> np.nda
     k = 0
     while k + 1 <= lt or weight * lt / (k + 1) / (1.0 - lt / (k + 2)) > 1e-15:
         k += 1
-        v = P.T.dot(v)
+        v = PT @ v
         weight *= lt / k
         out += weight * v
     return out

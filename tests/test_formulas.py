@@ -227,6 +227,22 @@ class TestTwoTasepGreen:
             call()
         assert time.process_time() - start < 0.01
 
+    @pytest.mark.parametrize("call", [
+        # 2^8 exponent tuples of the size-8 block, 8! terms each: 15.5 s of
+        # Leibniz passes before the bound
+        lambda: tasep_block_crossing(CrossingQuery(
+            make_blocks([range(0, -8, -1), [-8]], "initial"),
+            make_blocks([range(9, 1, -1), [11]], "final"), 0.0, 1.0)),
+        # 2^8 determinants of size 8 for one type-2 particle from index 1 to 9
+        lambda: two_tasep_green(GreenQuery(_two_species(tuple(range(9)), (1,)),
+                                           _two_species(tuple(range(1, 10)), (9,)), 1.0)),
+    ], ids=["block_crossing_8_1", "leftmost_second_class_n9"])
+    def test_leibniz_budget(self, call):
+        start = time.process_time()
+        with pytest.raises(ResourceLimitError, match="Leibniz terms"):
+            call()
+        assert time.process_time() - start < 0.05
+
 
 class TestSchutzReduction:
     @pytest.mark.parametrize("species", [(), (1, 2)])

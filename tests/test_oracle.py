@@ -506,6 +506,81 @@ class TestWindowBuilderEqualsReference:
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(gen.matrix, part), getattr(matrix, part))
 
+
+def _reference_row(matrix, start, t):
+    """Uniformization as it was before the transposed matrix was formed
+    once: the Poisson series of (I + Q/lam) applied through P.T.dot."""
+    D = matrix.shape[0] - 1
+    v = np.zeros(D + 1)
+    v[start] = 1.0
+    lam = float((-matrix.diagonal()).max())
+    P = sp.eye(D + 1, format="csr") + matrix / lam
+    lt = lam * t
+    weight = math.exp(-lt)
+    out = weight * v
+    k = 0
+    while k + 1 <= lt or weight * lt / (k + 1) / (1.0 - lt / (k + 2)) > 1e-15:
+        k += 1
+        v = P.T.dot(v)
+        weight *= lt / k
+        out += weight * v
+    return out
+
+
+STATE_OF_GRID = WINDOW_GRID + [
+    ((1,) * 40, (0, 41)),  # the windows of test_keys_past_int64
+    ((3, 2) + (1,) * 38, (0, 39)),
+]
+
+
+class TestLazyWindowStates:
+    @pytest.mark.parametrize("colours, window", STATE_OF_GRID)
+    def test_state_of_is_the_enumeration_index(self, colours, window):
+        particles = ParticleConfig(tuple(range(window[0], window[0] + len(colours))), colours)
+        gen = build_window_generator(particles, window, ModelParams(q=0.5))
+        assert gen.size == len(gen.states)
+        for i, state in enumerate(gen.states):
+            assert gen.state_of(ParticleConfig(*state)) == gen.index[state] == i
+
+    @pytest.mark.parametrize("positions, colours", [
+        ((-3, 0, 1), (2, 1, 2)),  # left of the window
+        ((0, 1, 5), (2, 1, 2)),  # right of the window
+        ((0, 1), (2, 1)),  # too few particles
+        ((0, 1, 2, 3), (2, 1, 2, 1)),  # too many
+        ((0, 1, 2), (2, 1, 3)),  # a colour the window does not hold
+        ((0, 1, 2), (2, 1, 1)),  # the right colours, counted wrong
+        ((0, 1, 2), (2, 2, 2)),  # the largest colour, counted wrong
+    ])
+    def test_state_of_refuses_outside_configurations(self, positions, colours):
+        gen = build_window_generator(ParticleConfig((0, 1, 2), (1, 2, 2)), (-2, 4),
+                                     ModelParams(q=0.5))
+        with pytest.raises(ValidationError):
+            gen.state_of(ParticleConfig(positions, colours))
+
+    def test_row_leaves_states_unbuilt(self):
+        mu = ParticleConfig((0, 1, 2), (3, 2, 1))
+        gen = build_window_generator(mu, (-10, 12), ModelParams(q=0.5))
+        row = transition_row(gen, mu, 1.0)
+        assert "states" not in vars(gen) and "index" not in vars(gen)
+        assert len(row) == gen.size + 1 == 10_627
+
+    @pytest.mark.parametrize("q", [0.0, 0.3, 0.5])
+    @pytest.mark.parametrize("colours, window", [
+        ((2, 1), (-4, 12)),
+        ((2, 1, 1), (-6, 9)),
+        ((3, 2, 1), (-3, 6)),
+        ((2, 1, 2, 1), (0, 6)),
+    ])
+    def test_transition_row_bit_identical(self, colours, window, q):
+        n = len(colours)
+        mu = ParticleConfig(tuple(range(window[0] + 3, window[0] + 3 + n)), colours)
+        gen = build_window_generator(mu, window, ModelParams(q=q))
+        _, index, matrix = _reference_window(mu, window, q)
+        start = index[(mu.positions, mu.species)]
+        for t in (0.4, 1.3):
+            assert np.array_equal(transition_row(gen, mu, t), _reference_row(matrix, start, t))
+
+
 class TestUniformization:
     def test_delta_at_t0(self):
         mu = ParticleConfig((0, 1), (1, 2))
