@@ -36,20 +36,15 @@ from .oracle import (
     MonteCarloJob,
     WindowGenerator,
     build_window_generator,
-    default_window,
     expm_transition,
     run_monte_carlo,
     simulate_sample,
     transition_row,
 )
 from .vertex import (
-    F_lambda_sym,
     G_mu_nu,
-    cauchy_check,
     discrete_transition,
     f_mu,
-    g_star_mu,
-    orthogonality_check,
     sfF_lambda,
     stochastic_weights_check,
     weight_L,

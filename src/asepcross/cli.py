@@ -135,16 +135,6 @@ def _wall_query(p) -> WallQuery:
                      n=int(p["n"]), m=int(p["m"]), t=float(p["t"]))
 
 
-def _one_wall(p):
-    """The one-wall payload; its ``variant`` names one of the paper's two
-    forms of the same determinant, so either runs the one evaluator."""
-    variant = p.get("variant", "collapsed")
-    if variant not in ("collapsed", "cauchy_binet"):
-        raise ValidationError(f"one_wall variant must be 'collapsed' or 'cauchy_binet', "
-                              f"got {variant!r}")
-    return cumulative_crossing_one_wall(_wall_query(p))
-
-
 # The payload field that picks the formula, and its default, per command.
 SELECTORS = {"green": ("kind", "two_species"), "crossing": ("kind", "blocks"),
              "wall": ("form", "bernoulli")}
@@ -169,9 +159,8 @@ EVALUATORS = {
         p["mu"], int(p["m"]), int(p["s1"]), int(p["s2"]), float(p["t"])),
     ("wall", "gamma"): lambda p, tol, budget: gamma_wall(
         int(p["n"]), int(p["s"]), float(p["t"])),
-    ("wall", "bernoulli"): lambda p, tol, budget: cumulative_crossing_bernoulli(
-        _wall_query(p), form=p.get("variant", "inverted"), tol=tol, node_budget=budget),
-    ("wall", "one_wall"): lambda p, tol, budget: _one_wall(p),
+    ("wall", "bernoulli"): lambda p, tol, budget: cumulative_crossing_bernoulli(_wall_query(p)),
+    ("wall", "one_wall"): lambda p, tol, budget: cumulative_crossing_one_wall(_wall_query(p)),
 }
 
 

@@ -10,6 +10,7 @@ the type-2 particles.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 FACTORIAL_CAP = 9
@@ -164,8 +165,8 @@ class ModelParams:
     q: float = 0.0
 
     def __post_init__(self):
-        if self.q < 0:
-            raise ValidationError("q must be >= 0")
+        if not 0 <= self.q < math.inf:
+            raise ValidationError(f"q must be >= 0 and finite, got {self.q!r}")
 
 
 def signed_permutations(N: int) -> list[tuple[tuple[int, ...], int]]:
@@ -190,13 +191,3 @@ def signed_permutations(N: int) -> list[tuple[tuple[int, ...], int]]:
         signs = [-s if v % 2 else s for v in range(n) for s in signs]
     return list(zip(itertools.permutations(range(N)), signs))
 
-
-def inversions(mu) -> int:
-    """Number of pairs i < j with mu_i < mu_j (direct double loop)."""
-    mu = list(mu)
-    return sum(
-        1
-        for i in range(len(mu))
-        for j in range(i + 1, len(mu))
-        if mu[i] < mu[j]
-    )

@@ -10,11 +10,12 @@ in inverted variables whose residues at {0, 1, 1-rho} are exact).
 Each probability is a ``Result``, a float that also carries ``est_err`` and
 ``method``.  Its imaginary part must vanish, and it is clamped to [0, 1]
 only within a small band; anything further out, NaN included, raises
-AccuracyError.  Negative ``t`` or ``q`` raises ValidationError.  At q = 0
-every crossing formula but the Bernoulli ``form='direct'``, and the Green's
-function of one species or of one type-2 particle that starts leftmost, is
-an exact sum of products of determinants of one-variable residue moments
-(after Andréief's identity on the wall routes): method 'laurent', with
+AccuracyError.  A negative or non-finite ``t`` or ``q`` raises
+ValidationError.  At q = 0 every crossing formula but the Bernoulli
+``form='direct'``, and the Green's function of one species or of one
+type-2 particle that starts leftmost, is an exact sum of products of
+determinants of one-variable residue moments (after Andréief's identity
+on the wall routes): method 'laurent', with
 ROUNDING times the size of the terms that cancel as est_err.  The other
 Green's functions, the formulas at q > 0 and the Bernoulli direct form go
 through ``_integrate`` (dimension cap, trapezoid driver on half of each
@@ -179,10 +180,11 @@ def _integrate(integrand, contours, tol, node_budget, scale=1.0) -> Result:
 
 
 def _check_rates(t: float, q: float = 0.0) -> None:
-    if t < 0:
-        raise ValidationError("t must be >= 0")
-    if q < 0:
-        raise ValidationError("q must be >= 0")
+    """Refuse a negative or non-finite t or q (NaN included)."""
+    if not 0 <= t < math.inf:
+        raise ValidationError(f"t must be >= 0 and finite, got {t!r}")
+    if not 0 <= q < math.inf:
+        raise ValidationError(f"q must be >= 0 and finite, got {q!r}")
 
 
 def _strict(values, name: str, decreasing: bool = False) -> list[int]:
@@ -386,7 +388,9 @@ def schutz_determinant(mu, nu, t: float) -> Result:
     ROUNDING times the permanent of the entries' sizes.
     """
     _check_rates(t)
-    mu, nu = [int(x) for x in mu], [int(x) for x in nu]
+    mu, nu = _strict(mu, "mu"), _strict(nu, "nu")
+    if len(nu) != len(mu):
+        raise ValidationError("need len(nu) == len(mu)")
     n = len(mu)
     det, per = _det_and_permanent(signed_permutations(n), [
         [_poisson_series_entry(k - i, nu[i] - mu[k], t) for i in range(n)] for k in range(n)])

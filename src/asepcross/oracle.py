@@ -381,16 +381,6 @@ def run_monte_carlo(job: MonteCarloJob, threads: int = 1):
     return phat, stderr, successes
 
 
-def default_window(mu_positions, t, nu_positions=None, q: float = 0.0):
-    """Window heuristic: right margin ceil(t + 4 sqrt t) + 2, left symmetric
-    under the backhop rate.  Callers inspect the sink mass and widen."""
-    spread = math.ceil(4.0 * math.sqrt(max((1.0 + q) * t, 0.0)))
-    right_anchor = max(nu_positions) if nu_positions else max(mu_positions)
-    lo = min(mu_positions) - math.ceil(q * t) - spread - 3
-    hi = right_anchor + math.ceil(t) + spread + 3
-    return (lo, hi)
-
-
 def _multiset_permutations(colours) -> list:
     """The distinct orders of the colours, in lexicographic order."""
     colours = tuple(sorted(colours))
@@ -403,7 +393,7 @@ def _multiset_permutations(colours) -> list:
 @dataclass(frozen=True)
 class WindowGenerator:
     """Exact generator of the process restricted to a window with a sink;
-    ``states`` and ``index`` are built on first use only."""
+    ``states`` is built on first use only."""
 
     window: tuple[int, int]
     orders: tuple  # the colour orders, in lexicographic order
@@ -419,10 +409,6 @@ class WindowGenerator:
         a, b = self.window
         return tuple(itertools.product(itertools.combinations(range(a, b + 1), self.n),
                                        self.orders))
-
-    @functools.cached_property
-    def index(self) -> dict:
-        return dict(zip(self.states, range(self.size)))
 
     def state_of(self, config: ParticleConfig) -> int:
         """Position-set rank (combinadic) times len(orders) plus order rank."""
@@ -565,8 +551,8 @@ def transition_row(gen: WindowGenerator, mu: ParticleConfig, t: float) -> np.nda
     bound w_{k+1} / (1 - lam t / (k + 2)) on the remaining weights is below
     1e-15.
     """
-    if t < 0:
-        raise ValidationError("time must be >= 0")
+    if not 0 <= t < math.inf:
+        raise ValidationError(f"time must be >= 0 and finite, got {t!r}")
     D = gen.size
     v = np.zeros(D + 1)
     v[gen.state_of(mu)] = 1.0

@@ -2,26 +2,19 @@
 
 Paths of colours 1..n travel up-right (L weights) or up-left (M weights) on
 a square grid; horizontal edges hold at most one path, vertical edges hold a
-nonnegative occupation vector.  The partition functions f_mu, g*_mu and
-G_mu/nu are contracted column by column (respectively row by row) over the
+nonnegative occupation vector.  The partition functions f_mu and G_mu/nu
+are contracted column by column (respectively row by row) over the
 sparse set of reachable edge states, never by path enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ConfigurationError,
-    ResourceLimitError,
-    ValidationError,
-    inversions,
-    signed_permutations,
-)
+from .core import ConfigurationError, ValidationError, signed_permutations
 from .quadrature import (
     ContourProduct,
     ContourSpec,
@@ -34,9 +27,6 @@ MIN_POINT_SEPARATION = 1e-8
 WEIGHT_CHECK_TOTAL = 2  # stochastic_weights_check covers occupation totals up to this
 SUM_TOL = 1e-12  # a stochastic weight family sums to 1 within this
 CONTOUR_MARGIN = 0.05  # relative clearance of admissible circles from s and 1/s
-ORTHOGONALITY_TOL = 1e-8  # quadrature tolerance of orthogonality_check
-CAUCHY_TERM_FLOOR = 1e-16  # cauchy_check sums kappa until r^T falls below this
-CAUCHY_MAX_TERMS = 20_000  # the largest kappa box cauchy_check sums
 
 
 def _as_state(vec) -> tuple[int, ...]:
@@ -272,35 +262,6 @@ def f_mu(mu, z, q, s):
     return finish(val)
 
 
-def pochhammer(a, q, m: int):
-    """(a; q)_m = prod_{k=1}^{m} (1 - a q^(k-1))."""
-    out = 1.0 + 0.0j
-    for k in range(m):
-        out *= 1.0 - a * q**k
-    return out
-
-
-def g_star_mu(mu, z, q, s):
-    """Dual function g*_mu, the orthogonality partner of f_mu."""
-    mu = [int(x) for x in mu]
-    n = len(mu)
-    Z, finish = spectral_rows(z, n)
-    mult: dict[int, int] = {}
-    for m in mu:
-        mult[m] = mult.get(m, 0) + 1
-    poch = 1.0 + 0.0j
-    for count in mult.values():
-        poch *= pochhammer(s**-2, 1.0 / q, count)
-    if abs(poch) < 1e-300:
-        raise ConfigurationError("Pochhammer factor vanishes for these (q, s)")
-    pref = q ** inversions(mu) / poch
-    scale = 1.0
-    for i in range(n):
-        scale = scale * (-s * Z[i]) ** -1
-    val = f_mu(mu[::-1], OpenGrid(1.0 / x for x in Z[::-1]), 1.0 / q, 1.0 / s)
-    return finish(pref * scale * val)
-
-
 def G_mu_nu(mu, nu, ys, q, s):
     """Skew partition function G_mu/nu with leftward travel over len(ys) rows.
 
@@ -366,27 +327,6 @@ def _symmetrize(X, pair, ratio, lam):
     return total
 
 
-def F_lambda_sym(lam, z, q, s):
-    """Symmetric rational function F_lambda (weakly decreasing lambda)."""
-    lam = [int(x) for x in lam]
-    if any(b > a for a, b in zip(lam, lam[1:])):
-        raise ValidationError("lambda must be weakly decreasing")
-    n = len(lam)
-    Z, finish = spectral_rows(z, n)
-    mult: dict[int, int] = {}
-    for m in lam:
-        mult[m] = mult.get(m, 0) + 1
-    pref = (1.0 - q) ** n
-    for count in mult.values():
-        pref *= pochhammer(s * s, q, count) / pochhammer(q, q, count)
-    denom = 1.0
-    for i in range(n):
-        denom = denom * (1.0 - s * Z[i])
-    total = _symmetrize(Z, lambda a, b: (a - q * b) / (a - b),
-                        [(x - s) / (1.0 - s * x) for x in Z], lam)
-    return finish(pref / denom * total)
-
-
 def sfF_lambda(lam, u, q):
     """Permutation sum F_lambda over a strict signature (Hall-Littlewood type)."""
     lam = [int(x) for x in lam]
@@ -440,106 +380,6 @@ def admissible_contours(q, s, n: int, enclose=()):
             f"no admissible origin-centered circles for q={q}, s={s}, n={n}"
         )
     return [ContourSpec(center=0.0, radius=r) for r in radii]
-
-
-def orthogonality_check(mu, nu, q, s):
-    """Evaluate the biorthogonality integral of f_nu against g*_mu.
-
-    Returns the complex value of the n-fold contour integral over the
-    ``admissible_contours`` for (q, s), which equals 1 when mu == nu and 0
-    otherwise, to the quadrature tolerance ORTHOGONALITY_TOL.
-    """
-    mu = [int(x) for x in mu]
-    nu = [int(x) for x in nu]
-    n = len(mu)
-    if len(nu) != n:
-        raise ValidationError("mu and nu must have equal length")
-    contours = admissible_contours(q, s, n)
-
-    def integrand(Z):
-        out = 1.0
-        for i in range(n):
-            out = out / Z[i]
-            for j in range(i + 1, n):
-                out = out * ((Z[j] - Z[i]) / (Z[j] - q * Z[i]))
-        return out * (f_mu(nu, OpenGrid(1.0 / z for z in Z), q, s) * g_star_mu(mu, Z, q, s))
-
-    value, _ = product_integrate(integrand, ContourProduct(tuple(contours)),
-                                 tol=ORTHOGONALITY_TOL)
-    return value
-
-
-@dataclass(frozen=True)
-class CauchyReport:
-    lhs: complex
-    rhs: complex
-    tail_bound: float
-
-    @property
-    def within_bound(self) -> bool:
-        return abs(self.lhs - self.rhs) <= self.tail_bound
-
-
-def cauchy_check(nu, z, y, q, s) -> CauchyReport:
-    """Truncated Cauchy summation of f_kappa * G_kappa/nu against its product form.
-
-    The terms decay like r^|kappa - nu|, r the largest |(y-s)/(1-sy) *
-    (z-s)/(1-sz)| over the pairs of y and z, so the kappa sum runs over the
-    box nu_i <= kappa_i <= nu_i + T with T = ceil(ln CAUCHY_TERM_FLOOR / ln r)
-    (T = 0 when r = 0), where r^T is below CAUCHY_TERM_FLOOR.  A box of
-    more than CAUCHY_MAX_TERMS kappa is refused with ResourceLimitError.
-    The reported tail bound is a geometric estimate from the outermost shell.
-    """
-    nu = [int(x) for x in nu]
-    n = len(nu)
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    y = np.asarray(y, dtype=complex).reshape(-1)
-    if z.size != n:
-        raise ValidationError("need one z per component of nu")
-    ratios = []
-    for yi in y:
-        for zj in z:
-            ratios.append(
-                abs((yi - s) / (1.0 - s * yi) * (zj - s) / (1.0 - s * zj))
-            )
-    r = max(ratios) if ratios else 0.0
-    if r >= 1.0:
-        raise ConfigurationError(
-            "Cauchy summation does not converge for these parameters"
-        )
-    truncation = math.ceil(math.log(CAUCHY_TERM_FLOOR) / math.log(r)) if r > 0 else 0
-    if (truncation + 1) ** n > CAUCHY_MAX_TERMS:
-        raise ResourceLimitError(
-            f"Cauchy summation needs {truncation + 1}^{n} terms at decay ratio {r:.3g}, "
-            f"above the cap {CAUCHY_MAX_TERMS}"
-        )
-    lhs = 0.0 + 0.0j
-    shell_max = 0.0
-    offsets = np.ndindex(*([truncation + 1] * n))
-    for off in offsets:
-        kappa = [nu[i] + off[i] for i in range(n)]
-        term = f_mu(kappa, z, q, s) * G_mu_nu(kappa, nu, y, q, s)
-        lhs += term
-        if max(off) == truncation:
-            shell_max = max(shell_max, abs(term))
-    rhs = q ** (-float(len(y) * n))
-    prod = 1.0 + 0.0j
-    for yi in y:
-        for zj in z:
-            prod *= (1.0 - q * yi * zj) / (1.0 - yi * zj)
-    rhs = rhs * prod * f_mu(nu, z, q, s)
-    tail = 0.0
-    if r > 0:
-        geom = 0.0
-        for j in range(1, 10000):
-            inc = (truncation + 1 + j) ** max(n - 1, 0) * r**j
-            geom += inc
-            if inc < 1e-30:
-                break
-        tail = 4.0 * n * shell_max * geom
-    # rounding floor: the terms themselves carry relative error
-    tail += 1e-13 * (abs(lhs) + abs(rhs) + 1.0)
-    return CauchyReport(lhs, complex(rhs), float(tail))
 
 
 def discrete_transition(mu, nu, ys, q, s):

@@ -34,14 +34,9 @@ from asepcross.oracle import (
     run_monte_carlo,
     transition_row,
 )
-from asepcross.vertex import (
-    F_lambda_sym,
-    cauchy_check,
-    f_mu,
-    orthogonality_check,
-    stochastic_weights_check,
-)
+from asepcross.vertex import f_mu, stochastic_weights_check
 from conftest import make_blocks
+from vertex_reference import F_lambda_sym, cauchy_check, orthogonality_check
 
 
 def _report(name: str, ok: bool, detail: str):

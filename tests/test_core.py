@@ -10,10 +10,10 @@ from asepcross.core import (
     ResourceLimitError,
     StrictSignature,
     ValidationError,
-    inversions,
     signed_permutations,
 )
 from conftest import make_blocks
+from vertex_reference import inversions
 
 
 class TestParticleConfig:
@@ -83,8 +83,9 @@ class TestModelParams:
     def test_validation(self):
         assert ModelParams(q=0.5).q == 0.5
         assert ModelParams().q == 0.0
-        with pytest.raises(ValidationError):
-            ModelParams(q=-1.0)
+        for q in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="q must be >= 0 and finite"):
+                ModelParams(q=q)
 
 
 def _sign_by_cycles(perm):

@@ -275,6 +275,16 @@ class TestSchutzReduction:
     def test_determinant_out_of_regime(self):
         assert abs(schutz_determinant((0, 2), (-1, 3), 0.5)) < 1e-14
 
+    def test_mismatched_lengths_are_refused(self):
+        with pytest.raises(ValidationError, match="len"):
+            schutz_determinant((0, 1), (1,), 1.0)
+
+    def test_unsorted_positions_are_refused(self):
+        with pytest.raises(ValidationError, match="mu must be strictly increasing"):
+            schutz_determinant((1, 0), (1, 2), 1.0)
+        with pytest.raises(ValidationError, match="nu must be strictly increasing"):
+            schutz_determinant((0, 1), (2, 2), 1.0)
+
 
 class TestTwoTasepCrossing:
     # a 60-site jump at t = 16 read 9.42e-12 +- 1.5e-13 on the quadrature route
@@ -846,6 +856,45 @@ class TestNegativeRates:
     def test_refused_before_any_quadrature(self, call):
         with pytest.raises(ValidationError, match="must be >= 0"):
             call()
+
+
+NON_FINITE = [math.nan, math.inf]
+
+
+class TestNonFiniteRates:
+    """NaN fails every ordered comparison, t < 0 included, so each family
+    checks 0 <= x < inf before any moment table or quadrature."""
+
+    @pytest.mark.parametrize("x", NON_FINITE)
+    def test_green(self, x):
+        mu = ParticleConfig.from_two_species((0, 1), (1,))
+        nu = ParticleConfig.from_two_species((1, 2), (2,))
+        with pytest.raises(ValidationError, match="t must be >= 0 and finite"):
+            GreenQuery(mu, nu, x)
+        with pytest.raises(ValidationError, match="t must be >= 0 and finite"):
+            schutz_determinant((0, 1), (1, 2), x)
+
+    @pytest.mark.parametrize("x", NON_FINITE)
+    def test_crossing(self, x):
+        with pytest.raises(ValidationError, match="t must be >= 0 and finite"):
+            two_tasep_crossing((0, 1), (1, 3), 1, x)
+        for q, t, name in ((x, 1.0, "q"), (0.5, x, "t")):
+            with pytest.raises(ValidationError, match=f"{name} must be >= 0 and finite"):
+                rainbow_total_crossing((1, 0), (1, 2), q, t)
+            with pytest.raises(ValidationError, match=f"{name} must be >= 0 and finite"):
+                r_asep_transition((1, 0), (0, 2), q, t)
+            with pytest.raises(ValidationError, match=f"{name} must be >= 0 and finite"):
+                CrossingQuery(make_blocks([[1, 0]], "initial"), make_blocks([[2, 1]], "final"),
+                              q, t)
+
+    @pytest.mark.parametrize("x", NON_FINITE)
+    def test_wall(self, x):
+        with pytest.raises(ValidationError, match="t must be >= 0 and finite"):
+            WallQuery(-3, 2, 0.5, 2, 1, x)
+        with pytest.raises(ValidationError, match="t must be >= 0 and finite"):
+            cumulative_crossing_step((-1, 0), 1, -3, 2, x)
+        with pytest.raises(ValidationError, match="t must be >= 0 and finite"):
+            gamma_wall(2, 5, x)
 
 
 class TestResult:

@@ -19,7 +19,6 @@ from asepcross.oracle import (
     CHUNK,
     MonteCarloJob,
     build_window_generator,
-    default_window,
     expm_transition,
     run_monte_carlo,
     simulate_sample,
@@ -31,6 +30,7 @@ from asepcross.oracle import (
     _simulate,
     _UniformStream,
 )
+from vertex_reference import default_window
 
 GOLDEN_2TASEP = 0.06766764161830637  # mu=(0,1) p0={1} -> nu=(1,2) p={2}, t=1
 
@@ -481,7 +481,7 @@ class TestWindowBuilderEqualsReference:
         gen = build_window_generator(particles, window, ModelParams(q=q))
         states, index, matrix = _reference_window(particles, window, q)
         assert gen.states == states
-        assert gen.index == index
+        assert dict(zip(gen.states, range(gen.size))) == index
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(gen.matrix, part), getattr(matrix, part))
 
@@ -502,7 +502,8 @@ class TestWindowBuilderEqualsReference:
         particles = ParticleConfig(tuple(range(40)), colours)
         gen = build_window_generator(particles, window, ModelParams(q=0.5))
         states, index, matrix = _reference_window(particles, window, 0.5)
-        assert gen.states == states and gen.index == index
+        assert gen.states == states
+        assert dict(zip(gen.states, range(gen.size))) == index
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(gen.matrix, part), getattr(matrix, part))
 
@@ -540,7 +541,7 @@ class TestLazyWindowStates:
         gen = build_window_generator(particles, window, ModelParams(q=0.5))
         assert gen.size == len(gen.states)
         for i, state in enumerate(gen.states):
-            assert gen.state_of(ParticleConfig(*state)) == gen.index[state] == i
+            assert gen.state_of(ParticleConfig(*state)) == i
 
     @pytest.mark.parametrize("positions, colours", [
         ((-3, 0, 1), (2, 1, 2)),  # left of the window
@@ -629,6 +630,13 @@ class TestUniformization:
         gen = build_window_generator(mu, (0, 3), ModelParams(q=0.0))
         with pytest.raises(ValidationError):
             transition_row(gen, mu, -1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        mu = ParticleConfig((0,), (1,))
+        gen = build_window_generator(mu, (0, 3), ModelParams(q=0.0))
+        with pytest.raises(ValidationError, match="time must be >= 0 and finite"):
+            transition_row(gen, mu, t)
 
 
 class TestGillespieAgainstUniformization:
