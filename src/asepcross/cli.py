@@ -38,7 +38,6 @@ from .formulas import (
     gamma_wall,
     r_asep_transition,
     rainbow_total_crossing,
-    tasep_block_crossing,
     two_tasep_crossing,
     two_tasep_green,
 )
@@ -154,7 +153,6 @@ EVALUATORS = {
         p["mu"], p["nu"], float(p["q"]), float(p["t"]), tol=tol, node_budget=budget),
     ("crossing", "blocks"): lambda p, tol, budget: block_crossing(
         _crossing_query(p), tol=tol, node_budget=budget),
-    ("crossing", "tasep_blocks"): lambda p, tol, budget: tasep_block_crossing(_crossing_query(p)),
     ("wall", "step"): lambda p, tol, budget: cumulative_crossing_step(
         p["mu"], int(p["m"]), int(p["s1"]), int(p["s2"]), float(p["t"])),
     ("wall", "gamma"): lambda p, tol, budget: gamma_wall(

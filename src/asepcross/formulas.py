@@ -11,12 +11,12 @@ Each probability is a ``Result``, a float that also carries ``est_err`` and
 ``method``.  Its imaginary part must vanish, and it is clamped to [0, 1]
 only within a small band; anything further out, NaN included, raises
 AccuracyError.  A negative or non-finite ``t`` or ``q`` raises
-ValidationError.  At q = 0 every crossing formula but the Bernoulli
-``form='direct'``, and the Green's function of one species or of one
-type-2 particle that starts leftmost, is an exact sum of products of
-determinants of one-variable residue moments (after Andréief's identity
-on the wall routes): method 'laurent', with
-ROUNDING times the size of the terms that cancel as est_err.  The other
+ValidationError.  At q = 0 one colour is ``schutz_determinant``; every
+other crossing formula but the Bernoulli ``form='direct'``, and the Green's
+function of one type-2 particle that starts leftmost, is an exact sum of
+products of determinants of one-variable residue moments (after Andréief's
+identity on the wall routes): method 'laurent', with ROUNDING times the
+size of the terms that cancel as est_err.  The other
 Green's functions, the formulas at q > 0 and the Bernoulli direct form go
 through ``_integrate`` (dimension cap, trapezoid driver on half of each
 grid, as every integrand has real coefficients and real contour centres),
@@ -385,13 +385,21 @@ def schutz_determinant(mu, nu, t: float) -> Result:
     Entry (k, i) is the one-dimensional residue integral with winding
     exponent k - i and displacement nu_i - mu_k, evaluated by series.  At
     n = 1 it is the free particle's Poisson probability.  est_err is
-    ROUNDING times the permanent of the entries' sizes.
+    ROUNDING times the permanent of the entries' sizes.  More than
+    LEIBNIZ_CAP Leibniz terms and series terms are refused first.
     """
     _check_rates(t)
     mu, nu = _strict(mu, "mu"), _strict(nu, "nu")
     if len(nu) != len(mu):
         raise ValidationError("need len(nu) == len(mu)")
     n = len(mu)
+    # n! Leibniz terms; an entry with k < i sums its series from k = max(x, 0) past t + 20
+    stop = max(t, 1.0) + 21
+    work = math.factorial(n) + sum([stop - max(y - x, 0) for k, x in enumerate(mu)
+                                    for y in nu[k + 1:] if y - x < stop])
+    if work > LEIBNIZ_CAP:
+        raise ResourceLimitError(f"{work:.0f} Leibniz terms and series terms exceed the "
+                                 f"cap {LEIBNIZ_CAP}")
     det, per = _det_and_permanent(signed_permutations(n), [
         [_poisson_series_entry(k - i, nu[i] - mu[k], t) for i in range(n)] for k in range(n)])
     return _laurent(1.0, det, per)
@@ -402,21 +410,17 @@ def two_tasep_crossing(mu, nu, m: int, t: float) -> Result:
 
     ``mu`` holds the initial positions with the m type-2 particles first
     (leftmost); ``nu`` the final positions with the type-2 particles last.
-    The determinant blocks of the m variables z_i and the n - m variables
-    w_j on circles about the origin couple only through prod (w_j - z_i);
-    ``_moment_determinants`` sums them exactly in x = 1/z.
+    It is the r = 2 total crossing of ``tasep_block_crossing``, the type-1
+    block first, then the type-2 block; with one species (m = 0 or m = n)
+    it is ``schutz_determinant``.
     """
     _check_rates(t)
     mu, nu = _strict(mu, "mu"), _strict(nu, "nu")
     if len(nu) != len(mu) or not 0 <= m <= len(mu):
         raise ValidationError("need len(nu) == len(mu) and 0 <= m <= len(mu)")
     k = len(mu) - m
-    z_block = [[(_variable(0, t, nu[k + j] - mu[i] - 1, i - j - k, k), 0, None)
-                for j in range(m)] for i in range(m)]
-    w_block = [[(_variable(0, t, nu[j] - mu[m + i] - 1, i - j, m), 0, None)
-                for j in range(k)] for i in range(k)]
-    pairs = [(i, m + j) for i in range(m) for j in range(k)]  # prod (w_j - z_i)
-    return _moment_determinants(1.0, [z_block, w_block], _expand_pairs(m + k, pairs))
+    blocks = [(mu[m:][::-1], nu[:k][::-1]), (mu[:m][::-1], nu[k:][::-1])]
+    return _tasep_blocks([b for b in blocks if b[0]] or blocks[:1], t)  # n = 0: one empty block
 
 
 def _around_one(Z, q, t, powers, scale=None):
@@ -486,9 +490,7 @@ def rainbow_total_crossing(mu, nu, q: float, t: float, tol: float = 1e-10,
     if q == 1:
         raise ValidationError("the symmetric point q = 1 is not supported")
     if q == 0:
-        return tasep_block_crossing(CrossingQuery(
-            BlockSignatureVector([(x,) for x in mu], "initial"),
-            BlockSignatureVector([(x,) for x in nu], "final"), q, t))
+        return _tasep_blocks([((x,), (y,)) for x, y in zip(mu, nu)], t)
     n = len(mu)
     powers = [a - b for a, b in zip(mu, nu)]
     contours = _around_one_contours(q, [min(0.2, abs(q - 1.0) / 3.0)] * n)
@@ -526,27 +528,34 @@ def block_crossing(query: CrossingQuery, tol: float = 1e-10,
 
 
 def tasep_block_crossing(query: CrossingQuery) -> Result:
-    """Block total crossing at q = 0: one determinant per colour block.
+    """Block total crossing at q = 0: one determinant per colour block."""
+    if query.q != 0:
+        raise ValidationError("this evaluator requires q = 0")
+    return _tasep_blocks([(mu.parts, lam.parts) for mu, lam in
+                          zip(query.initial.blocks, query.final.blocks)], query.t)
+
+
+def _tasep_blocks(blocks, t: float) -> Result:
+    """Total crossing at q = 0 of the colour ``blocks``, (initial parts,
+    final parts) pairs, each decreasing, initial blocks rightmost first and
+    final blocks leftmost first.  One block is ``schutz_determinant``.
 
     The integrand is e^(zt/(1-z)) per variable, det[z_j^(i-j-start)
     (1-z_j)^(lam_i-mu_j-1)] per block and prod (z_j - z_i) over the variables i
     of each block and j of each later one, on clockwise circles about 1, and
     ``_moment_determinants`` sums it exactly in y = 1/(1-z).
     """
-    if query.q != 0:
-        raise ValidationError("this evaluator requires q = 0")
-    mu_vec, lam_vec = query.initial, query.final
-    t, n = query.t, mu_vec.n
-    slices = _block_slices(mu_vec.sizes)
+    if len(blocks) == 1:
+        return schutz_determinant(*(parts[::-1] for parts in blocks[0]), t)
+    slices = _block_slices([len(mu) for mu, _ in blocks])
+    n = slices[-1].stop
     pairs = [(j, i) for k, a in enumerate(slices) for b in slices[k + 1:]
              for i in range(a.start, a.stop) for j in range(b.start, b.stop)]
-    blocks = []
-    for a, block_mu, block_lam in zip(slices, mu_vec.blocks, lam_vec.blocks):
-        lam, mu, other = block_lam.parts, block_mu.parts, n - len(block_mu)
-        blocks.append([[(_variable(1, t, i - j - a.start, lam[i] - mu[j] - 1, other),
-                         0, None) for i in range(len(mu))] for j in range(len(mu))])
+    rows = [[[(_variable(1, t, i - j - a.start, lam[i] - mu[j] - 1, n - len(mu)), 0, None)
+              for i in range(len(mu))] for j in range(len(mu))]
+            for a, (mu, lam) in zip(slices, blocks)]
     # (-1)^n for the clockwise circles, (-1)^n from the map to y
-    return _moment_determinants(1.0, blocks, _expand_pairs(n, pairs))
+    return _moment_determinants(1.0, rows, _expand_pairs(n, pairs))
 
 
 def cumulative_crossing_step(mu, m: int, s1: int, s2: int, t: float) -> Result:
@@ -684,15 +693,16 @@ def _laurent(scale: float, total, size: float) -> Result:
     return _finalize_probability(complex(scale * total), err, "laurent")
 
 
-def _andreief(scale: float, z, m: int, w=(), beta: int | None = None) -> Result:
+def _andreief(scale: float, t: float, exponent: int, rho: float, s2: int, m: int, w=(),
+              beta: int | None = None) -> Result:
     """The wall residue integral over m symmetric variables z_i and k = len(w)
     further variables w_j, by Andréief's identity.
 
-    ``z`` and each entry of ``w`` are (RationalExpDescriptor, points) pairs:
-    one variable's integrand e^((z-1)t) prod (z-a)^e and the points its
-    residues are summed over.  L_z maps z^p to the moment h_p of ``z``, and
-    L_w takes the w_j's residues (``_moment_determinants``, with the border
-    det_k[w_i^(k-1-j) - w_i^beta], or 1 at k = 1 without ``beta``).  The
+    L_z maps z^p to the moment h_p, the residues at {0, 1, 1-rho} of
+    e^((z-1)t) (z-1)^exponent z^(p-s2-m+1) / (z-1+rho).  Each of ``w`` is a
+    (RationalExpDescriptor, points) pair, e^((z-1)t) prod (z-a)^e and its
+    poles; L_w takes their residues (``_moment_determinants``, with the
+    border det_k[w_i^(k-1-j) - w_i^beta], or 1 at k = 1 without ``beta``).  The
     integral (1/m!) L_z^m L_w[prod_{i != j} (z_j - z_i) prod_{i, j} (z_i - w_j)
     border(w)] equals (-1)^(m(m-1)/2) L_w[det_m[H_{a+b}(w)] border(w)], a, b < m:
     - prod_{i != j} (z_j - z_i) = (-1)^(m(m-1)/2) Δ(z)², Δ(z) = det[z_i^a];
@@ -707,7 +717,13 @@ def _andreief(scale: float, z, m: int, w=(), beta: int | None = None) -> Result:
     same subset sizes, and its permanent of the sizes of h is their size.
     """
     k = len(w)
-    h, hs = residue_moments(*z, 0, 2 * m + k - 2) if m else ((), ())
+    # 2^(mk) row-subset choices, at most (k+1)^m determinants of m! terms
+    leibniz = 2 ** (m * k) + (k + 1) ** m * math.factorial(m)
+    if leibniz > LEIBNIZ_CAP:
+        raise ResourceLimitError(f"{leibniz} row-subset choices and Leibniz terms exceed "
+                                 f"the cap {LEIBNIZ_CAP}")
+    z = RationalExpDescriptor(t, ((1.0, exponent), (1.0 - rho, -1), (0.0, -s2 - m + 1)))
+    h, hs = residue_moments(z, (0.0, 1.0, 1.0 - rho), 0, 2 * m + k - 2) if m else ((), ())
     perms = signed_permutations(m)
     dets: dict[tuple[int, ...], tuple[complex, float]] = {}
     terms: dict[tuple[int, ...], tuple[complex, float]] = {}
@@ -765,11 +781,9 @@ def cumulative_crossing_bernoulli(query: WallQuery, form: str = "inverted", tol:
                           scale=rho**m / math.factorial(m))
     # inverted form: m symmetric variables z, then k variables w_i, coupled
     # by prod (z_i - w_j) and bordered by det[w_i^(k-1-j) - w_i^beta]
-    z = (RationalExpDescriptor(t, ((1.0, -n), (1.0 - rho, -1), (0.0, -s2 - m + 1))),
-         (0.0, 1.0, 1.0 - rho))
     w = [(RationalExpDescriptor(t, ((1.0, i - k), (0.0, -s1 - m))), (0.0, 1.0))
          for i in range(k)]
-    return _andreief(rho**m, z, m, w, k + s1 - s2 - 1)
+    return _andreief(rho**m, t, -n, rho, s2, m, w, k + s1 - s2 - 1)
 
 
 def cumulative_crossing_one_wall(query: WallQuery) -> Result:
@@ -800,25 +814,22 @@ def cumulative_crossing_one_wall(query: WallQuery) -> Result:
         return Result(0.0, 0.0, "exact")
     n, m, rho, t = query.n, query.m, query.rho, query.t
     s2 = query.s2
-    z = (RationalExpDescriptor(t, ((1.0, -(m + 1)), (1.0 - rho, -1), (0.0, -s2 - m + 1))),
-         (0.0, 1.0, 1.0 - rho))
     w = (RationalExpDescriptor(t, ((1.0, -1), (0.0, n - 2 * m - s2 - 1))), (0.0,))
-    return _andreief(-(rho**m), z, m, [w])
+    return _andreief(-(rho**m), t, -(m + 1), rho, s2, m, [w])
 
 
 def gamma_wall(n: int, s: int, t: float) -> Result:
     """Probability that all n step-start particles (at 1..n) pass the wall s.
 
-    The symmetrized n-fold integral is evaluated exactly by residues at
-    {0, 1}, as the Hankel determinant (-1)^(n(n-1)/2) det[h_{a+b}] of the
-    one-variable moments h (``_andreief`` with k = 0).  It is the
-    probability ``cumulative_crossing_step(range(1, n + 1), n, s, s, t)``
-    computes without Andréief's identity.  At t = 0 it is an exact 0.
+    Shifted by -n, the particles fill 1-n..0, Bernoulli data at rho = 1: it
+    is ``cumulative_crossing_bernoulli`` with m = n and s2 = s - n - 1, the
+    Hankel determinant (-1)^(n(n-1)/2) det[h_{a+b}] of ``_andreief`` with
+    k = 0, and ``cumulative_crossing_step(range(1, n + 1), n, s, s, t)``
+    without Andréief's identity.  At t = 0 it is an exact 0.
     """
     if s <= n:
         raise ValidationError("gamma_wall requires s > n")
     _check_rates(t)
     if t == 0:
         return Result(0.0, 0.0, "exact")
-    z = (RationalExpDescriptor(t, ((1.0, -n), (0.0, 1 - s))), (0.0, 1.0))
-    return _andreief(1.0, z, n)
+    return _andreief(1.0, t, -n, 1.0, s - n - 1, n)

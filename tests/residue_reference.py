@@ -8,12 +8,17 @@ product of one-variable residue sums, one ``laurent_residue`` call per
 |scale| times the summed size of the terms, the error the residue routes
 reported before Andréief.  The expansion has 3, 19, 201 and 2,961 terms
 for 2, ..., 5 symmetric variables.
+
+``two_species_crossing`` is the paper's two-determinant form of the
+two-species total crossing, an independent route to ``two_tasep_crossing``,
+which sums it as two colour blocks about 1.
 """
 
 from __future__ import annotations
 
 import math
 
+from asepcross import formulas
 from asepcross.core import signed_permutations
 from asepcross.formulas import ROUNDING, WallQuery
 from asepcross.quadrature import MultivariatePolynomial, RationalExpDescriptor, laurent_residue
@@ -97,3 +102,17 @@ def one_wall(q: WallQuery):
     w = _variable(t, ((1.0, -1), (0.0, n - 2 * m - s2 - 1)), (0.0,))
     return monomial_residues((-1.0) ** (m + 1) * rho**m / math.factorial(m),
                              [z] * m + [w], poly.terms)
+
+
+def two_species_crossing(mu, nu, m: int, t: float):
+    """The determinant blocks of the m type-2 variables z_i and the n - m
+    type-1 variables w_j on circles about the origin, coupled only through
+    prod (w_j - z_i), summed exactly in x = 1/z: a ``Result``."""
+    k = len(mu) - m
+    z_block = [[(formulas._variable(0, t, nu[k + j] - mu[i] - 1, i - j - k, k), 0, None)
+                for j in range(m)] for i in range(m)]
+    w_block = [[(formulas._variable(0, t, nu[j] - mu[m + i] - 1, i - j, m), 0, None)
+                for j in range(k)] for i in range(k)]
+    pairs = [(i, m + j) for i in range(m) for j in range(k)]  # prod (w_j - z_i)
+    return formulas._moment_determinants(1.0, [z_block, w_block],
+                                         formulas._expand_pairs(m + k, pairs))

@@ -23,7 +23,6 @@ from asepcross.formulas import (
     r_asep_transition,
     rainbow_total_crossing,
     tasep_block_crossing,
-    two_tasep_crossing,
     two_tasep_green,
 )
 from asepcross.identities import run_identity_suite
@@ -35,6 +34,7 @@ from asepcross.oracle import (
     transition_row,
 )
 from asepcross.vertex import f_mu, stochastic_weights_check
+import residue_reference
 from conftest import make_blocks
 from vertex_reference import F_lambda_sym, cauchy_check, orthogonality_check
 
@@ -108,7 +108,7 @@ def test_a3_stochasticity(green_vs_oracle_instance):
 def test_a4_crossing_consistency():
     started = time.perf_counter()
     mu, nu, t = (-1, 0, 1), (2, 3, 5), 3.0
-    v_det = two_tasep_crossing(mu, nu, 1, t)
+    v_det = residue_reference.two_species_crossing(mu, nu, 1, t)
     query = CrossingQuery(
         make_blocks([[1, 0], [-1]], "initial"),
         make_blocks([[3, 2], [5]], "final"),

@@ -91,7 +91,7 @@ class TestCrossingCommand:
     def test_t0_crossed_target_is_zero(self, capsys):
         code, out = run_cli(
             capsys, "crossing", "--json",
-            '{"kind":"tasep_blocks","mu_blocks":[[0],[-1]],'
+            '{"kind":"blocks","mu_blocks":[[0],[-1]],'
             '"lambda_blocks":[[2],[3]],"t":0.0}',
         )
         assert code == 0
@@ -235,7 +235,7 @@ TABLE_PAYLOADS = [
     ("crossing", '{"kind":"rainbow","mu":[1,0],"nu":[1,2],"q":0.5,"t":1.0}', "quadrature"),
     ("crossing", '{"kind":"blocks","mu_blocks":[[1],[0]],"lambda_blocks":[[2],[3]],'
                  '"q":0.5,"t":1.0}', "quadrature"),
-    ("crossing", '{"kind":"tasep_blocks","mu_blocks":[[1],[0]],"lambda_blocks":[[2],[3]],'
+    ("crossing", '{"kind":"blocks","mu_blocks":[[1],[0]],"lambda_blocks":[[2],[3]],'
                  '"q":0.0,"t":1.0}', "laurent"),
     ("wall", '{"form":"step","mu":[-1,0],"m":1,"s1":-3,"s2":2,"t":2.0}', "laurent"),
     ("wall", '{"form":"step","mu":[-1,0],"m":1,"s1":0,"s2":0,"t":1.0}', "exact"),
@@ -322,6 +322,14 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_tasep_blocks_kind_is_validation_error(self, capsys):
+        # "blocks" takes the same q = 0 payloads through block_crossing
+        code = main(["crossing", "--json", '{"kind":"tasep_blocks","mu_blocks":[[1],[0]],'
+                     '"lambda_blocks":[[2],[3]],"q":0.0,"t":1.0}'])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("validation error: ") and "tasep_blocks" in err
+
     def test_one_wall_with_n_equal_m_is_validation_error(self, capsys):
         code, _ = run_cli(
             capsys, "wall", "--json",
@@ -368,6 +376,14 @@ class TestExitCodes:
             capsys, "green", "--json",
             '{"kind":"two_species","mu":[0,1,2,3],"p0":[2],'
             '"nu":[1,2,3,5],"p":[2],"t":1.0}',
+        )
+        assert code == 4
+
+    def test_andreief_work_cap(self, capsys):
+        # 2^36 row-subset choices, refused before the first
+        code, _ = run_cli(
+            capsys, "wall", "--json",
+            '{"form":"bernoulli","s1":-12,"s2":2,"rho":0.5,"n":12,"m":6,"t":1.0}',
         )
         assert code == 4
 

@@ -236,12 +236,24 @@ class TestTwoTasepGreen:
         # 2^8 determinants of size 8 for one type-2 particle from index 1 to 9
         lambda: two_tasep_green(GreenQuery(_two_species(tuple(range(9)), (1,)),
                                            _two_species(tuple(range(1, 10)), (9,)), 1.0)),
-    ], ids=["block_crossing_8_1", "leftmost_second_class_n9"])
+        # 2^20 row-subset choices of the Andreief expansion: 4.6 s, then AccuracyError
+        lambda: cumulative_crossing_bernoulli(WallQuery(-7, 2, 0.5, 9, 4, 1.0)),
+        # a Poisson series of about 10^7 terms: 7.2 s to return 0.0
+        lambda: schutz_determinant((0, 1), (1, 2), 1e7),
+    ], ids=["block_crossing_8_1", "leftmost_second_class_n9", "bernoulli_n9m4", "schutz_t1e7"])
     def test_leibniz_budget(self, call):
         start = time.process_time()
         with pytest.raises(ResourceLimitError, match="Leibniz terms"):
             call()
         assert time.process_time() - start < 0.05
+
+    def test_work_bound_admits_n8_m4_and_t1e5(self):
+        # 2^16 row-subset choices run to the float pass, whose rounding bound
+        # spans [0, 1] here (ROADMAP direction 3)
+        with pytest.raises(AccuracyError, match="cancel"):
+            cumulative_crossing_bernoulli(WallQuery(-7, 2, 0.5, 8, 4, 1.0))
+        # about 10^5 series terms; the value lies below the smallest float
+        assert float(schutz_determinant((0, 1), (1, 2), 1e5)) == 0.0
 
 
 class TestSchutzReduction:
@@ -287,12 +299,27 @@ class TestSchutzReduction:
 
 
 class TestTwoTasepCrossing:
-    # a 60-site jump at t = 16 read 9.42e-12 +- 1.5e-13 on the quadrature route
-    @pytest.mark.parametrize("mu, nu, t", [((0, 2), (1, 4), 0.7), ((0,), (60,), 16.0)])
+    # a 60-site jump at t = 16 read 9.42e-12 +- 1.5e-13 on the quadrature route;
+    # the moment route read the next three 4.0e-18, 7.6e-19 and 2.1e-17 off
+    # with est_err 8.9e-19, 4.4e-19 and 1.6e-17, and refused the last
+    @pytest.mark.parametrize("mu, nu, t", [
+        ((0, 2), (1, 4), 0.7), ((0,), (60,), 16.0), ((0, 1), (201, 203), 200.0),
+        ((0, 1), (381, 383), 380.0), ((0,), (500,), 500.0), ((0,), (1000,), 1000.0),
+    ])
     def test_m0_reduces_to_schutz(self, mu, nu, t):
         val = two_tasep_crossing(mu, nu, 0, t)
         assert val.method == "laurent"
         assert abs(val - schutz_mpmath(mu, nu, t)) <= val.est_err
+
+    @pytest.mark.parametrize("mu, nu, m, t", [
+        ((-1, 0, 1), (2, 3, 5), 1, 3.0), ((0, 1, 2), (1, 3, 4), 2, 1.0),
+        ((0, 1, 2, 3), (2, 3, 5, 6), 2, 1.5), ((0, 1, 2), (33, 34, 35), 1, 32.0),
+    ])
+    def test_matches_two_determinant_form(self, mu, nu, m, t):
+        # two blocks about 1 against the paper's two determinants about 0
+        val = two_tasep_crossing(mu, nu, m, t)
+        ref = residue_reference.two_species_crossing(mu, nu, m, t)
+        assert abs(val - ref) <= val.est_err + ref.est_err
 
     def test_matches_green_n2(self):
         val = two_tasep_crossing((0, 1), (2, 3), 1, 1.0)
@@ -497,7 +524,7 @@ class TestTasepBlockCrossing:
             1.0,
         )
         a = tasep_block_crossing(query)
-        b = two_tasep_crossing((-1, 0), (2, 3), 1, 1.0)
+        b = residue_reference.two_species_crossing((-1, 0), (2, 3), 1, 1.0)
         assert abs(a - b) < 1e-10
 
     def test_t0_crossed_target_is_zero(self):
@@ -534,6 +561,39 @@ class TestTasepBlockCrossing:
         )
         with pytest.raises(ValidationError):
             tasep_block_crossing(query)
+
+
+def _one_block(mu, nu, t):
+    return CrossingQuery(make_blocks([mu[::-1]], "initial"), make_blocks([nu[::-1]], "final"),
+                         0.0, t)
+
+
+ONE_COLOUR_ROUTES = {
+    "two_tasep_crossing_m0": lambda mu, nu, t: two_tasep_crossing(mu, nu, 0, t),
+    "two_tasep_crossing_mn": lambda mu, nu, t: two_tasep_crossing(mu, nu, len(mu), t),
+    "tasep_block_crossing": lambda mu, nu, t: tasep_block_crossing(_one_block(mu, nu, t)),
+    "block_crossing": lambda mu, nu, t: block_crossing(_one_block(mu, nu, t)),
+    "rainbow_total_crossing": lambda mu, nu, t: rainbow_total_crossing(mu, nu, 0.0, t),
+    "r_asep_transition": lambda mu, nu, t: r_asep_transition(mu, nu, 0.0, t),
+}
+
+
+# a rainbow has one colour only at n = 1
+ONE_COLOUR_CASES = [
+    pytest.param(name, mu, nu, t, id=f"{name}-n{len(mu)}")
+    for mu, nu, t in (((3,), (7,), 2.0), ((0, 2), (1, 4), 0.7), ((-4, 3, 5), (-2, 8, 10), 2.5))
+    for name in ONE_COLOUR_ROUTES if len(mu) == 1 or not name.startswith("r")
+]
+
+
+class TestOneColourRoute:
+    """Every q = 0 entry point with one colour is Schütz's determinant."""
+
+    @pytest.mark.parametrize("name, mu, nu, t", ONE_COLOUR_CASES)
+    def test_returns_schutz_result(self, name, mu, nu, t):
+        val = ONE_COLOUR_ROUTES[name](mu, nu, t)
+        ref = schutz_determinant(mu, nu, t)
+        assert (float(val), val.est_err, val.method) == (float(ref), ref.est_err, ref.method)
 
 
 class TestCumulativeStep:
