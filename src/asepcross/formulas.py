@@ -341,6 +341,11 @@ def _leftmost_second_class(mu, nu, p: int, t: float) -> Result:
     return _laurent(1.0, total, size)
 
 
+def _series_terms(x: int, t: float) -> float:
+    """Terms ``_poisson_series_entry`` sums at displacement x: k = max(x, 0) to max(t, 1) + 20."""
+    return max(t, 1.0) + 21 - max(x, 0)
+
+
 def _poisson_series_entry(a: int, x: int, t: float) -> tuple[float, float]:
     """Residue at the origin of (1-z)^a z^(x-1) e^((1/z - 1)t), and its size:
     the series sum_j (-1)^j C(a, j) e^(-t) t^(x+j) / (x+j)! until its terms
@@ -357,7 +362,7 @@ def _poisson_series_entry(a: int, x: int, t: float) -> tuple[float, float]:
         coeff *= (i - 1 - a) / i
     k = x + j
     weight = total = size = 0.0
-    stop = max(t, 1.0) + 20
+    stop = k - 1 + _series_terms(x, t)
     while True:
         if weight > 1e-250:
             weight *= t / k
@@ -393,10 +398,9 @@ def schutz_determinant(mu, nu, t: float) -> Result:
     if len(nu) != len(mu):
         raise ValidationError("need len(nu) == len(mu)")
     n = len(mu)
-    # n! Leibniz terms; an entry with k < i sums its series from k = max(x, 0) past t + 20
-    stop = max(t, 1.0) + 21
-    work = math.factorial(n) + sum([stop - max(y - x, 0) for k, x in enumerate(mu)
-                                    for y in nu[k + 1:] if y - x < stop])
+    # n! Leibniz terms and the series terms of each entry with k < i
+    work = math.factorial(n) + sum([max(_series_terms(y - x, t), 0) for k, x in enumerate(mu)
+                                    for y in nu[k + 1:]])
     if work > LEIBNIZ_CAP:
         raise ResourceLimitError(f"{work:.0f} Leibniz terms and series terms exceed the "
                                  f"cap {LEIBNIZ_CAP}")
@@ -454,8 +458,8 @@ def r_asep_transition(mu, nu, q: float, t: float, tol: float = 1e-10,
     mu = _strict(mu, "mu", decreasing=True)
     nu = [int(x) for x in nu]
     n = len(mu)
-    if len(set(nu)) != n:
-        raise ValidationError("nu must have pairwise distinct parts")
+    if not n or len(set(nu)) != n:
+        raise ValidationError("nu must have len(mu) >= 1 pairwise distinct parts")
     if q == 1:
         raise ValidationError("the symmetric point q = 1 is not supported")
     if q == 0:
@@ -487,6 +491,8 @@ def rainbow_total_crossing(mu, nu, q: float, t: float, tol: float = 1e-10,
     """
     _check_rates(t, q)
     mu, nu = _strict(mu, "mu", decreasing=True), _strict(nu, "nu")
+    if not mu or len(nu) != len(mu):
+        raise ValidationError("need len(nu) == len(mu) >= 1")
     if q == 1:
         raise ValidationError("the symmetric point q = 1 is not supported")
     if q == 0:

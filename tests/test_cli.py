@@ -391,7 +391,10 @@ class TestExitCodes:
         ("crossing", '{"kind":"two_species","mu":[0,1],"nu":[1,2,3],"m":1,"t":1.0}'),
         ("crossing", '{"kind":"two_species","mu":[0,1],"nu":[1,2],"m":3,"t":1.0}'),
         ("wall", '{"form":"step","mu":[-1,0],"m":3,"s1":-3,"s2":2,"t":2.0}'),
-    ], ids=["crossing_nu_longer", "crossing_m_above_n", "step_m_above_n"])
+        ("crossing", '{"kind":"rainbow","mu":[3,1],"nu":[7],"q":0.0,"t":1.0}'),
+        ("crossing", '{"kind":"rainbow","mu":[],"nu":[],"q":0.0,"t":1.0}'),
+    ], ids=["crossing_nu_longer", "crossing_m_above_n", "step_m_above_n", "rainbow_nu_shorter",
+            "rainbow_empty"])
     def test_malformed_particle_counts_are_validation_errors(self, capsys, command, payload):
         code = main([command, "--json", payload])
         err = capsys.readouterr().err
