@@ -1,10 +1,14 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from asepcross import vertex
 from asepcross.core import ConfigurationError, ResourceLimitError, ValidationError
-from asepcross.quadrature import batched_det, spectral_rows
+from asepcross.quadrature import OpenGrid, batched_det, spectral_rows
 from asepcross.vertex import (
     G_mu_nu,
     admissible_contours,
@@ -262,6 +266,147 @@ class TestPartitionFunctions:
     def test_g_star_single_site(self):
         z = 0.4 + 0.1j
         assert abs(g_star_mu([0], [z], Q, S) - 1 / (1 - S * z)) < 1e-14
+
+
+def _reflected_grid(sizes, q):
+    """The r-ASEP integrand's arguments sqrt(1/q)/z on an OpenGrid, with m
+    nodes z per axis at the angles (2j + 1)pi/(2m), on the upper half of the
+    circle of radius 0.17 around 1."""
+    d = len(sizes)
+    axes = []
+    for k, m in enumerate(sizes):
+        z = 1.0 + 0.17 * np.exp(1j * np.pi * (2 * np.arange(m) + 1) / (2 * m))
+        axes.append((q**-0.5 / z).reshape((1,) * k + (-1,) + (1,) * (d - 1 - k)))
+    return OpenGrid(axes)
+
+
+def _uses_rows(mu, z):
+    # the cap f_mu sets for the row order
+    points = int(np.prod(np.broadcast_shapes(*(np.shape(x) for x in z))))
+    cap = len(mu) * (max(mu) + 1) * points // vertex.ROW_MOVE_POINTS
+    return vertex._row_plan(list(mu), cap) is not None
+
+
+def _close(a, b, tol=1e-13):
+    a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+    return np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
+
+
+class TestSweepOrders:
+    """The row sweep, the column sweep and path enumeration agree on every
+    input kind, and f_mu takes each order where it is cheaper."""
+
+    Q, S = 0.5, 0.5**-0.5
+    INPUTS = {
+        "scalar": np.array([0.31 + 0.12j, 0.52 - 0.17j, 0.44 + 0.21j]),
+        "flat": np.array([[0.31 + 0.12j, -0.2 + 0.1j, 0.6],
+                          [0.52 - 0.17j, 0.1 - 0.4j, 0.25 + 0.3j],
+                          [0.44 + 0.21j, 0.33, -0.5 - 0.1j]]),
+        "grid": _reflected_grid((5, 4, 3), 0.5),
+    }
+
+    @pytest.mark.parametrize("kind", INPUTS)
+    @pytest.mark.parametrize("mu", [(1, 3, 0), (2, 0, 1), (0, 0, 2), (3, 1, 2), (1, 1, 1)])
+    def test_both_orders_match_path_enumeration(self, kind, mu):
+        z = self.INPUTS[kind]
+        rows = vertex._rows(z, self.S)
+        # path enumeration adds in place, so it sees the grid as a flat list
+        shape = np.broadcast_shapes(*(np.shape(x) for x in z))
+        flat = np.array([np.broadcast_to(x, shape).ravel() for x in z])
+        by_paths = f_mu_by_paths(mu, flat, self.Q, self.S).reshape(shape)
+        by_rows = vertex._f_mu_by_rows(vertex._row_plan(list(mu), np.inf), rows, self.Q, self.S)
+        by_columns = vertex._f_mu_columns(list(mu), rows, self.Q, self.S)
+        assert _close(by_rows, by_paths) and _close(by_columns, by_paths)
+        assert _close(f_mu(mu, z, self.Q, self.S), by_columns)
+
+    @pytest.mark.parametrize("mu, sizes, rows", [
+        ((1, 3, 0), (17, 32, 32), True),  # the bench case
+        ((1, 3, 0), (8, 8, 8), False),
+        ((5, 3, -2), (17, 32, 32), True),
+        ((5, 3, -2), (4, 4, 4), False),
+        ((2, 0, 1, 3), (9, 8, 8, 8), True),
+        ((4, 0), (17, 64), True),
+        ((4, 0), (3, 3), False),
+    ])
+    def test_f_mu_on_either_side_of_the_order_choice(self, mu, sizes, rows):
+        z = _reflected_grid(sizes, self.Q)
+        shift = max(0, -min(mu))
+        assert _uses_rows([m + shift for m in mu], z) is rows
+        columns = vertex._f_mu_columns([m + shift for m in mu], vertex._rows(z, self.S),
+                                       self.Q, self.S)
+        for x in z:
+            columns = columns * ((1.0 - self.S * x) / (x - self.S)) ** shift
+        assert _close(f_mu(mu, z, self.Q, self.S), columns)
+
+    @pytest.mark.parametrize("mu", [(1, 3, 0), (5, 3, -2), (30, 0, 15)])
+    def test_row_order_is_conjugate_symmetric(self, mu):
+        # at mirrored nodes the value is the conjugate bit for bit, as
+        # TestConjugateSymmetry asks of the integrands on its smaller grids
+        m = 32
+        half = np.exp(1j * np.pi * (2 * np.arange(m // 2) + 1) / m)
+        z = 1.0 + 0.17 * np.concatenate((half, half[::-1].conj()))
+        grid = OpenGrid((self.S / z).reshape((1,) * k + (-1,) + (1,) * (2 - k)) for k in range(3))
+        assert _uses_rows([p + max(0, -min(mu)) for p in mu], grid)
+        values = np.broadcast_to(f_mu(mu, grid, self.Q, self.S), (m,) * 3)
+        mirror = np.ix_(*[np.arange(m - 1, -1, -1)] * 3)
+        np.testing.assert_array_equal(values[mirror], values.conj())
+
+    def test_long_parts_take_the_column_order(self):
+        # nu = (120, 100, 0) is a long jump of the r-ASEP conjugate-symmetry
+        # draws; the row order's middle row alone has 129,481 moves there
+        z = _reflected_grid((17, 32, 32), self.Q)
+        assert not _uses_rows((120, 100, 0), z)
+        start = time.thread_time()
+        value = f_mu((120, 100, 0), z, self.Q, self.S)
+        assert time.thread_time() - start < 0.5
+        assert value.shape == (17, 32, 32) and np.isfinite(value).all()
+
+    @pytest.mark.parametrize("mu", [(1, 3, 0), (0, 1)])
+    def test_pole_is_refused(self, mu):
+        n = len(mu)
+        at_pole = np.full(n, 0.3 + 0.1j)
+        at_pole[-1] = 1.0 / self.S
+        with pytest.raises(ConfigurationError):
+            f_mu(mu, at_pole, self.Q, self.S)
+        grid = _reflected_grid((17,) * (n - 1) + (32,), self.Q)
+        grid = OpenGrid(grid[:-1] + (np.full((1,) * (n - 1) + (32,), 1.0 / self.S),))
+        with pytest.raises(ConfigurationError):
+            f_mu(mu, grid, self.Q, self.S)
+
+
+class TestExchangeRelation:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_exchange(self, data):
+        # for mu_i < mu_(i+1): f_(s_i mu)(z) = q f_mu(z)
+        #   - (z_i - q z_(i+1)) / (z_i - z_(i+1)) (f_mu(z) - f_mu(s_i z)),
+        # on 2048 point tuples at once: small parts take the row order there
+        q = data.draw(st.sampled_from([0.5, 2.0, 0.3, 1 / 0.7, 0.5 + 0.2j]))
+        s = data.draw(st.sampled_from([0.35, 0.5**0.5, 0.8, -0.4, 0.3 + 0.2j]))
+        n = data.draw(st.integers(2, 4))
+        mu = data.draw(st.lists(st.integers(-5, 8), min_size=n, max_size=n))
+        i = data.draw(st.integers(0, n - 2))
+        lo, hi = sorted((mu[i], mu[i + 1]))
+        assume(lo < hi)
+        mu[i], mu[i + 1] = lo, hi
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        z = rng.uniform(0.1, 0.9, (n, 2048)) * np.exp(2j * np.pi * rng.random((n, 2048)))
+        apart = (np.abs(z - s) >= 0.05).all(axis=0)
+        for a, b in itertools.combinations(range(n), 2):
+            apart &= np.abs(z[a] - z[b]) >= 0.05
+        z = z[:, apart]
+        swapped_mu = list(mu)
+        swapped_mu[i], swapped_mu[i + 1] = hi, lo
+        swapped_z = z.copy()
+        swapped_z[[i, i + 1]] = z[[i + 1, i]]
+        f, f_swapped = f_mu(mu, z, q, s), f_mu(mu, swapped_z, q, s)
+        coef = (z[i] - q * z[i + 1]) / (z[i] - z[i + 1])
+        lhs = f_mu(swapped_mu, z, q, s)
+        rhs = q * f - coef * (f - f_swapped)
+        scale = np.abs(q * f) + np.abs(coef) * (np.abs(f) + np.abs(f_swapped))
+        # f_mu's own sum cancels: at q = 0.3 with parts up to 13 after the
+        # shift, single points deviate by 1.7e-12 of this scale
+        assert np.all(np.abs(lhs - rhs) <= 1e-10 * scale)
 
 
 class TestSymmetricFunctions:
