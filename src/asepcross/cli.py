@@ -143,8 +143,7 @@ SELECTORS = {"green": ("kind", "two_species"), "crossing": ("kind", "blocks"),
 EVALUATORS = {
     ("green", "two_species"): lambda p, tol, budget: two_tasep_green(GreenQuery(
         ParticleConfig.from_two_species(p["mu"], p.get("p0", ())),
-        ParticleConfig.from_two_species(p["nu"], p.get("p", ())), float(p["t"]),
-        tol=tol, node_budget=budget)),
+        ParticleConfig.from_two_species(p["nu"], p.get("p", ())), float(p["t"]))),
     ("green", "rainbow_asep"): lambda p, tol, budget: r_asep_transition(
         p["mu"], p["nu"], float(p["q"]), float(p["t"]), tol=tol, node_budget=budget),
     ("crossing", "two_species"): lambda p, tol, budget: two_tasep_crossing(
@@ -228,8 +227,7 @@ def cmd_verify(payload, args, started):
     checks = []
     ok = True
     if suite in ("all", "identities"):
-        for rep in run_identity_suite(seed=args.seed, samples=samples,
-                                      node_budget=_quadrature_budget(args)):
+        for rep in run_identity_suite(seed=args.seed, samples=samples):
             checks.append(
                 {"name": rep.name, "max_rel_err": rep.max_rel_err,
                  "threshold": rep.threshold, "passed": rep.passed}

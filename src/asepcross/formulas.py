@@ -11,26 +11,26 @@ Each probability is a ``Result``, a float that also carries ``est_err`` and
 ``method``.  Its imaginary part must vanish, and it is clamped to [0, 1]
 only within a small band; anything further out, NaN included, raises
 AccuracyError.  A negative or non-finite ``t`` or ``q`` raises
-ValidationError.  At q = 0 one colour is ``schutz_determinant``; every
-other crossing formula but the Bernoulli ``form='direct'``, and the Green's
-function of one type-2 particle that starts leftmost, is an exact sum of
-products of determinants of one-variable residue moments (after Andréief's
-identity on the wall routes): method 'laurent', with ROUNDING times the
-size of the terms that cancel as est_err.  The other
-Green's functions, the formulas at q > 0 and the Bernoulli direct form go
-through ``_integrate`` (dimension cap, trapezoid driver on half of each
-grid, as every integrand has real coefficients and real contour centres),
-take ``tol`` and ``node_budget`` (``GreenQuery`` fields for the Green's
-function) and report |prefactor| times the driver's est_err.  The formulas
-around 1 are stated on clockwise circles; they are integrated
-counterclockwise, and their prefactors carry the sign (-1)^n.  Structural
-zeros (an infeasible wall, t = 0 in ``gamma_wall``) are 0.0, method 'exact'.
+ValidationError.  At q = 0 every formula but the Bernoulli
+``form='direct'`` is an exact sum of products of determinants of
+one-variable residue moments (Schütz's series for one colour): method
+'laurent', with ROUNDING times the size of the terms that cancel as
+est_err.  The others go through ``_integrate`` (dimension cap, trapezoid
+driver on half of each grid, as every integrand has real coefficients and
+real contour centres), take ``tol`` and ``node_budget`` and report
+|prefactor| times the driver's est_err.  The formulas around 1 are stated
+on clockwise circles, integrated counterclockwise, and their prefactors
+carry the sign (-1)^n.  Structural zeros (an infeasible wall, t = 0 in
+``gamma_wall``) are 0.0, method 'exact'.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +58,6 @@ from .quadrature import (
 from .vertex import f_mu, sfF_lambda, xi_mu
 
 Z_RADIUS = 0.45
-U_RADIUS = 0.80
 W_RADIUS = 0.55
 DIMENSION_BUDGET = 4
 # the smallest circle about 1 the evaluators around 1 accept: a smaller one
@@ -79,8 +78,6 @@ class GreenQuery:
     initial: ParticleConfig
     final: ParticleConfig
     t: float
-    tol: float = 1e-10
-    node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
         _check_rates(self.t)
@@ -216,12 +213,6 @@ def _block_slices(sizes) -> list[slice]:
     return [slice(end - size, end) for size, end in zip(sizes, itertools.accumulate(sizes))]
 
 
-def _spread_radii(n: int, lo: float, hi: float) -> list[float]:
-    if n == 1:
-        return [0.5 * (lo + hi)]
-    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
-
-
 def eigenfunction_P(nu, p, t, z, u):
     """Generator eigenfunction: the double permutation sum over S_n x S_m.
 
@@ -273,72 +264,91 @@ def u_sum_determinant(p, U, Zp):
 def two_tasep_green(query: GreenQuery) -> Result:
     """Transition probability of the two-species TASEP.
 
-    One species is ``schutz_determinant``, one type-2 particle that starts
-    leftmost ``_leftmost_second_class``; ``tol`` and ``node_budget`` apply
-    to the quadrature of the rest.  With type 2 on indices 1..m, the outer
-    integrals reduce to residues at u_i = z_i (the other apparent poles
-    cancel), n + m variables to n; otherwise the u-circles enclose the z's.
-    """
+    One species is ``schutz_determinant``; the rest is Σ coefficient·det over
+    ``_green_terms``, entry (k, l) the moment of z^(nu_l-mu_k-1) (1-z)^b
+    e^((1/z-1)t), b its row's plus its column's power, from one
+    ``residue_moments`` table per b.  est_err is ROUNDING·Σ |coefficient|
+    times the permanent of the entries' sizes."""
     ini, fin = query.initial, query.final
-    n, m = ini.n, ini.m
-    mu, nu = ini.positions, fin.positions
-    p0, p = ini.type2_indices, fin.type2_indices
-    t = query.t
-    if m == 0:
+    mu, nu, t, p0 = ini.positions, fin.positions, query.t, ini.type2_indices
+    if not p0:
         return schutz_determinant(mu, nu, t)
-    if p0 == (1,):
-        return _leftmost_second_class(mu, nu, p[0], t)
-    # type 2 on indices 1..m: u_a = z_a is the residue that consumes the pole j = a
-    fast = all(p0[a] == a + 1 for a in range(m))
-    if fast:
-        contours = tuple(ContourSpec(0.0, r) for r in _spread_radii(n, 0.30, 0.60))
-    else:
-        contours = _origin_contours(n, m, U_RADIUS)
-
-    def integrand(ZU):
-        Z = ZU[:n]
-        U = Z[:m] if fast else ZU[n:]
-        out = 1.0
-        for i in range(n):
-            below = sum(1 for x in p0 if x <= i)
-            out = out * (Z[i] ** (-mu[i] - 1) * (1.0 - Z[i]) ** (m - below))
-        for a in range(m):
-            for j in range(p0[a] - fast):
-                out = out / (U[a] - Z[j])
-        return out * eigenfunction_P(nu, p, t, Z, U)
-
-    return _integrate(integrand, contours, query.tol, query.node_budget)
-
-
-def _leftmost_second_class(mu, nu, p: int, t: float) -> Result:
-    """The Green's function of one type-2 particle from index 1 to index p.
-    With u = z_0 the permutation sum of ``eigenfunction_P`` is
-    det[single_kl (z_0 - z_k)^[l < p-1]], zero in row 0's first p - 1
-    columns.  Expanding along row 0 (column l0), then each (z_0 - z_k) over
-    the columns S that take -z_k, leaves rows of one variable each:
-    sum (-1)^(l0+|S|) g(0, l0, p-1-|S|) det_{k>=1, l!=l0}[g(k, l, [l in S])]
-    over l0 >= p - 1 and S, g(k, l, s) the moment of z^(nu_l-mu_k-1+s)
-    (1-z)^(k-l-[l<p]+[k=0]) e^((1/z-1)t)."""
-    n = len(mu)
-    leibniz = (n - p + 1) * 2 ** (p - 1) * math.factorial(n - 1)
-    if leibniz > LEIBNIZ_CAP:
-        raise ResourceLimitError(f"{leibniz} Leibniz terms exceed the cap {LEIBNIZ_CAP}")
-    g = {}  # g[k, l][s]: (value, size) of the moment of z^s, x^-s in x = 1/z
-    for k in range(n):
-        for l in range(p - 1 if k == 0 else 0, n):
-            top = p - 1 if k == 0 else int(l < p - 1)  # the highest s read
-            variable = _variable(0, t, nu[l] - mu[k] - 1, k - l - (l < p) + (k == 0), 0)
-            g[k, l] = list(zip(*residue_moments(*variable, -top, 0)))[::-1]
-    perms, total, size = signed_permutations(n - 1), 0.0, 0.0
-    for l0 in range(p - 1, n):
-        for S in itertools.product((0, 1), repeat=p - 1):
-            head, head_size = g[0, l0][p - 1 - sum(S)]
-            det, per = _det_and_permanent(perms, [
-                [g[k, l][S[l] if l < p - 1 else 0] for l in range(n) if l != l0]
-                for k in range(1, n)])
-            total += (-1) ** (l0 + sum(S)) * head * det
-            size += head_size * per
+    n, terms = len(mu), _green_terms(len(mu), p0, fin.type2_indices)
+    # entry (k, l) reads the table of its power b of 1 - z at x^(mu_k+1-nu_l), x = 1/z
+    lo, hi = mu[0] + 1 - nu[-1], mu[-1] + 1 - nu[0]
+    tables = {b: list(zip(*residue_moments(*_variable(0, t, -lo, b, 0), 0, hi - lo)))
+              for b in {r + c for key, _ in terms for r in key[:n] for c in key[n:]}}
+    shifts = [[x + 1 - y - lo for y in nu] for x in mu]
+    perms, total, size = signed_permutations(n), 0.0, 0.0
+    for key, v in terms:
+        det, per = _det_and_permanent(perms, [[tables[r + c][s] for c, s in zip(key[n:], row)]
+                                              for r, row in zip(key, shifts)])
+        total += v * det
+        size += abs(v) * per
     return _laurent(1.0, total, size)
+
+
+@functools.lru_cache(maxsize=64)
+def _green_terms(n: int, p0: tuple[int, ...], p: tuple[int, ...]) -> tuple:
+    """The (row powers + column powers, coefficient) determinants of
+    ``two_tasep_green`` for type 2 at p0, then p, which alone fix them: cached.
+    The u_a-circles enclose z_0 .. z_(P-1), P = p0[a], alone, so with
+    (1-u_a)^(a+1) in column a of ``u_sum_determinant`` the u_a-integral of
+    entry (i, a) is a divided difference (``_u_entry_terms``).  Expanding over
+    τ in S_m leaves row powers A_k + r_k, A_k = m - #{a: p0_a <= k} + k + 1,
+    and column powers B_l + c_l, B_l = -(l+1) - #{a: p_a > l}, k and l from 0.
+    The τ choices with a bound on their terms, then n! per determinant, count
+    against LEIBNIZ_CAP first."""
+    m = len(p0)
+    counts = [[sum(math.comb(p[i] - 1, j) * _divided_difference_terms(a - i + j, p0[a])
+                   for j in range(p[i])) for a in range(m)] for i in range(m)]
+    work = math.factorial(m) * (1 + math.prod(map(max, counts)))
+    if work > LEIBNIZ_CAP:
+        raise ResourceLimitError(f"{work} τ choices and terms exceed the cap {LEIBNIZ_CAP}")
+    entries = [[_u_entry_terms(n, a - i, p0[a], p[i] - 1) for a in range(m)] for i in range(m)]
+    start = tuple([m + k + 1 - bisect_right(p0, k) for k in range(n)]
+                  + [bisect_right(p, l) - m - l - 1 for l in range(n)])
+    terms: dict[tuple[int, ...], int] = {}
+    for tau, sign in signed_permutations(m):
+        grown = {start: sign}
+        for i, a in enumerate(tau):
+            grown, previous = {}, grown
+            for key, v in previous.items():
+                for s, shift in entries[i][a]:
+                    shifted = tuple(map(operator.add, key, shift))
+                    grown[shifted] = grown.get(shifted, 0) + s * v
+        for key, v in grown.items():
+            terms[key] = terms.get(key, 0) + v
+    terms = {key: v for key, v in terms.items() if v}
+    work += len(terms) * math.factorial(n)
+    if work > LEIBNIZ_CAP:
+        raise ResourceLimitError(f"{work} terms and Leibniz terms exceed the cap {LEIBNIZ_CAP}")
+    return tuple(terms.items())
+
+
+def _divided_difference_terms(e: int, P: int) -> int:
+    """The number of monomials h_(e-P+1) (e >= 0) or h_(-e-1) (e < 0) in P variables."""
+    return math.comb(e, P - 1) if e >= 0 else math.comb(P - 2 - e, P - 1)
+
+
+def _u_entry_terms(n: int, e: int, P: int, L: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The divided difference of (1-u)^e prod_(l < L) (u - z_σ(l)) on z_0 ..
+    z_(P-1) as (sign, r + c): r, c the powers of w_k = 1 - z_k in row k and
+    of w_σ(l) in column l.  With u - z_σ(l) = w_σ(l) - w, each subset S of
+    factors that give -w leaves w^d, d = e + |S|: (-1)^(P-1) h_(d-P+1)(w_0,
+    ..) for d >= 0, prod_k w_k^-1 h_(-d-1)(1/w_0, ..) for d < 0."""
+    out, pad_rows, pad_columns = [], (0,) * (n - P), (0,) * (n - L)
+    for S in itertools.product((0, 1), repeat=L):  # S[l] = 1: the factor gives -w
+        d = e + sum(S)
+        if 0 <= d < P - 1:
+            continue  # h of negative degree
+        degree, sign, base, step = ((d - P + 1, (-1) ** (P - 1 + d - e), 0, 1) if d >= 0
+                                    else (-d - 1, (-1) ** (d - e), -1, -1))
+        columns = tuple([1 - x for x in S]) + pad_columns
+        for combo in itertools.combinations_with_replacement(range(P), degree):
+            rows = tuple([base + step * combo.count(k) for k in range(P)])
+            out.append((sign, rows + pad_rows + columns))
+    return out
 
 
 def _series_terms(x: int, t: float) -> float:
@@ -529,8 +539,10 @@ def block_crossing(query: CrossingQuery, tol: float = 1e-10,
             out = out * (xi_mu(block_mu.parts, Z[b], q) * sfF_lambda(block_lam.parts, Z[b], q))
         return out
 
-    return _integrate(integrand, _around_one_contours(q, _spread_radii(n, 0.7 * rmax, rmax)),
-                      tol, node_budget, scale=(q - 1.0) ** n)
+    lo, hi = 0.7 * rmax, rmax  # radii spread evenly over [lo, hi]
+    radii = [0.5 * (lo + hi)] if n == 1 else [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+    return _integrate(integrand, _around_one_contours(q, radii), tol, node_budget,
+                      scale=(q - 1.0) ** n)
 
 
 def tasep_block_crossing(query: CrossingQuery) -> Result:

@@ -4,8 +4,8 @@ Each check samples random spectral points on annuli that keep a safety
 margin from every declared pole locus, evaluates both sides of one
 identity, and reports the worst relative error (denominator max(1, |rhs|)).
 The collection doubles as a self-test suite reachable from the CLI.  The
-u-sum checks evaluate the production kernel, ``formulas.u_sum_determinant``
-(looked up on the module at each call), not a copy of it.
+u-sum checks evaluate ``formulas.u_sum_determinant`` (looked up on the
+module at each call), whose entries ``two_tasep_green`` integrates.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import formulas
 from .core import ParticleConfig, ValidationError, signed_permutations
 from .formulas import GreenQuery, eigenfunction_P, two_tasep_green
-from .quadrature import DEFAULT_NODE_BUDGET, ContourProduct, ContourSpec, product_integrate
+from .quadrature import ContourProduct, ContourSpec, product_integrate
 
 POLE_MARGIN = 0.05
 TIME_STEP = 1e-3  # check_free_evolution's central-difference step h
@@ -312,8 +312,7 @@ def check_symmetrization(z, s2, rho) -> IdentityReport:
     return IdentityReport("symmetrization", 1, worst, threshold=1e-10)
 
 
-def check_initial_condition(mu_cfg: ParticleConfig,
-                            node_budget: int = DEFAULT_NODE_BUDGET) -> IdentityReport:
+def check_initial_condition(mu_cfg: ParticleConfig) -> IdentityReport:
     """Green's function at t = 0 against the Kronecker delta over the window
     mu_i - 1 .. mu_i + INITIAL_SPAN of each particle."""
     n, m = mu_cfg.n, mu_cfg.m
@@ -328,10 +327,7 @@ def check_initial_condition(mu_cfg: ParticleConfig,
         for p in itertools.combinations(range(1, n + 1), m):
             nu_cfg = ParticleConfig.from_two_species(pos, p)
             expected = 1.0 if (pos == mu and p == mu_cfg.type2_indices) else 0.0
-            val = two_tasep_green(
-                GreenQuery(mu_cfg, nu_cfg, 0.0, tol=1e-12, node_budget=node_budget)
-            )
-            worst = max(worst, abs(val - expected))
+            worst = max(worst, abs(two_tasep_green(GreenQuery(mu_cfg, nu_cfg, 0.0)) - expected))
             count += 1
     return IdentityReport("initial_condition", count, worst, threshold=1e-8)
 
@@ -341,8 +337,7 @@ def _worst(reports) -> IdentityReport:
     return max(reports, key=lambda rep: rep.max_rel_err)
 
 
-def run_identity_suite(seed: int = 20240601, samples: int = 100,
-                       node_budget: int = DEFAULT_NODE_BUDGET) -> list[IdentityReport]:
+def run_identity_suite(seed: int = 20240601, samples: int = 100) -> list[IdentityReport]:
     """Run every check at default sampling; the machine-checkable proof shadow."""
     rng = np.random.default_rng(seed)
     reports = [_worst(
@@ -387,10 +382,5 @@ def run_identity_suite(seed: int = 20240601, samples: int = 100,
     reports.append(_worst(symmetrization))
 
     for positions, type2 in (((0, 1), (1,)), ((-1, 1), (2,))):
-        reports.append(
-            check_initial_condition(
-                ParticleConfig.from_two_species(positions, type2),
-                node_budget=node_budget,
-            )
-        )
+        reports.append(check_initial_condition(ParticleConfig.from_two_species(positions, type2)))
     return reports

@@ -75,7 +75,7 @@ def green_vs_oracle_instance():
     formula = {}
     for pos, p in _window_states(window, 2):
         fin = ParticleConfig.from_two_species(pos, p)
-        formula[(pos, p)] = two_tasep_green(GreenQuery(ini, fin, 1.0, tol=1e-9))
+        formula[(pos, p)] = two_tasep_green(GreenQuery(ini, fin, 1.0))
     return gen, row, formula
 
 
@@ -121,7 +121,6 @@ def test_a4_crossing_consistency():
             ParticleConfig.from_two_species(mu, (1,)),
             ParticleConfig.from_two_species(nu, (3,)),
             t,
-            tol=1e-9,
         )
     )
     worst = max(abs(v_det - v_blocks), abs(v_det - v_green), abs(v_blocks - v_green))

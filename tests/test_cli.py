@@ -226,7 +226,7 @@ class TestVerifyCommand:
 # record must report.
 TABLE_PAYLOADS = [
     ("green", '{"kind":"two_species","mu":[0,1],"p0":[2],"nu":[1,3],"p":[2],"t":1.0}',
-     "quadrature"),
+     "laurent"),
     ("green", '{"kind":"two_species","mu":[0,1],"p0":[1],"nu":[1,2],"p":[2],"t":1.0}',
      "laurent"),
     ("green", '{"kind":"two_species","mu":[0],"p0":[],"nu":[2],"p":[],"t":1.0}', "laurent"),
@@ -371,13 +371,24 @@ class TestExitCodes:
         assert code == 2
 
     def test_resource_cap(self, capsys):
-        # the full path in 5 variables
+        # 2^8 determinants of 9! Leibniz terms each, refused before the first
         code, _ = run_cli(
             capsys, "green", "--json",
-            '{"kind":"two_species","mu":[0,1,2,3],"p0":[2],'
-            '"nu":[1,2,3,5],"p":[2],"t":1.0}',
+            '{"kind":"two_species","mu":[0,1,2,3,4,5,6,7,8],"p0":[2],'
+            '"nu":[1,2,3,4,5,6,7,8,9],"p":[9],"t":1.0}',
         )
         assert code == 4
+
+    def test_five_variable_green_is_evaluated(self, capsys):
+        # the full path in 5 variables, refused by the quadrature route (exit 4)
+        code, out = run_cli(
+            capsys, "green", "--json",
+            '{"kind":"two_species","mu":[0,1,2],"p0":[1,3],"nu":[1,3,4],"p":[2,3],"t":1.0}',
+        )
+        assert code == 0
+        rec = json.loads(out[-1])
+        assert rec["method"] == "laurent"
+        assert abs(rec["value"] - 0.002597375981989935) <= rec["est_error"] + 1e-16
 
     def test_andreief_work_cap(self, capsys):
         # 2^36 row-subset choices, refused before the first
@@ -420,28 +431,27 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("validation error: ") and "must be >= 0 and finite" in err
 
+    # a two-variable integral at q > 0: its first 32^2 grid already exceeds 64 nodes
+    QUADRATURE_PAYLOAD = '{"kind":"rainbow_asep","mu":[1,0],"nu":[0,1],"q":0.5,"t":1.0}'
+
     def test_accuracy_failure_under_tiny_budget(self, capsys):
-        code, _ = run_cli(
-            capsys, "green", "--json",
-            '{"kind":"two_species","mu":[0,1],"p0":[2],"nu":[1,3],"p":[2],"t":1.0}',
-            "--budget", "64",
-        )
+        code, _ = run_cli(capsys, "green", "--json", self.QUADRATURE_PAYLOAD, "--budget", "64")
         assert code == 3
 
     def test_budget_applies_to_one_invocation_only(self, capsys):
-        payload = (
-            '{"kind":"two_species","mu":[0,1],"p0":[2],"nu":[1,3],"p":[2],"t":1.0}'
-        )
-        code, _ = run_cli(capsys, "green", "--json", payload, "--budget", "64")
+        from asepcross.formulas import r_asep_transition
+
+        code, _ = run_cli(capsys, "green", "--json", self.QUADRATURE_PAYLOAD, "--budget", "64")
         assert code == 3
         # 32^2 + 64^2 nodes: converges only if the 64-node cap did not persist
         cp = ContourProduct((ContourSpec(0.0, 0.5), ContourSpec(0.0, 0.5)))
         value, _ = product_integrate(lambda Z: 1.0 / (Z[0] * Z[1]), cp)
         assert abs(value - 1.0) < 1e-12
-        code, out = run_cli(capsys, "green", "--json", payload)
+        code, out = run_cli(capsys, "green", "--json", self.QUADRATURE_PAYLOAD)
         assert code == 0
-        # e^-2 / 2, the window oracle's value for this payload
-        assert abs(json.loads(out[-1])["value"] - 0.06766764161830637) < 1e-9
+        rec = json.loads(out[-1])
+        expected = r_asep_transition((1, 0), (0, 1), 0.5, 1.0)
+        assert (rec["value"], rec["est_error"]) == (float(expected), expected.est_err)
 
 
 class TestOutputs:

@@ -417,9 +417,8 @@ class TestConjugateSymmetric:
 
     def test_evaluators_on_the_bench_cases(self):
         # the contour workload's calls, each integral run on both grids; the
-        # Green's functions with m = 0 or a leftmost type-2 particle and the
-        # two_tasep_crossing, tasep_block_crossing and step calls are exact
-        # moment sums and integrate nothing
+        # Green's functions and the two_tasep_crossing, tasep_block_crossing
+        # and step calls are exact moment sums and integrate nothing
         green = [
             ((0, 1), (1,), (1, 3), (2,), 1.0), ((-1, 0, 1), (1,), (1, 2, 4), (3,), 1.0),
             ((-1, 0, 1), (), (1, 2, 4), (), 1.0), ((0, 1), (2,), (2, 3), (2,), 0.5),
@@ -458,7 +457,7 @@ class TestConjugateSymmetric:
             mp.setattr(formulas, "product_integrate", both)
             for call in calls:
                 call()
-        assert dims == [3, 2, 3, 3, 2, 3, 3, 2]
+        assert dims == [2, 3, 3, 2, 3, 3, 2]
 
 
 class TestBatchedDet:
