@@ -26,6 +26,7 @@ from .core import (
     ResourceLimitError,
     StrictSignature,
     ValidationError,
+    as_int,
 )
 from .formulas import (
     CrossingQuery,
@@ -130,8 +131,9 @@ def _crossing_query(p) -> CrossingQuery:
 
 
 def _wall_query(p) -> WallQuery:
-    return WallQuery(s1=int(p["s1"]), s2=int(p["s2"]), rho=float(p["rho"]),
-                     n=int(p["n"]), m=int(p["m"]), t=float(p["t"]))
+    return WallQuery(s1=as_int(p["s1"], "s1"), s2=as_int(p["s2"], "s2"),
+                     rho=float(p["rho"]), n=as_int(p["n"], "n"), m=as_int(p["m"], "m"),
+                     t=float(p["t"]))
 
 
 # The payload field that picks the formula, and its default, per command.
@@ -147,15 +149,16 @@ EVALUATORS = {
     ("green", "rainbow_asep"): lambda p, tol, budget: r_asep_transition(
         p["mu"], p["nu"], float(p["q"]), float(p["t"]), tol=tol, node_budget=budget),
     ("crossing", "two_species"): lambda p, tol, budget: two_tasep_crossing(
-        p["mu"], p["nu"], int(p["m"]), float(p["t"])),
+        p["mu"], p["nu"], as_int(p["m"], "m"), float(p["t"])),
     ("crossing", "rainbow"): lambda p, tol, budget: rainbow_total_crossing(
         p["mu"], p["nu"], float(p["q"]), float(p["t"]), tol=tol, node_budget=budget),
     ("crossing", "blocks"): lambda p, tol, budget: block_crossing(
         _crossing_query(p), tol=tol, node_budget=budget),
     ("wall", "step"): lambda p, tol, budget: cumulative_crossing_step(
-        p["mu"], int(p["m"]), int(p["s1"]), int(p["s2"]), float(p["t"])),
+        p["mu"], as_int(p["m"], "m"), as_int(p["s1"], "s1"), as_int(p["s2"], "s2"),
+        float(p["t"])),
     ("wall", "gamma"): lambda p, tol, budget: gamma_wall(
-        int(p["n"]), int(p["s"]), float(p["t"])),
+        as_int(p["n"], "n"), as_int(p["s"], "s"), float(p["t"])),
     ("wall", "bernoulli"): lambda p, tol, budget: cumulative_crossing_bernoulli(_wall_query(p)),
     ("wall", "one_wall"): lambda p, tol, budget: cumulative_crossing_one_wall(_wall_query(p)),
 }
@@ -187,7 +190,7 @@ def cmd_simulate(payload, args, started):
     source, event = SIMULATE_TASKS[task]
     samples = 1
     if event is not None:
-        samples = int(payload.get("samples", 100000))
+        samples = as_int(payload.get("samples", 100000), "samples")
         if args.budget is not None:
             samples = min(samples, args.budget)
     fields = {"q": float(payload.get("q", 0.0)), "samples": samples, "seed": args.seed,
@@ -196,12 +199,13 @@ def cmd_simulate(payload, args, started):
         fields["initial"] = ParticleConfig(tuple(payload["positions"]),
                                            tuple(payload["species"]))
     else:
-        fields["bernoulli"] = (float(payload["rho"]), int(payload["m"]), int(payload["n"]))
+        fields["bernoulli"] = (float(payload["rho"]), as_int(payload["m"], "m"),
+                               as_int(payload["n"], "n"))
     if event == "target":
         fields["event"] = ("target", tuple(payload["target_positions"]),
                            tuple(payload["target_species"]))
     elif event == "wall":
-        fields["event"] = ("wall", int(payload["s1"]), int(payload["s2"]))
+        fields["event"] = ("wall", as_int(payload["s1"], "s1"), as_int(payload["s2"], "s2"))
     job = MonteCarloJob(**fields)
     if event is None:
         final = simulate_sample(job)
@@ -218,7 +222,7 @@ def cmd_simulate(payload, args, started):
 
 
 def cmd_verify(payload, args, started):
-    samples = int(payload.get("samples", 100))
+    samples = as_int(payload.get("samples", 100), "samples")
     suite = payload.get("suite", "all")
     if suite not in ("all", "identities", "vertex"):
         raise ValidationError(

@@ -33,6 +33,18 @@ class ResourceLimitError(RuntimeError):
     """A configured cap (factorial, state-space, node budget) was exceeded."""
 
 
+def as_int(value, name: str) -> int:
+    """``value`` as an int; a bool, a non-integral number or a value that
+    is no number is refused with ValidationError, never truncated."""
+    try:
+        i = int(value)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != value or isinstance(value, bool):
+        raise ValidationError(f"{name} must be integral, got {value!r}")
+    return i
+
+
 def _check_int64(values):
     for v in values:
         if abs(int(v)) > INT64_MAX:
@@ -53,8 +65,8 @@ class ParticleConfig:
     species: tuple[int, ...]
 
     def __post_init__(self):
-        pos = tuple(int(x) for x in self.positions)
-        spec = tuple(int(c) for c in self.species)
+        pos = tuple(as_int(x, "positions") for x in self.positions)
+        spec = tuple(as_int(c, "species") for c in self.species)
         if len(pos) != len(spec):
             raise ValidationError("positions and species must have equal length")
         if any(b <= a for a, b in zip(pos, pos[1:])):
@@ -68,8 +80,8 @@ class ParticleConfig:
     @classmethod
     def from_two_species(cls, positions, type2_indices=()):
         """Build a config from positions and the 1-based type-2 index set."""
-        positions = tuple(int(x) for x in positions)
-        p = tuple(int(i) for i in type2_indices)
+        positions = tuple(positions)
+        p = tuple(as_int(i, "type-2 indices") for i in type2_indices)
         if any(b <= a for a, b in zip(p, p[1:])):
             raise ValidationError("type-2 indices must be strictly increasing")
         if p and (p[0] < 1 or p[-1] > len(positions)):
@@ -101,7 +113,7 @@ class StrictSignature:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple(int(x) for x in self.parts)
+        parts = tuple(as_int(x, "signature parts") for x in self.parts)
         if any(b >= a for a, b in zip(parts, parts[1:])):
             raise ValidationError("signature parts must be strictly decreasing")
         _check_int64(parts)

@@ -41,6 +41,7 @@ from .core import (
     ParticleConfig,
     ResourceLimitError,
     ValidationError,
+    as_int,
     signed_permutations,
 )
 from .quadrature import (
@@ -185,8 +186,9 @@ def _check_rates(t: float, q: float = 0.0) -> None:
 
 
 def _strict(values, name: str, decreasing: bool = False) -> list[int]:
-    """``values`` as ints, refused unless strictly increasing (or decreasing)."""
-    values = [int(x) for x in values]
+    """``values`` as ints, refused unless integral and strictly increasing
+    (or decreasing)."""
+    values = [as_int(x, name) for x in values]
     sign = -1 if decreasing else 1
     if any(sign * (b - a) <= 0 for a, b in zip(values, values[1:])):
         order = "decreasing" if decreasing else "increasing"
@@ -221,8 +223,8 @@ def eigenfunction_P(nu, p, t, z, u):
     (the time factor among them, in which the spectral points enter
     symmetrically) are applied once outside the permutation sums.
     """
-    nu = [int(x) for x in nu]
-    p = [int(x) for x in p]
+    nu = [as_int(x, "nu") for x in nu]
+    p = [as_int(x, "p") for x in p]
     n, m = len(nu), len(p)
     Z, finish = spectral_rows(z, n)
     U, _ = spectral_rows(u, m)
@@ -466,7 +468,7 @@ def r_asep_transition(mu, nu, q: float, t: float, tol: float = 1e-10,
     """
     _check_rates(t, q)
     mu = _strict(mu, "mu", decreasing=True)
-    nu = [int(x) for x in nu]
+    nu = [as_int(x, "nu") for x in nu]
     n = len(mu)
     if not n or len(set(nu)) != n:
         raise ValidationError("nu must have len(mu) >= 1 pairwise distinct parts")

@@ -11,10 +11,11 @@ the event whose probability ``run_monte_carlo`` estimates.  ``_simulate``
 takes a job and a uniform stream to a final state; a Bernoulli job draws its
 initial state from the same stream before the jumps.
 ``simulate_sample(job, i)`` returns the final state of sample ``i``.
-``run_monte_carlo`` runs the samples of each chunk in lockstep with numpy,
-drawing each sample's uniforms in ``_simulate``'s order, and hands the rows
-it cannot follow exactly back to ``_simulate``; so the trajectory it counts
-for ``i`` is the one ``simulate_sample(job, i)`` returns.
+``run_monte_carlo`` runs the samples of up to BATCH_CHUNKS consecutive
+chunks in one lockstep with numpy, drawing each sample's uniforms in
+``_simulate``'s order, and hands the rows it cannot follow exactly back to
+``_simulate``; so the trajectory it counts for ``i`` is the one
+``simulate_sample(job, i)`` returns.
 
 Randomness is counter-based: sample ``i`` of a run with seed ``s`` draws its
 uniforms from a Philox stream keyed by (s, chunk(i)) plus a per-sample
@@ -41,11 +42,15 @@ from .core import (
     ParticleConfig,
     ResourceLimitError,
     ValidationError,
+    as_int,
 )
 
 MASK64 = 2**64 - 1
 GOLDEN = 0x9E3779B97F4A7C15
 CHUNK = 1024
+# chunks per lockstep: numpy's per-call cost is paid once for them all, and
+# past four the strided column reads of the uniform buffer leave the cache
+BATCH_CHUNKS = 4
 UNIFORMS_PER_SAMPLE = 96
 STATE_CAP = 200_000
 
@@ -89,12 +94,14 @@ class _UniformStream:
         return v
 
 
-def _chunk_uniforms(seed: int, chunk_index: int, count: int) -> np.ndarray:
-    return _philox(seed, chunk_index, 0).random((count, UNIFORMS_PER_SAMPLE))
+def _chunk_uniforms(seed: int, chunk_index: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (rows, UNIFORMS_PER_SAMPLE) with the first rows of the
+    chunk's uniforms, one row per sample, and return it."""
+    return _philox(seed, chunk_index, 0).random(out=out)
 
 
 def _row_uniforms(seed: int, chunk_index: int, row: int) -> np.ndarray:
-    """Row ``row`` of _chunk_uniforms(seed, chunk_index, CHUNK), drawn alone:
+    """Row ``row`` of the chunk's uniforms (``_chunk_uniforms``), drawn alone:
     each uniform takes one 64-bit output and a Philox4x64 counter step
     yields four, so the row starts row * UNIFORMS_PER_SAMPLE / 4 steps in."""
     return _philox(seed, chunk_index, row * UNIFORMS_PER_SAMPLE // 4).random(UNIFORMS_PER_SAMPLE)
@@ -175,6 +182,7 @@ class MonteCarloJob:
     def __post_init__(self):
         if (self.initial is None) == (self.bernoulli is None):
             raise ValidationError("exactly one of initial/bernoulli is required")
+        object.__setattr__(self, "samples", as_int(self.samples, "samples"))
         if self.samples < 1:
             raise ValidationError("samples must be >= 1")
         if not 0 <= self.horizon < math.inf:
@@ -183,6 +191,8 @@ class MonteCarloJob:
             raise ValidationError("q must be finite and >= 0")
         if self.bernoulli is not None:
             rho, m, n = self.bernoulli
+            m, n = as_int(m, "m"), as_int(n, "n")
+            object.__setattr__(self, "bernoulli", (rho, m, n))
             if not 0 < rho <= 1:
                 raise ValidationError("rho must lie in (0, 1]")
             if not 0 <= m <= n or n < 1:
@@ -262,19 +272,24 @@ def _events_hold(event, positions, species) -> np.ndarray:
     return (ok_1 & ok_2).all(axis=1)
 
 
-def _run_chunk(job: MonteCarloJob, chunk_index: int, count: int) -> int:
-    """Successes among rows 0..count-1 of the chunk, run in lockstep.
+def _run_chunks(job: MonteCarloJob, first_chunk: int, count: int) -> int:
+    """Successes among samples first_chunk * CHUNK + r, r < count, run in
+    one lockstep; count spans at most BATCH_CHUNKS consecutive chunks.
 
-    Every row draws from its own row of the chunk's uniforms in the order of
-    ``_simulate``: the Bernoulli gaps, then one (clock, move) pair per step,
-    so all running rows read the same column.  Rate slot 2k is particle k's
-    step right or swap, 2k + 1 its step left, and absent moves have rate 0:
-    the running sums and the chosen move are those of ``_gillespie_core``.
+    Row r draws from its own row of its chunk's uniforms, each chunk filled
+    into its slice of one buffer from the stream keyed (seed, chunk), in the
+    order of ``_simulate``: the Bernoulli gaps, then one (clock, move) pair
+    per step, so all running rows read the same column.  Rate slot 2k is
+    particle k's step right or swap, 2k + 1 its step left, and absent moves
+    have rate 0: the running sums and the chosen move are those of
+    ``_gillespie_core``.
     A row that would read past its pre-drawn uniforms, draws u == 0 or comes
     within rounding of a decision taken on a logarithm is re-run from
     scratch by ``_simulate`` on its ``_UniformStream``.
     """
-    buf = _chunk_uniforms(job.seed, chunk_index, CHUNK)[:count]
+    buf = np.empty((count, UNIFORMS_PER_SAMPLE))
+    for lo in range(0, count, CHUNK):
+        _chunk_uniforms(job.seed, first_chunk + lo // CHUNK, buf[lo:lo + CHUNK])
     q, horizon = job.q, job.horizon
     retry = np.zeros(count, dtype=bool)
     column = 0
@@ -352,7 +367,7 @@ def _run_chunk(job: MonteCarloJob, chunk_index: int, count: int) -> int:
         species.put(pair, right_of)
         positions.put(cell, positions.take(cell) + ~swap * (1 - 2 * left))
     successes = int(_events_hold(job.event, *map(np.concatenate, zip(*ended))).sum())
-    first = chunk_index * CHUNK
+    first = first_chunk * CHUNK  # only a job's last chunk is partial
     for row in np.nonzero(retry)[0]:
         draw = _UniformStream(buf[row], job.seed, first + int(row))
         successes += _event_holds(job.event, *_simulate(job, draw))
@@ -362,19 +377,26 @@ def _run_chunk(job: MonteCarloJob, chunk_index: int, count: int) -> int:
 def run_monte_carlo(job: MonteCarloJob, threads: int = 1):
     """Estimate the event probability; bit-identical for any thread count.
 
+    The chunks run in batches of at most BATCH_CHUNKS consecutive chunks,
+    one lockstep each; with more than one worker a batch holds at most
+    ceil(chunks / workers) chunks, an even share, so that no worker is left
+    with most of the job.  Each chunk draws from its own stream, so the
+    batching changes no count.
     Returns (estimate, stderr, successes).
     """
     if not job.event:
         raise ValidationError("run_monte_carlo needs an event")
-    chunks = [(ci, min(CHUNK, job.samples - ci * CHUNK))
-              for ci in range(-(-job.samples // CHUNK))]
+    chunks = -(-job.samples // CHUNK)
     # a pool starts all its workers at once: no more than chunks or cores
-    workers = min(threads, len(chunks), os.cpu_count() or 1)
+    workers = min(threads, chunks, os.cpu_count() or 1)
+    size = min(BATCH_CHUNKS, -(-chunks // max(workers, 1)))
+    batches = [(ci, min(size * CHUNK, job.samples - ci * CHUNK))
+               for ci in range(0, chunks, size)]
     if workers <= 1:
-        successes = sum(_run_chunk(job, ci, cnt) for ci, cnt in chunks)
+        successes = sum(_run_chunks(job, ci, cnt) for ci, cnt in batches)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_chunk, job, ci, cnt) for ci, cnt in chunks]
+            futures = [pool.submit(_run_chunks, job, ci, cnt) for ci, cnt in batches]
             successes = sum(f.result() for f in futures)
     phat = successes / job.samples
     stderr = math.sqrt(phat * (1.0 - phat) / job.samples)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, ValidationError, signed_permutations
+from .core import ConfigurationError, ValidationError, as_int, signed_permutations
 from .quadrature import (
     ContourProduct,
     ContourSpec,
@@ -414,7 +414,7 @@ def f_mu(mu, z, q, s):
     through the stability relation: shifting all parts by k multiplies the
     value by prod_i ((z_i-s)/(1-s*z_i))^k.
     """
-    mu = [int(x) for x in mu]
+    mu = [as_int(x, "mu") for x in mu]
     n = len(mu)
     Z, finish = spectral_rows(z, n)
     shift = max(0, -min(mu)) if mu else 0
@@ -437,8 +437,8 @@ def G_mu_nu(mu, nu, ys, q, s):
     Zero unless mu_i >= nu_i componentwise; an empty alphabet gives the
     Kronecker delta.
     """
-    mu = [int(x) for x in mu]
-    nu = [int(x) for x in nu]
+    mu = [as_int(x, "mu") for x in mu]
+    nu = [as_int(x, "nu") for x in nu]
     if len(mu) != len(nu):
         raise ValidationError("mu and nu must have equal length")
     ys = list(ys)
@@ -504,7 +504,7 @@ def _symmetrize(X, pair, ratio, lam):
 
 def sfF_lambda(lam, u, q):
     """Permutation sum F_lambda over a strict signature (Hall-Littlewood type)."""
-    lam = [int(x) for x in lam]
+    lam = [as_int(x, "lam") for x in lam]
     if any(b >= a for a, b in zip(lam, lam[1:])):
         raise ValidationError("lambda must be strictly decreasing")
     U, finish = spectral_rows(u, len(lam))
@@ -514,7 +514,7 @@ def sfF_lambda(lam, u, q):
 
 def xi_mu(mu, u, q):
     """prod_j ((1 - q u_j)/(1 - u_j))^(mu_j)."""
-    mu = [int(x) for x in mu]
+    mu = [as_int(x, "mu") for x in mu]
     U, finish = spectral_rows(u, len(mu))
     out = 1.0
     for j, m in enumerate(mu):
@@ -563,8 +563,8 @@ def discrete_transition(mu, nu, ys, q, s):
     ``mu`` must be weakly decreasing.  Equals (-s)^(|nu|-|mu|) G_mu/nu(ys)
     and is cross-checked against the lattice contraction in the test suite.
     """
-    mu = [int(x) for x in mu]
-    nu = [int(x) for x in nu]
+    mu = [as_int(x, "mu") for x in mu]
+    nu = [as_int(x, "nu") for x in nu]
     n = len(mu)
     if any(b > a for a, b in zip(mu, mu[1:])):
         raise ValidationError("mu must be weakly decreasing")

@@ -354,6 +354,22 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("validation error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, payload", [
+        ("wall", '{"form":"one_wall","s1":-3.7,"s2":2,"rho":0.5,"n":2,"m":1,"t":2.0}'),
+        ("simulate", '{"task":"estimate_wall","rho":0.5,"n":2,"m":1,"s1":-3,"s2":2,'
+                     '"t":2.0,"samples":2000.5}'),
+        ("simulate", '{"task":"estimate_wall","rho":0.5,"n":2,"m":1,"s1":-3,"s2":2,'
+                     '"t":2.0,"samples":true}'),
+        ("green", '{"kind":"two_species","mu":[0,1.5],"nu":[1,3],"t":1.0}'),
+        ("wall", '{"form":"gamma","n":2.0,"s":3.5,"t":1.0}'),
+    ], ids=["wall_s1", "simulate_samples", "simulate_samples_bool", "green_mu", "gamma_s"])
+    def test_non_integral_field_is_validation_error(self, capsys, command, payload):
+        # int() would floor -3.7 to -3 and 2000.5 to 2000, and read true as 1
+        code = main([command, "--json", payload])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("validation error: ") and "must be integral" in err
+
     @pytest.mark.parametrize("form", ["bernoulli", "one_wall"])
     def test_long_wall_overflow_is_accuracy_error(self, capsys, form):
         code, _ = run_cli(

@@ -41,6 +41,24 @@ class TestParticleConfig:
         with pytest.raises(ValidationError):
             ParticleConfig.from_two_species((0, 1), (3,))
 
+    @pytest.mark.parametrize("positions, species", [
+        ((0, 1.5), (1, 1)), ((0, 1), (1, 1.5)), ((0, 1), (1, True)), ((0, math.nan), (1, 1)),
+        ((0, math.inf), (1, 1)), ((0, "1"), (1, 1)),
+    ], ids=["fractional_position", "fractional_species", "bool_species", "nan", "inf", "str"])
+    def test_non_integral_data_refused(self, positions, species):
+        # int() would floor 1.5 to 1 and read True as 1
+        with pytest.raises(ValidationError, match="must be integral"):
+            ParticleConfig(positions, species)
+
+    def test_integral_floats_accepted(self):
+        cfg = ParticleConfig((0.0, 2.0), (1.0, 2))
+        assert cfg.positions == (0, 2) and cfg.species == (1, 2)
+        assert all(type(x) is int for x in cfg.positions + cfg.species)
+
+    def test_non_integral_type2_index_refused(self):
+        with pytest.raises(ValidationError, match="must be integral"):
+            ParticleConfig.from_two_species((0, 1, 2), (1.5,))
+
     def test_int64_guard(self):
         with pytest.raises(ValidationError):
             ParticleConfig((2**63,), (1,))
@@ -68,6 +86,8 @@ class TestSignatures:
             StrictSignature((3, 3))
         with pytest.raises(ValidationError):
             StrictSignature((1, 2))
+        with pytest.raises(ValidationError, match="must be integral"):
+            StrictSignature((3, 0.5))
 
     def test_block_vector_orientations(self):
         make_blocks([[5, 3], [1, 0]], "initial")

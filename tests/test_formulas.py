@@ -1003,6 +1003,20 @@ class TestNonFiniteRates:
             gamma_wall(2, 5, x)
 
 
+class TestNonIntegralData:
+    """Lattice data that are not integers are refused, never floored."""
+
+    def test_schutz(self):
+        with pytest.raises(ValidationError, match="mu must be integral"):
+            schutz_determinant((0, 1.5), (1, 3), 1.0)
+        with pytest.raises(ValidationError, match="nu must be integral"):
+            schutz_determinant((0, 1), (1, True), 1.0)
+
+    def test_rainbow_final_state(self):
+        with pytest.raises(ValidationError, match="nu must be integral"):
+            r_asep_transition((1, 0), (0, 2.5), 0.5, 1.0)
+
+
 class TestResult:
     def test_quadrature_result_carries_measured_error(self):
         val = rainbow_total_crossing((1, 0), (1, 2), 0.5, 1.0, tol=1e-10)

@@ -16,7 +16,9 @@ from asepcross.core import (
     ValidationError,
 )
 from asepcross.oracle import (
+    BATCH_CHUNKS,
     CHUNK,
+    UNIFORMS_PER_SAMPLE,
     MonteCarloJob,
     build_window_generator,
     expm_transition,
@@ -90,7 +92,7 @@ class TestGillespie:
 
     @pytest.mark.parametrize("chunk", [0, 3])
     def test_single_row_draw_equals_chunk_row(self, chunk):
-        full = _chunk_uniforms(5, chunk, CHUNK)
+        full = _chunk_uniforms(5, chunk, np.empty((CHUNK, UNIFORMS_PER_SAMPLE)))
         for row in (0, 1, 7, 500, 1023):
             assert np.array_equal(_row_uniforms(5, chunk, row), full[row])
 
@@ -153,6 +155,22 @@ class TestMonteCarloJob:
         with pytest.raises(ValidationError):
             _job((0, 1), (1, 1), 0.0, 1.0, event=event)
 
+    @pytest.mark.parametrize("samples, bernoulli", [
+        (2000.5, (0.5, 1, 2)), (True, (0.5, 1, 2)), (10, (0.5, 1.5, 2)), (10, (0.5, 1, True)),
+    ], ids=["fractional_samples", "bool_samples", "fractional_m", "bool_n"])
+    def test_non_integral_counts_refused(self, samples, bernoulli):
+        with pytest.raises(ValidationError, match="must be integral"):
+            MonteCarloJob(q=0.0, horizon=1.0, samples=samples, seed=0, bernoulli=bernoulli)
+
+    def test_integral_float_counts_are_ints(self):
+        job = MonteCarloJob(q=0.0, horizon=1.0, samples=2000.0, seed=0,
+                            bernoulli=(0.5, 1.0, 2.0), event=("wall", -3, 2))
+        assert job.samples == 2000 and job.bernoulli == (0.5, 1, 2)
+        assert type(job.samples) is int and all(type(x) is int for x in job.bernoulli[1:])
+        assert run_monte_carlo(job) == run_monte_carlo(
+            MonteCarloJob(q=0.0, horizon=1.0, samples=2000, seed=0,
+                          bernoulli=(0.5, 1, 2), event=("wall", -3, 2)))
+
     def test_run_needs_an_event(self):
         with pytest.raises(ValidationError):
             run_monte_carlo(_job((0,), (1,), 0.0, 1.0, samples=10))
@@ -192,15 +210,25 @@ class TestGoldenCounts:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_sample_is_the_counted_trajectory(self, shape, seed):
         # indices 1020..1030 straddle the first chunk boundary
-        lo, hi = 1020, 1031
-        counted = (run_monte_carlo(GOLDEN_JOBS[shape](seed, hi))[2]
-                   - run_monte_carlo(GOLDEN_JOBS[shape](seed, lo))[2])
-        job = GOLDEN_JOBS[shape](seed, hi)
-        held = 0
-        for i in range(lo, hi):
-            final = simulate_sample(job, i)
-            held += _event_holds(job.event, final.positions, final.species)
-        assert held == counted
+        _assert_samples_are_counted(GOLDEN_JOBS[shape], seed, 1020, 1031)
+
+    @pytest.mark.parametrize("shape", sorted(GOLDEN_JOBS))
+    def test_sample_is_the_counted_trajectory_across_a_batch(self, shape):
+        # indices 4090..4101 straddle the first batch boundary
+        edge = BATCH_CHUNKS * CHUNK
+        _assert_samples_are_counted(GOLDEN_JOBS[shape], 1, edge - 6, edge + 6)
+
+
+def _assert_samples_are_counted(make_job, seed, lo, hi):
+    """simulate_sample(job, i) holds the event for as many i in [lo, hi) as
+    run_monte_carlo counts among them."""
+    counted = run_monte_carlo(make_job(seed, hi))[2] - run_monte_carlo(make_job(seed, lo))[2]
+    job = make_job(seed, hi)
+    held = 0
+    for i in range(lo, hi):
+        final = simulate_sample(job, i)
+        held += _event_holds(job.event, final.positions, final.species)
+    assert held == counted
 
 
 def _scalar_successes(job):
@@ -208,7 +236,7 @@ def _scalar_successes(job):
     on its own row of the chunk uniforms."""
     held = 0
     for chunk in range(-(-job.samples // CHUNK)):
-        buf = oracle._chunk_uniforms(job.seed, chunk, CHUNK)
+        buf = oracle._chunk_uniforms(job.seed, chunk, np.empty((CHUNK, UNIFORMS_PER_SAMPLE)))
         for row in range(min(CHUNK, job.samples - chunk * CHUNK)):
             draw = _UniformStream(buf[row], job.seed, chunk * CHUNK + row)
             held += _event_holds(job.event, *_simulate(job, draw))
@@ -216,7 +244,7 @@ def _scalar_successes(job):
 
 
 def _count_scalar_runs(monkeypatch):
-    """Count the rows that ``_run_chunk`` hands to the scalar ``_simulate``."""
+    """Count the rows that ``_run_chunks`` hands to the scalar ``_simulate``."""
     runs = []
 
     def counted(job, draw, events=None):
@@ -254,6 +282,13 @@ class TestBatchedCounts:
             job = BATCHED_JOBS[shape](seed, 1030)
             assert run_monte_carlo(job)[2] == _scalar_successes(job), seed
 
+    @pytest.mark.parametrize("samples", [4 * CHUNK + 6, 9 * CHUNK])
+    @pytest.mark.parametrize("shape", ["wall_q0", "target_q03_n3"])
+    def test_counts_across_batches_equal_the_scalar_path(self, shape, samples):
+        # two batches with a partial last chunk, and three with a lone chunk
+        job = BATCHED_JOBS[shape](2, samples)
+        assert run_monte_carlo(job)[2] == _scalar_successes(job)
+
     @pytest.mark.parametrize("bernoulli", [False, True])
     @pytest.mark.parametrize("seed", range(3))
     def test_long_horizon_counts_equal_the_scalar_path(self, seed, bernoulli):
@@ -264,6 +299,15 @@ class TestBatchedCounts:
         runs = _count_scalar_runs(monkeypatch)
         run_monte_carlo(_long_horizon_job(1, 1030))
         assert len(runs) > 700
+
+    def test_retried_rows_keep_their_sample_index(self, monkeypatch):
+        # the second batch starts at sample 4 * CHUNK: a row it hands back
+        # must draw its overflow uniforms under its own sample index
+        job = _long_horizon_job(1, BATCH_CHUNKS * CHUNK + 6)
+        runs = _count_scalar_runs(monkeypatch)
+        run_monte_carlo(job)
+        assert len(set(runs)) == len(runs) and set(runs) <= set(range(job.samples))
+        assert any(i >= BATCH_CHUNKS * CHUNK for i in runs)
 
     def test_zero_and_integer_gap_uniforms_fall_back(self, monkeypatch):
         # u == 0 makes the scalar path draw again: in a Bernoulli gap
@@ -310,8 +354,9 @@ class TestBatchedCounts:
         assert len(runs) == 50
 
     def test_two_workers_give_the_same_counts(self):
-        job = BATCHED_JOBS["wall_q0"](5, 2100)
-        assert run_monte_carlo(job, threads=1) == run_monte_carlo(job, threads=2)
+        for samples in (2100, 9 * CHUNK):
+            job = BATCHED_JOBS["wall_q0"](5, samples)
+            assert run_monte_carlo(job, threads=1) == run_monte_carlo(job, threads=2)
 
     @pytest.mark.parametrize("threads, cores, workers", [
         (1000, 8, [3]),  # no more workers than the job's 3 chunks
@@ -321,30 +366,62 @@ class TestBatchedCounts:
     ])
     def test_worker_count_is_bounded(self, monkeypatch, threads, cores, workers):
         # a pool starts all its workers at once, so none is started here:
-        # the stand-in pool records its size and runs each chunk inline
+        # the stand-in pool records its size and runs each batch inline
         started = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
         job = BATCHED_JOBS["wall_q0"](5, 2100)
         serial = run_monte_carlo(job, threads=1)
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", _inline_pool(started))
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: cores)
         assert run_monte_carlo(job, threads=threads) == serial
         assert started == workers
+
+    @pytest.mark.parametrize("threads, firsts", [
+        (1, [0, 4, 8]),  # inline: BATCH_CHUNKS chunks per lockstep
+        (2, [0, 4, 8]),  # an even share, 5 chunks, exceeds BATCH_CHUNKS
+        (4, [0, 3, 6, 9]),  # an even share of 10 chunks over 4 workers is 3
+        (8, [0, 2, 4, 6, 8]),
+    ])
+    def test_lockstep_rows_are_bounded(self, monkeypatch, threads, firsts):
+        # 10 chunks, the last one partial; each batch runs inline
+        job = BATCHED_JOBS["wall_q0"](5, 9 * CHUNK + 6)
+        serial = run_monte_carlo(job, threads=1)
+        batches = []
+        run_chunks = oracle._run_chunks
+
+        def recorded(job, first_chunk, count):
+            batches.append((first_chunk, count))
+            return run_chunks(job, first_chunk, count)
+
+        monkeypatch.setattr(oracle, "_run_chunks", recorded)
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", _inline_pool([]))
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 8)
+        assert run_monte_carlo(job, threads=threads) == serial
+        assert [first for first, _ in batches] == firsts
+        assert max(count for _, count in batches) <= BATCH_CHUNKS * CHUNK
+        ends = [first * CHUNK + count for first, count in batches]
+        assert ends == [first * CHUNK for first in firsts[1:]] + [job.samples]
+
+
+def _inline_pool(started):
+    """A stand-in for ProcessPoolExecutor that appends its size to ``started``
+    and runs each submitted call inline."""
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    return InlinePool
 
 
 class TestWindowGenerator:

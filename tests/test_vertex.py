@@ -452,6 +452,18 @@ class TestSymmetricFunctions:
             worst = max(worst, abs(a - b) / max(1.0, abs(b)))
         assert worst < 1e-10
 
+    @pytest.mark.parametrize("call", [
+        lambda: f_mu([1.5, 0], [0.3, 0.4], Q, S),
+        lambda: G_mu_nu([2, 0], [True, 0], [0.3], 2.0, 0.6),
+        lambda: sfF_lambda([2.5], [0.4], 0.6),
+        lambda: xi_mu([0.5], [0.4], 0.6),
+        lambda: discrete_transition([2, 0.5], [2, 0], [0.3], 2.0, 0.6),
+    ], ids=["f_mu", "G_mu_nu", "sfF_lambda", "xi_mu", "discrete_transition"])
+    def test_non_integral_parts_refused(self, call):
+        # int() would floor 1.5 to 1 and read True as 1
+        with pytest.raises(ValidationError, match="must be integral"):
+            call()
+
     def test_coincident_points_rejected(self):
         with pytest.raises(ConfigurationError):
             sfF_lambda([1, 0], [0.4, 0.4 + 1e-12], 0.5)
