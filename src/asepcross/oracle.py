@@ -30,11 +30,9 @@ import functools
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.random.bit_generator import ISeedSequence
 
 from .core import (
@@ -374,14 +372,24 @@ def _run_chunks(job: MonteCarloJob, first_chunk: int, count: int) -> int:
     return successes
 
 
+def ProcessPoolExecutor(max_workers):
+    """concurrent.futures' process pool, imported only when a run starts a
+    pool: a one-worker run never loads multiprocessing.  Tests replace this
+    name with an inline stand-in."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
 def run_monte_carlo(job: MonteCarloJob, threads: int = 1):
     """Estimate the event probability; bit-identical for any thread count.
 
     The chunks run in batches of at most BATCH_CHUNKS consecutive chunks,
     one lockstep each; with more than one worker a batch holds at most
     ceil(chunks / workers) chunks, an even share, so that no worker is left
-    with most of the job.  Each chunk draws from its own stream, so the
-    batching changes no count.
+    with most of the job, and the pool starts no more workers than there
+    are batches.  Each chunk draws from its own stream, so the batching
+    changes no count.
     Returns (estimate, stderr, successes).
     """
     if not job.event:
@@ -395,7 +403,7 @@ def run_monte_carlo(job: MonteCarloJob, threads: int = 1):
     if workers <= 1:
         successes = sum(_run_chunks(job, ci, cnt) for ci, cnt in batches)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
             futures = [pool.submit(_run_chunks, job, ci, cnt) for ci, cnt in batches]
             successes = sum(f.result() for f in futures)
     phat = successes / job.samples
@@ -526,6 +534,8 @@ def build_window_generator(
     lexicographic order; ``_window_jumps`` builds the jumps from arrays.  A
     window of more than STATE_CAP states is refused with ResourceLimitError.
     """
+    import scipy.sparse as sp
+
     a, b = int(window[0]), int(window[1])
     if not all(a <= x <= b for x in particles.positions):
         raise ValidationError("initial positions must lie inside the window")
@@ -573,6 +583,8 @@ def transition_row(gen: WindowGenerator, mu: ParticleConfig, t: float) -> np.nda
     bound w_{k+1} / (1 - lam t / (k + 2)) on the remaining weights is below
     1e-15.
     """
+    import scipy.sparse as sp
+
     if not 0 <= t < math.inf:
         raise ValidationError(f"time must be >= 0 and finite, got {t!r}")
     D = gen.size

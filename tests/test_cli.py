@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -494,3 +499,43 @@ class TestOutputs:
         content = csv_path.read_text().splitlines()
         assert content[0].startswith("command,")
         assert content[1].startswith("green,")
+
+
+# Run in a fresh interpreter: the rest of the suite loads scipy.
+COLD_START = textwrap.dedent("""
+    import contextlib, io, sys
+    from asepcross import cli
+    from asepcross.core import ModelParams, ParticleConfig
+    from asepcross.oracle import MonteCarloJob, build_window_generator, run_monte_carlo, simulate_sample
+
+    heavy = ("scipy", "concurrent.futures.process")
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [
+            cli.main(["crossing", "--json",
+                      '{"kind":"two_species","mu":[0,1],"nu":[1,3],"m":1,"t":1.0}']),
+            cli.main(["crossing", "--json",
+                      '{"kind":"rainbow","mu":[1,0],"nu":[1,2],"q":0.5,"t":1.0}']),
+            cli.main(["verify", "--json", '{"suite":"all"}']),
+        ]
+    assert codes == [0, 0, 0], codes
+    job = MonteCarloJob(q=0.5, horizon=1.0, samples=2000, seed=3,
+                        initial=ParticleConfig((0, 1), (1, 2)),
+                        event=("target", (1, 2), (1, 2)))
+    run_monte_carlo(job, threads=1)
+    simulate_sample(job, 7)
+    print(sorted(m for m in heavy if m in sys.modules))
+    build_window_generator(ParticleConfig((0,), (1,)), (0, 2), ModelParams(q=0.0))
+    print("scipy.sparse" in sys.modules)
+""")
+
+
+class TestColdStart:
+    def test_no_command_loads_scipy_or_the_process_pool(self):
+        # scipy.sparse serves only the window oracle and the process pool
+        # only a run with more than one worker; a CLI call pays for neither
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        run = subprocess.run([sys.executable, "-c", COLD_START], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == ["[]", "True"]

@@ -375,17 +375,17 @@ class TestBatchedCounts:
         assert run_monte_carlo(job, threads=threads) == serial
         assert started == workers
 
-    @pytest.mark.parametrize("threads, firsts", [
-        (1, [0, 4, 8]),  # inline: BATCH_CHUNKS chunks per lockstep
-        (2, [0, 4, 8]),  # an even share, 5 chunks, exceeds BATCH_CHUNKS
-        (4, [0, 3, 6, 9]),  # an even share of 10 chunks over 4 workers is 3
-        (8, [0, 2, 4, 6, 8]),
+    @pytest.mark.parametrize("threads, firsts, pools", [
+        (1, [0, 4, 8], []),  # inline: BATCH_CHUNKS chunks per lockstep
+        (2, [0, 4, 8], [2]),  # an even share, 5 chunks, exceeds BATCH_CHUNKS
+        (4, [0, 3, 6, 9], [4]),  # an even share of 10 chunks over 4 workers is 3
+        (8, [0, 2, 4, 6, 8], [5]),  # no idle workers: one per batch
     ])
-    def test_lockstep_rows_are_bounded(self, monkeypatch, threads, firsts):
+    def test_lockstep_rows_are_bounded(self, monkeypatch, threads, firsts, pools):
         # 10 chunks, the last one partial; each batch runs inline
         job = BATCHED_JOBS["wall_q0"](5, 9 * CHUNK + 6)
         serial = run_monte_carlo(job, threads=1)
-        batches = []
+        batches, started = [], []
         run_chunks = oracle._run_chunks
 
         def recorded(job, first_chunk, count):
@@ -393,9 +393,10 @@ class TestBatchedCounts:
             return run_chunks(job, first_chunk, count)
 
         monkeypatch.setattr(oracle, "_run_chunks", recorded)
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", _inline_pool([]))
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", _inline_pool(started))
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 8)
         assert run_monte_carlo(job, threads=threads) == serial
+        assert started == pools
         assert [first for first, _ in batches] == firsts
         assert max(count for _, count in batches) <= BATCH_CHUNKS * CHUNK
         ends = [first * CHUNK + count for first, count in batches]
