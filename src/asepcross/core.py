@@ -9,11 +9,13 @@ the type-2 particles.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 FACTORIAL_CAP = 9
+SHARED_PERMUTATIONS = 6  # signed_permutations builds N <= 6 (720 terms) once
 INT64_MAX = 2**63 - 1
 
 
@@ -181,16 +183,18 @@ class ModelParams:
             raise ValidationError(f"q must be >= 0 and finite, got {self.q!r}")
 
 
-def signed_permutations(N: int) -> list[tuple[tuple[int, ...], int]]:
+def signed_permutations(N: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """All permutations of {0, .., N-1} in lexicographic order with their
-    signs, as a list reused across mesh nodes.
+    signs, as an immutable sequence reused across mesh nodes.
 
     The signs come with the order: a permutation whose first image is v
     has v inversions more than the permutation of the remaining values
     after it, so the sign list of N repeats that of N - 1 once per v,
-    negated for odd v.  Raises ResourceLimitError when N exceeds
-    FACTORIAL_CAP, which guards every permutation-sum evaluator against
-    accidental blowups.
+    negated for odd v.  Each N up to SHARED_PERMUTATIONS is built once and
+    shared by every call; larger ones are built fresh, so no list of
+    thousands of terms stays in memory.  Raises ResourceLimitError when N
+    exceeds FACTORIAL_CAP, which guards every permutation-sum evaluator
+    against accidental blowups.
     """
     if N < 0:
         raise ValidationError("N must be nonnegative")
@@ -198,8 +202,14 @@ def signed_permutations(N: int) -> list[tuple[tuple[int, ...], int]]:
         raise ResourceLimitError(
             f"permutation sum of size {N} exceeds the factorial cap {FACTORIAL_CAP}"
         )
+    return _shared_permutations(N) if N <= SHARED_PERMUTATIONS else _permutations(N)
+
+
+def _permutations(N: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     signs = [1]
     for n in range(2, N + 1):
         signs = [-s if v % 2 else s for v in range(n) for s in signs]
-    return list(zip(itertools.permutations(range(N)), signs))
+    return tuple(zip(itertools.permutations(range(N)), signs))
 
+
+_shared_permutations = functools.cache(_permutations)

@@ -56,7 +56,7 @@ from .quadrature import (
     residue_moments,
     spectral_rows,
 )
-from .vertex import f_mu, sfF_lambda, xi_mu
+from .vertex import _Lattice, f_mu, sfF_lambda, xi_mu
 
 Z_RADIUS = 0.45
 W_RADIUS = 0.55
@@ -478,10 +478,11 @@ def r_asep_transition(mu, nu, q: float, t: float, tol: float = 1e-10,
         _strict(nu, "at q = 0, nu")
         return rainbow_total_crossing(mu, nu, q, t)
     rq = q**-0.5
+    lattice = _Lattice(nu)  # one row plan for every grid block
 
     def integrand(Z):
         out = _around_one(Z, q, t, mu, [(1.0 - q * z) / z for z in Z])
-        return out * f_mu(nu, OpenGrid(rq / z for z in Z), q, rq)
+        return out * f_mu(lattice, OpenGrid(rq / z for z in Z), q, rq)
 
     try:
         scale = (-1) ** n * (-rq) ** sum(nu)
@@ -745,17 +746,23 @@ def _andreief(scale: float, t: float, exponent: int, rho: float, s2: int, m: int
     z = RationalExpDescriptor(t, ((1.0, exponent), (1.0 - rho, -1), (0.0, -s2 - m + 1)))
     h, hs = residue_moments(z, (0.0, 1.0, 1.0 - rho), 0, 2 * m + k - 2) if m else ((), ())
     perms = signed_permutations(m)
-    dets: dict[tuple[int, ...], tuple[complex, float]] = {}
     terms: dict[tuple[int, ...], tuple[complex, float]] = {}
-    for rows in itertools.product(itertools.product((0, 1), repeat=k), repeat=m):
-        shift = tuple(k - sum(row) for row in rows)  # row a reads h[a + b + shift[a]]
-        if shift not in dets:
-            dets[shift] = _det_and_permanent(perms, [
-                [(h[a + b + shift[a]], hs[a + b + shift[a]]) for b in range(m)] for a in range(m)])
-        det, per = dets[shift]
-        key = tuple(map(sum, zip(*rows, (0,) * k)))
-        value, size = terms.get(key, (0.0, 0.0))
-        terms[key] = (value + (-det if (m * k - sum(shift)) % 2 else det), size + per)
+    if m == 1:  # one row: its subset T is the monomial, its 1 x 1 det h[k - |T|]
+        for row in itertools.product((0, 1), repeat=k):
+            r = sum(row)
+            terms[row] = (-h[k - r] if r % 2 else h[k - r], hs[k - r])
+    else:
+        dets: dict[tuple[int, ...], tuple[complex, float]] = {}
+        for rows in itertools.product(itertools.product((0, 1), repeat=k), repeat=m):
+            shift = tuple(k - sum(row) for row in rows)  # row a reads h[a + b + shift[a]]
+            if shift not in dets:
+                dets[shift] = _det_and_permanent(perms, [
+                    [(h[a + b + shift[a]], hs[a + b + shift[a]]) for b in range(m)]
+                    for a in range(m)])
+            det, per = dets[shift]
+            key = tuple(map(sum, zip(*rows, (0,) * k)))
+            value, size = terms.get(key, (0.0, 0.0))
+            terms[key] = (value + (-det if (m * k - sum(shift)) % 2 else det), size + per)
     border = [[(v, k - 1 - j, beta) for j in range(k)] for v in w]
     return _moment_determinants(scale * (-1) ** (m * (m - 1) // 2), [border] if w else [],
                                 terms)

@@ -26,7 +26,12 @@ handles integrands g of rational-times-exponential form exactly:
 ``residue_moments`` returns the moment table of g, the residue sums
 M(e) = Σ_p Res_{z=p} g(z)·z^e for a range of e with their sizes Σ_p |Res|,
 from one Taylor series per pole; ``laurent_residue`` (one pole, e = 0) is
-read off it.
+read off it.  The routes' tables are small (pole orders 1 to 8), so their
+cost is mostly fixed work per call.  A simple pole needs no series: its
+residue is the value of the other factors, a product of scalars.  Longer
+series are multiplied by ``np.convolve``: an interpreted O(order²) product
+beats its fixed cost only up to about 3 terms, and at pole order 4,000
+takes about a hundred times as long.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -411,19 +415,9 @@ class RationalExpDescriptor:
     factors: tuple[tuple[complex, int], ...] = ()
 
     def __post_init__(self):
-        merged: dict[complex, int] = {}
-        for point, expo in self.factors:
-            if expo != int(expo):
-                raise ValidationError("factor exponents must be integers")
-            point = complex(point)
-            for known in merged:
-                if abs(known - point) < SAME_POINT:
-                    point = known
-                    break
-            merged[point] = merged.get(point, 0) + int(expo)
-        object.__setattr__(
-            self, "factors", tuple((p, e) for p, e in merged.items() if e != 0)
-        )
+        if any(expo != int(expo) for _, expo in self.factors):
+            raise ValidationError("factor exponents must be integers")
+        object.__setattr__(self, "factors", _merged(self.factors))
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
@@ -431,6 +425,20 @@ class RationalExpDescriptor:
         for point, expo in self.factors:
             out = out * (z - point) ** expo
         return out
+
+
+def _merged(factors) -> tuple[tuple[complex, int], ...]:
+    """The (point, exponent) ``factors`` with each point within SAME_POINT
+    of an earlier one merged into it, and exponents that sum to 0 dropped."""
+    merged: dict[complex, int] = {}
+    for point, expo in factors:
+        point = complex(point)
+        for known in merged:
+            if abs(known - point) < SAME_POINT:
+                point = known
+                break
+        merged[point] = merged.get(point, 0) + int(expo)
+    return tuple((p, e) for p, e in merged.items() if e != 0)
 
 
 def _binomial_series(shift: complex, exponent: int, length: int) -> list[complex]:
@@ -481,21 +489,21 @@ def residue_moments(
     pole order of g·z^lo at p, the residue is the coefficient of x^(b-1) in
     the product of the other factors, each expanded to length b.  At p = 0
     the power z^(e-lo) lowers b by e - lo, so the residue for e is
-    coefficient b - 1 - (e - lo) of the same series; at p != 0 the series is
-    combined with (p + x)^(e-lo), whose coefficients the loop carries from
-    one e to the next.  A pole order above ORDER_CAP (at the origin, that of
-    g·z^lo) is refused with ResourceLimitError before any series is built.
+    coefficient b - 1 - (e - lo) of the same series; at p != 0 it is
+    coefficient b - 1 of the series times (p + x)^(e-lo), and one step of
+    that recursion, times (p + x), turns the top coefficients for e into
+    those for e + 1.  The z^lo is merged into the factor at 0 as
+    RationalExpDescriptor merges its points.  A pole order above ORDER_CAP (at
+    the origin, that of g·z^lo) is refused with ResourceLimitError before
+    any series is built.
     """
-    if lo:
-        descriptor = RationalExpDescriptor(
-            descriptor.exp_coeff, descriptor.factors + ((0.0, lo),)
-        )
+    factors = _merged(descriptor.factors + ((0.0, lo),)) if lo else descriptor.factors
     size = hi - lo + 1
     moments, sizes = [0j] * size, [0.0] * size
     for at in _distinct(points):
         order = 0
         rest = []
-        for point, expo in descriptor.factors:
+        for point, expo in factors:
             if abs(point - at) < SAME_POINT:
                 order = -expo
             else:
@@ -504,24 +512,35 @@ def residue_moments(
             continue
         if order > ORDER_CAP:
             raise ResourceLimitError(f"pole order {order} exceeds the cap {ORDER_CAP}")
-        # exp(a x) = sum c_k x^k with c_k = c_{k-1} a / k: no a^k or k! to overflow;
-        # e^(a(p-1)) comes last, so underflow times overflow is NaN, not a silent 0
-        series = [1.0 + 0.0j]
-        for k in range(1, order):
-            series.append(series[-1] * descriptor.exp_coeff / k)
-        scale = complex(np.exp(descriptor.exp_coeff * (at - 1.0)))
-        series = np.array([c * scale for c in series])
-        for point, expo in rest:
-            series = np.convolve(series, _binomial_series(at - point, expo, order))[:order]
-        backward = series[::-1].tolist()
-        if abs(at) < SAME_POINT:
-            residues = backward[:size]
+        try:
+            scale = cmath.exp(descriptor.exp_coeff * (at - 1.0))
+        except OverflowError:
+            scale = complex(math.inf, math.inf)  # non-finite: refused below
+        if order == 1:  # a simple pole: the residue is the other factors' value
+            for point, expo in rest:
+                scale *= _binomial_series(at - point, expo, 1)[0]
+            series = [scale]
         else:
-            residues = []
-            power = [1.0 + 0.0j] + [0j] * (order - 1)  # (at + x)^(e-lo), truncated
-            for _ in range(size):
-                residues.append(sum(map(operator.mul, power, backward)))
-                power = [at * power[0]] + [at * a + b for a, b in zip(power[1:], power)]
+            # exp(a x) = sum c_k x^k with c_k = c_{k-1} a / k: no a^k or k! to
+            # overflow; e^(a(p-1)) comes last, so underflow times overflow is
+            # NaN, not a silent 0
+            series = [1.0 + 0.0j]
+            for k in range(1, order):
+                series.append(series[-1] * descriptor.exp_coeff / k)
+            series = np.array([c * scale for c in series])
+            for point, expo in rest:
+                series = np.convolve(series, _binomial_series(at - point, expo, order))[:order]
+            series = series.tolist()
+        # top[i]: coefficient b - 1 - i of the series times (at + x)^(e-lo)
+        top = series[:-size - 1:-1]
+        if abs(at) < SAME_POINT:
+            residues = top
+        else:
+            residues = [top[0]]
+            for _ in range(size - 1):
+                # the 0 past the end corrupts only entries no later e reads
+                top = [at * a + b for a, b in zip(top, top[1:] + [0j])]
+                residues.append(top[0])
         if not all(map(cmath.isfinite, residues)):
             raise AccuracyError(f"the Laurent series of g at the pole {at:.3g} "
                                 "overflows the float range")

@@ -339,6 +339,34 @@ def _row_plan(mu, cap):
     return plan
 
 
+class _Lattice(tuple):
+    """The parts of one f_mu lattice, passed to f_mu in their place by an
+    integral, which calls f_mu on every grid block with the same parts.
+
+    A block tries the row plan at its own cap, as f_mu does for plain parts,
+    unless a build at a cap at least as large has already failed.  The first
+    plan that is built is kept for the later blocks, and each takes the rows
+    exactly when the plan's moves are within its own cap.
+    """
+
+    def __init__(self, parts):
+        self._tried = -1  # the cap of the last failed build
+        self._plan = None, math.inf  # (plan or None, its moves)
+
+    def plan(self, mu, cap):
+        """The row plan of the rebased parts ``mu`` for a block of cap ``cap``,
+        or None for the columns."""
+        plan, moves = self._plan
+        if plan is None and cap > self._tried:
+            plan = _row_plan(mu, cap)
+            if plan is None:
+                self._tried = cap
+            else:
+                self._plan = plan, sum(len(m) for _, m in plan)
+            return plan
+        return plan if moves <= cap else None
+
+
 def _f_mu_by_rows(plan, rows, q, s):
     """f_mu by row-transfer contraction along ``plan``.
 
@@ -412,8 +440,10 @@ def f_mu(mu, z, q, s):
     before any weight is computed, number at most n * (max(mu) + 1) *
     points / ROW_MOVE_POINTS, else the columns.  Negative parts are rebased
     through the stability relation: shifting all parts by k multiplies the
-    value by prod_i ((z_i-s)/(1-s*z_i))^k.
+    value by prod_i ((z_i-s)/(1-s*z_i))^k.  An integral passes its parts
+    as one ``_Lattice`` to every call, which keeps the first row plan built.
     """
+    lattice = mu if isinstance(mu, _Lattice) else None
     mu = [as_int(x, "mu") for x in mu]
     n = len(mu)
     Z, finish = spectral_rows(z, n)
@@ -421,7 +451,8 @@ def f_mu(mu, z, q, s):
     mu = [m + shift for m in mu]
     rows = _rows(Z, s)
     points = math.prod(np.broadcast_shapes(*(np.shape(z) for z, _ in rows)))
-    plan = _row_plan(mu, n * (max(mu, default=-1) + 1) * points // ROW_MOVE_POINTS)
+    cap = n * (max(mu, default=-1) + 1) * points // ROW_MOVE_POINTS
+    plan = _row_plan(mu, cap) if lattice is None else lattice.plan(mu, cap)
     val = _f_mu_columns(mu, rows, q, s) if plan is None else _f_mu_by_rows(plan, rows, q, s)
     if shift:
         ratio = 1.0
@@ -573,6 +604,7 @@ def discrete_transition(mu, nu, ys, q, s):
     if ell == 0:
         return 1.0 if mu == nu else 0.0
     contours = admissible_contours(q, s, n, enclose=ys)
+    lattice = _Lattice(nu)
 
     def integrand(Z):
         out = 1.0
@@ -584,7 +616,7 @@ def discrete_transition(mu, nu, ys, q, s):
         for i in range(n):
             for j in range(i + 1, n):
                 out = out * ((Z[j] - Z[i]) / (Z[j] - q * Z[i]))
-        return out * f_mu(nu, OpenGrid(1.0 / z for z in Z), q, s)
+        return out * f_mu(lattice, OpenGrid(1.0 / z for z in Z), q, s)
 
     value, _ = product_integrate(integrand, ContourProduct(tuple(contours)))
     weight_diff = sum(nu) - sum(mu)

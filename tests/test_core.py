@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asepcross.core import (
+    FACTORIAL_CAP,
+    SHARED_PERMUTATIONS,
     ModelParams,
     ParticleConfig,
     ResourceLimitError,
@@ -142,6 +145,27 @@ class TestPermutations:
     def test_cap_error_names_cap(self):
         with pytest.raises(ResourceLimitError, match="cap 9"):
             list(signed_permutations(10))
+        with pytest.raises(ResourceLimitError, match="permutation sum of size 10 exceeds"):
+            signed_permutations(FACTORIAL_CAP + 1)
+        with pytest.raises(ValidationError, match="nonnegative"):
+            signed_permutations(-1)
+
+    @pytest.mark.parametrize("N", range(8))
+    def test_lexicographic_order_and_signs(self, N):
+        items = signed_permutations(N)
+        assert [p for p, _ in items] == list(itertools.permutations(range(N)))
+        assert [sgn for _, sgn in items] == [_sign_by_cycles(p) for p, _ in items]
+
+    def test_small_sizes_are_built_once(self):
+        for N in range(SHARED_PERMUTATIONS + 1):
+            first = signed_permutations(N)
+            assert isinstance(first, tuple) and signed_permutations(N) is first
+
+    def test_large_sizes_are_built_fresh(self):
+        N = SHARED_PERMUTATIONS + 1
+        first = signed_permutations(N)
+        assert isinstance(first, tuple) and signed_permutations(N) is not first
+        assert signed_permutations(N) == first
 
     def test_inversions(self):
         assert inversions((1, 3, 2)) == 2

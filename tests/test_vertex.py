@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from asepcross import vertex
+from asepcross import formulas, vertex
 from asepcross.core import ConfigurationError, ResourceLimitError, ValidationError
 from asepcross.quadrature import OpenGrid, batched_det, spectral_rows
 from asepcross.vertex import (
@@ -360,6 +360,45 @@ class TestSweepOrders:
         value = f_mu((120, 100, 0), z, self.Q, self.S)
         assert time.thread_time() - start < 0.5
         assert value.shape == (17, 32, 32) and np.isfinite(value).all()
+
+    @pytest.mark.parametrize("mu", [(1, 3, 0), (15, 8, 0), (2, 0, 1, 3), (120, 100, 0)])
+    def test_lattice_takes_each_blocks_order(self, mu, monkeypatch):
+        # each cap's order is the one a plan built at that cap gives; a build
+        # is tried only above every failed cap and stops at the first plan;
+        # (15, 8, 0) has 864 moves
+        caps = [0, 816, 768, 863, 10, 864, 1584, 863, 6144]
+        expected = [vertex._row_plan(list(mu), cap) is not None for cap in caps]
+        builds = []
+
+        def row_plan(m, cap, build=vertex._row_plan):
+            plan = build(m, cap)
+            builds.append((cap, plan is not None))
+            return plan
+
+        monkeypatch.setattr(vertex, "_row_plan", row_plan)
+        lattice = vertex._Lattice(mu)
+        assert [lattice.plan(list(mu), cap) is not None for cap in caps] == expected
+        tried = [cap for cap, _ in builds]
+        assert tried == sorted(set(tried))
+        assert not any(built for _, built in builds[:-1])
+
+    @pytest.mark.parametrize("mu, nu, builds_per_integral, plain_builds", [
+        ((2, 1, 0), (1, 3, 0), 1, 2),  # the bench case: one plan per grid block
+        ((15, 8, 0), (15, 8, 0), 2, 3),  # the first block's cap is below 864 moves
+        ((30, 15, 0), (30, 15, 0), 2, 3),  # 5,198 moves: no block takes the rows
+    ])
+    def test_one_row_plan_per_integral(self, mu, nu, builds_per_integral, plain_builds,
+                                       monkeypatch):
+        builds = []
+        monkeypatch.setattr(vertex, "_row_plan",
+                            lambda m, cap, build=vertex._row_plan: builds.append(cap) or build(m, cap))
+        value = formulas.r_asep_transition(mu, nu, 0.5, 1.0)
+        assert len(builds) == builds_per_integral
+        builds.clear()
+        monkeypatch.setattr(formulas, "_Lattice", tuple)  # plain parts: a plan per block
+        plain = formulas.r_asep_transition(mu, nu, 0.5, 1.0)
+        assert len(builds) == plain_builds
+        assert (value, value.est_err) == (plain, plain.est_err)
 
     @pytest.mark.parametrize("mu", [(1, 3, 0), (0, 1)])
     def test_pole_is_refused(self, mu):
