@@ -56,7 +56,7 @@ from .quadrature import (
     residue_moments,
     spectral_rows,
 )
-from .vertex import _Lattice, f_mu, sfF_lambda, xi_mu
+from .vertex import f_mu, sfF_lambda, xi_mu
 
 Z_RADIUS = 0.45
 W_RADIUS = 0.55
@@ -159,7 +159,7 @@ def _finalize_probability(value: complex, est_err: float, method: str) -> Result
     return Result(0.0 if v <= 0.0 else min(v, 1.0), est_err, method)  # never -0.0
 
 
-def _integrate(integrand, contours, tol, node_budget, scale=1.0) -> Result:
+def _integrate(integrand, contours, tol, node_budget, scale) -> Result:
     """scale times the integral of ``integrand`` over the product of
     ``contours``, with |scale| times the driver's est_err (the estimated
     error of the returned sum plus its round-off level) as its error; more
@@ -478,11 +478,10 @@ def r_asep_transition(mu, nu, q: float, t: float, tol: float = 1e-10,
         _strict(nu, "at q = 0, nu")
         return rainbow_total_crossing(mu, nu, q, t)
     rq = q**-0.5
-    lattice = _Lattice(nu)  # one row plan for every grid block
 
     def integrand(Z):
         out = _around_one(Z, q, t, mu, [(1.0 - q * z) / z for z in Z])
-        return out * f_mu(lattice, OpenGrid(rq / z for z in Z), q, rq)
+        return out * f_mu(nu, OpenGrid(rq / z for z in Z), q, rq)
 
     try:
         scale = (-1) ** n * (-rq) ** sum(nu)
@@ -529,12 +528,12 @@ def block_crossing(query: CrossingQuery, tol: float = 1e-10,
     """
     if query.q == 0:
         return tasep_block_crossing(query)
+    if query.q == 1:
+        raise ValidationError("the symmetric point q = 1 is not supported")
     mu_vec, lam_vec = query.initial, query.final
     q, t, n = query.q, query.t, mu_vec.n
     blocks = list(zip(_block_slices(mu_vec.sizes), mu_vec.blocks, lam_vec.blocks))
     rmax = 0.9 * min(0.25, abs(1.0 - q) / (1.0 + q), abs(1.0 - 1.0 / q))
-    if rmax <= 0:
-        raise ValidationError("no valid contour radius around 1 for this q")
 
     def integrand(Z):
         out = _around_one(Z, q, t, [0] * n)

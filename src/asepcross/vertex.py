@@ -2,15 +2,16 @@
 
 Paths of colours 1..n travel up-right (L weights) or up-left (M weights) on
 a square grid; horizontal edges hold at most one path, vertical edges hold a
-nonnegative occupation vector.  The partition functions f_mu (row by row,
-or column by column for long parts) and G_mu/nu (row by row) are
-contracted over the sparse set of reachable edge states, never by path
-enumeration.  Every vertex weight is (a + b*z)/(1 - s*z) or its leftward
-counterpart, with (a, b) from one coefficient table.
+nonnegative occupation vector.  The partition functions f_mu (row by row
+along a plan memoized per parts and cap, or column by column for long
+parts) and G_mu/nu (row by row) are contracted over the sparse set of
+reachable edge states, never by path enumeration.  Every vertex weight is
+(a + b*z)/(1 - s*z) or its leftward counterpart, from one coefficient table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -318,7 +319,12 @@ def _row_moves(pos, mu, top, ids):
 def _row_plan(mu, cap):
     """Each row of the f_mu lattice from the bottom as (factor keys, moves),
     the moves (pos, new_pos, factors) indexing the keys; None as soon as
-    the moves number more than ``cap``."""
+    the moves number more than ``cap``.  One read-only plan per (parts, cap)."""
+    return _memo_row_plan(tuple(mu), cap)
+
+
+@functools.lru_cache(maxsize=64)
+def _memo_row_plan(mu, cap):
     n = len(mu)
     # the states after row r < n - 1 put colour c <= r + 1 at any column up
     # to mu_c, and each is reached by at least one move
@@ -337,34 +343,6 @@ def _row_plan(mu, cap):
         plan.append((list(ids), moves))
         states = list(dict.fromkeys(new_pos for _, new_pos, _ in moves))
     return plan
-
-
-class _Lattice(tuple):
-    """The parts of one f_mu lattice, passed to f_mu in their place by an
-    integral, which calls f_mu on every grid block with the same parts.
-
-    A block tries the row plan at its own cap, as f_mu does for plain parts,
-    unless a build at a cap at least as large has already failed.  The first
-    plan that is built is kept for the later blocks, and each takes the rows
-    exactly when the plan's moves are within its own cap.
-    """
-
-    def __init__(self, parts):
-        self._tried = -1  # the cap of the last failed build
-        self._plan = None, math.inf  # (plan or None, its moves)
-
-    def plan(self, mu, cap):
-        """The row plan of the rebased parts ``mu`` for a block of cap ``cap``,
-        or None for the columns."""
-        plan, moves = self._plan
-        if plan is None and cap > self._tried:
-            plan = _row_plan(mu, cap)
-            if plan is None:
-                self._tried = cap
-            else:
-                self._plan = plan, sum(len(m) for _, m in plan)
-            return plan
-        return plan if moves <= cap else None
 
 
 def _f_mu_by_rows(plan, rows, q, s):
@@ -440,10 +418,9 @@ def f_mu(mu, z, q, s):
     before any weight is computed, number at most n * (max(mu) + 1) *
     points / ROW_MOVE_POINTS, else the columns.  Negative parts are rebased
     through the stability relation: shifting all parts by k multiplies the
-    value by prod_i ((z_i-s)/(1-s*z_i))^k.  An integral passes its parts
-    as one ``_Lattice`` to every call, which keeps the first row plan built.
+    value by prod_i ((z_i-s)/(1-s*z_i))^k.  The row plans are memoized per
+    (rebased parts, cap), so an integral's repeated calls build none.
     """
-    lattice = mu if isinstance(mu, _Lattice) else None
     mu = [as_int(x, "mu") for x in mu]
     n = len(mu)
     Z, finish = spectral_rows(z, n)
@@ -452,7 +429,7 @@ def f_mu(mu, z, q, s):
     rows = _rows(Z, s)
     points = math.prod(np.broadcast_shapes(*(np.shape(z) for z, _ in rows)))
     cap = n * (max(mu, default=-1) + 1) * points // ROW_MOVE_POINTS
-    plan = _row_plan(mu, cap) if lattice is None else lattice.plan(mu, cap)
+    plan = _row_plan(mu, cap)
     val = _f_mu_columns(mu, rows, q, s) if plan is None else _f_mu_by_rows(plan, rows, q, s)
     if shift:
         ratio = 1.0
@@ -604,7 +581,6 @@ def discrete_transition(mu, nu, ys, q, s):
     if ell == 0:
         return 1.0 if mu == nu else 0.0
     contours = admissible_contours(q, s, n, enclose=ys)
-    lattice = _Lattice(nu)
 
     def integrand(Z):
         out = 1.0
@@ -616,7 +592,7 @@ def discrete_transition(mu, nu, ys, q, s):
         for i in range(n):
             for j in range(i + 1, n):
                 out = out * ((Z[j] - Z[i]) / (Z[j] - q * Z[i]))
-        return out * f_mu(lattice, OpenGrid(1.0 / z for z in Z), q, s)
+        return out * f_mu(nu, OpenGrid(1.0 / z for z in Z), q, s)
 
     value, _ = product_integrate(integrand, ContourProduct(tuple(contours)))
     weight_diff = sum(nu) - sum(mu)

@@ -120,6 +120,13 @@ class TestCrossingCommand:
         )
         assert abs(rec["value"] - block_crossing(query)) < 1e-12
 
+    def test_blocks_at_the_symmetric_point_are_refused(self, capsys):
+        code = main(["crossing", "--json", '{"kind":"blocks","mu_blocks":[[1],[0]],'
+                     '"lambda_blocks":[[2],[3]],"q":1.0,"t":1.0}'])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.strip() == "validation error: the symmetric point q = 1 is not supported"
+
 
 class TestWallCommand:
     def test_infeasible_wall_is_zero(self, capsys):

@@ -164,9 +164,9 @@ class TestTwoTasepGreen:
     ], ids=["n4", "t16"])
     def test_leftmost_second_class_against_oracle(self, mu, nu, p, t):
         ini, fin = _two_species(mu, (1,)), _two_species(nu, (p,))
-        start = time.process_time()
+        start = time.thread_time()
         val = two_tasep_green(GreenQuery(ini, fin, t))
-        assert time.process_time() - start < 0.1
+        assert time.thread_time() - start < 0.1
         gen = build_window_generator(ini, (mu[0], nu[-1]), ModelParams(q=0.0))
         oracle, _ = expm_transition(gen, ini, fin, t)
         assert val.method == "laurent"
@@ -517,6 +517,16 @@ class TestBlockCrossing:
         val = evaluate(query)
         assert val.method == "laurent"
         assert abs(val - schutz_mpmath(initial[::-1], final[::-1], t)) <= val.est_err
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda: block_crossing(CrossingQuery(make_blocks([[1], [0]], "initial"),
+                                             make_blocks([[2], [3]], "final"), 1.0, 1.0)),
+        lambda: rainbow_total_crossing([1, 0], [2, 3], 1.0, 1.0),
+        lambda: r_asep_transition([1, 0], [2, 3], 1.0, 1.0),
+    ], ids=["block_crossing", "rainbow_total_crossing", "r_asep_transition"])
+    def test_symmetric_point_is_refused_alike(self, evaluate):
+        with pytest.raises(ValidationError, match="^the symmetric point q = 1 is not supported$"):
+            evaluate()
 
     def test_orientation_validation(self):
         with pytest.raises(ValidationError):

@@ -362,43 +362,43 @@ class TestSweepOrders:
         assert value.shape == (17, 32, 32) and np.isfinite(value).all()
 
     @pytest.mark.parametrize("mu", [(1, 3, 0), (15, 8, 0), (2, 0, 1, 3), (120, 100, 0)])
-    def test_lattice_takes_each_blocks_order(self, mu, monkeypatch):
-        # each cap's order is the one a plan built at that cap gives; a build
-        # is tried only above every failed cap and stops at the first plan;
-        # (15, 8, 0) has 864 moves
-        caps = [0, 816, 768, 863, 10, 864, 1584, 863, 6144]
-        expected = [vertex._row_plan(list(mu), cap) is not None for cap in caps]
-        builds = []
+    def test_memo_takes_each_caps_order(self, mu):
+        # the memo's plan at each cap is an uncached build's, in any cap
+        # order and for parts given as a list; (15, 8, 0) has 864 moves
+        build = vertex._memo_row_plan.__wrapped__
+        for cap in [0, 816, 768, 863, 10, 864, 1584, 863, 6144]:
+            plan = vertex._row_plan(list(mu), cap)
+            assert plan == build(tuple(mu), cap)
+            assert vertex._row_plan(mu, cap) is plan
 
-        def row_plan(m, cap, build=vertex._row_plan):
-            plan = build(m, cap)
-            builds.append((cap, plan is not None))
-            return plan
+    CALLS = {
+        "r_asep_n3": lambda: formulas.r_asep_transition((2, 1, 0), (1, 3, 0), 0.5, 1.0),
+        # the first block's cap is below the 864 moves
+        "r_asep_near_cap": lambda: formulas.r_asep_transition((15, 8, 0), (15, 8, 0), 0.5, 1.0),
+        # 5,198 moves: no block takes the rows
+        "r_asep_columns": lambda: formulas.r_asep_transition((30, 15, 0), (30, 15, 0), 0.5, 1.0),
+        "discrete": lambda: discrete_transition([2, 1], [1, 0], [0.2], 2.0, 0.35),
+    }
 
-        monkeypatch.setattr(vertex, "_row_plan", row_plan)
-        lattice = vertex._Lattice(mu)
-        assert [lattice.plan(list(mu), cap) is not None for cap in caps] == expected
-        tried = [cap for cap, _ in builds]
-        assert tried == sorted(set(tried))
-        assert not any(built for _, built in builds[:-1])
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS)
+    def test_repeated_integral_builds_no_plan(self, call):
+        first = call()
+        misses = vertex._memo_row_plan.cache_info().misses
+        again = call()
+        assert vertex._memo_row_plan.cache_info().misses == misses
+        assert (again, getattr(again, "est_err", None)) == (first, getattr(first, "est_err", None))
 
-    @pytest.mark.parametrize("mu, nu, builds_per_integral, plain_builds", [
-        ((2, 1, 0), (1, 3, 0), 1, 2),  # the bench case: one plan per grid block
-        ((15, 8, 0), (15, 8, 0), 2, 3),  # the first block's cap is below 864 moves
-        ((30, 15, 0), (30, 15, 0), 2, 3),  # 5,198 moves: no block takes the rows
-    ])
-    def test_one_row_plan_per_integral(self, mu, nu, builds_per_integral, plain_builds,
-                                       monkeypatch):
-        builds = []
-        monkeypatch.setattr(vertex, "_row_plan",
-                            lambda m, cap, build=vertex._row_plan: builds.append(cap) or build(m, cap))
-        value = formulas.r_asep_transition(mu, nu, 0.5, 1.0)
-        assert len(builds) == builds_per_integral
-        builds.clear()
-        monkeypatch.setattr(formulas, "_Lattice", tuple)  # plain parts: a plan per block
-        plain = formulas.r_asep_transition(mu, nu, 0.5, 1.0)
-        assert len(builds) == plain_builds
-        assert (value, value.est_err) == (plain, plain.est_err)
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS)
+    def test_memo_changes_no_bit(self, call, monkeypatch):
+        value = call()
+
+        def uncached(mu, cap, row_plan=vertex._row_plan):
+            vertex._memo_row_plan.cache_clear()
+            return row_plan(mu, cap)
+
+        monkeypatch.setattr(vertex, "_row_plan", uncached)
+        fresh = call()
+        assert (fresh, getattr(fresh, "est_err", None)) == (value, getattr(value, "est_err", None))
 
     @pytest.mark.parametrize("mu", [(1, 3, 0), (0, 1)])
     def test_pole_is_refused(self, mu):
