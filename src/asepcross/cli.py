@@ -24,7 +24,6 @@ from .core import (
     BlockSignatureVector,
     ParticleConfig,
     ResourceLimitError,
-    StrictSignature,
     ValidationError,
     as_int,
 )
@@ -112,12 +111,6 @@ def _record(command, payload, value, est_error, method, started, extra=None):
     return rec
 
 
-def _blocks(payload, key, orientation):
-    return BlockSignatureVector(
-        tuple(StrictSignature(tuple(b)) for b in payload[key]), orientation
-    )
-
-
 def _quadrature_budget(args) -> int:
     """Per-integral quadrature node cap for this invocation (--budget)."""
     if args.budget is None:
@@ -126,14 +119,13 @@ def _quadrature_budget(args) -> int:
 
 
 def _crossing_query(p) -> CrossingQuery:
-    return CrossingQuery(_blocks(p, "mu_blocks", "initial"), _blocks(p, "lambda_blocks", "final"),
+    return CrossingQuery(BlockSignatureVector(p["mu_blocks"], "initial"),
+                         BlockSignatureVector(p["lambda_blocks"], "final"),
                          float(p.get("q", 0.0)), float(p["t"]))
 
 
 def _wall_query(p) -> WallQuery:
-    return WallQuery(s1=as_int(p["s1"], "s1"), s2=as_int(p["s2"], "s2"),
-                     rho=float(p["rho"]), n=as_int(p["n"], "n"), m=as_int(p["m"], "m"),
-                     t=float(p["t"]))
+    return WallQuery(p["s1"], p["s2"], float(p["rho"]), p["n"], p["m"], float(p["t"]))
 
 
 # The payload field that picks the formula, and its default, per command.
@@ -149,16 +141,14 @@ EVALUATORS = {
     ("green", "rainbow_asep"): lambda p, tol, budget: r_asep_transition(
         p["mu"], p["nu"], float(p["q"]), float(p["t"]), tol=tol, node_budget=budget),
     ("crossing", "two_species"): lambda p, tol, budget: two_tasep_crossing(
-        p["mu"], p["nu"], as_int(p["m"], "m"), float(p["t"])),
+        p["mu"], p["nu"], p["m"], float(p["t"])),
     ("crossing", "rainbow"): lambda p, tol, budget: rainbow_total_crossing(
         p["mu"], p["nu"], float(p["q"]), float(p["t"]), tol=tol, node_budget=budget),
     ("crossing", "blocks"): lambda p, tol, budget: block_crossing(
         _crossing_query(p), tol=tol, node_budget=budget),
     ("wall", "step"): lambda p, tol, budget: cumulative_crossing_step(
-        p["mu"], as_int(p["m"], "m"), as_int(p["s1"], "s1"), as_int(p["s2"], "s2"),
-        float(p["t"])),
-    ("wall", "gamma"): lambda p, tol, budget: gamma_wall(
-        as_int(p["n"], "n"), as_int(p["s"], "s"), float(p["t"])),
+        p["mu"], p["m"], p["s1"], p["s2"], float(p["t"])),
+    ("wall", "gamma"): lambda p, tol, budget: gamma_wall(p["n"], p["s"], float(p["t"])),
     ("wall", "bernoulli"): lambda p, tol, budget: cumulative_crossing_bernoulli(_wall_query(p)),
     ("wall", "one_wall"): lambda p, tol, budget: cumulative_crossing_one_wall(_wall_query(p)),
 }
@@ -196,16 +186,14 @@ def cmd_simulate(payload, args, started):
     fields = {"q": float(payload.get("q", 0.0)), "samples": samples, "seed": args.seed,
               "horizon": 0.0 if task == "bernoulli_sample" else float(payload["t"])}
     if source == "initial":
-        fields["initial"] = ParticleConfig(tuple(payload["positions"]),
-                                           tuple(payload["species"]))
+        fields["initial"] = ParticleConfig(payload["positions"], payload["species"])
     else:
-        fields["bernoulli"] = (float(payload["rho"]), as_int(payload["m"], "m"),
-                               as_int(payload["n"], "n"))
+        fields["bernoulli"] = (float(payload["rho"]), payload["m"], payload["n"])
     if event == "target":
         fields["event"] = ("target", tuple(payload["target_positions"]),
                            tuple(payload["target_species"]))
     elif event == "wall":
-        fields["event"] = ("wall", as_int(payload["s1"], "s1"), as_int(payload["s2"], "s2"))
+        fields["event"] = ("wall", payload["s1"], payload["s2"])
     job = MonteCarloJob(**fields)
     if event is None:
         final = simulate_sample(job)

@@ -38,6 +38,8 @@ class ResourceLimitError(RuntimeError):
 def as_int(value, name: str) -> int:
     """``value`` as an int; a bool, a non-integral number or a value that
     is no number is refused with ValidationError, never truncated."""
+    if type(value) is int:
+        return value
     try:
         i = int(value)
     except (TypeError, ValueError, OverflowError):
@@ -45,6 +47,32 @@ def as_int(value, name: str) -> int:
     if i is None or i != value or isinstance(value, bool):
         raise ValidationError(f"{name} must be integral, got {value!r}")
     return i
+
+
+def strictly_ordered(values, name: str, decreasing: bool = False) -> tuple[int, ...]:
+    """``values`` as ints, refused unless strictly increasing (or decreasing)."""
+    values = tuple([as_int(x, name) for x in values])
+    sign = -1 if decreasing else 1
+    if any(sign * (b - a) <= 0 for a, b in zip(values, values[1:])):
+        order = "decreasing" if decreasing else "increasing"
+        raise ValidationError(f"{name} must be strictly {order}")
+    return values
+
+
+def check_rate(value, name: str) -> None:
+    """Refuse a negative or non-finite rate or time (NaN included)."""
+    if not 0 <= value < math.inf:
+        raise ValidationError(f"{name} must be >= 0 and finite, got {value!r}")
+
+
+def bernoulli_data(rho, m, n) -> tuple[float, int, int]:
+    """(rho, m, n), m and n as ints; refused unless rho lies in (0, 1] and 0 <= m <= n, n >= 1."""
+    m, n = as_int(m, "m"), as_int(n, "n")
+    if not 0 < rho <= 1:
+        raise ValidationError(f"rho must lie in (0, 1], got {rho!r}")
+    if not 0 <= m <= n or n < 1:
+        raise ValidationError(f"need 0 <= m <= n with n >= 1, got m={m}, n={n}")
+    return rho, m, n
 
 
 def _check_int64(values):
@@ -67,12 +95,10 @@ class ParticleConfig:
     species: tuple[int, ...]
 
     def __post_init__(self):
-        pos = tuple(as_int(x, "positions") for x in self.positions)
+        pos = strictly_ordered(self.positions, "positions")
         spec = tuple(as_int(c, "species") for c in self.species)
         if len(pos) != len(spec):
             raise ValidationError("positions and species must have equal length")
-        if any(b <= a for a, b in zip(pos, pos[1:])):
-            raise ValidationError("positions must be strictly increasing")
         if any(c < 1 for c in spec):
             raise ValidationError("species labels must be >= 1")
         _check_int64(pos)
@@ -83,9 +109,7 @@ class ParticleConfig:
     def from_two_species(cls, positions, type2_indices=()):
         """Build a config from positions and the 1-based type-2 index set."""
         positions = tuple(positions)
-        p = tuple(as_int(i, "type-2 indices") for i in type2_indices)
-        if any(b <= a for a, b in zip(p, p[1:])):
-            raise ValidationError("type-2 indices must be strictly increasing")
+        p = strictly_ordered(type2_indices, "type-2 indices")
         if p and (p[0] < 1 or p[-1] > len(positions)):
             raise ValidationError("type-2 indices must lie in {1, ..., n}")
         species = tuple(2 if i + 1 in p else 1 for i in range(len(positions)))
@@ -115,9 +139,7 @@ class StrictSignature:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple(as_int(x, "signature parts") for x in self.parts)
-        if any(b >= a for a, b in zip(parts, parts[1:])):
-            raise ValidationError("signature parts must be strictly decreasing")
+        parts = strictly_ordered(self.parts, "signature parts", decreasing=True)
         _check_int64(parts)
         object.__setattr__(self, "parts", parts)
 
@@ -179,8 +201,7 @@ class ModelParams:
     q: float = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.q < math.inf:
-            raise ValidationError(f"q must be >= 0 and finite, got {self.q!r}")
+        check_rate(self.q, "q")
 
 
 def signed_permutations(N: int) -> tuple[tuple[tuple[int, ...], int], ...]:

@@ -10,18 +10,19 @@ in inverted variables whose residues at {0, 1, 1-rho} are exact).
 Each probability is a ``Result``, a float that also carries ``est_err`` and
 ``method``.  Its imaginary part must vanish, and it is clamped to [0, 1]
 only within a small band; anything further out, NaN included, raises
-AccuracyError.  A negative or non-finite ``t`` or ``q`` raises
-ValidationError.  At q = 0 every formula but the Bernoulli
+AccuracyError.  Each query and evaluator checks its fields on entry with
+the rules of ``core`` and raises ValidationError; q = 1 is refused in
+``_around_one_contours``.  At q = 0 every formula but the Bernoulli
 ``form='direct'`` is an exact sum of products of determinants of
 one-variable residue moments (Schütz's series for one colour): method
 'laurent', with ROUNDING times the size of the terms that cancel as
 est_err.  The others go through ``_integrate`` (dimension cap, trapezoid
 driver on half of each grid, as every integrand has real coefficients and
-real contour centres), take ``tol`` and ``node_budget`` and report
-|prefactor| times the driver's est_err.  The formulas around 1 are stated
-on clockwise circles, integrated counterclockwise, and their prefactors
-carry the sign (-1)^n.  Structural zeros (an infeasible wall, t = 0 in
-``gamma_wall``) are 0.0, method 'exact'.
+real contour centres), take ``tol`` and ``node_budget`` (the direct form
+runs at ``product_integrate``'s defaults) and report |prefactor| times its
+est_err.  The formulas around 1 are stated on clockwise circles, integrated
+counterclockwise, and their prefactors carry the sign (-1)^n.  Structural
+zeros (an infeasible wall, t = 0 in ``gamma_wall``) are 0.0, method 'exact'.
 """
 
 from __future__ import annotations
@@ -42,10 +43,14 @@ from .core import (
     ResourceLimitError,
     ValidationError,
     as_int,
+    bernoulli_data,
+    check_rate,
     signed_permutations,
+    strictly_ordered,
 )
 from .quadrature import (
     DEFAULT_NODE_BUDGET,
+    DEFAULT_TOL,
     ContourProduct,
     ContourSpec,
     OpenGrid,
@@ -81,7 +86,7 @@ class GreenQuery:
     t: float
 
     def __post_init__(self):
-        _check_rates(self.t)
+        check_rate(self.t, "t")
         if self.initial.n != self.final.n or self.initial.m != self.final.m:
             raise ValidationError("initial and final configs must share (n, m)")
 
@@ -102,7 +107,8 @@ class CrossingQuery:
             raise ValidationError("final vector must be final-oriented")
         if self.initial.sizes != self.final.sizes:
             raise ValidationError("block sizes must match")
-        _check_rates(self.t, self.q)
+        check_rate(self.t, "t")
+        check_rate(self.q, "q")
 
 
 @dataclass(frozen=True)
@@ -117,11 +123,12 @@ class WallQuery:
     t: float
 
     def __post_init__(self):
-        if not 0 <= self.m <= self.n or self.n < 1:
-            raise ValidationError("need 0 <= m <= n with n >= 1")
-        if not 0 < self.rho <= 1:
-            raise ValidationError("rho must lie in (0, 1]")
-        _check_rates(self.t)
+        _, m, n = bernoulli_data(self.rho, self.m, self.n)
+        check_rate(self.t, "t")
+        object.__setattr__(self, "s1", as_int(self.s1, "s1"))
+        object.__setattr__(self, "s2", as_int(self.s2, "s2"))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
 
     @property
     def feasible(self) -> bool:
@@ -177,33 +184,17 @@ def _integrate(integrand, contours, tol, node_budget, scale) -> Result:
     return _finalize_probability(scale * value, abs(scale) * err, "quadrature")
 
 
-def _check_rates(t: float, q: float = 0.0) -> None:
-    """Refuse a negative or non-finite t or q (NaN included)."""
-    if not 0 <= t < math.inf:
-        raise ValidationError(f"t must be >= 0 and finite, got {t!r}")
-    if not 0 <= q < math.inf:
-        raise ValidationError(f"q must be >= 0 and finite, got {q!r}")
-
-
-def _strict(values, name: str, decreasing: bool = False) -> list[int]:
-    """``values`` as ints, refused unless integral and strictly increasing
-    (or decreasing)."""
-    values = [as_int(x, name) for x in values]
-    sign = -1 if decreasing else 1
-    if any(sign * (b - a) <= 0 for a, b in zip(values, values[1:])):
-        order = "decreasing" if decreasing else "increasing"
-        raise ValidationError(f"{name} must be strictly {order}")
-    return values
-
-
 def _origin_contours(m: int, k: int, outer: float) -> tuple[ContourSpec, ...]:
     """m circles of radius Z_RADIUS about the origin, then k of radius ``outer``."""
     return (ContourSpec(0.0, Z_RADIUS),) * m + (ContourSpec(0.0, outer),) * k
 
 
 def _around_one_contours(q: float, radii) -> tuple[ContourSpec, ...]:
-    """Circles about 1, one per radius; a radius below RADIUS_FLOOR, left
-    by a q too close to 1, is refused with AccuracyError."""
+    """Circles about 1, one per radius, for the evaluators at q > 0: the
+    symmetric point q = 1 is refused with ValidationError, and a radius
+    below RADIUS_FLOOR, left by a q too close to 1, with AccuracyError."""
+    if q == 1:
+        raise ValidationError("the symmetric point q = 1 is not supported")
     if min(radii) < RADIUS_FLOOR:
         raise AccuracyError(f"contour radius {min(radii):.3g} about 1 at q={q!r} is "
                             f"below {RADIUS_FLOOR:g}: q is too close to 1")
@@ -405,8 +396,8 @@ def schutz_determinant(mu, nu, t: float) -> Result:
     ROUNDING times the permanent of the entries' sizes.  More than
     LEIBNIZ_CAP Leibniz terms and series terms are refused first.
     """
-    _check_rates(t)
-    mu, nu = _strict(mu, "mu"), _strict(nu, "nu")
+    check_rate(t, "t")
+    mu, nu = strictly_ordered(mu, "mu"), strictly_ordered(nu, "nu")
     if len(nu) != len(mu):
         raise ValidationError("need len(nu) == len(mu)")
     n = len(mu)
@@ -430,8 +421,8 @@ def two_tasep_crossing(mu, nu, m: int, t: float) -> Result:
     block first, then the type-2 block; with one species (m = 0 or m = n)
     it is ``schutz_determinant``.
     """
-    _check_rates(t)
-    mu, nu = _strict(mu, "mu"), _strict(nu, "nu")
+    check_rate(t, "t")
+    mu, nu, m = strictly_ordered(mu, "mu"), strictly_ordered(nu, "nu"), as_int(m, "m")
     if len(nu) != len(mu) or not 0 <= m <= len(mu):
         raise ValidationError("need len(nu) == len(mu) and 0 <= m <= len(mu)")
     k = len(mu) - m
@@ -466,16 +457,14 @@ def r_asep_transition(mu, nu, q: float, t: float, tol: float = 1e-10,
     q = 0 the partition function degenerates and only fully reversed final
     orders are supported (where the factorized limit applies).
     """
-    _check_rates(t, q)
-    mu = _strict(mu, "mu", decreasing=True)
+    check_rate(t, "t")
+    check_rate(q, "q")
+    mu = strictly_ordered(mu, "mu", decreasing=True)
     nu = [as_int(x, "nu") for x in nu]
     n = len(mu)
     if not n or len(set(nu)) != n:
         raise ValidationError("nu must have len(mu) >= 1 pairwise distinct parts")
-    if q == 1:
-        raise ValidationError("the symmetric point q = 1 is not supported")
-    if q == 0:
-        _strict(nu, "at q = 0, nu")
+    if q == 0:  # rainbow_total_crossing refuses a nu that is not increasing
         return rainbow_total_crossing(mu, nu, q, t)
     rq = q**-0.5
 
@@ -501,12 +490,11 @@ def rainbow_total_crossing(mu, nu, q: float, t: float, tol: float = 1e-10,
     which realizes the shift-invariance property exactly.  At q = 0 it is
     ``tasep_block_crossing`` with one colour per block.
     """
-    _check_rates(t, q)
-    mu, nu = _strict(mu, "mu", decreasing=True), _strict(nu, "nu")
+    check_rate(t, "t")
+    check_rate(q, "q")
+    mu, nu = strictly_ordered(mu, "mu", decreasing=True), strictly_ordered(nu, "nu")
     if not mu or len(nu) != len(mu):
         raise ValidationError("need len(nu) == len(mu) >= 1")
-    if q == 1:
-        raise ValidationError("the symmetric point q = 1 is not supported")
     if q == 0:
         return _tasep_blocks([((x,), (y,)) for x, y in zip(mu, nu)], t)
     n = len(mu)
@@ -528,8 +516,6 @@ def block_crossing(query: CrossingQuery, tol: float = 1e-10,
     """
     if query.q == 0:
         return tasep_block_crossing(query)
-    if query.q == 1:
-        raise ValidationError("the symmetric point q = 1 is not supported")
     mu_vec, lam_vec = query.initial, query.final
     q, t, n = query.q, query.t, mu_vec.n
     blocks = list(zip(_block_slices(mu_vec.sizes), mu_vec.blocks, lam_vec.blocks))
@@ -589,8 +575,9 @@ def cumulative_crossing_step(mu, m: int, s1: int, s2: int, t: float) -> Result:
     and det[w_i^j - w_i^(s2-s1)] over k = n - m variables w_i, summed exactly
     in x = 1/z by ``_moment_determinants``.
     """
-    _check_rates(t)
-    mu = _strict(mu, "mu")
+    check_rate(t, "t")
+    mu = strictly_ordered(mu, "mu")
+    m, s1, s2 = as_int(m, "m"), as_int(s1, "s1"), as_int(s2, "s2")
     n = len(mu)
     if not 0 <= m <= n:
         raise ValidationError("need 0 <= m <= len(mu)")
@@ -767,11 +754,11 @@ def _andreief(scale: float, t: float, exponent: int, rho: float, s2: int, m: int
                                 terms)
 
 
-def cumulative_crossing_bernoulli(query: WallQuery, form: str = "inverted", tol: float = 1e-10,
-                                  node_budget: int = DEFAULT_NODE_BUDGET) -> Result:
+def cumulative_crossing_bernoulli(query: WallQuery, form: str = "inverted") -> Result:
     """Cumulative crossing with density-rho initial data for type 2.
 
-    ``form='direct'`` integrates around the origin by quadrature;
+    ``form='direct'`` integrates around the origin by quadrature, at
+    ``product_integrate``'s default tolerance and node budget;
     ``form='inverted'`` works in reflected variables where the integrand is
     rational-times-exponential and all residues are extracted exactly.  Both
     forms agree to quadrature accuracy.
@@ -803,8 +790,8 @@ def cumulative_crossing_bernoulli(query: WallQuery, form: str = "inverted", tol:
                     w_part = w_part * (W[j] - Z[i])
             return out * (w_part * batched_det(k, lambda i, j: W[i] ** j - W[i] ** (s2 - s1)))
 
-        return _integrate(integrand, _origin_contours(m, k, W_RADIUS), tol, node_budget,
-                          scale=rho**m / math.factorial(m))
+        return _integrate(integrand, _origin_contours(m, k, W_RADIUS), DEFAULT_TOL,
+                          DEFAULT_NODE_BUDGET, scale=rho**m / math.factorial(m))
     # inverted form: m symmetric variables z, then k variables w_i, coupled
     # by prod (z_i - w_j) and bordered by det[w_i^(k-1-j) - w_i^beta]
     w = [(RationalExpDescriptor(t, ((1.0, i - k), (0.0, -s1 - m))), (0.0, 1.0))
@@ -853,9 +840,10 @@ def gamma_wall(n: int, s: int, t: float) -> Result:
     k = 0, and ``cumulative_crossing_step(range(1, n + 1), n, s, s, t)``
     without Andréief's identity.  At t = 0 it is an exact 0.
     """
+    n, s = as_int(n, "n"), as_int(s, "s")
     if s <= n:
         raise ValidationError("gamma_wall requires s > n")
-    _check_rates(t)
+    check_rate(t, "t")
     if t == 0:
         return Result(0.0, 0.0, "exact")
     return _andreief(1.0, t, -n, 1.0, s - n - 1, n)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formulas
-from .core import ParticleConfig, ValidationError, signed_permutations
+from .core import ParticleConfig, ValidationError, as_int, signed_permutations
 from .formulas import GreenQuery, eigenfunction_P, two_tasep_green
 from .quadrature import ContourProduct, ContourSpec, product_integrate
 
@@ -66,7 +66,7 @@ def check_free_evolution(nu, p, t, z, u) -> IdentityReport:
     Requires well-separated coordinates; reports the error at step
     h = TIME_STEP and confirms second-order decay at h/2.
     """
-    nu = [int(x) for x in nu]
+    nu = [as_int(x, "nu") for x in nu]
     if any(b - a < 2 for a, b in zip(nu, nu[1:])):
         raise ValidationError("free evolution check needs nu_{i+1} - nu_i >= 2")
     n = len(nu)
@@ -104,8 +104,8 @@ def check_boundary_conditions(nu, l, p, z, u) -> IdentityReport:
     ``nu`` must satisfy nu[l] == nu[l-1] (1-based l selects the pair); the
     case is inferred from the membership pattern of l and l+1 in p.
     """
-    nu = [int(x) for x in nu]
-    p = tuple(int(x) for x in p)
+    nu, l = [as_int(x, "nu") for x in nu], as_int(l, "l")
+    p = tuple(as_int(x, "p") for x in p)
     if nu[l] != nu[l - 1]:
         raise ValidationError("boundary check needs nu_{l+1} == nu_l")
     in_l = l in p

@@ -7,10 +7,12 @@ jumps drain into an absorbing sink state), evaluated by uniformization.
 
 A ``MonteCarloJob`` describes every simulation: a fixed initial state or
 Bernoulli-step initial data, the backhop rate q, the horizon, the seed and
-the event whose probability ``run_monte_carlo`` estimates.  ``_simulate``
-takes a job and a uniform stream to a final state; a Bernoulli job draws its
-initial state from the same stream before the jumps.
-``simulate_sample(job, i)`` returns the final state of sample ``i``.
+the event whose probability ``run_monte_carlo`` estimates; it checks its
+fields with the rules of ``core`` when it is built, as the window oracle's
+entry points check theirs.  ``_simulate`` takes a job and a uniform stream
+to a final state; a Bernoulli job draws its initial state from the same
+stream before the jumps.  ``simulate_sample(job, i)`` returns the final
+state of sample ``i``.
 ``run_monte_carlo`` runs the samples of up to BATCH_CHUNKS consecutive
 chunks in one lockstep with numpy, drawing each sample's uniforms in
 ``_simulate``'s order, and hands the rows it cannot follow exactly back to
@@ -41,6 +43,8 @@ from .core import (
     ResourceLimitError,
     ValidationError,
     as_int,
+    bernoulli_data,
+    check_rate,
 )
 
 MASK64 = 2**64 - 1
@@ -166,7 +170,8 @@ class MonteCarloJob:
     is given.  Bernoulli-step data put type 2 at the m rightmost occupied
     negative sites of an iid density-rho field and type 1 at 0..n-m-1.
     ``event`` is ("target", positions, species) or ("wall", s1, s2): type 1
-    in [s1, s2) and type 2 at or beyond s2.
+    in [s1, s2) and type 2 at or beyond s2.  The counts, the seed and the
+    wall bounds are stored as ints.
     """
 
     q: float
@@ -183,22 +188,18 @@ class MonteCarloJob:
         object.__setattr__(self, "samples", as_int(self.samples, "samples"))
         if self.samples < 1:
             raise ValidationError("samples must be >= 1")
-        if not 0 <= self.horizon < math.inf:
-            raise ValidationError("horizon must be finite and >= 0")
-        if not 0 <= self.q < math.inf:
-            raise ValidationError("q must be finite and >= 0")
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
+        check_rate(self.horizon, "horizon")
+        check_rate(self.q, "q")
         if self.bernoulli is not None:
-            rho, m, n = self.bernoulli
-            m, n = as_int(m, "m"), as_int(n, "n")
-            object.__setattr__(self, "bernoulli", (rho, m, n))
-            if not 0 < rho <= 1:
-                raise ValidationError("rho must lie in (0, 1]")
-            if not 0 <= m <= n or n < 1:
-                raise ValidationError("need 0 <= m <= n and n >= 1")
+            object.__setattr__(self, "bernoulli", bernoulli_data(*self.bernoulli))
         if self.event and self.event[0] not in ("target", "wall"):
             raise ValidationError(f"unknown event kind {self.event[0]!r}")
         if self.event and self.event[0] == "target":
             ParticleConfig(self.event[1], self.event[2])  # sorted, int64, labels >= 1
+        elif self.event:
+            object.__setattr__(self, "event", ("wall", as_int(self.event[1], "s1"),
+                                               as_int(self.event[2], "s2")))
 
 
 def _event_holds(event, positions, species) -> bool:
@@ -249,6 +250,7 @@ def simulate_sample(job: MonteCarloJob, index: int = 0, events=None) -> Particle
     If ``events`` is a list, each jump appends (t, kind, k, species after),
     where kind is 0 (step right), -1 (step left) or 1 (swap of k and k+1).
     """
+    index = as_int(index, "sample index")
     if index < 0:
         raise ValidationError("sample index must be >= 0")
     chunk, row = divmod(index, CHUNK)
@@ -536,7 +538,7 @@ def build_window_generator(
     """
     import scipy.sparse as sp
 
-    a, b = int(window[0]), int(window[1])
+    a, b = as_int(window[0], "window"), as_int(window[1], "window")
     if not all(a <= x <= b for x in particles.positions):
         raise ValidationError("initial positions must lie inside the window")
     n = particles.n
@@ -585,8 +587,7 @@ def transition_row(gen: WindowGenerator, mu: ParticleConfig, t: float) -> np.nda
     """
     import scipy.sparse as sp
 
-    if not 0 <= t < math.inf:
-        raise ValidationError(f"time must be >= 0 and finite, got {t!r}")
+    check_rate(t, "time")
     D = gen.size
     v = np.zeros(D + 1)
     v[gen.state_of(mu)] = 1.0

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core  # core.signed_permutations: bench/tracing.py counts its terms
-from .core import AccuracyError, ResourceLimitError, ValidationError
+from .core import AccuracyError, ResourceLimitError, ValidationError, as_int
 
 DEFAULT_START_NODES = 32
 DEFAULT_MAX_NODES = 4096
@@ -402,7 +402,8 @@ def product_integrate(
 
 @dataclass(frozen=True)
 class RationalExpDescriptor:
-    """Integrand of the form exp(exp_coeff*(z - 1)) * prod (z-a)^e.
+    """Description of the integrand exp(exp_coeff*(z - 1)) * prod (z-a)^e,
+    whose residues the residue routes take.
 
     ``factors`` maps points to integer exponents; negative exponents are
     poles.  Points within SAME_POINT of each other are merged at
@@ -415,21 +416,13 @@ class RationalExpDescriptor:
     factors: tuple[tuple[complex, int], ...] = ()
 
     def __post_init__(self):
-        if any(expo != int(expo) for _, expo in self.factors):
-            raise ValidationError("factor exponents must be integers")
         object.__setattr__(self, "factors", _merged(self.factors))
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        out = np.exp(self.exp_coeff * (z - 1.0))
-        for point, expo in self.factors:
-            out = out * (z - point) ** expo
-        return out
 
 
 def _merged(factors) -> tuple[tuple[complex, int], ...]:
-    """The (point, exponent) ``factors`` with each point within SAME_POINT
-    of an earlier one merged into it, and exponents that sum to 0 dropped."""
+    """The (point, exponent) ``factors``, exponents through ``as_int``, with
+    each point within SAME_POINT of an earlier one merged into it, and
+    exponents that sum to 0 dropped."""
     merged: dict[complex, int] = {}
     for point, expo in factors:
         point = complex(point)
@@ -437,7 +430,7 @@ def _merged(factors) -> tuple[tuple[complex, int], ...]:
             if abs(known - point) < SAME_POINT:
                 point = known
                 break
-        merged[point] = merged.get(point, 0) + int(expo)
+        merged[point] = merged.get(point, 0) + as_int(expo, "factor exponents")
     return tuple((p, e) for p, e in merged.items() if e != 0)
 
 

@@ -3,7 +3,7 @@
 Paths of colours 1..n travel up-right (L weights) or up-left (M weights) on
 a square grid; horizontal edges hold at most one path, vertical edges hold a
 nonnegative occupation vector.  The partition functions f_mu (row by row
-along a plan memoized per parts and cap, or column by column for long
+along a plan memoized per parts, or column by column for long
 parts) and G_mu/nu (row by row) are contracted over the sparse set of
 reachable edge states, never by path enumeration.  Every vertex weight is
 (a + b*z)/(1 - s*z) or its leftward counterpart, from one coefficient table.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, ValidationError, as_int, signed_permutations
+from .core import ConfigurationError, ValidationError, as_int, signed_permutations, strictly_ordered
 from .quadrature import (
     ContourProduct,
     ContourSpec,
@@ -37,7 +37,7 @@ ROW_MOVE_POINTS = 2**10
 
 
 def _as_state(vec) -> tuple[int, ...]:
-    state = tuple(int(x) for x in vec)
+    state = tuple([as_int(x, "colour occupation numbers") for x in vec])
     if any(x < 0 for x in state):
         raise ValidationError("colour occupation numbers must be nonnegative")
     return state
@@ -318,18 +318,27 @@ def _row_moves(pos, mu, top, ids):
 
 def _row_plan(mu, cap):
     """Each row of the f_mu lattice from the bottom as (factor keys, moves),
-    the moves (pos, new_pos, factors) indexing the keys; None as soon as
-    the moves number more than ``cap``.  One read-only plan per (parts, cap)."""
-    return _memo_row_plan(tuple(mu), cap)
+    the moves (pos, new_pos, factors) indexing the keys; None if the moves
+    number more than ``cap``.  One read-only plan per parts serves every cap
+    at or above its move count; a build dropped at a cap is redone only for
+    a larger one."""
+    entry = _memo_row_plan(tuple(mu))
+    if entry[0] is None and cap > entry[1]:
+        entry[:] = _build_row_plan(tuple(mu), cap)
+    return entry[0] if entry[1] <= cap else None
 
 
-@functools.lru_cache(maxsize=64)
-def _memo_row_plan(mu, cap):
+# parts -> [their plan, its move count] or [None, the largest cap a build dropped at]
+_memo_row_plan = functools.lru_cache(maxsize=64)(lambda mu: [None, -1])
+
+
+def _build_row_plan(mu, cap):
+    """(plan, move count), or (None, cap) once the moves number more than ``cap``."""
     n = len(mu)
     # the states after row r < n - 1 put colour c <= r + 1 at any column up
     # to mu_c, and each is reached by at least one move
     if sum(math.prod(m + 1 for m in mu[:k]) for k in range(1, n)) > cap:
-        return None
+        return None, cap
     plan, states, count = [], [()], 0
     for r in range(n):
         ids: dict = {}
@@ -338,11 +347,11 @@ def _memo_row_plan(mu, cap):
             for new_pos, factors in _row_moves(pos, mu, r == n - 1, ids):
                 moves.append((pos, new_pos, factors))
             if count + len(moves) > cap:
-                return None
+                return None, cap
         count += len(moves)
         plan.append((list(ids), moves))
         states = list(dict.fromkeys(new_pos for _, new_pos, _ in moves))
-    return plan
+    return plan, count
 
 
 def _f_mu_by_rows(plan, rows, q, s):
@@ -419,7 +428,8 @@ def f_mu(mu, z, q, s):
     points / ROW_MOVE_POINTS, else the columns.  Negative parts are rebased
     through the stability relation: shifting all parts by k multiplies the
     value by prod_i ((z_i-s)/(1-s*z_i))^k.  The row plans are memoized per
-    (rebased parts, cap), so an integral's repeated calls build none.
+    rebased parts, so each is built once for all the caps of an integral's
+    blocks, and repeated calls build none.
     """
     mu = [as_int(x, "mu") for x in mu]
     n = len(mu)
@@ -512,9 +522,7 @@ def _symmetrize(X, pair, ratio, lam):
 
 def sfF_lambda(lam, u, q):
     """Permutation sum F_lambda over a strict signature (Hall-Littlewood type)."""
-    lam = [as_int(x, "lam") for x in lam]
-    if any(b >= a for a, b in zip(lam, lam[1:])):
-        raise ValidationError("lambda must be strictly decreasing")
+    lam = strictly_ordered(lam, "lambda", decreasing=True)
     U, finish = spectral_rows(u, len(lam))
     return finish(_symmetrize(U, lambda a, b: (b - q * a) / (b - a),
                               [(1.0 - x) / (1.0 - q * x) for x in U], lam))

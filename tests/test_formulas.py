@@ -757,7 +757,7 @@ class TestCumulativeBernoulli:
     def test_three_species_sizes(self):
         # n = 3, m = 2 exercises the multivariate residue expansion
         query = WallQuery(s1=-4, s2=2, rho=0.6, n=3, m=2, t=1.5)
-        d = cumulative_crossing_bernoulli(query, form="direct", tol=1e-9)
+        d = cumulative_crossing_bernoulli(query, form="direct")
         i = cumulative_crossing_bernoulli(query, form="inverted")
         assert abs(d - i) < 1e-8
 

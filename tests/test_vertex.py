@@ -365,11 +365,40 @@ class TestSweepOrders:
     def test_memo_takes_each_caps_order(self, mu):
         # the memo's plan at each cap is an uncached build's, in any cap
         # order and for parts given as a list; (15, 8, 0) has 864 moves
-        build = vertex._memo_row_plan.__wrapped__
+        vertex._memo_row_plan.cache_clear()
         for cap in [0, 816, 768, 863, 10, 864, 1584, 863, 6144]:
             plan = vertex._row_plan(list(mu), cap)
-            assert plan == build(tuple(mu), cap)
+            assert plan == vertex._build_row_plan(tuple(mu), cap)[0]
             assert vertex._row_plan(mu, cap) is plan
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        builds = []
+
+        def build(mu, cap, build=vertex._build_row_plan):
+            builds.append((mu, cap))
+            return build(mu, cap)
+
+        monkeypatch.setattr(vertex, "_build_row_plan", build)
+        return builds
+
+    @pytest.mark.parametrize("mu, caps", [((1, 3, 0), [0, 816]), ((15, 8, 0), [0, 816, 863, 864])])
+    def test_memo_builds_a_plan_once(self, mu, caps, monkeypatch):
+        # a built plan (18 and 864 moves) serves every cap at or above its
+        # move count; a build dropped at a cap is tried again only for a
+        # larger one
+        vertex._memo_row_plan.cache_clear()
+        builds = self._count_builds(monkeypatch)
+        for cap in [0, 816, 768, 863, 10, 864, 1584, 863, 6144]:
+            vertex._row_plan(mu, cap)
+        assert builds == [(mu, cap) for cap in caps]
+
+    def test_first_integral_builds_each_plan_once(self, monkeypatch):
+        # its blocks' caps are 192, 204 and 396, all above the 28 moves of (3, 1, 0)
+        vertex._memo_row_plan.cache_clear()
+        builds = self._count_builds(monkeypatch)
+        formulas.r_asep_transition((2, 1, 0), (3, 1, 0), 0.5, 1.0)
+        assert [mu for mu, _ in builds] == [(3, 1, 0)]
 
     CALLS = {
         "r_asep_n3": lambda: formulas.r_asep_transition((2, 1, 0), (1, 3, 0), 0.5, 1.0),
@@ -381,11 +410,11 @@ class TestSweepOrders:
     }
 
     @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS)
-    def test_repeated_integral_builds_no_plan(self, call):
+    def test_repeated_integral_builds_no_plan(self, call, monkeypatch):
         first = call()
-        misses = vertex._memo_row_plan.cache_info().misses
+        builds = self._count_builds(monkeypatch)
         again = call()
-        assert vertex._memo_row_plan.cache_info().misses == misses
+        assert builds == []
         assert (again, getattr(again, "est_err", None)) == (first, getattr(first, "est_err", None))
 
     @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS)
