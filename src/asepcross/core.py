@@ -153,7 +153,8 @@ class BlockSignatureVector:
 
     ``orientation='initial'`` requires every part of block i to exceed every
     part of block j for i < j (block 1 is rightmost); ``'final'`` requires
-    the reverse (block 1 is leftmost).  All parts are pairwise distinct.
+    the reverse (block 1 is leftmost).  All parts are pairwise distinct,
+    and every block has at least one.
     """
 
     blocks: tuple[StrictSignature, ...]
@@ -164,8 +165,8 @@ class BlockSignatureVector:
             b if isinstance(b, StrictSignature) else StrictSignature(tuple(b))
             for b in self.blocks
         )
-        if not blocks:
-            raise ValidationError("at least one block is required")
+        if not blocks or not all(b.parts for b in blocks):
+            raise ValidationError("at least one block is required, each with at least one part")
         if self.orientation not in ("initial", "final"):
             raise ValidationError("orientation must be 'initial' or 'final'")
         for a, b in zip(blocks, blocks[1:]):

@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -53,9 +52,9 @@ from .quadrature import (
     DEFAULT_TOL,
     ContourProduct,
     ContourSpec,
+    MultivariatePolynomial,
     OpenGrid,
     RationalExpDescriptor,
-    batched_det,
     laurent_residue,  # not called here; bench/tracing.py patches formulas.laurent_residue
     product_integrate,
     residue_moments,
@@ -243,7 +242,7 @@ def eigenfunction_P(nu, p, t, z, u):
 def u_sum_determinant(p, U, Zp):
     """The antisymmetrized u-sum of ``eigenfunction_P`` for one ordering Zp
     of the z: det[(1 - U_a)^-(i+1) prod_{l < p_i - 1} (U_a - Zp_l)] over
-    i, a < m, by ``batched_det``."""
+    i, a < m, by ``_det_and_permanent``."""
     m = len(p)
     uz = []  # uz[a][e] = prod_{l < e} (U_a - Zp_l)
     for a in range(m):
@@ -251,7 +250,9 @@ def u_sum_determinant(p, U, Zp):
         for l in range(max(p) - 1):
             prods.append(prods[-1] * (U[a] - Zp[l]))
         uz.append(prods)
-    return batched_det(m, lambda i, a: (1.0 - U[a]) ** (-(i + 1)) * uz[a][p[i] - 1])
+    return _det_and_permanent(signed_permutations(m), [
+        [((1.0 - U[a]) ** (-(i + 1)) * uz[a][p[i] - 1], 0.0) for a in range(m)]
+        for i in range(m)])[0]
 
 
 def two_tasep_green(query: GreenQuery) -> Result:
@@ -303,14 +304,10 @@ def _green_terms(n: int, p0: tuple[int, ...], p: tuple[int, ...]) -> tuple:
                   + [bisect_right(p, l) - m - l - 1 for l in range(n)])
     terms: dict[tuple[int, ...], int] = {}
     for tau, sign in signed_permutations(m):
-        grown = {start: sign}
+        poly = MultivariatePolynomial(2 * n).multiply_terms({start: sign})
         for i, a in enumerate(tau):
-            grown, previous = {}, grown
-            for key, v in previous.items():
-                for s, shift in entries[i][a]:
-                    shifted = tuple(map(operator.add, key, shift))
-                    grown[shifted] = grown.get(shifted, 0) + s * v
-        for key, v in grown.items():
+            poly.multiply_terms(entries[i][a])
+        for key, v in poly.terms.items():  # cancelled keys too: the sum keeps its order
             terms[key] = terms.get(key, 0) + v
     terms = {key: v for key, v in terms.items() if v}
     work += len(terms) * math.factorial(n)
@@ -324,23 +321,24 @@ def _divided_difference_terms(e: int, P: int) -> int:
     return math.comb(e, P - 1) if e >= 0 else math.comb(P - 2 - e, P - 1)
 
 
-def _u_entry_terms(n: int, e: int, P: int, L: int) -> list[tuple[int, tuple[int, ...]]]:
+def _u_entry_terms(n: int, e: int, P: int, L: int) -> dict[tuple[int, ...], int]:
     """The divided difference of (1-u)^e prod_(l < L) (u - z_σ(l)) on z_0 ..
-    z_(P-1) as (sign, r + c): r, c the powers of w_k = 1 - z_k in row k and
-    of w_σ(l) in column l.  With u - z_σ(l) = w_σ(l) - w, each subset S of
-    factors that give -w leaves w^d, d = e + |S|: (-1)^(P-1) h_(d-P+1)(w_0,
-    ..) for d >= 0, prod_k w_k^-1 h_(-d-1)(1/w_0, ..) for d < 0."""
-    out, pad_rows, pad_columns = [], (0,) * (n - P), (0,) * (n - L)
-    for S in itertools.product((0, 1), repeat=L):  # S[l] = 1: the factor gives -w
-        d = e + sum(S)
+    z_(P-1) as a map r + c -> sign, r, c the powers of w_k = 1 - z_k in row
+    k and of w_σ(l) in column l.  With u - z_σ(l) = w_σ(l) - w, each subset S
+    of factors that give -w (column power 0) leaves w^d, d = e + |S|:
+    (-1)^(P-1) h_(d-P+1)(w_0, ..) for d >= 0, prod_k w_k^-1 h_(-d-1)(1/w_0,
+    ..) for d < 0.  Each S gives its own column powers, so no shift repeats."""
+    out, pad_rows, pad_columns = {}, (0,) * (n - P), (0,) * (n - L)
+    for columns in itertools.product((1, 0), repeat=L):
+        d = e + L - sum(columns)
         if 0 <= d < P - 1:
             continue  # h of negative degree
         degree, sign, base, step = ((d - P + 1, (-1) ** (P - 1 + d - e), 0, 1) if d >= 0
                                     else (-d - 1, (-1) ** (d - e), -1, -1))
-        columns = tuple([1 - x for x in S]) + pad_columns
+        columns += pad_columns
         for combo in itertools.combinations_with_replacement(range(P), degree):
             rows = tuple([base + step * combo.count(k) for k in range(P)])
-            out.append((sign, rows + pad_rows + columns))
+            out[rows + pad_rows + columns] = sign
     return out
 
 
@@ -610,28 +608,26 @@ def _expand_pairs(nvars: int, pairs) -> dict:
     ones that cancel; more than COUPLING_CAP pairs are refused first."""
     if len(pairs) > COUPLING_CAP:
         raise ResourceLimitError(f"{len(pairs)} coupled pairs exceed the cap {COUPLING_CAP}")
-    terms = {(0,) * nvars: 1}
+    poly = MultivariatePolynomial(nvars)
     for a, b in pairs:
-        grown: dict[tuple[int, ...], int] = {}
-        for c, v in terms.items():
-            for var, sign in ((a, v), (b, -v)):
-                key = c[:var] + (c[var] + 1,) + c[var + 1:]
-                grown[key] = grown.get(key, 0) + sign
-        terms = grown
-    return {c: (v, abs(v)) for c, v in terms.items() if v}
+        poly.multiply_linear({a: 1, b: -1})
+    return {c: (v, abs(v)) for c, v in poly.items()}
 
 
 def _det_and_permanent(perms, cells) -> tuple[complex, float]:
     """det of the values and permanent of the sizes of a square matrix of
-    (value, size) ``cells``, in one Leibniz pass over ``signed_permutations``."""
+    (value, size) ``cells``, in one Leibniz pass over ``signed_permutations``:
+    the one determinant kernel.  Products and sums are formed out of place,
+    so values on an OpenGrid block keep their broadcast shape and no k x k
+    array is filled; (1.0, 1.0) for k = 0."""
     det, per = 0.0, 0.0
     for perm, sgn in perms:
         term, bound = sgn, 1.0
         for a, b in enumerate(perm):
             value, size = cells[a][b]
-            term *= value
+            term = term * value
             bound *= size
-        det += term
+        det = det + term
         per += bound
     return det, per
 
@@ -788,7 +784,9 @@ def cumulative_crossing_bernoulli(query: WallQuery, form: str = "inverted") -> R
             for i in range(m):
                 for j in range(k):
                     w_part = w_part * (W[j] - Z[i])
-            return out * (w_part * batched_det(k, lambda i, j: W[i] ** j - W[i] ** (s2 - s1)))
+            det = _det_and_permanent(signed_permutations(k), [
+                [(W[i] ** j - W[i] ** (s2 - s1), 0.0) for j in range(k)] for i in range(k)])[0]
+            return out * (w_part * det)
 
         return _integrate(integrand, _origin_contours(m, k, W_RADIUS), DEFAULT_TOL,
                           DEFAULT_NODE_BUDGET, scale=rho**m / math.factorial(m))

@@ -195,6 +195,9 @@ class MonteCarloJob:
             object.__setattr__(self, "bernoulli", bernoulli_data(*self.bernoulli))
         if self.event and self.event[0] not in ("target", "wall"):
             raise ValidationError(f"unknown event kind {self.event[0]!r}")
+        if self.event and len(self.event) != 3:
+            raise ValidationError(f"a {self.event[0]} event needs 2 fields after its kind, "
+                                  f"got {self.event!r}")
         if self.event and self.event[0] == "target":
             ParticleConfig(self.event[1], self.event[2])  # sorted, int64, labels >= 1
         elif self.event:

@@ -19,9 +19,7 @@ of their own round-off level.  Integrands see the tensor grid as an open
 grid (``OpenGrid``, in the style of ``np.ix_``): one array per variable,
 each varying along its own dimension, so a factor in one variable is
 evaluated once per axis node and only the coupled parts run over every
-node tuple.  ``batched_det`` is the one determinant kernel on such grids:
-a Leibniz sum over ``core.signed_permutations`` whose products
-keep the entries' broadcast shape.  A separate series-based residue engine
+node tuple.  A separate series-based residue engine
 handles integrands g of rational-times-exponential form exactly:
 ``residue_moments`` returns the moment table of g, the residue sums
 M(e) = Σ_p Res_{z=p} g(z)·z^e for a range of e with their sizes Σ_p |Res|,
@@ -31,7 +29,9 @@ cost is mostly fixed work per call.  A simple pole needs no series: its
 residue is the value of the other factors, a product of scalars.  Longer
 series are multiplied by ``np.convolve``: an interpreted O(order²) product
 beats its fixed cost only up to about 3 terms, and at pole order 4,000
-takes about a hundred times as long.
+takes about a hundred times as long.  ``MultivariatePolynomial`` is the
+one sparse polynomial product: the exact routes expand their couplings
+into monomials with it.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import core  # core.signed_permutations: bench/tracing.py counts its terms
 from .core import AccuracyError, ResourceLimitError, ValidationError, as_int
 
 DEFAULT_START_NODES = 32
@@ -149,27 +149,6 @@ def spectral_rows(z, n: int):
     if len(rows) != n:
         raise ValidationError(f"need {n} rows of spectral parameters, got {len(rows)}")
     return rows, finish
-
-
-def batched_det(k: int, entry):
-    """Determinant of the k x k matrix [entry(i, j)] by Leibniz expansion:
-    sum over sigma in S_k of sgn(sigma) prod_i entry(i, sigma(i)).
-
-    Each entry is computed once and no (..., k, k) array is filled, so a
-    product keeps the broadcast shape of its factors (an OpenGrid block
-    included).  1.0 when k = 0; k above the factorial cap is refused.
-    """
-    perms = core.signed_permutations(k)
-    if k == 0:
-        return 1.0
-    rows = [[entry(i, j) for j in range(k)] for i in range(k)]
-    total = 0.0
-    for perm, sgn in perms:
-        term = rows[0][perm[0]]
-        for row, j in zip(rows[1:], perm[1:]):
-            term = term * row[j]
-        total = total + term if sgn > 0 else total - term
-    return total
 
 
 def _blocks(shape):
@@ -551,39 +530,40 @@ def laurent_residue(descriptor: RationalExpDescriptor, at: complex) -> complex:
 
 
 class MultivariatePolynomial:
-    """Sparse multivariate polynomial keyed by exponent tuples.
+    """Sparse multivariate polynomial keyed by exponent tuples, the one
+    polynomial product of the exact routes.
 
     Start from 1, multiply in linear forms ``sum c_k x_k`` and other
-    polynomials, and iterate monomials: the monomial expansion that the
-    tests keep as the reference for the residue routes.
+    polynomials, and read the monomials off ``items()``.  ``terms`` holds
+    every key a product formed, in the order first formed, cancelled ones
+    included, so a sum over it adds its terms in a fixed order; ``items()``
+    leaves the cancelled ones out.  Integer coefficients stay exact ints.
     """
 
     def __init__(self, nvars: int):
-        self.nvars = nvars
-        self.terms: dict[tuple[int, ...], complex] = {(0,) * nvars: 1.0 + 0.0j}
+        self.terms: dict[tuple[int, ...], complex] = {(0,) * nvars: 1}
 
     def multiply_linear(self, coeffs: dict[int, complex]):
         new: dict[tuple[int, ...], complex] = {}
+        get, linear = new.get, list(coeffs.items())
         for expo, c in self.terms.items():
-            for var, cv in coeffs.items():
-                if cv == 0:
-                    continue
-                key = tuple(
-                    e + 1 if k == var else e for k, e in enumerate(expo)
-                )
-                new[key] = new.get(key, 0.0) + c * cv
-        self.terms = {k: v for k, v in new.items() if v != 0}
+            for var, cv in linear:
+                key = expo[:var] + (expo[var] + 1,) + expo[var + 1:]
+                new[key] = get(key, 0) + c * cv
+        self.terms = new
         return self
 
     def multiply_terms(self, other: dict):
         """Multiply by another exponent->coefficient map (exponents may be negative)."""
         new: dict[tuple[int, ...], complex] = {}
+        get, add = new.get, operator.add
         for e1, c1 in self.terms.items():
             for e2, c2 in other.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                new[key] = new.get(key, 0.0) + c1 * c2
-        self.terms = {k: v for k, v in new.items() if v != 0}
+                key = tuple(map(add, e1, e2))
+                new[key] = get(key, 0) + c1 * c2
+        self.terms = new
         return self
 
-    def items(self):
-        return self.terms.items()
+    def items(self) -> list[tuple[tuple[int, ...], complex]]:
+        """The (exponents, coefficient) monomials whose coefficient is not 0."""
+        return [(key, c) for key, c in self.terms.items() if c]

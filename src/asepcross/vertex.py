@@ -64,11 +64,12 @@ def _check_leftward(q, s):
 
 
 def _vertex(I, j, K, l, z, q, s, leftward):
-    """The validated state ``I`` and spectral point ``z`` of one vertex, and
-    whether it conserves paths (I + e_j = K + e_l); a leftward vertex
-    refuses s = 0 or q = 0."""
+    """The validated state ``I``, indices ``j`` and ``l`` and spectral point
+    ``z`` of one vertex, and whether it conserves paths (I + e_j = K + e_l);
+    a leftward vertex refuses s = 0 or q = 0."""
     I = _as_state(I)
     K = _as_state(K)
+    j, l = as_int(j, "j"), as_int(l, "l")
     n = len(I)
     if len(K) != n or not (0 <= j <= n) or not (0 <= l <= n):
         raise ValidationError("inconsistent vertex state dimensions")
@@ -81,7 +82,7 @@ def _vertex(I, j, K, l, z, q, s, leftward):
     rhs = list(K)
     if l >= 1:
         rhs[l - 1] += 1
-    return I, z, lhs == rhs
+    return I, j, l, z, lhs == rhs
 
 
 def _coefficients(I, j, l, q, s):
@@ -114,7 +115,7 @@ def weight_L(I, j, K, l, z, q, s):
 
     ``z`` may be a complex scalar or ndarray; ``q`` and ``s`` are scalars.
     """
-    I, z, conserved = _vertex(I, j, K, l, z, q, s, False)
+    I, j, l, z, conserved = _vertex(I, j, K, l, z, q, s, False)
     if not conserved:
         return np.zeros_like(z) if isinstance(z, np.ndarray) else 0.0 + 0.0j
     return _weight_L(I, j, l, z, q, s)
@@ -126,7 +127,7 @@ def weight_M(I, j, K, l, z, q, s):
     Equals (-s)^(1[j>=1] - 1[l>=1]) * weight_L at inverted (z, q, s) and is
     finite at z = 0, where that substitution has a removable singularity.
     """
-    I, z, conserved = _vertex(I, j, K, l, z, q, s, True)
+    I, j, l, z, conserved = _vertex(I, j, K, l, z, q, s, True)
     if not conserved:
         return np.zeros_like(z) if isinstance(z, np.ndarray) else 0.0 + 0.0j
     return _weight_M(I, j, l, z, q, s)
@@ -147,7 +148,10 @@ def _out_states(I, j):
 
 def out_states(I, j):
     """All (K, l) reachable from (I, j) under path conservation."""
-    return _out_states(_as_state(I), j)
+    I, j = _as_state(I), as_int(j, "j")
+    if not 0 <= j <= len(I):
+        raise ValidationError("inconsistent vertex state dimensions")
+    return _out_states(I, j)
 
 
 @dataclass(frozen=True)
@@ -180,6 +184,9 @@ def stochastic_weights_check(
     ``perturb`` scales the colour-preserving pass-through entry and exists as
     a negative control: any value != 1 must break the sums.
     """
+    n = as_int(n, "n")
+    if n < 0:
+        raise ValidationError(f"n must be >= 0, got {n}")
     z = _spectral_point(z, s)
     _check_leftward(q, s)
     states = [I for I in itertools.product(range(WEIGHT_CHECK_TOTAL + 1), repeat=n)

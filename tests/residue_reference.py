@@ -34,9 +34,9 @@ def vandermonde_squared_poly(nvars: int, k: int) -> MultivariatePolynomial:
     return poly
 
 
-def monomial_residues(scale: float, variables, terms: dict) -> tuple[complex, float]:
-    """scale times the sum over the monomials c x^e of ``terms`` of c times
-    prod_i (residue sum of variable i times x_i^e_i), and its error."""
+def monomial_residues(scale: float, variables, terms) -> tuple[complex, float]:
+    """scale times the sum over the (e, c) monomials c x^e of ``terms`` of c
+    times prod_i (residue sum of variable i times x_i^e_i), and its error."""
     cache = {}
 
     def one(i, e):
@@ -49,7 +49,7 @@ def monomial_residues(scale: float, variables, terms: dict) -> tuple[complex, fl
         return cache[i, e]
 
     total, size = 0j, 0.0
-    for expo, cf in terms.items():
+    for expo, cf in terms:
         term, term_size = complex(cf), abs(cf)
         for i, e in enumerate(expo):
             value, value_size = one(i, e)
@@ -67,7 +67,7 @@ def _variable(t, factors, points):
 def gamma_wall(n: int, s: int, t: float):
     z = _variable(t, ((1.0, -n), (0.0, 1 - s)), (0.0, 1.0))
     return monomial_residues(1.0 / math.factorial(n), [z] * n,
-                             vandermonde_squared_poly(n, n).terms)
+                             vandermonde_squared_poly(n, n).items())
 
 
 def bernoulli_inverted(q: WallQuery):
@@ -89,7 +89,7 @@ def bernoulli_inverted(q: WallQuery):
     poly.multiply_terms({key: cf for key, cf in border.items() if cf != 0})
     z = _variable(t, ((1.0, -n), (1.0 - rho, -1), (0.0, -s2 - m + 1)), (0.0, 1.0, 1.0 - rho))
     w = [_variable(t, ((1.0, i - k), (0.0, -s1 - m)), (0.0, 1.0)) for i in range(k)]
-    return monomial_residues(rho**m / math.factorial(m), [z] * m + w, poly.terms)
+    return monomial_residues(rho**m / math.factorial(m), [z] * m + w, poly.items())
 
 
 def one_wall(q: WallQuery):
@@ -101,7 +101,7 @@ def one_wall(q: WallQuery):
                   (0.0, 1.0, 1.0 - rho))
     w = _variable(t, ((1.0, -1), (0.0, n - 2 * m - s2 - 1)), (0.0,))
     return monomial_residues((-1.0) ** (m + 1) * rho**m / math.factorial(m),
-                             [z] * m + [w], poly.terms)
+                             [z] * m + [w], poly.items())
 
 
 def two_species_crossing(mu, nu, m: int, t: float):

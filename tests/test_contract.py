@@ -16,6 +16,7 @@ import pytest
 from asepcross import formulas, identities, oracle, vertex
 from asepcross.cli import main
 from asepcross.core import (
+    BlockSignatureVector,
     ModelParams,
     ParticleConfig,
     StrictSignature,
@@ -116,7 +117,12 @@ ENTRIES = [
      {"nu": (0, 0, 3), "l": 1, "p": (1,), "z": np.append(Z2, 0.6), "u": np.array([0.8 + 0.1j])},
      ["nu.2", "l", "p.0"], [], False),
     ("weight_L", vertex.weight_L, {"I": (1, 0), "j": 0, "K": (1, 0), "l": 0, "z": 0.3, "q": 0.5,
-                                   "s": 0.4}, ["I.0", "K.1"], [], False),
+                                   "s": 0.4}, ["I.0", "K.1", "j", "l"], [], False),
+    ("weight_M", vertex.weight_M, {"I": (1, 0), "j": 1, "K": (1, 0), "l": 1, "z": 0.3, "q": 0.5,
+                                   "s": 0.4}, ["I.1", "K.0", "j", "l"], [], False),
+    ("out_states", vertex.out_states, {"I": (1, 0), "j": 1}, ["I.0", "j"], [], False),
+    ("stochastic_weights_check", vertex.stochastic_weights_check,
+     {"n": 1, "z": 0.3, "q": 0.5, "s": 0.4}, ["n"], [], False),
 ]
 IDS = [entry[0] for entry in ENTRIES]
 
@@ -189,6 +195,33 @@ def test_wall_query_stores_ints():
     assert [type(x) for x in (query.s1, query.s2, query.n, query.m)] == [int] * 4
 
 
+def _event_job(event):
+    return oracle.MonteCarloJob(q=0.0, horizon=1.0, samples=10, seed=0,
+                                bernoulli=(0.5, 1, 2), event=event)
+
+
+# (id, call, message): malformed structure that no field check covers
+MALFORMED = [
+    ("empty_block_of_two", lambda: BlockSignatureVector(((2,), ())),
+     "each with at least one part"),
+    ("lone_empty_block", lambda: BlockSignatureVector(((),)), "each with at least one part"),
+    ("short_wall_event", lambda: _event_job(("wall", -3)), "a wall event needs 2 fields"),
+    ("short_target_event", lambda: _event_job(("target", (1, 2))),
+     "a target event needs 2 fields"),
+    ("long_wall_event", lambda: _event_job(("wall", -3, 2, 5)), "a wall event needs 2 fields"),
+    ("out_states_j_above_n", lambda: vertex.out_states((1, 0), 3), "inconsistent vertex state"),
+    ("stochastic_check_negative_n", lambda: vertex.stochastic_weights_check(-1, 0.3, 0.5, 0.4),
+     "n must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("call, message", [entry[1:] for entry in MALFORMED],
+                         ids=[entry[0] for entry in MALFORMED])
+def test_malformed_structure_is_refused(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
 def test_wall_event_bounds_are_ints():
     job = _wall_job(0.0, 1.0, 10, 0, 0.5, 1, 2, -3.0, 2.0)
     assert job.event == ("wall", -3, 2) and all(type(x) is int for x in job.event[1:])
@@ -236,3 +269,12 @@ def test_cli_integer_field_exits_2(capsys, command, payload, field, value):
 @pytest.mark.parametrize("command, payload", [(c, p) for c, p, _ in CLI_PAYLOADS], ids=CLI_IDS)
 def test_cli_valid_payload_exits_0(capsys, command, payload):
     assert main([command, "--json", json.dumps(payload)]) == 0
+
+
+@pytest.mark.parametrize("mu_blocks, lambda_blocks", [([[1], []], [[2], [3]]), ([[]], [[]])],
+                         ids=["empty_block_of_two", "lone_empty_block"])
+def test_cli_empty_block_exits_2(capsys, mu_blocks, lambda_blocks):
+    payload = {"kind": "blocks", "mu_blocks": mu_blocks, "lambda_blocks": lambda_blocks,
+               "t": 1.0}
+    assert main(["crossing", "--json", json.dumps(payload)]) == 2
+    assert "at least one part" in capsys.readouterr().err

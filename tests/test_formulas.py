@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from asepcross import formulas
 from asepcross.core import (
     AccuracyError,
     ModelParams,
@@ -42,7 +43,7 @@ from asepcross.oracle import (
     expm_transition,
     run_monte_carlo,
 )
-from asepcross.quadrature import NOISE_MARGIN, ROUNDOFF, OpenGrid
+from asepcross.quadrature import NOISE_MARGIN, ROUNDOFF, MultivariatePolynomial, OpenGrid
 import residue_reference
 from conftest import make_blocks
 
@@ -247,7 +248,10 @@ class TestTwoTasepGreen:
         # 20 coupled pairs: 2^20 products, refused before any is formed
         (lambda: two_tasep_crossing(tuple(range(9)), tuple(range(2, 11)), 4, 1.0),
          "coupled pairs"),
-    ], ids=["rainbow_n5", "two_tasep_crossing_n9m4"])
+        # one pair above COUPLING_CAP
+        (lambda: two_tasep_crossing(tuple(range(14)), tuple(range(2, 16)), 1, 1.0),
+         "13 coupled pairs exceed the cap 12"),
+    ], ids=["rainbow_n5", "two_tasep_crossing_n9m4", "two_tasep_crossing_n14m1"])
     def test_dimension_budget(self, call, match):
         # this thread's time: BLAS workers still spinning after an earlier test
         # would be charged to the process time
@@ -848,6 +852,36 @@ class TestAndreiefAgainstMonomials:
         value, err = reference()
         assert abs(new - min(max(value.real, 0.0), 1.0)) <= new.est_err + err
         assert new.est_err >= err * (1 - 1e-12)
+
+
+class TestCouplingExpansion:
+    """``_expand_pairs`` through ``MultivariatePolynomial``, the one polynomial product."""
+
+    @pytest.mark.parametrize("nvars, pairs", [
+        (2, [(0, 1)]),
+        (2, [(0, 1), (1, 0)]),
+        (3, [(0, 1), (1, 2), (2, 0)]),  # x0 x1 x2 cancels
+        (4, [(0, 1), (1, 2), (2, 0), (3, 0), (1, 3), (2, 3)]),
+        (7, [(i, 3 + j) for i in range(3) for j in range(4)]),  # 12 pairs, the cap
+    ], ids=["one", "squared", "cyclic", "two_cycles", "twelve"])
+    def test_equals_the_product_at_random_points(self, rng, nvars, pairs):
+        terms = formulas._expand_pairs(nvars, pairs)
+        assert all(type(v) is int and v and size == abs(v) for v, size in terms.values())
+        for _ in range(5):
+            x = rng.uniform(-1.0, 1.0, nvars) + 1j * rng.uniform(-1.0, 1.0, nvars)
+            expected = math.prod(x[a] - x[b] for a, b in pairs)
+            value = sum(v * math.prod(x ** np.array(key)) for key, (v, _) in terms.items())
+            size = sum(s * math.prod(abs(x) ** np.array(key)) for key, (_, s) in terms.items())
+            assert abs(value - expected) <= 1e-14 * size
+
+    def test_cancelled_terms_are_left_out(self):
+        poly = MultivariatePolynomial(3)
+        for a, b in [(0, 1), (1, 2), (2, 0)]:
+            poly.multiply_linear({a: 1, b: -1})
+        assert poly.terms[(1, 1, 1)] == 0
+        assert len(poly.items()) == 6 and (1, 1, 1) not in dict(poly.items())
+        poly.multiply_terms({(0, 0, -1): 2, (1, 0, 0): 0})
+        assert all(v for _, v in poly.items()) and len(poly.items()) == 6
 
 
 class TestLargeArguments:

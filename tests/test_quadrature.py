@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from asepcross import formulas, quadrature
-from asepcross.core import AccuracyError, ParticleConfig, ResourceLimitError, ValidationError
+from asepcross.core import (
+    AccuracyError,
+    ParticleConfig,
+    ResourceLimitError,
+    ValidationError,
+    signed_permutations,
+)
 from asepcross.quadrature import (
     DEFAULT_MAX_NODES,
     DEFAULT_START_NODES,
@@ -19,7 +25,6 @@ from asepcross.quadrature import (
     ContourSpec,
     OpenGrid,
     RationalExpDescriptor,
-    batched_det,
     _binomial_series,
     _roots,
     laurent_residue,
@@ -471,7 +476,9 @@ class TestConjugateSymmetric:
         assert dims == [2, 3, 3, 2, 3, 3, 2]
 
 
-class TestBatchedDet:
+class TestDetKernel:
+    """``formulas._det_and_permanent``, the one Leibniz determinant kernel."""
+
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     def test_matches_lapack_on_an_open_grid(self, rng, k):
         # row i varies along axis i only, as on an OpenGrid block
@@ -491,14 +498,15 @@ class TestBatchedDet:
             for j in range(k):
                 mat[..., i, j] = entry(i, j)
         expected = np.linalg.det(mat)
-        value = batched_det(k, entry)
+        value, _ = formulas._det_and_permanent(
+            signed_permutations(k), [[(entry(i, j), 0.0) for j in range(k)] for i in range(k)])
         assert np.shape(value) == shape
         assert np.max(np.abs(value - expected) / np.abs(expected)) < 1e-13
 
     def test_empty_and_capped(self):
-        assert batched_det(0, None) == 1.0
-        with pytest.raises(ResourceLimitError):
-            batched_det(10, lambda i, j: 1.0)
+        assert formulas._det_and_permanent(signed_permutations(0), []) == (1.0, 1.0)
+        with pytest.raises(ResourceLimitError):  # a 10 x 10 u-sum: 10! terms
+            formulas.u_sum_determinant(range(1, 11), np.full(10, 0.5), np.full(10, 0.1))
 
 
 class TestLaurentResidue:

@@ -7,8 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from asepcross import formulas, vertex
-from asepcross.core import ConfigurationError, ResourceLimitError, ValidationError
-from asepcross.quadrature import OpenGrid, batched_det, spectral_rows
+from asepcross.core import (
+    ConfigurationError,
+    ResourceLimitError,
+    ValidationError,
+    signed_permutations,
+)
+from asepcross.quadrature import OpenGrid, spectral_rows
 from asepcross.vertex import (
     G_mu_nu,
     admissible_contours,
@@ -46,7 +51,8 @@ def sfF_lambda_det0(lam, u):
     lam = [int(x) for x in lam]
     N = len(lam)
     U, finish = spectral_rows(u, N)
-    dets = batched_det(N, lambda i, j: U[j] ** i * (1.0 - U[j]) ** lam[i])
+    dets, _ = formulas._det_and_permanent(signed_permutations(N), [
+        [(U[j] ** i * (1.0 - U[j]) ** lam[i], 0.0) for j in range(N)] for i in range(N)])
     vand = 1.0
     for i in range(N):
         for j in range(i + 1, N):
