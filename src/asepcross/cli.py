@@ -43,7 +43,6 @@ from .formulas import (
 )
 from .identities import run_identity_suite
 from .oracle import MonteCarloJob, run_monte_carlo, simulate_sample
-from .quadrature import DEFAULT_NODE_BUDGET, MIN_NODE_BUDGET
 from .vertex import SUM_TOL, stochastic_weights_check
 
 
@@ -111,13 +110,6 @@ def _record(command, payload, value, est_error, method, started, extra=None):
     return rec
 
 
-def _quadrature_budget(args) -> int:
-    """Per-integral quadrature node cap for this invocation (--budget)."""
-    if args.budget is None:
-        return DEFAULT_NODE_BUDGET
-    return max(MIN_NODE_BUDGET, args.budget)
-
-
 def _crossing_query(p) -> CrossingQuery:
     return CrossingQuery(BlockSignatureVector(p["mu_blocks"], "initial"),
                          BlockSignatureVector(p["lambda_blocks"], "final"),
@@ -132,36 +124,35 @@ def _wall_query(p) -> WallQuery:
 SELECTORS = {"green": ("kind", "two_species"), "crossing": ("kind", "blocks"),
              "wall": ("form", "bernoulli")}
 
-# (command, kind or form) -> evaluator of (payload, tol, node budget); each
-# returns a formulas.Result, which carries its own est_err and method.
+# (command, kind or form) -> evaluator of the payload; each returns a
+# formulas.Result, which carries its own est_err and method.
 EVALUATORS = {
-    ("green", "two_species"): lambda p, tol, budget: two_tasep_green(GreenQuery(
+    ("green", "two_species"): lambda p: two_tasep_green(GreenQuery(
         ParticleConfig.from_two_species(p["mu"], p.get("p0", ())),
         ParticleConfig.from_two_species(p["nu"], p.get("p", ())), float(p["t"]))),
-    ("green", "rainbow_asep"): lambda p, tol, budget: r_asep_transition(
-        p["mu"], p["nu"], float(p["q"]), float(p["t"]), tol=tol, node_budget=budget),
-    ("crossing", "two_species"): lambda p, tol, budget: two_tasep_crossing(
+    ("green", "rainbow_asep"): lambda p: r_asep_transition(
+        p["mu"], p["nu"], float(p["q"]), float(p["t"])),
+    ("crossing", "two_species"): lambda p: two_tasep_crossing(
         p["mu"], p["nu"], p["m"], float(p["t"])),
-    ("crossing", "rainbow"): lambda p, tol, budget: rainbow_total_crossing(
-        p["mu"], p["nu"], float(p["q"]), float(p["t"]), tol=tol, node_budget=budget),
-    ("crossing", "blocks"): lambda p, tol, budget: block_crossing(
-        _crossing_query(p), tol=tol, node_budget=budget),
-    ("wall", "step"): lambda p, tol, budget: cumulative_crossing_step(
+    ("crossing", "rainbow"): lambda p: rainbow_total_crossing(
+        p["mu"], p["nu"], float(p["q"]), float(p["t"])),
+    ("crossing", "blocks"): lambda p: block_crossing(_crossing_query(p)),
+    ("wall", "step"): lambda p: cumulative_crossing_step(
         p["mu"], p["m"], p["s1"], p["s2"], float(p["t"])),
-    ("wall", "gamma"): lambda p, tol, budget: gamma_wall(p["n"], p["s"], float(p["t"])),
-    ("wall", "bernoulli"): lambda p, tol, budget: cumulative_crossing_bernoulli(_wall_query(p)),
-    ("wall", "one_wall"): lambda p, tol, budget: cumulative_crossing_one_wall(_wall_query(p)),
+    ("wall", "gamma"): lambda p: gamma_wall(p["n"], p["s"], float(p["t"])),
+    ("wall", "bernoulli"): lambda p: cumulative_crossing_bernoulli(_wall_query(p)),
+    ("wall", "one_wall"): lambda p: cumulative_crossing_one_wall(_wall_query(p)),
 }
 
 
-def cmd_evaluate(command, payload, args, started):
+def cmd_evaluate(command, payload, started):
     """Evaluate a green, crossing or wall payload through EVALUATORS."""
     field, default = SELECTORS[command]
     kind = payload.get(field, default)
     evaluate = EVALUATORS.get((command, kind))
     if evaluate is None:
         raise ValidationError(f"unknown {command} payload {field} {kind!r}")
-    value = evaluate(payload, args.tol, _quadrature_budget(args))
+    value = evaluate(payload)
     return _record(command, payload, value, value.est_err, value.method, started)
 
 
@@ -181,8 +172,6 @@ def cmd_simulate(payload, args, started):
     samples = 1
     if event is not None:
         samples = as_int(payload.get("samples", 100000), "samples")
-        if args.budget is not None:
-            samples = min(samples, args.budget)
     fields = {"q": float(payload.get("q", 0.0)), "samples": samples, "seed": args.seed,
               "horizon": 0.0 if task == "bernoulli_sample" else float(payload["t"])}
     if source == "initial":
@@ -274,11 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker processes for Monte Carlo sampling")
-    parser.add_argument("--budget", type=int, default=None,
-                        help="cap on quadrature nodes per integral and on Monte "
-                             "Carlo samples, for this invocation only")
-    parser.add_argument("--tol", type=float, default=1e-10,
-                        help="quadrature convergence tolerance")
     parser.add_argument("--out", help="append the result record to this file")
     parser.add_argument("--csv", help="append a CSV row to this file")
     return parser
@@ -307,7 +291,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             record = cmd_simulate(payload, args, started)
         else:
-            record = cmd_evaluate(args.command, payload, args, started)
+            record = cmd_evaluate(args.command, payload, started)
         _emit(record, args.out, args.csv)
         return 0
     # a malformed payload: JSON that does not parse or a field of the wrong

@@ -18,11 +18,12 @@ one-variable residue moments (Schütz's series for one colour): method
 'laurent', with ROUNDING times the size of the terms that cancel as
 est_err.  The others go through ``_integrate`` (dimension cap, trapezoid
 driver on half of each grid, as every integrand has real coefficients and
-real contour centres), take ``tol`` and ``node_budget`` (the direct form
-runs at ``product_integrate``'s defaults) and report |prefactor| times its
-est_err.  The formulas around 1 are stated on clockwise circles, integrated
-counterclockwise, and their prefactors carry the sign (-1)^n.  Structural
-zeros (an infeasible wall, t = 0 in ``gamma_wall``) are 0.0, method 'exact'.
+real contour centres) at a tolerance 1e-10 and node budget 2^26 no caller
+can change, and report |prefactor| times the driver's est_err, above 1e-10
+where |prefactor| > 1 (q^(-sum(nu)/2) at small q).  The formulas around 1
+are stated on clockwise circles, integrated counterclockwise, and their
+prefactors carry the sign (-1)^n.  Structural zeros (an infeasible wall,
+t = 0 in ``gamma_wall``) are 0.0, method 'exact'.
 """
 
 from __future__ import annotations
@@ -165,21 +166,19 @@ def _finalize_probability(value: complex, est_err: float, method: str) -> Result
     return Result(0.0 if v <= 0.0 else min(v, 1.0), est_err, method)  # never -0.0
 
 
-def _integrate(integrand, contours, tol, node_budget, scale) -> Result:
+def _integrate(integrand, contours, scale) -> Result:
     """scale times the integral of ``integrand`` over the product of
-    ``contours``, with |scale| times the driver's est_err (the estimated
-    error of the returned sum plus its round-off level) as its error; more
-    than DIMENSION_BUDGET variables are refused before any evaluation.
-    The integrand must satisfy f(z̄) = conj f(z): the driver evaluates half
-    of each grid."""
+    ``contours`` at the fixed DEFAULT_TOL and DEFAULT_NODE_BUDGET, with
+    |scale| times the driver's est_err (the estimated error of the returned
+    sum plus its round-off level) as its error; more than DIMENSION_BUDGET
+    variables are refused before any evaluation.  The integrand must
+    satisfy f(z̄) = conj f(z): the driver evaluates half of each grid."""
     if len(contours) > DIMENSION_BUDGET:
         raise ResourceLimitError(
             f"{len(contours)} integration variables exceed the budget {DIMENSION_BUDGET}"
         )
-    value, err = product_integrate(
-        integrand, ContourProduct(contours), tol=tol, node_budget=node_budget,
-        conjugate_symmetric=True,
-    )
+    value, err = product_integrate(integrand, ContourProduct(contours), tol=DEFAULT_TOL,
+                                   node_budget=DEFAULT_NODE_BUDGET, conjugate_symmetric=True)
     return _finalize_probability(scale * value, abs(scale) * err, "quadrature")
 
 
@@ -444,8 +443,7 @@ def _around_one(Z, q, t, powers, scale=None):
     return out
 
 
-def r_asep_transition(mu, nu, q: float, t: float, tol: float = 1e-10,
-                      node_budget: int = DEFAULT_NODE_BUDGET) -> Result:
+def r_asep_transition(mu, nu, q: float, t: float) -> Result:
     """Rainbow multi-species ASEP transition probability (all colours distinct).
 
     ``mu`` must be strictly decreasing; ``nu`` strict but unordered.  The
@@ -476,11 +474,10 @@ def r_asep_transition(mu, nu, q: float, t: float, tol: float = 1e-10,
         raise AccuracyError(f"prefactor q^(-sum(nu)/2) overflows the float range "
                             f"at q={q:.3g}") from None
     contours = _around_one_contours(q, [min(0.2, abs(q - 1.0) / 3.0)] * n)
-    return _integrate(integrand, contours, tol, node_budget, scale=scale)
+    return _integrate(integrand, contours, scale=scale)
 
 
-def rainbow_total_crossing(mu, nu, q: float, t: float, tol: float = 1e-10,
-                           node_budget: int = DEFAULT_NODE_BUDGET) -> Result:
+def rainbow_total_crossing(mu, nu, q: float, t: float) -> Result:
     """Fully factorized total-crossing integral for n distinct colours.
 
     Requires mu strictly decreasing and nu strictly increasing.  The
@@ -498,12 +495,10 @@ def rainbow_total_crossing(mu, nu, q: float, t: float, tol: float = 1e-10,
     n = len(mu)
     powers = [a - b for a, b in zip(mu, nu)]
     contours = _around_one_contours(q, [min(0.2, abs(q - 1.0) / 3.0)] * n)
-    return _integrate(lambda Z: _around_one(Z, q, t, powers), contours, tol, node_budget,
-                      scale=(q - 1.0) ** n)
+    return _integrate(lambda Z: _around_one(Z, q, t, powers), contours, scale=(q - 1.0) ** n)
 
 
-def block_crossing(query: CrossingQuery, tol: float = 1e-10,
-                   node_budget: int = DEFAULT_NODE_BUDGET) -> Result:
+def block_crossing(query: CrossingQuery) -> Result:
     """Total crossing of colour blocks in the multi-species ASEP.
 
     The integration variables split into blocks matching the signature
@@ -527,8 +522,7 @@ def block_crossing(query: CrossingQuery, tol: float = 1e-10,
 
     lo, hi = 0.7 * rmax, rmax  # radii spread evenly over [lo, hi]
     radii = [0.5 * (lo + hi)] if n == 1 else [lo + (hi - lo) * k / (n - 1) for k in range(n)]
-    return _integrate(integrand, _around_one_contours(q, radii), tol, node_budget,
-                      scale=(q - 1.0) ** n)
+    return _integrate(integrand, _around_one_contours(q, radii), scale=(q - 1.0) ** n)
 
 
 def tasep_block_crossing(query: CrossingQuery) -> Result:
@@ -753,8 +747,7 @@ def _andreief(scale: float, t: float, exponent: int, rho: float, s2: int, m: int
 def cumulative_crossing_bernoulli(query: WallQuery, form: str = "inverted") -> Result:
     """Cumulative crossing with density-rho initial data for type 2.
 
-    ``form='direct'`` integrates around the origin by quadrature, at
-    ``product_integrate``'s default tolerance and node budget;
+    ``form='direct'`` integrates around the origin by quadrature;
     ``form='inverted'`` works in reflected variables where the integrand is
     rational-times-exponential and all residues are extracted exactly.  Both
     forms agree to quadrature accuracy.
@@ -788,8 +781,8 @@ def cumulative_crossing_bernoulli(query: WallQuery, form: str = "inverted") -> R
                 [(W[i] ** j - W[i] ** (s2 - s1), 0.0) for j in range(k)] for i in range(k)])[0]
             return out * (w_part * det)
 
-        return _integrate(integrand, _origin_contours(m, k, W_RADIUS), DEFAULT_TOL,
-                          DEFAULT_NODE_BUDGET, scale=rho**m / math.factorial(m))
+        return _integrate(integrand, _origin_contours(m, k, W_RADIUS),
+                          scale=rho**m / math.factorial(m))
     # inverted form: m symmetric variables z, then k variables w_i, coupled
     # by prod (z_i - w_j) and bordered by det[w_i^(k-1-j) - w_i^beta]
     w = [(RationalExpDescriptor(t, ((1.0, i - k), (0.0, -s1 - m))), (0.0, 1.0))

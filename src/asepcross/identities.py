@@ -339,6 +339,9 @@ def _worst(reports) -> IdentityReport:
 
 def run_identity_suite(seed: int = 20240601, samples: int = 100) -> list[IdentityReport]:
     """Run every check at default sampling; the machine-checkable proof shadow."""
+    samples = as_int(samples, "samples")
+    if samples < 1:
+        raise ValidationError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     reports = [_worst(
         check_free_evolution([0, 2, 5], [2], 0.4, _sample_points(rng, 3, lo=0.3, hi=0.7),

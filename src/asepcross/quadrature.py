@@ -89,8 +89,8 @@ class ContourSpec:
     """A circle in the complex plane, traversed counterclockwise as an
     integration contour."""
 
-    center: complex = 0.0
-    radius: float = 1.0
+    center: complex
+    radius: float
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -391,8 +391,8 @@ class RationalExpDescriptor:
     e^(-t) * e^(t z) is 0 * inf past t = 745.
     """
 
-    exp_coeff: complex = 0.0
-    factors: tuple[tuple[complex, int], ...] = ()
+    exp_coeff: complex
+    factors: tuple[tuple[complex, int], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "factors", _merged(self.factors))

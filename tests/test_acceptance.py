@@ -146,14 +146,14 @@ def test_a5_backhopping_and_shift_invariance(rng):
         nu = [None, None]
         for x, c in zip(pos, col):
             nu[c - 1] = x
-        val = r_asep_transition([1, 0], nu, q, t, tol=1e-9)
+        val = r_asep_transition([1, 0], nu, q, t)
         worst = max(worst, abs(val - oracle))
         compared += 1
     shift_dev = 0.0
     for _ in range(5):
         mu0 = sorted(rng.choice(np.arange(-4, 5), 2, replace=False).tolist(), reverse=True)
         nu0 = sorted(rng.choice(np.arange(-4, 5), 2, replace=False).tolist())
-        base = rainbow_total_crossing(mu0, nu0, q, t, tol=1e-8)
+        base = rainbow_total_crossing(mu0, nu0, q, t)
         i = int(rng.integers(0, 2))
         lo_mu = mu0[i + 1] if i + 1 < 2 else -10**6
         hi_mu = mu0[i - 1] if i - 1 >= 0 else 10**6
@@ -173,7 +173,7 @@ def test_a5_backhopping_and_shift_invariance(rng):
         nu1 = list(nu0)
         mu1[i] += d
         nu1[i] += d
-        shifted = rainbow_total_crossing(mu1, nu1, q, t, tol=1e-8)
+        shifted = rainbow_total_crossing(mu1, nu1, q, t)
         shift_dev = max(shift_dev, abs(shifted - base))
     _report(
         "A5", worst < 1e-6 and shift_dev < 1e-12 and compared >= 10,
@@ -187,7 +187,7 @@ def test_a6_block_formula_degenerations():
     query_r1 = CrossingQuery(
         make_blocks([[1, 0]], "initial"), make_blocks([[3, 2]], "final"), q, t
     )
-    a = block_crossing(query_r1, tol=1e-12)
+    a = block_crossing(query_r1)
     ini = ParticleConfig((0, 1), (1, 1))
     gen = build_window_generator(ini, (-10, 12), ModelParams(q=q))
     oracle, _ = expm_transition(gen, ini, ParticleConfig((2, 3), (1, 1)), t)
@@ -202,8 +202,9 @@ def test_a6_block_formula_degenerations():
     d = tasep_block_crossing(query_q0)
     dev_q0 = abs(c - d)
     _report(
-        "A6", dev_r1 < 1e-10 and dev_q0 < 1e-10,
-        f"r=1 dev from window oracle {dev_r1:.2e}, q=0 dev {dev_q0:.2e} (tol 1e-10)",
+        "A6", dev_r1 < 1e-10 and dev_r1 <= a.est_err and dev_q0 < 1e-10,
+        f"r=1 dev from window oracle {dev_r1:.2e} (est_err {a.est_err:.2e}), "
+        f"q=0 dev {dev_q0:.2e} (tol 1e-10)",
     )
 
 

@@ -212,6 +212,8 @@ MALFORMED = [
     ("out_states_j_above_n", lambda: vertex.out_states((1, 0), 3), "inconsistent vertex state"),
     ("stochastic_check_negative_n", lambda: vertex.stochastic_weights_check(-1, 0.3, 0.5, 0.4),
      "n must be >= 0"),
+    ("identity_suite_zero_samples", lambda: identities.run_identity_suite(samples=0),
+     "^samples must be >= 1, got 0$"),
 ]
 
 

@@ -1063,7 +1063,7 @@ class TestNonIntegralData:
 
 class TestResult:
     def test_quadrature_result_carries_measured_error(self):
-        val = rainbow_total_crossing((1, 0), (1, 2), 0.5, 1.0, tol=1e-10)
+        val = rainbow_total_crossing((1, 0), (1, 2), 0.5, 1.0)
         assert isinstance(val, Result) and isinstance(val, float)
         assert val.method == "quadrature"
         assert 0.0 <= val.est_err < 1e-10

@@ -37,7 +37,7 @@ from conftest import make_blocks
 class TestContourSpecs:
     def test_validation(self):
         with pytest.raises(ValidationError):
-            ContourSpec(radius=0.0)
+            ContourSpec(center=0.0, radius=0.0)
 
 
 def residues(desc, points) -> list[complex]:
@@ -515,29 +515,29 @@ class TestLaurentResidue:
         assert abs(laurent_residue(desc, 0.0) - math.exp(-1) / 2.0) < 1e-16
 
     def test_two_simple_poles(self):
-        desc = RationalExpDescriptor(factors=((0.0, -1), (1.0, -1)))
+        desc = RationalExpDescriptor(exp_coeff=0.0, factors=((0.0, -1), (1.0, -1)))
         assert abs(laurent_residue(desc, 0.0) - (-1.0)) < 1e-16
         assert abs(laurent_residue(desc, 1.0) - 1.0) < 1e-16
         assert abs(sum(residues(desc, (0.0, 1.0)))) < 1e-16
 
     def test_regular_point_gives_zero(self):
-        desc = RationalExpDescriptor(factors=((0.0, -1),))
+        desc = RationalExpDescriptor(exp_coeff=0.0, factors=((0.0, -1),))
         assert laurent_residue(desc, 2.0) == 0.0
 
     def test_non_integer_order_rejected(self):
         with pytest.raises(ValidationError):
-            RationalExpDescriptor(factors=((0.0, -1.5),))
+            RationalExpDescriptor(exp_coeff=0.0, factors=((0.0, -1.5),))
 
     def test_order_cap(self):
         # 1/(z^N (z - 1)) has residue -1 at the origin for every N
-        at_cap = RationalExpDescriptor(factors=((0.0, -ORDER_CAP), (1.0, -1)))
+        at_cap = RationalExpDescriptor(exp_coeff=0.0, factors=((0.0, -ORDER_CAP), (1.0, -1)))
         assert laurent_residue(at_cap, 0.0) == -1.0
-        desc = RationalExpDescriptor(factors=((0.0, -4097), (1.0, -1)))
+        desc = RationalExpDescriptor(exp_coeff=0.0, factors=((0.0, -4097), (1.0, -1)))
         with pytest.raises(ResourceLimitError, match="pole order 4097 exceeds the cap 4096"):
             laurent_residue(desc, 0.0)
 
     def test_merges_repeated_points(self):
-        desc = RationalExpDescriptor(factors=((0.0, -1), (1e-13, -2)))
+        desc = RationalExpDescriptor(exp_coeff=0.0, factors=((0.0, -1), (1e-13, -2)))
         assert dict(desc.factors) == {0.0 + 0.0j: -3}
 
     def test_against_circle_integration(self, rng):
