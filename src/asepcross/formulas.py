@@ -55,6 +55,7 @@ from .quadrature import (
     ContourSpec,
     MultivariatePolynomial,
     OpenGrid,
+    PairProduct,
     RationalExpDescriptor,
     laurent_residue,  # not called here; bench/tracing.py patches formulas.laurent_residue
     product_integrate,
@@ -428,19 +429,21 @@ def two_tasep_crossing(mu, nu, m: int, t: float) -> Result:
 
 
 def _around_one(Z, q, t, powers, scale=None):
-    """The factors shared by the integrands around 1: for each variable z_j,
-    exp((1-q)^2 z_j t / ((1-z_j)(1-q z_j))) ((1-q z_j)/(1-z_j))^powers[j]
-    / ((1-z_j)(1-q z_j)), times scale[j] if given, and for each pair i < j
-    (z_j - z_i)/(z_j - q z_i)."""
-    out = 1.0
+    """The factors shared by the integrands around 1, as a PairProduct the
+    driver sums one variable at a time: for each z_j, exp((1-q)^2 z_j t /
+    ((1-z_j)(1-q z_j))) ((1-q z_j)/(1-z_j))^powers[j] / ((1-z_j)(1-q z_j)),
+    times scale[j] if given, and for each pair i < j (z_j - z_i)/(z_j - q z_i)."""
+    factors, rate = {}, (1.0 - q) ** 2 * t
     for j, z in enumerate(Z):
-        out = out * (np.exp((1.0 - q) ** 2 * z * t / ((1.0 - z) * (1.0 - q * z)))
-                     * ((1.0 - q * z) / (1.0 - z)) ** powers[j]
-                     / ((1.0 - z) * (1.0 - q * z)) * (1.0 if scale is None else scale[j]))
+        a, b = 1.0 - z, 1.0 - q * z
+        ab = a * b
+        factors[j,] = np.exp(rate * z / ab) * (b / a) ** powers[j] / ab
+        if scale is not None:
+            factors[j,] = factors[j,] * scale[j]
     for i in range(len(Z)):
         for j in range(i + 1, len(Z)):
-            out = out * ((Z[j] - Z[i]) / (Z[j] - q * Z[i]))
-    return out
+            factors[i, j] = (Z[j] - Z[i]) / (Z[j] - q * Z[i])
+    return PairProduct(len(Z), factors)
 
 
 def r_asep_transition(mu, nu, q: float, t: float) -> Result:

@@ -19,7 +19,9 @@ of their own round-off level.  Integrands see the tensor grid as an open
 grid (``OpenGrid``, in the style of ``np.ix_``): one array per variable,
 each varying along its own dimension, so a factor in one variable is
 evaluated once per axis node and only the coupled parts run over every
-node tuple.  A separate series-based residue engine
+node tuple; a ``PairProduct`` of factors in at most two variables each is
+summed one variable at a time by matrix products.  A separate series-based
+residue engine
 handles integrands g of rational-times-exponential form exactly:
 ``residue_moments`` returns the moment table of g, the residue sums
 M(e) = Σ_p Res_{z=p} g(z)·z^e for a range of e with their sizes Σ_p |Res|,
@@ -184,6 +186,87 @@ def _axis_grid(c: ContourSpec, n: int, half: bool) -> tuple[np.ndarray, np.ndarr
     return c.center + c.radius * unit, unit[:, None] * rules
 
 
+class PairProduct:
+    """An integrand's values on an OpenGrid block as the product of arrays of
+    ``ndim`` dimensions, ``factors``, keyed by the axes each may vary along:
+    (), (k,) or (i, j), i < j.  ``pp * x`` folds x into the factor of the
+    axes it varies along, or, past two axes, is np.asarray(pp) * x."""
+
+    def __init__(self, ndim: int, factors: dict):
+        self.ndim, self.factors = ndim, factors
+
+    def __mul__(self, x):
+        shape = np.shape(x)
+        axes = tuple(k for k, n in enumerate(shape, self.ndim - len(shape)) if n > 1)
+        if len(axes) > 2:
+            return np.asarray(self) * x
+        return PairProduct(self.ndim, self.factors | {axes: self.factors.get(axes, 1.0) * x})
+
+    def __array__(self, dtype=None, copy=None):
+        # each factor joins the product at the highest axis it varies along
+        order = sorted(self.factors.items(), key=lambda item: item[0][-1:])
+        return np.asarray(math.prod((x for _, x in order), start=1.0), dtype=dtype)
+
+
+def _matmul(a, b):
+    """a @ b for 2-D a and b, halved along a's rows, then b's columns, into
+    products of m·n·k < 2^16: OpenBLAS splits larger ones across threads,
+    and a (512, 512) @ (512, 3) then took 8 ms, not 0.4 ms, on two cores."""
+    (m, k), n = a.shape, b.shape[1]
+    if m * k * n < 2**16:
+        return a @ b
+    if m > 1:
+        return np.concatenate((_matmul(a[:m // 2], b), _matmul(a[m // 2:], b)))
+    return np.concatenate((_matmul(a, b[:, :n // 2]), _matmul(a, b[:, n // 2:])), axis=1)
+
+
+def _eliminate(hts, pairs):
+    """R[x_0, (a_1, .., a_(d-1))] = Σ over x_1 .. x_(d-1) of prod_(k > 0)
+    hts[k][a_k, x_k]·prod_(i < j) pairs[i, j][x_i, x_j]: the last variable
+    in one product of hts[k] times its pair with x_0 against its other
+    pairs, then each x_k, last in R, in one product with hts[k] once R
+    carries its pairs.  No array spans all d variables."""
+    sizes, d = [h.shape[1] for h in hts], len(hts)
+    if d == 1:
+        return np.ones((sizes[0], 1))
+    n = sizes[-1]
+    if d == 2:
+        R = _matmul(hts[1], pairs[0, 1].T)
+    else:  # G[a, x_0, x_(d-1)] against Q[x_1, .., x_(d-1)], the other pairs
+        Q = pairs[1, d - 1].reshape((-1,) + (1,) * (d - 3) + (n,))
+        for i in range(2, d - 1):
+            Q = Q * pairs[i, d - 1].reshape((1,) * (i - 1) + (-1,) + (1,) * (d - 2 - i) + (n,))
+        G = hts[-1][:, None, :] * pairs[0, d - 1]
+        R = _matmul(G.reshape(-1, n), Q.reshape(-1, n).T)
+    for k in range(d - 2, 0, -1):  # R[A, x_0, .., x_k], then R[a_k, A, x_0, .., x_(k-1)]
+        R = R.reshape([-1] + sizes[:k + 1])
+        for i in range(k):
+            R = R * pairs[i, k].reshape((1,) * (i + 1) + (-1,) + (1,) * (k - 1 - i) + (sizes[k],))
+        R = _matmul(R.reshape(-1, sizes[k]), hts[k].T).reshape(R.shape[:-1] + (-1,))
+        R = R.transpose((k + 1,) + tuple(range(k + 1)))
+    return R.reshape(-1, sizes[0]).T
+
+
+def _pair_sums(pp: PairProduct, mats):
+    """``_grid_sums`` of one block whose values are the PairProduct ``pp`` =
+    prod_k g_k·prod_(i<j) P_ij (a constant joins g_0), from the eliminations
+    R of the other variables against g_k·W_k and R' of |g|, |P| against
+    ones, W_k = ``mats``: T = (g_0·W_0)ᵀ·R, row_sums g_0·R[:, 0], row_abs |g_0|·R'."""
+    sizes, factors = [len(m) for m in mats], pp.factors
+    singles = [factors[k,].reshape(-1) if (k,) in factors else np.ones(n)
+               for k, n in enumerate(sizes)]
+    pairs = {(i, j): factors[i, j].reshape(sizes[i], sizes[j]) if (i, j) in factors
+             else np.ones((sizes[i], sizes[j]))
+             for i, j in itertools.combinations(range(len(sizes)), 2)}
+    if () in factors:
+        singles[0] = singles[0] * np.reshape(factors[()], -1)
+    hts, mags = [m.T * g for g, m in zip(singles, mats)], [np.abs(g) for g in singles]
+    R = _eliminate(hts, pairs)
+    R_abs = _eliminate([g[None] for g in mags], {key: np.abs(P) for key, P in pairs.items()})
+    T = _matmul(hts[0], R).reshape([m.shape[1] for m in mats])
+    return T, mags[0] * R_abs[:, 0], singles[0] * R[:, 0]
+
+
 def _grid_sums(f, axes, mats):
     """Evaluate ``f`` on the tensor grid of the node arrays ``axes``, block
     by block, and return (T, row_abs, row_sums): T is the contraction of
@@ -191,7 +274,8 @@ def _grid_sums(f, axes, mats):
     values against the rows of mats[k], so T has one entry per choice of
     rule column on each axis); for each node of axis 0, row_abs is the sum
     of |f| over the nodes of the other axes and row_sums the sum of f
-    times the other axes' first rule columns."""
+    times the other axes' first rule columns.  A block whose values come
+    back as a PairProduct is summed by ``_pair_sums`` without forming it."""
     d = len(axes)
     T = 0.0
     row_abs = np.zeros(axes[0].size)
@@ -201,36 +285,37 @@ def _grid_sums(f, axes, mats):
             a[s].reshape((1,) * k + (-1,) + (1,) * (d - 1 - k))
             for k, (a, s) in enumerate(zip(axes, block))
         )
-        vals = np.asarray(f(grid), dtype=complex)
-        vals = vals.reshape((1,) * (d - vals.ndim) + vals.shape)
-        mags = np.abs(vals).reshape(len(vals), -1).sum(axis=1)
-        if vals.size < math.prod(z.size for z in grid):  # f is constant along an axis
-            mags *= math.prod(z.size for z in grid[1:]) * len(vals) / vals.size
-        row_abs[block[0]] += mags
-        # matmul, not einsum: einsum's three-column loop is 2-5x slower.  The
-        # last axis goes first in products of at most 2^14 values: OpenBLAS
-        # splits larger ones across threads, and a (512, 512) @ (512, 3)
-        # then took 8 ms instead of 0.4 ms with two threads on two cores
-        out = vals
-        for k in range(d - 1, 0, -1):
-            w = mats[k][block[k]]
-            if out.shape[k] == 1 < len(w):  # f does not vary along axis k
+        vals = f(grid)
+        if isinstance(vals, PairProduct):
+            U, mags, sums = _pair_sums(vals, [m[s] for m, s in zip(mats, block)])
+        else:
+            vals = np.asarray(vals, dtype=complex)
+            vals = vals.reshape((1,) * (d - vals.ndim) + vals.shape)
+            mags = np.abs(vals).reshape(len(vals), -1).sum(axis=1)
+            if vals.size < math.prod(z.size for z in grid):  # f is constant along an axis
+                mags *= math.prod(z.size for z in grid[1:]) * len(vals) / vals.size
+            # matmul, not einsum: einsum's three-column loop is 2-5x slower
+            out = vals
+            for k in range(d - 1, 0, -1):
+                w = mats[k][block[k]]
+                if out.shape[k] == 1 < len(w):  # f does not vary along axis k
+                    w = w.sum(axis=0, keepdims=True)
+                lead, tail = out.shape[:k], out.shape[k + 1:]
+                if k == d - 1:
+                    out = _matmul(out.reshape(-1, out.shape[k]), w).reshape(lead + (w.shape[1],))
+                else:
+                    out = (w.T @ out.reshape(lead + (out.shape[k], -1))).reshape(
+                        lead + (w.shape[1],) + tail
+                    )
+            flat = out.reshape(len(out), -1)
+            sums = flat[:, 0]
+            w = mats[0][block[0]]
+            if len(out) == 1 < len(w):
                 w = w.sum(axis=0, keepdims=True)
-            lead, tail = out.shape[:k], out.shape[k + 1:]
-            if k == d - 1:
-                n = out.shape[k]
-                rows = math.gcd(out.size // n, max(1, 2**14 // n))
-                out = (out.reshape(-1, rows, n) @ w).reshape(lead + (w.shape[1],))
-            else:
-                out = (w.T @ out.reshape(lead + (out.shape[k], -1))).reshape(
-                    lead + (w.shape[1],) + tail
-                )
-        flat = out.reshape(len(out), -1)
-        row_sums[block[0]] += flat[:, 0]
-        w = mats[0][block[0]]
-        if len(out) == 1 < len(w):
-            w = w.sum(axis=0, keepdims=True)
-        T = T + (w.T @ flat).reshape(w.shape[1:] + out.shape[1:])
+            U = (w.T @ flat).reshape(w.shape[1:] + out.shape[1:])
+        T = T + U
+        row_abs[block[0]] += mags
+        row_sums[block[0]] += sums
     return T, row_abs, row_sums
 
 
@@ -259,8 +344,9 @@ def product_integrate(
     ``f`` receives one OpenGrid per block of at most EVAL_CHUNK node tuples
     and returns the integrand values as anything that broadcasts to the
     block, so factors in one variable cost O(n) per axis and only the
-    coupled parts O(n^d).  Axis k holds n_k nodes, from DEFAULT_START_NODES
-    up to DEFAULT_MAX_NODES.  Each block is contracted with one (n_k, 3)
+    coupled parts O(n^d), or as a PairProduct, summed without forming the
+    block.  Axis k holds n_k nodes, from DEFAULT_START_NODES up to
+    DEFAULT_MAX_NODES.  Each block is contracted with one (n_k, 3)
     weight matrix per axis, whose columns are the n_k-, n_k/2- and
     n_k/4-point trapezoid rules, so one evaluation of the grid gives all
     3^d rule sums.  With δ_k = |I - I(axis k halved)| and

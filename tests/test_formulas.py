@@ -1161,7 +1161,7 @@ def _draw_r_asep(data):
 
 
 def _draw_rainbow(data):
-    n, q, t = data.draw(st.integers(1, 3)), data.draw(RATES), data.draw(TIMES)
+    n, q, t = data.draw(st.integers(1, 4)), data.draw(RATES), data.draw(TIMES)
     mu, nu = _sites(data, n, decreasing=True), _sites(data, n)
     return lambda: rainbow_total_crossing(mu, nu, q, t)
 

@@ -24,6 +24,7 @@ from asepcross.quadrature import (
     ContourProduct,
     ContourSpec,
     OpenGrid,
+    PairProduct,
     RationalExpDescriptor,
     _binomial_series,
     _roots,
@@ -163,13 +164,15 @@ class TestProductIntegrate:
 
     def test_est_err_bounds_the_doubled_grid(self):
         # each evaluator's integral against the same trapezoid rule with
-        # twice its final nodes on every axis, in 2 and 3 variables
+        # twice its final nodes on every axis, in 2 and 3 variables, the
+        # rainbow integrand summed by elimination in both
         calls = [
             lambda: formulas.rainbow_total_crossing((1, 0), (1, 2), 0.5, 1.0),
             lambda: formulas.r_asep_transition((1, 0), (0, 2), 0.5, 1.0),
             lambda: formulas.block_crossing(formulas.CrossingQuery(
                 make_blocks([[1, 0], [-1]], "initial"), make_blocks([[2, 1], [3]], "final"),
                 0.5, 1.0)),
+            lambda: formulas.rainbow_total_crossing((3, 1, 0), (0, 1, 3), 0.5, 1.0),
         ]
         seen = []
 
@@ -183,7 +186,7 @@ class TestProductIntegrate:
             mp.setattr(formulas, "product_integrate", recording)
             for call in calls:
                 call()
-        assert [cp.dim for _, cp, *_ in seen] == [2, 2, 3]
+        assert [cp.dim for _, cp, *_ in seen] == [2, 2, 3, 3]
         for f, cp, value, err, counts in seen:
             assert abs(value - trapezoid(f, cp, [2 * n for n in counts])) <= err
 
@@ -474,6 +477,150 @@ class TestConjugateSymmetric:
             for call in calls:
                 call()
         assert dims == [2, 3, 3, 2, 3, 3, 2]
+
+
+def random_pair_product(rng, d, missing=(), folded=False):
+    """An integrand c·prod_k g_k(z_k)·prod_(i<j) P_ij(z_i, z_j) that returns a
+    PairProduct, with random complex coefficients and a pole at 0 in each
+    g_k, so that no rule sum cancels to rounding: the pairs in ``missing``
+    left out, and with ``folded`` a factor in z_0 and one in z_0, z_(d-1)
+    multiplied in afterwards."""
+    a = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
+    b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+    def f(Z):
+        out = PairProduct(d, {}) * 0.7
+        for k in range(d):
+            out = out * (np.exp(a[k, 0] * Z[k]) * (2.0 + a[k, 1] * Z[k]) / Z[k])
+        for j in range(d):
+            for i in range(j):
+                if (i, j) not in missing:
+                    out = out * (1.0 / (3.0 - b[i, j] * Z[i] * Z[j]))
+        if folded:
+            out = out * np.cos(Z[0]) * (1.0 + Z[0] * Z[d - 1])
+        return out
+
+    return f
+
+
+class TestPairProduct:
+    """``quadrature._pair_sums``: an integrand that returns a PairProduct is
+    summed one variable at a time, as the grid path sums its values."""
+
+    @staticmethod
+    def grid(d, axis0, last_odd):
+        """Nodes and weights of a d-axis grid of 32 nodes per axis: axis 0
+        full, a half grid with its end nodes, or the odd nodes of a doubled
+        half grid (one weight column); with ``last_odd`` the last axis holds
+        the odd nodes of a doubled axis (one weight column)."""
+        c = ContourSpec(0.0, 0.5)
+        axes, mats = map(list, zip(*(quadrature._axis_grid(c, 32, False) for _ in range(d))))
+        if axis0 == "half":
+            axes[0], mats[0] = quadrature._axis_grid(c, 32, True)
+        elif axis0 == "half_odd":
+            fine, fine_mats = quadrature._axis_grid(c, 64, True)
+            axes[0], mats[0] = fine[1::2], fine_mats[1::2, :1]
+        if last_odd:
+            fine, fine_mats = quadrature._axis_grid(c, 64, False)
+            axes[-1], mats[-1] = fine[1::2], fine_mats[1::2, :1]
+        return axes, mats
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("axis0, last_odd", [
+        ("full", False), ("half", False), ("half_odd", False), ("half", True),
+    ])
+    @pytest.mark.parametrize("missing, folded", [
+        ((), False), (((0, 1), (1, 2), (0, 3)), False), ((), True),
+    ], ids=["all_pairs", "missing_pairs", "folded"])
+    def test_elimination_matches_the_grid(self, rng, d, axis0, last_odd, missing, folded):
+        # every d = 4 grid spans several blocks; the last block of the half
+        # grid, 17 x 32^3 nodes, holds one node of axis 0
+        f = random_pair_product(rng, d, missing, folded)
+        axes, mats = self.grid(d, axis0, last_odd)
+        pairs = quadrature._grid_sums(f, axes, mats)
+        grid = quadrature._grid_sums(lambda Z: np.asarray(f(Z)), axes, mats)
+        for got, ref in zip(pairs, grid):
+            assert np.shape(got) == np.shape(ref)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_folding_keeps_two_axes_and_materializes_three(self, rng):
+        Z = OpenGrid(np.arange(1.0, n + 1).reshape((1,) * k + (-1,) + (1,) * (2 - k))
+                     for k, n in enumerate((2, 3, 4)))
+        pp = PairProduct(3, {}) * Z[0] * (Z[0] + Z[2]) * 2.0
+        assert isinstance(pp, PairProduct)
+        assert sorted(pp.factors) == [(), (0,), (0, 2)]
+        full = pp * (Z[0] + Z[1] + Z[2])
+        assert type(full) is np.ndarray
+        np.testing.assert_array_equal(full, 2.0 * Z[0] * (Z[0] + Z[2]) * (Z[0] + Z[1] + Z[2]))
+
+    def test_non_finite_single_is_refused(self):
+        def f(Z):
+            nan_at_one_node = np.where(np.abs(Z[1] - Z[1].flat[5]) < 1e-12, np.nan, 1.0)
+            return PairProduct(3, {}) * np.exp(Z[0]) * nan_at_one_node * (1.0 + Z[1] * Z[2])
+
+        with pytest.raises(AccuracyError, match="integrand is non-finite"):
+            product_integrate(f, circles(3))
+
+    @pytest.mark.parametrize("call", [
+        *[lambda q=q, n=n: formulas.rainbow_total_crossing(mu, nu, q, 1.0)
+          for q in (0.3, 0.5, 1.5)
+          for n, mu, nu in ((1, (0,), (1,)), (2, (1, 0), (1, 2)), (3, (3, 1, 0), (0, 1, 3)),
+                            (4, (3, 2, 1, 0), (0, 1, 2, 3)))],
+        lambda: formulas.block_crossing(formulas.CrossingQuery(
+            make_blocks([[1, 0], [-1]], "initial"), make_blocks([[2, 1], [3]], "final"),
+            0.5, 1.0)),
+        lambda: formulas.block_crossing(formulas.CrossingQuery(
+            make_blocks([[1], [0], [-1]], "initial"), make_blocks([[2], [3], [4]], "final"),
+            0.5, 1.0)),
+        lambda: formulas.r_asep_transition((1, 0), (0, 2), 0.5, 1.0),
+    ], ids=[f"rainbow_q{q}_n{n}" for q in (0.3, 0.5, 1.5) for n in (1, 2, 3, 4)]
+        + ["block_crossing_2+1", "block_crossing_1+1+1", "r_asep_n2"])
+    def test_evaluators_match_the_grid_path(self, call):
+        # each integral run on its PairProduct and on the materialized grid:
+        # the same nodes per axis and evaluations, values within 1e-14 and
+        # est_err, whose δ²/δ' terms amplify rounding, within 1e-6
+        kinds = set()
+
+        def both(f, cp, **kwargs):
+            def recorded(Z):
+                out = f(Z)
+                kinds.add(type(out))
+                return out
+
+            runs = []
+            for g in (recorded, lambda Z: np.asarray(f(Z))):
+                g, levels = counted(g, cp)
+                runs.append((*product_integrate(g, cp, **kwargs), levels))
+            (value, err, levels), (grid_value, grid_err, grid_levels) = runs
+            assert levels == grid_levels
+            assert abs(value - grid_value) <= 1e-14 * abs(grid_value)
+            assert abs(err - grid_err) <= 1e-6 * grid_err
+            return value, err
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formulas, "product_integrate", both)
+            call()
+        assert kinds == {PairProduct}
+
+    def test_products_stay_below_the_blas_threading_threshold(self):
+        # every product _matmul makes for the n = 4 rainbow has m·n·k < 2^16:
+        # OpenBLAS splits larger ones across threads
+        sizes = []
+
+        class Recorded(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    a, b = inputs
+                    sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+                inputs = [x.view(np.ndarray) if isinstance(x, Recorded) else x for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        matmul = quadrature._matmul
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadrature, "_matmul",
+                       lambda a, b: matmul(a.view(Recorded), b.view(Recorded)))
+            formulas.rainbow_total_crossing((3, 2, 1, 0), (0, 1, 2, 3), 0.5, 1.0)
+        assert sizes and max(sizes) < 2**16
 
 
 class TestDetKernel:
