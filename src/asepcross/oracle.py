@@ -14,15 +14,18 @@ to a final state; a Bernoulli job draws its initial state from the same
 stream before the jumps.  ``simulate_sample(job, i)`` returns the final
 state of sample ``i``.
 ``run_monte_carlo`` runs the samples of up to BATCH_CHUNKS consecutive
-chunks in one lockstep with numpy, drawing each sample's uniforms in
-``_simulate``'s order, and hands the rows it cannot follow exactly back to
-``_simulate``; so the trajectory it counts for ``i`` is the one
-``simulate_sample(job, i)`` returns.
+chunks in one lockstep with numpy, reading each sample's uniforms in
+``_simulate``'s order and its move rates from tables indexed by the codes
+of its adjacent pairs (``_pair_codes``, ``_rate_tables``), and hands the
+rows it cannot follow exactly back to ``_simulate``; so the trajectory it
+counts for ``i`` is the one ``simulate_sample(job, i)`` returns.
 
 Randomness is counter-based: sample ``i`` of a run with seed ``s`` draws its
 uniforms from a Philox stream keyed by (s, chunk(i)) plus a per-sample
 overflow stream keyed by (s xor GOLDEN, i), so results are bit-identical for
-any partition of samples across workers.
+any partition of samples across workers.  A uniform is one 64-bit output
+mapped as ``Generator.random`` maps it (``_uniforms``), so the lockstep
+draws raw words and converts only those it reads.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ MASK64 = 2**64 - 1
 GOLDEN = 0x9E3779B97F4A7C15
 CHUNK = 1024
 # chunks per lockstep: numpy's per-call cost is paid once for them all, and
-# past four the strided column reads of the uniform buffer leave the cache
+# past four the strided column reads of the word buffer leave the cache
 BATCH_CHUNKS = 4
 UNIFORMS_PER_SAMPLE = 96
 STATE_CAP = 200_000
@@ -96,17 +99,33 @@ class _UniformStream:
         return v
 
 
+def _chunk_words(seed: int, chunk_index: int, rows: int) -> np.ndarray:
+    """The first rows * UNIFORMS_PER_SAMPLE 64-bit outputs of the stream
+    keyed (seed, chunk_index), as (rows, UNIFORMS_PER_SAMPLE): one row per
+    sample."""
+    words = _philox(seed, chunk_index, 0).bit_generator.random_raw(rows * UNIFORMS_PER_SAMPLE)
+    return words.reshape(rows, UNIFORMS_PER_SAMPLE)
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """The uniforms in [0, 1) of 64-bit Philox outputs: the top 53 bits
+    times 2**-53, the map of ``Generator.random``."""
+    return (words >> 11) * 2.0**-53
+
+
 def _chunk_uniforms(seed: int, chunk_index: int, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` (rows, UNIFORMS_PER_SAMPLE) with the first rows of the
-    chunk's uniforms, one row per sample, and return it."""
-    return _philox(seed, chunk_index, 0).random(out=out)
+    """Fill ``out`` (rows, UNIFORMS_PER_SAMPLE) with the uniforms of the
+    chunk's first rows of words (``_chunk_words``) and return it."""
+    out[...] = _uniforms(_chunk_words(seed, chunk_index, len(out)))
+    return out
 
 
 def _row_uniforms(seed: int, chunk_index: int, row: int) -> np.ndarray:
     """Row ``row`` of the chunk's uniforms (``_chunk_uniforms``), drawn alone:
     each uniform takes one 64-bit output and a Philox4x64 counter step
     yields four, so the row starts row * UNIFORMS_PER_SAMPLE / 4 steps in."""
-    return _philox(seed, chunk_index, row * UNIFORMS_PER_SAMPLE // 4).random(UNIFORMS_PER_SAMPLE)
+    bits = _philox(seed, chunk_index, row * UNIFORMS_PER_SAMPLE // 4).bit_generator
+    return _uniforms(bits.random_raw(UNIFORMS_PER_SAMPLE))
 
 
 def _gillespie_core(positions, species, q, horizon, draw, events=None):
@@ -275,24 +294,89 @@ def _events_hold(event, positions, species) -> np.ndarray:
     return (ok_1 & ok_2).all(axis=1)
 
 
+def _pair_codes(positions, species) -> np.ndarray:
+    """Code of the pair (k, k + 1) in row k of (n, rows) position and
+    species arrays: 0 free (no particle at x_k + 1), 1 blocked with a lower
+    colour on the left (a swap at rate q), 2 blocked with equal colours (no
+    swap), 3 blocked with a higher colour on the left (a swap at rate 1).
+    Row n - 1, right of the last particle, is free."""
+    code = np.zeros_like(positions)
+    code[:-1] = (positions[1:] - positions[:-1] == 1) * (2 + np.sign(species[:-1] - species[1:]))
+    return code
+
+
+# particles per table block: their 2 * BLOCK rate slots depend on the
+# BLOCK + 1 pair codes around them, so a block's table has 4 ** (BLOCK + 1) rows
+BLOCK = 4
+
+
+def _block_rates(q: float, particles: int) -> np.ndarray:
+    """(4 ** (BLOCK + 1), 2 * BLOCK) rates of a block's slots, one row per
+    tuple of pair codes c_0, ..., c_BLOCK (row sum_j c_j 4**j), c_i left of
+    particle i: slot 2i, particle i's step right or swap, has rate
+    (1, q, 0, 1)[c_{i + 1}], and slot 2i + 1, its step left, rate q if c_i
+    is free; the slots after the block's ``particles`` have rate 0."""
+    codes = np.arange(4 ** (BLOCK + 1))[:, None] >> 2 * np.arange(BLOCK + 1) & 3
+    rates = np.zeros((len(codes), BLOCK, 2))
+    rates[:, :particles, 0] = np.array([1.0, q, 0.0, 1.0])[codes[:, 1:particles + 1]]
+    rates[:, :particles, 1] = np.where(codes[:, :particles] == 0, q, 0.0)
+    return rates.reshape(len(codes), 2 * BLOCK)
+
+
+@functools.lru_cache(maxsize=16)
+def _rate_tables(q: float, n: int):
+    """(weights, offsets, sums, rates): the lockstep's tables for n particles.
+
+    Particles BLOCK * b, ..., BLOCK * b + BLOCK - 1 form block b, and its
+    codes c_0, ..., c_BLOCK are the ``_pair_codes`` rows BLOCK * b - 1, ...,
+    BLOCK * b + BLOCK - 1, free outside the particles.  ``weights @ codes +
+    offsets`` is each block's table column; columns [0, R) serve a full
+    block and [R, 2R) the last one, R = 4 ** (BLOCK + 1).  ``rates`` and
+    ``sums``, (2 * BLOCK, 2R), hold each column's slot rates
+    (``_block_rates``) and their running sums from zero.
+    """
+    blocks = max(1, -(-n // BLOCK))
+    rates = np.concatenate([_block_rates(q, BLOCK),
+                            _block_rates(q, n - BLOCK * (blocks - 1))]).T.copy()
+    weights = np.zeros((blocks, n), dtype=np.int64)
+    for k in range(n - 1):  # pair (k, k + 1) is code k + 1 of particle k + 1's block
+        b, j = divmod(k + 1, BLOCK)
+        weights[b, k] = 4**j
+        if j == 0:  # and the last code of the block before
+            weights[b - 1, k] = 4**BLOCK
+    offsets = np.zeros((blocks, 1), dtype=np.int64)
+    offsets[-1] = 4 ** (BLOCK + 1)
+    tables = weights, offsets, np.cumsum(rates, axis=0), rates
+    for table in tables:  # cached: every lockstep with this (q, n) reads them
+        table.flags.writeable = False
+    return tables
+
+
 def _run_chunks(job: MonteCarloJob, first_chunk: int, count: int) -> int:
     """Successes among samples first_chunk * CHUNK + r, r < count, run in
     one lockstep; count spans at most BATCH_CHUNKS consecutive chunks.
 
-    Row r draws from its own row of its chunk's uniforms, each chunk filled
-    into its slice of one buffer from the stream keyed (seed, chunk), in the
-    order of ``_simulate``: the Bernoulli gaps, then one (clock, move) pair
-    per step, so all running rows read the same column.  Rate slot 2k is
-    particle k's step right or swap, 2k + 1 its step left, and absent moves
-    have rate 0: the running sums and the chosen move are those of
-    ``_gillespie_core``.
-    A row that would read past its pre-drawn uniforms, draws u == 0 or comes
-    within rounding of a decision taken on a logarithm is re-run from
-    scratch by ``_simulate`` on its ``_UniformStream``.
+    Row r reads its own row of its chunk's words (``_chunk_words``), all
+    chunks in one buffer, in the order of ``_simulate``: the Bernoulli gaps,
+    then one (clock, move) pair per step, so all running rows read the same
+    two columns, and only those become uniforms.  Each row keeps its
+    positions, colours and ``_pair_codes`` as columns of (n, rows) arrays.
+    Rate slot 2k is particle k's step right or swap, 2k + 1 its step left,
+    and absent moves have rate 0; the running sums over the slots come from
+    the tables of ``_rate_tables``, summed from zero in the first block and
+    carried on slot by slot after it, so they and the total are those of
+    ``_gillespie_core``.  The move is the first slot whose running sum
+    reaches x = u * total: a slot of nonzero rate, as x > 0.
+    A row that draws a clock or move uniform of 0 (as it does past its 96
+    words) or comes within rounding of a decision taken on a logarithm is
+    re-run from scratch by ``_simulate`` on its ``_UniformStream``.
     """
-    buf = np.empty((count, UNIFORMS_PER_SAMPLE))
+    # two zero words past each row: a row that reads them draws u == 0
+    words = np.zeros((count, UNIFORMS_PER_SAMPLE + 2), dtype=np.uint64)
     for lo in range(0, count, CHUNK):
-        _chunk_uniforms(job.seed, first_chunk + lo // CHUNK, buf[lo:lo + CHUNK])
+        rows = min(CHUNK, count - lo)
+        words[lo:lo + rows, :UNIFORMS_PER_SAMPLE] = _chunk_words(
+            job.seed, first_chunk + lo // CHUNK, rows)
     q, horizon = job.q, job.horizon
     retry = np.zeros(count, dtype=bool)
     column = 0
@@ -304,7 +388,7 @@ def _run_chunks(job: MonteCarloJob, first_chunk: int, count: int) -> int:
         gaps = np.ones((count, m))
         if rho < 1.0:
             column = m
-            u = buf[:, :m] if m <= UNIFORMS_PER_SAMPLE else np.zeros((count, m))
+            u = _uniforms(words[:, :m]) if m <= UNIFORMS_PER_SAMPLE else np.zeros((count, m))
             ratio = np.log(np.where(u > 0.0, u, 0.5)) / math.log1p(-rho)
             # the scalar gap is 1 + int(math.log(u) / math.log1p(-rho))
             near = np.abs(ratio - np.round(ratio)) <= 1e-9 * np.maximum(ratio, 1.0)
@@ -316,63 +400,57 @@ def _run_chunks(job: MonteCarloJob, first_chunk: int, count: int) -> int:
     # int64 positions stay exact over the at most 48 steps a row runs here
     retry |= (np.abs(positions) > 2**62).any(axis=1)
     ids = np.flatnonzero(~retry)
-    positions, species = positions.take(ids, axis=0), species.take(ids, axis=0)
-    n = positions.shape[1]
+    positions, species = positions.T.take(ids, axis=1), species.T.take(ids, axis=1)
+    n = len(positions)
+    weights, offsets, sums, rates = _rate_tables(q, n)
+    code = _pair_codes(positions, species)
     clock = np.zeros(len(ids))
     tie = 1e-9 * max(horizon, 1.0)
-    ended = [(positions[:0], species[:0])]  # final states of the stopped rows
+    ended = [(positions[:, :0], species[:, :0])]  # final states of the stopped rows
     while True:
-        size = len(ids)
-        ahead = np.zeros((size, n), dtype=bool)  # particle k + 1 at x_k + 1
-        ahead[:, :-1] = positions[:, 1:] == positions[:, :-1] + 1
-        rates = np.empty((size, n, 2))
-        higher = species[:, :-1] > species[:, 1:]
-        lower = species[:, :-1] < species[:, 1:]
-        rates[:, :, 0] = 1.0
-        rates[:, :-1, 0] = np.where(ahead[:, :-1], np.where(higher, 1.0, q * lower), 1.0)
-        rates[:, :, 1] = q
-        rates[:, 1:, 1] *= ~ahead[:, :-1]
-        rates = rates.reshape(size, 2 * n)
-        acc = np.cumsum(rates, axis=1)
-        total = acc[:, -1] if n else np.zeros(size)
-        u = buf[:, column].take(ids) if column < UNIFORMS_PER_SAMPLE else np.zeros(size)
+        index = weights @ code + offsets  # (blocks, rows): each block's table column
+        acc = sums.take(index, axis=1)  # (2 * BLOCK, blocks, rows)
+        carried = rates.take(index[1:], axis=1)
+        for b in range(1, len(index)):  # past the first block, sum on slot by slot
+            running = acc[-1, b - 1]
+            for j in range(2 * BLOCK):
+                running = acc[j, b] = running + carried[j, b - 1]
+        total = acc[-1, -1]
+        flat = ids * (UNIFORMS_PER_SAMPLE + 2) + column
+        u, v = _uniforms(words.take(flat)), _uniforms(words.take(flat + 1))
         with np.errstate(divide="ignore"):
-            t = clock - np.log(u) / total
-        live = total > 0.0
-        failed = live & ((u <= 0.0) | (np.abs(t - horizon) <= tie))
-        moving = live & ~failed & (t <= horizon)
-        if column + 1 >= UNIFORMS_PER_SAMPLE:
-            failed |= moving
-            moving[:] = False
-        stopped = np.flatnonzero(~moving & ~failed)
-        ended.append((positions.take(stopped, axis=0), species.take(stopped, axis=0)))
+            t = clock - np.log(u) / total  # +inf where no move has a rate
+        x = v * total
+        failed = (np.minimum(u, v) <= 0.0) | (np.abs(t - horizon) <= tie)
+        moving = ~failed & (t <= horizon)
+        stopped = np.flatnonzero(~(failed | moving))
+        ended.append((positions.take(stopped, axis=1), species.take(stopped, axis=1)))
         retry[ids[failed]] = True
         keep = np.flatnonzero(moving)
         if not keep.size:
             break
+        # the slots whose running sums fall below x, counted per block
+        below = np.add.reduce((acc < x).view(np.uint8), axis=0, dtype=np.uint8)
+        slot = below.sum(axis=0, dtype=np.int64).take(keep)
         ids, clock = ids.take(keep), t.take(keep)
-        positions, species, rates, acc, ahead = (
-            a.take(keep, axis=0) for a in (positions, species, rates, acc, ahead))
-        x = buf[:, column + 1].take(ids) * acc[:, -1]
+        positions, species, code = (a.take(keep, axis=1) for a in (positions, species, code))
         column += 2
-        present = rates > 0.0
-        hit = present & (x[:, None] <= acc)
-        slot = hit.argmax(axis=1)
-        miss = ~hit.any(axis=1)
-        if miss.any():  # x above the last running sum: the last present move
-            slot[miss] = 2 * n - 1 - present[miss, ::-1].argmax(axis=1)
-        k, left = slot >> 1, (slot & 1).astype(bool)
-        cell = np.arange(len(ids)) * n + k  # flat index of the moving particle
-        swap = ~left & ahead.take(cell)
+        size = len(ids)
+        cell = (slot >> 1) * size + np.arange(size)  # flat index of the moving particle
+        left = slot & 1
+        swap = (code.take(cell) & 1) > left  # a right move on an odd code swaps
         pair = cell[swap]
-        right_of = species.take(pair + 1)
-        species.put(pair + 1, species.take(pair))
+        right_of = species.take(pair + size)
+        species.put(pair + size, species.take(pair))
         species.put(pair, right_of)
-        positions.put(cell, positions.take(cell) + ~swap * (1 - 2 * left))
-    successes = int(_events_hold(job.event, *map(np.concatenate, zip(*ended))).sum())
+        positions.put(cell, positions.take(cell) + 1 - 2 * left - swap)
+        code = _pair_codes(positions, species)
+    final = (np.concatenate(arrays, axis=1).T for arrays in zip(*ended))
+    successes = int(_events_hold(job.event, *final).sum())
     first = first_chunk * CHUNK  # only a job's last chunk is partial
     for row in np.nonzero(retry)[0]:
-        draw = _UniformStream(buf[row], job.seed, first + int(row))
+        draw = _UniformStream(_uniforms(words[row, :UNIFORMS_PER_SAMPLE]), job.seed,
+                              first + int(row))
         successes += _event_holds(job.event, *_simulate(job, draw))
     return successes
 
@@ -394,11 +472,14 @@ def run_monte_carlo(job: MonteCarloJob, threads: int = 1):
     ceil(chunks / workers) chunks, an even share, so that no worker is left
     with most of the job, and the pool starts no more workers than there
     are batches.  Each chunk draws from its own stream, so the batching
-    changes no count.
+    changes no count.  ``threads`` must be an integer >= 1.
     Returns (estimate, stderr, successes).
     """
     if not job.event:
         raise ValidationError("run_monte_carlo needs an event")
+    threads = as_int(threads, "threads")
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
     chunks = -(-job.samples // CHUNK)
     # a pool starts all its workers at once: no more than chunks or cores
     workers = min(threads, chunks, os.cpu_count() or 1)

@@ -415,6 +415,15 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("validation error: ") and "must be integral" in err
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_simulate_without_a_worker_is_validation_error(self, capsys, threads):
+        code = main(["simulate", "--threads", threads, "--json",
+                     '{"task":"estimate_wall","rho":0.5,"n":2,"m":1,"s1":-3,"s2":2,'
+                     '"t":2.0,"samples":100}'])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("validation error: ") and "threads must be >= 1" in err
+
     @pytest.mark.parametrize("form", ["bernoulli", "one_wall"])
     def test_long_wall_overflow_is_accuracy_error(self, capsys, form):
         code, _ = run_cli(

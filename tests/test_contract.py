@@ -200,6 +200,10 @@ def _event_job(event):
                                 bernoulli=(0.5, 1, 2), event=event)
 
 
+def _run_threads(threads):
+    return oracle.run_monte_carlo(_event_job(("wall", -3, 2)), threads=threads)
+
+
 # (id, call, message): malformed structure that no field check covers
 MALFORMED = [
     ("empty_block_of_two", lambda: BlockSignatureVector(((2,), ())),
@@ -214,6 +218,10 @@ MALFORMED = [
      "n must be >= 0"),
     ("identity_suite_zero_samples", lambda: identities.run_identity_suite(samples=0),
      "^samples must be >= 1, got 0$"),
+    ("monte_carlo_zero_threads", lambda: _run_threads(0), "^threads must be >= 1, got 0$"),
+    ("monte_carlo_negative_threads", lambda: _run_threads(-3), "^threads must be >= 1, got -3$"),
+    ("monte_carlo_fractional_threads", lambda: _run_threads(1.5), "threads must be integral"),
+    ("monte_carlo_string_threads", lambda: _run_threads("2"), "threads must be integral"),
 ]
 
 

@@ -1,4 +1,6 @@
+import collections
 import concurrent.futures
+import dataclasses
 import itertools
 import math
 import time
@@ -95,6 +97,15 @@ class TestGillespie:
         full = _chunk_uniforms(5, chunk, np.empty((CHUNK, UNIFORMS_PER_SAMPLE)))
         for row in (0, 1, 7, 500, 1023):
             assert np.array_equal(_row_uniforms(5, chunk, row), full[row])
+
+    @pytest.mark.parametrize("seed, chunk", [(0, 0), (5, 3), (2**40 + 1, 17), (-1, 2)])
+    def test_word_map_is_generator_random(self, seed, chunk):
+        # the uniforms of the raw words are Generator.random's, bit for bit
+        expected = oracle._philox(seed, chunk, 0).random((CHUNK, UNIFORMS_PER_SAMPLE))
+        full = _chunk_uniforms(seed, chunk, np.empty((CHUNK, UNIFORMS_PER_SAMPLE)))
+        assert np.array_equal(full, expected)
+        for row in (0, 1, CHUNK - 1):
+            assert np.array_equal(_row_uniforms(seed, chunk, row), expected[row])
 
     def test_backhopping_moves_left(self):
         job = _job((0,), (1,), 2.0, 4.0, seed=9)
@@ -231,16 +242,36 @@ def _assert_samples_are_counted(make_job, seed, lo, hi):
     assert held == counted
 
 
-def _scalar_successes(job):
-    """The event count of ``job`` with every sample run alone by ``_simulate``
+def _scalar_finals(job):
+    """The final states of ``job``'s samples, each run alone by ``_simulate``
     on its own row of the chunk uniforms."""
-    held = 0
+    finals = []
     for chunk in range(-(-job.samples // CHUNK)):
         buf = oracle._chunk_uniforms(job.seed, chunk, np.empty((CHUNK, UNIFORMS_PER_SAMPLE)))
         for row in range(min(CHUNK, job.samples - chunk * CHUNK)):
             draw = _UniformStream(buf[row], job.seed, chunk * CHUNK + row)
-            held += _event_holds(job.event, *_simulate(job, draw))
-    return held
+            finals.append(_simulate(job, draw))
+    return finals
+
+
+def _scalar_successes(job):
+    """The event count of ``job`` over ``_scalar_finals``."""
+    return sum(_event_holds(job.event, *final) for final in _scalar_finals(job))
+
+
+def _patch_words(monkeypatch, uniforms):
+    """Make every chunk draw put the uniform u in the given rows and column
+    of its words, for each (rows, column, u) of ``uniforms``: the lockstep
+    and the scalar path both read them."""
+    original = oracle._chunk_words
+
+    def patched(seed, chunk_index, rows):
+        words = original(seed, chunk_index, rows)
+        for picked, column, u in uniforms:
+            words[picked, column] = np.uint64(round(u * 2**53)) << np.uint64(11)
+        return words
+
+    monkeypatch.setattr(oracle, "_chunk_words", patched)
 
 
 def _count_scalar_runs(monkeypatch):
@@ -314,17 +345,8 @@ class TestBatchedCounts:
         # (column 0) and in a clock draw (columns 1 and 2); u = 1/4 at
         # rho = 1/2 puts log(u) / log(1 - rho) on the integer 2, where the
         # rounding of the logarithm decides the gap
-        original = oracle._chunk_uniforms
-
-        def patched(seed, chunk_index, count):
-            buf = original(seed, chunk_index, count)
-            buf[::7, 0] = 0.0
-            buf[3::7, 0] = 0.25
-            buf[1::5, 1] = 0.0
-            buf[2::9, 2] = 0.0
-            return buf
-
-        monkeypatch.setattr(oracle, "_chunk_uniforms", patched)
+        _patch_words(monkeypatch, [(slice(None, None, 7), 0, 0.0), (slice(3, None, 7), 0, 0.25),
+                                   (slice(1, None, 5), 1, 0.0), (slice(2, None, 9), 2, 0.0)])
         for shape in ("wall_q0", "target_q03_n3"):
             job = BATCHED_JOBS[shape](4, 1030)
             assert run_monte_carlo(job)[2] == _scalar_successes(job)
@@ -401,6 +423,59 @@ class TestBatchedCounts:
         assert max(count for _, count in batches) <= BATCH_CHUNKS * CHUNK
         ends = [first * CHUNK + count for first, count in batches]
         assert ends == [first * CHUNK for first in firsts[1:]] + [job.samples]
+
+
+def _drawn_job(index):
+    """A seeded job of 1 to 6 particles: colours 1 and 2 with repeats (so
+    blocked pairs of equal colours), q in {0, 0.3, 1, 1.7}, a fixed state
+    or Bernoulli data with rho < 1 or rho = 1, and a horizon of about 64
+    jumps (past the 48 steps of 96 uniforms) in a third of the jobs."""
+    rng = np.random.default_rng([31, index])
+    n = int(rng.integers(1, 7))
+    q = float(rng.choice([0.0, 0.3, 1.0, 1.7]))
+    horizon = float(rng.choice([0.5, 2.0, 64.0 / (n * (1.0 + q))]))
+    if index % 2:
+        source = {"bernoulli": (float(rng.choice([0.4, 1.0])), int(rng.integers(n + 1)), n)}
+    else:
+        positions = np.sort(rng.choice(np.arange(-3, 5), n, replace=False))
+        source = {"initial": ParticleConfig(tuple(positions.tolist()),
+                                            tuple(rng.integers(1, 3, n).tolist()))}
+    return MonteCarloJob(q=q, horizon=horizon, samples=int(rng.integers(150, 400)),
+                         seed=int(rng.integers(2**31)), **source)
+
+
+class TestTableLockstep:
+    @pytest.mark.parametrize("index", range(16))
+    def test_drawn_jobs_count_as_the_scalar_path(self, index):
+        # the count of each of the eight commonest final states
+        job = _drawn_job(index)
+        finals = collections.Counter((tuple(p), tuple(s)) for p, s in _scalar_finals(job))
+        for final, held in finals.most_common(8):
+            event = ("target",) + final
+            assert run_monte_carlo(dataclasses.replace(job, event=event))[2] == held, final
+
+    def test_twelve_particles_count_as_the_scalar_path(self):
+        # three table blocks: the running sums are carried across two of
+        # them; colour 3 is outside the wall event, so the event holds for
+        # some of the samples at each s from 4 to 13
+        job = _job((0, 1, 2, 4, 5, 7, 8, 9, 10, 12, 13, 14),
+                   (3, 1, 3, 3, 1, 3, 3, 3, 2, 3, 3, 2), 0.3, 1.5, seed=12, samples=300)
+        finals = _scalar_finals(job)
+        for s in range(4, 14):
+            event = ("wall", -5, s)
+            held = sum(_event_holds(event, *final) for final in finals)
+            assert run_monte_carlo(dataclasses.replace(job, event=event))[2] == held, s
+
+    def test_zero_move_and_clock_uniforms_fall_back(self, monkeypatch):
+        # x = 0 would pick slot 0, the equal-colour pair's swap at rate 0,
+        # and a clock uniform of 0 makes the scalar path draw again
+        _patch_words(monkeypatch, [(slice(None, None, 5), 1, 0.0), (slice(2, None, 5), 0, 0.0)])
+        job = _job((0, 1, 2), (2, 2, 1), 0.3, 2.0, seed=3, samples=1030,
+                   event=("wall", 0, 3))
+        assert run_monte_carlo(job)[2] == _scalar_successes(job)
+        runs = _count_scalar_runs(monkeypatch)
+        run_monte_carlo(job)
+        assert {i for i in range(1030) if i % CHUNK % 5 in (0, 2)} <= set(runs)
 
 
 def _inline_pool(started):
