@@ -47,7 +47,5 @@ from .vertex import (
     f_mu,
     sfF_lambda,
     stochastic_weights_check,
-    weight_L,
-    weight_M,
     xi_mu,
 )

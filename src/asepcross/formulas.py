@@ -133,7 +133,10 @@ class WallQuery:
 
     @property
     def feasible(self) -> bool:
-        return self.s2 - self.s1 >= self.n - self.m
+        """Whether [s1, s2) has room for the n - m type-1 particles; with
+        none, the event does not involve s1 and every wall is feasible."""
+        k = self.n - self.m
+        return k == 0 or self.s2 - self.s1 >= k
 
 
 class Result(float):
@@ -208,9 +211,9 @@ def _block_slices(sizes) -> list[slice]:
 def eigenfunction_P(nu, p, t, z, u):
     """Generator eigenfunction: the double permutation sum over S_n x S_m.
 
-    ``z`` holds n rows and ``u`` m rows of spectral points: (n,) or (n, M)
-    arrays, or OpenGrid rows.  The factors common to every permutation term
-    (the time factor among them, in which the spectral points enter
+    ``z`` holds n rows and ``u`` m rows of spectral points, each as
+    ``spectral_rows`` takes them.  The factors common to every permutation
+    term (the time factor among them, in which the spectral points enter
     symmetrically) are applied once outside the permutation sums.
     """
     nu = [as_int(x, "nu") for x in nu]
@@ -218,8 +221,6 @@ def eigenfunction_P(nu, p, t, z, u):
     n, m = len(nu), len(p)
     Z, finish = spectral_rows(z, n)
     U, _ = spectral_rows(u, m)
-    if m and not isinstance(Z, OpenGrid) and U.shape[1:] != Z.shape[1:]:
-        raise ValidationError("z and u must share their node dimension")
     c = [sum(1 for pi in p if pi >= j) for j in range(1, n + 1)]
     pref = 1.0
     for i in range(n):
@@ -564,11 +565,13 @@ def cumulative_crossing_step(mu, m: int, s1: int, s2: int, t: float) -> Result:
 
     ``mu`` is the full sorted initial vector with the m type-2 particles
     first.  Returns an exact 0 when the wall gap cannot accommodate the
-    type-1 block.  On circles about the origin, the integrand is prod
-    (w_j - z_i) times e^((1/z-1)t) z_i^(s2-1-mu_i) (1-z_i)^(i-n) and det[z_i^j]
-    over m variables z_i, and e^((1/w-1)t) w_i^(s1-1-mu_(m+i)) (1-w_i)^(i-k)
-    and det[w_i^j - w_i^(s2-s1)] over k = n - m variables w_i, summed exactly
-    in x = 1/z by ``_moment_determinants``.
+    type-1 block; with no type-1 particles (m = n) the event does not
+    involve s1, and no wall is infeasible.  On circles about the origin,
+    the integrand is prod (w_j - z_i) times e^((1/z-1)t) z_i^(s2-1-mu_i)
+    (1-z_i)^(i-n) and det[z_i^j] over m variables z_i, and e^((1/w-1)t)
+    w_i^(s1-1-mu_(m+i)) (1-w_i)^(i-k) and det[w_i^j - w_i^(s2-s1)] over
+    k = n - m variables w_i, summed exactly in x = 1/z by
+    ``_moment_determinants``.
     """
     check_rate(t, "t")
     mu = strictly_ordered(mu, "mu")
@@ -577,7 +580,7 @@ def cumulative_crossing_step(mu, m: int, s1: int, s2: int, t: float) -> Result:
     if not 0 <= m <= n:
         raise ValidationError("need 0 <= m <= len(mu)")
     k = n - m
-    if s2 - s1 < k:
+    if k and s2 - s1 < k:
         return Result(0.0, 0.0, "exact")
     z_block = [[(_variable(0, t, s2 - 1 - mu[i], i - n, k), -j, None) for j in range(m)]
                for i in range(m)]
@@ -753,7 +756,8 @@ def cumulative_crossing_bernoulli(query: WallQuery, form: str = "inverted") -> R
     ``form='direct'`` integrates around the origin by quadrature;
     ``form='inverted'`` works in reflected variables where the integrand is
     rational-times-exponential and all residues are extracted exactly.  Both
-    forms agree to quadrature accuracy.
+    forms agree to quadrature accuracy.  An infeasible wall (fewer than
+    n - m sites in [s1, s2); never at m = n) is an exact 0.
     """
     if form not in ("direct", "inverted"):
         raise ValidationError("form must be 'direct' or 'inverted'")

@@ -5,7 +5,7 @@ margin from every declared pole locus, evaluates both sides of one
 identity, and reports the worst relative error (denominator max(1, |rhs|)).
 The collection doubles as a self-test suite reachable from the CLI.  The
 u-sum checks evaluate ``formulas.u_sum_determinant`` (looked up on the
-module at each call), whose entries ``two_tasep_green`` integrates.
+module at each call), the u-sum of ``eigenfunction_P``.
 """
 
 from __future__ import annotations

@@ -113,17 +113,11 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
     return (words >> 11) * 2.0**-53
 
 
-def _chunk_uniforms(seed: int, chunk_index: int, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` (rows, UNIFORMS_PER_SAMPLE) with the uniforms of the
-    chunk's first rows of words (``_chunk_words``) and return it."""
-    out[...] = _uniforms(_chunk_words(seed, chunk_index, len(out)))
-    return out
-
-
 def _row_uniforms(seed: int, chunk_index: int, row: int) -> np.ndarray:
-    """Row ``row`` of the chunk's uniforms (``_chunk_uniforms``), drawn alone:
-    each uniform takes one 64-bit output and a Philox4x64 counter step
-    yields four, so the row starts row * UNIFORMS_PER_SAMPLE / 4 steps in."""
+    """Row ``row`` of the uniforms of the chunk's words (``_chunk_words``),
+    drawn alone: each uniform takes one 64-bit output and a Philox4x64
+    counter step yields four, so the row starts row * UNIFORMS_PER_SAMPLE / 4
+    steps in."""
     bits = _philox(seed, chunk_index, row * UNIFORMS_PER_SAMPLE // 4).bit_generator
     return _uniforms(bits.random_raw(UNIFORMS_PER_SAMPLE))
 
@@ -256,7 +250,9 @@ def _bernoulli_lists(rho, m, n, draw):
 
 
 def _simulate(job: MonteCarloJob, draw, events=None):
-    """Final (positions, species) of one sample of the job on the stream."""
+    """Final (positions, species) of one sample of the job on the stream.
+    If ``events`` is a list, each jump appends (t, kind, k, species after),
+    where kind is 0 (step right), -1 (step left) or 1 (swap of k and k+1)."""
     if job.bernoulli is not None:
         positions, species = _bernoulli_lists(*job.bernoulli, draw)
     else:
@@ -266,18 +262,14 @@ def _simulate(job: MonteCarloJob, draw, events=None):
     return positions, species
 
 
-def simulate_sample(job: MonteCarloJob, index: int = 0, events=None) -> ParticleConfig:
-    """Final state of sample ``index``: the trajectory run_monte_carlo counts.
-
-    If ``events`` is a list, each jump appends (t, kind, k, species after),
-    where kind is 0 (step right), -1 (step left) or 1 (swap of k and k+1).
-    """
+def simulate_sample(job: MonteCarloJob, index: int = 0) -> ParticleConfig:
+    """Final state of sample ``index``: the trajectory run_monte_carlo counts."""
     index = as_int(index, "sample index")
     if index < 0:
         raise ValidationError("sample index must be >= 0")
     chunk, row = divmod(index, CHUNK)
     draw = _UniformStream(_row_uniforms(job.seed, chunk, row), job.seed, index)
-    positions, species = _simulate(job, draw, events)
+    positions, species = _simulate(job, draw)
     return ParticleConfig(tuple(positions), tuple(species))
 
 

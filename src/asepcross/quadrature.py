@@ -117,7 +117,9 @@ class OpenGrid(tuple):
     dimension k only, so any expression in the entries broadcasts to the
     block: a factor in one variable is computed once per axis node.
     ``shape`` and ``size`` are those of the flat (d, M) list of the block's
-    M node tuples; a slice is again an OpenGrid.
+    M node tuples: no route reads them, but the benchmark's tracer counts
+    evaluations by ``shape[1]`` and f_mu's points by ``size``.  A slice is
+    again an OpenGrid.
     """
 
     def __getitem__(self, key):
@@ -136,18 +138,17 @@ class OpenGrid(tuple):
 def spectral_rows(z, n: int):
     """The n rows of spectral parameters ``z`` and the map that shapes a result.
 
-    An OpenGrid passes through and results keep their broadcast shape; an
-    (n,) array (or a scalar, as (1,)) gives scalar rows and a complex
-    result, an (n, M) array (M,) rows and an (M,) result.
+    An OpenGrid passes through and results keep their broadcast shape; n
+    scalar rows (an (n,) array-like) give a complex result.  A 2-D array is
+    refused: rows of nodes are passed as ``OpenGrid(z)``.
     """
     if isinstance(z, OpenGrid):
         rows, finish = z, (lambda out: out)
     else:
-        rows = np.atleast_1d(np.asarray(z, dtype=complex))
-        shape = rows.shape[1:]
-        finish = complex if not shape else (
-            lambda out: np.broadcast_to(out, shape).astype(complex)
-        )
+        rows, finish = np.atleast_1d(np.asarray(z, dtype=complex)), complex
+        if rows.ndim > 1:
+            raise ValidationError(f"spectral parameters of shape {rows.shape}: pass n scalar "
+                                  "rows, or rows of nodes as OpenGrid(z)")
     if len(rows) != n:
         raise ValidationError(f"need {n} rows of spectral parameters, got {len(rows)}")
     return rows, finish
@@ -275,7 +276,8 @@ def _grid_sums(f, axes, mats):
     rule column on each axis); for each node of axis 0, row_abs is the sum
     of |f| over the nodes of the other axes and row_sums the sum of f
     times the other axes' first rule columns.  A block whose values come
-    back as a PairProduct is summed by ``_pair_sums`` without forming it."""
+    back as a PairProduct is summed by ``_pair_sums`` without forming it;
+    any other is broadcast to the block's shape."""
     d = len(axes)
     T = 0.0
     row_abs = np.zeros(axes[0].size)
@@ -289,17 +291,12 @@ def _grid_sums(f, axes, mats):
         if isinstance(vals, PairProduct):
             U, mags, sums = _pair_sums(vals, [m[s] for m, s in zip(mats, block)])
         else:
-            vals = np.asarray(vals, dtype=complex)
-            vals = vals.reshape((1,) * (d - vals.ndim) + vals.shape)
-            mags = np.abs(vals).reshape(len(vals), -1).sum(axis=1)
-            if vals.size < math.prod(z.size for z in grid):  # f is constant along an axis
-                mags *= math.prod(z.size for z in grid[1:]) * len(vals) / vals.size
+            out = np.broadcast_to(np.asarray(vals, dtype=complex),
+                                  tuple(z.shape[k] for k, z in enumerate(grid)))
+            mags = np.abs(out).reshape(len(out), -1).sum(axis=1)
             # matmul, not einsum: einsum's three-column loop is 2-5x slower
-            out = vals
             for k in range(d - 1, 0, -1):
                 w = mats[k][block[k]]
-                if out.shape[k] == 1 < len(w):  # f does not vary along axis k
-                    w = w.sum(axis=0, keepdims=True)
                 lead, tail = out.shape[:k], out.shape[k + 1:]
                 if k == d - 1:
                     out = _matmul(out.reshape(-1, out.shape[k]), w).reshape(lead + (w.shape[1],))
@@ -310,8 +307,6 @@ def _grid_sums(f, axes, mats):
             flat = out.reshape(len(out), -1)
             sums = flat[:, 0]
             w = mats[0][block[0]]
-            if len(out) == 1 < len(w):
-                w = w.sum(axis=0, keepdims=True)
             U = (w.T @ flat).reshape(w.shape[1:] + out.shape[1:])
         T = T + U
         row_abs[block[0]] += mags

@@ -36,13 +36,6 @@ CONTOUR_MARGIN = 0.05  # relative clearance of admissible circles from s and 1/s
 ROW_MOVE_POINTS = 2**10
 
 
-def _as_state(vec) -> tuple[int, ...]:
-    state = tuple([as_int(x, "colour occupation numbers") for x in vec])
-    if any(x < 0 for x in state):
-        raise ValidationError("colour occupation numbers must be nonnegative")
-    return state
-
-
 def _spectral_point(z, s):
     """``z`` as a complex scalar (a 0-d input included) or a complex array,
     refused at the pole s*z = 1.  A Python or NumPy scalar skips the array
@@ -63,32 +56,11 @@ def _check_leftward(q, s):
         raise ConfigurationError("leftward weights require nonzero s and q")
 
 
-def _vertex(I, j, K, l, z, q, s, leftward):
-    """The validated state ``I``, indices ``j`` and ``l`` and spectral point
-    ``z`` of one vertex, and whether it conserves paths (I + e_j = K + e_l);
-    a leftward vertex refuses s = 0 or q = 0."""
-    I = _as_state(I)
-    K = _as_state(K)
-    j, l = as_int(j, "j"), as_int(l, "l")
-    n = len(I)
-    if len(K) != n or not (0 <= j <= n) or not (0 <= l <= n):
-        raise ValidationError("inconsistent vertex state dimensions")
-    if leftward:
-        _check_leftward(q, s)
-    z = _spectral_point(z, s)
-    lhs = list(I)
-    if j >= 1:
-        lhs[j - 1] += 1
-    rhs = list(K)
-    if l >= 1:
-        rhs[l - 1] += 1
-    return I, j, l, z, lhs == rhs
-
-
 def _coefficients(I, j, l, q, s):
-    """The pair (a, b) with weight_L = (a + b*z)/(1 - s*z) at a vertex that
-    conserves paths; ``I`` is a tuple of occupation numbers.  With colours
-    1-based, sum(I[c:]) counts the paths of colours above c."""
+    """The pair (a, b) of the rightward weight (a + b*z)/(1 - s*z) at a vertex
+    that conserves paths (I + e_j = K + e_l); ``I`` is a tuple of occupation
+    numbers.  With colours 1-based, sum(I[c:]) counts the paths of colours
+    above c."""
     if l == 0:
         return (1.0, -s * q ** sum(I)) if j == 0 else (1.0 - s * s * q ** sum(I), 0.0)
     tail = q ** sum(I[l:])
@@ -104,36 +76,15 @@ def _weight_L(I, j, l, z, q, s):
 
 
 def _weight_M(I, j, l, z, q, s):
-    """(-s)^(1[j>=1] - 1[l>=1]) * weight_L at (1/z, 1/q, 1/s): the L pair at
-    (1/q, 1/s) swapped, which stays finite at z = 0."""
+    """The leftward weight, (-s)^(1[j>=1] - 1[l>=1]) times the rightward one
+    at (1/z, 1/q, 1/s): the L pair at (1/q, 1/s) swapped, which stays
+    finite at z = 0."""
     b, a = _coefficients(I, j, l, 1.0 / q, 1.0 / s)
     return s * (-s) ** ((j >= 1) - (l >= 1)) * (a + b * z) / (s * z - 1.0)
 
 
-def weight_L(I, j, K, l, z, q, s):
-    """Vertex weight for rightward travel; zero unless I + e_j = K + e_l.
-
-    ``z`` may be a complex scalar or ndarray; ``q`` and ``s`` are scalars.
-    """
-    I, j, l, z, conserved = _vertex(I, j, K, l, z, q, s, False)
-    if not conserved:
-        return np.zeros_like(z) if isinstance(z, np.ndarray) else 0.0 + 0.0j
-    return _weight_L(I, j, l, z, q, s)
-
-
-def weight_M(I, j, K, l, z, q, s):
-    """Vertex weight for leftward travel; zero unless I + e_j = K + e_l.
-
-    Equals (-s)^(1[j>=1] - 1[l>=1]) * weight_L at inverted (z, q, s) and is
-    finite at z = 0, where that substitution has a removable singularity.
-    """
-    I, j, l, z, conserved = _vertex(I, j, K, l, z, q, s, True)
-    if not conserved:
-        return np.zeros_like(z) if isinstance(z, np.ndarray) else 0.0 + 0.0j
-    return _weight_M(I, j, l, z, q, s)
-
-
 def _out_states(I, j):
+    """All (K, l) reachable from (I, j) under path conservation."""
     total = list(I)
     if j >= 1:
         total[j - 1] += 1
@@ -144,14 +95,6 @@ def _out_states(I, j):
             K[c - 1] -= 1
             outs.append((tuple(K), c))
     return outs
-
-
-def out_states(I, j):
-    """All (K, l) reachable from (I, j) under path conservation."""
-    I, j = _as_state(I), as_int(j, "j")
-    if not 0 <= j <= len(I):
-        raise ValidationError("inconsistent vertex state dimensions")
-    return _out_states(I, j)
 
 
 @dataclass(frozen=True)

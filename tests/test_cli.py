@@ -249,6 +249,8 @@ TABLE_PAYLOADS = [
     ("wall", '{"form":"step","mu":[-1,0],"m":1,"s1":-3,"s2":2,"t":2.0}', "laurent"),
     ("wall", '{"form":"step","mu":[-1,0],"m":1,"s1":0,"s2":0,"t":1.0}', "exact"),
     ("wall", '{"form":"bernoulli","s1":-3,"s2":2,"rho":0.5,"n":2,"m":1,"t":2.0}', "laurent"),
+    # no type-1 particles: s1 above s2 is no infeasible wall
+    ("wall", '{"form":"bernoulli","s1":4,"s2":1,"rho":0.5,"n":2,"m":2,"t":2.0}', "laurent"),
     ("wall", '{"form":"one_wall","s1":-3,"s2":2,"rho":0.5,"n":2,"m":1,"t":2.0}', "laurent"),
     ("wall", '{"form":"gamma","n":1,"s":2,"t":1.0}', "laurent"),
     ("wall", '{"form":"gamma","n":2,"s":3,"t":0.0}', "exact"),

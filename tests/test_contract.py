@@ -29,6 +29,9 @@ BAD_RATES = [-1.0, math.nan, math.inf]
 BAD_BERNOULLI = [{"rho": 0}, {"rho": 1.5}, {"m": 3, "n": 2}]
 
 Z2 = np.array([0.3 + 0.1j, 0.5 - 0.2j])
+# two rows of three nodes each: a grid of nodes is passed as an OpenGrid
+Z2D = np.array([[0.3 + 0.1j, 0.2, 0.4j], [0.5 - 0.2j, 0.6, -0.1]])
+SPECTRAL_2D = r"spectral parameters of shape \(2, 3\).*OpenGrid\(z\)"
 
 
 def _green(t):
@@ -112,15 +115,10 @@ ENTRIES = [
      {"mu": (2, 1), "nu": (1, 0), "ys": [0.2], "q": 2.0, "s": 0.35}, ["mu.0", "nu.0"], [],
      False),
     ("check_free_evolution", identities.check_free_evolution,
-     {"nu": (0, 2), "p": (), "t": 0.4, "z": Z2, "u": np.zeros((0, 1))}, ["nu.1"], [], False),
+     {"nu": (0, 2), "p": (), "t": 0.4, "z": Z2, "u": np.zeros(0)}, ["nu.1"], [], False),
     ("check_boundary_conditions", identities.check_boundary_conditions,
      {"nu": (0, 0, 3), "l": 1, "p": (1,), "z": np.append(Z2, 0.6), "u": np.array([0.8 + 0.1j])},
      ["nu.2", "l", "p.0"], [], False),
-    ("weight_L", vertex.weight_L, {"I": (1, 0), "j": 0, "K": (1, 0), "l": 0, "z": 0.3, "q": 0.5,
-                                   "s": 0.4}, ["I.0", "K.1", "j", "l"], [], False),
-    ("weight_M", vertex.weight_M, {"I": (1, 0), "j": 1, "K": (1, 0), "l": 1, "z": 0.3, "q": 0.5,
-                                   "s": 0.4}, ["I.1", "K.0", "j", "l"], [], False),
-    ("out_states", vertex.out_states, {"I": (1, 0), "j": 1}, ["I.0", "j"], [], False),
     ("stochastic_weights_check", vertex.stochastic_weights_check,
      {"n": 1, "z": 0.3, "q": 0.5, "s": 0.4}, ["n"], [], False),
 ]
@@ -213,7 +211,11 @@ MALFORMED = [
     ("short_target_event", lambda: _event_job(("target", (1, 2))),
      "a target event needs 2 fields"),
     ("long_wall_event", lambda: _event_job(("wall", -3, 2, 5)), "a wall event needs 2 fields"),
-    ("out_states_j_above_n", lambda: vertex.out_states((1, 0), 3), "inconsistent vertex state"),
+    ("f_mu_2d_spectral", lambda: vertex.f_mu((1, 0), Z2D, 0.5, 0.4), SPECTRAL_2D),
+    ("sfF_lambda_2d_spectral", lambda: vertex.sfF_lambda((3, 1), Z2D, 0.5), SPECTRAL_2D),
+    ("xi_mu_2d_spectral", lambda: vertex.xi_mu((3, 1), Z2D, 0.5), SPECTRAL_2D),
+    ("eigenfunction_P_2d_spectral",
+     lambda: formulas.eigenfunction_P((1, 3), (1,), 1.0, Z2D, Z2D[:1]), SPECTRAL_2D),
     ("stochastic_check_negative_n", lambda: vertex.stochastic_weights_check(-1, 0.3, 0.5, 0.4),
      "n must be >= 0"),
     ("identity_suite_zero_samples", lambda: identities.run_identity_suite(samples=0),

@@ -42,6 +42,7 @@ from asepcross.oracle import (
     build_window_generator,
     expm_transition,
     run_monte_carlo,
+    transition_row,
 )
 from asepcross.quadrature import NOISE_MARGIN, ROUNDOFF, MultivariatePolynomial, OpenGrid
 import residue_reference
@@ -82,7 +83,7 @@ class TestEigenfunction:
     def test_single_free_particle(self):
         z = np.array([0.4 + 0.2j])
         t = 0.7
-        val = eigenfunction_P([3], [], t, z, np.zeros((0, 1)))
+        val = eigenfunction_P([3], [], t, z, np.zeros(0))
         expected = z[0] ** 3 * np.exp((1 / z[0] - 1) * t)
         assert abs(val - expected) < 1e-14
 
@@ -91,7 +92,7 @@ class TestEigenfunction:
         z = rng.uniform(0.2, 0.6, 2) + 1j * rng.uniform(-0.2, 0.2, 2)
         nu = [1, 4]
         t = 0.5
-        val = eigenfunction_P(nu, [], t, z, np.zeros((0, 1)))
+        val = eigenfunction_P(nu, [], t, z, np.zeros(0))
         mat = np.array(
             [
                 [(1 - z[k]) ** (-(i + 1)) * z[k] ** nu[i] for i in range(2)]
@@ -697,6 +698,24 @@ class TestCumulativeStep:
     def test_infeasible_wall_returns_zero(self):
         assert cumulative_crossing_step((-1, 0), 1, 0, 0, 1.0) == 0.0
 
+    @pytest.mark.parametrize("s1", [4, 5, 40])
+    def test_no_type1_particles_ignore_s1(self, s1):
+        # with m = n the event (every particle at or beyond s2) does not
+        # involve s1, and no w-variable reads it: a lower wall above s2 is
+        # not infeasible and gives the s1 = s2 value bit for bit
+        val = cumulative_crossing_step((0, 1), 2, s1, 3, 1.0)
+        ref = cumulative_crossing_step((0, 1), 2, 3, 3, 1.0)
+        assert (float(val), val.est_err, val.method) == (float(ref), ref.est_err, "laurent")
+
+    def test_no_type1_particles_against_window_oracle(self):
+        initial = ParticleConfig((0, 1), (2, 2))
+        gen = build_window_generator(initial, (0, 40), ModelParams(q=0.0))
+        row = transition_row(gen, initial, 1.0)
+        beyond = sum(p for (positions, _), p in zip(gen.states, row) if positions[0] >= 3)
+        val = cumulative_crossing_step((0, 1), 2, 5, 3, 1.0)
+        assert val > 0.002
+        assert abs(val - beyond) <= val.est_err + ORACLE_ALLOWANCE
+
     @pytest.mark.parametrize("m", [3, -1])
     def test_type2_count_outside_range_is_refused(self, m):
         with pytest.raises(ValidationError):
@@ -750,6 +769,28 @@ class TestCumulativeBernoulli:
             query = WallQuery(s1=-n - 1, s2=2, rho=0.5, n=n, m=n, t=2.0)
             with pytest.raises(ValidationError, match="cumulative_crossing_bernoulli"):
                 cumulative_crossing_one_wall(query)
+
+    @pytest.mark.parametrize("form", ["inverted", "direct"])
+    def test_no_type1_particles_ignore_s1(self, form):
+        # m = n: s1 enters neither the event nor the integrand, so the wall
+        # (4, 1) is feasible and gives the (0, 1) value bit for bit
+        high, low = WallQuery(4, 1, 0.5, 2, 2, 2.0), WallQuery(0, 1, 0.5, 2, 2, 2.0)
+        assert high.feasible
+        val = cumulative_crossing_bernoulli(high, form=form)
+        ref = cumulative_crossing_bernoulli(low, form=form)
+        assert (float(val), val.est_err, val.method) == (float(ref), ref.est_err, ref.method)
+        assert val.method != "exact" and abs(val - 0.0166167) < 1e-7
+
+    def test_no_type1_particles_against_monte_carlo(self):
+        val = cumulative_crossing_bernoulli(WallQuery(4, 1, 0.5, 2, 2, 2.0))
+        counts = []
+        for s1 in (4, 0):
+            job = MonteCarloJob(q=0.0, horizon=2.0, samples=50_000, seed=13,
+                                bernoulli=(0.5, 2, 2), event=("wall", s1, 1))
+            est, err, successes = run_monte_carlo(job)
+            assert abs(est - val) <= 4 * err
+            counts.append(successes)
+        assert counts[0] == counts[1]
 
     def test_m0_reduces_to_type1_window(self):
         # no type 2: the event is all particles staying below s2

@@ -26,7 +26,7 @@ def spectral(rng):
 class TestFreeEvolution:
     def test_single_particle_scalar(self, rng):
         z = _sample_points(rng, 1, lo=0.3, hi=0.7)
-        rep = check_free_evolution([0], [], 0.5, z, np.zeros((0, 1)))
+        rep = check_free_evolution([0], [], 0.5, z, np.zeros(0))
         assert rep.passed
 
     def test_mixed_species_order(self, spectral):

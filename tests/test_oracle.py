@@ -27,16 +27,35 @@ from asepcross.oracle import (
     run_monte_carlo,
     simulate_sample,
     transition_row,
-    _chunk_uniforms,
     _event_holds,
     _multiset_permutations,
     _row_uniforms,
     _simulate,
+    _uniforms,
     _UniformStream,
 )
 from vertex_reference import default_window
 
 GOLDEN_2TASEP = 0.06766764161830637  # mu=(0,1) p0={1} -> nu=(1,2) p={2}, t=1
+
+
+def _chunk_uniforms(seed, chunk):
+    """The uniforms of a whole chunk's words, one row per sample (looked up
+    on the module, so a patched ``_chunk_words`` reaches them)."""
+    return _uniforms(oracle._chunk_words(seed, chunk, CHUNK))
+
+
+def _sample_events(job, index):
+    """Sample ``index`` of ``job`` run by ``_simulate`` on the stream
+    ``simulate_sample`` reads: its final state and its jumps, each
+    (t, kind, k, species after)."""
+    events = []
+    chunk, row = divmod(index, CHUNK)
+    draw = _UniformStream(_row_uniforms(job.seed, chunk, row), job.seed, index)
+    positions, species = _simulate(job, draw, events)
+    final = ParticleConfig(tuple(positions), tuple(species))
+    assert final == simulate_sample(job, index)
+    return final, events
 
 
 def _job(positions, species, q, t, seed=7, samples=1, event=()):
@@ -76,8 +95,7 @@ class TestGillespie:
         # every swap moves a higher colour rightward past a lower one
         job = _job((0, 1, 2), (2, 1, 2), 0.0, 2.0, seed=5)
         for i in range(200):
-            events = []
-            final = simulate_sample(job, i, events)
+            final, events = _sample_events(job, i)
             assert final.species == (events[-1][3] if events else job.initial.species)
             for t, kind, k, species_after in events:
                 if kind == 1:  # swap of (k, k+1); labels recorded post-swap
@@ -94,7 +112,7 @@ class TestGillespie:
 
     @pytest.mark.parametrize("chunk", [0, 3])
     def test_single_row_draw_equals_chunk_row(self, chunk):
-        full = _chunk_uniforms(5, chunk, np.empty((CHUNK, UNIFORMS_PER_SAMPLE)))
+        full = _chunk_uniforms(5, chunk)
         for row in (0, 1, 7, 500, 1023):
             assert np.array_equal(_row_uniforms(5, chunk, row), full[row])
 
@@ -102,7 +120,7 @@ class TestGillespie:
     def test_word_map_is_generator_random(self, seed, chunk):
         # the uniforms of the raw words are Generator.random's, bit for bit
         expected = oracle._philox(seed, chunk, 0).random((CHUNK, UNIFORMS_PER_SAMPLE))
-        full = _chunk_uniforms(seed, chunk, np.empty((CHUNK, UNIFORMS_PER_SAMPLE)))
+        full = _chunk_uniforms(seed, chunk)
         assert np.array_equal(full, expected)
         for row in (0, 1, CHUNK - 1):
             assert np.array_equal(_row_uniforms(seed, chunk, row), expected[row])
@@ -247,7 +265,7 @@ def _scalar_finals(job):
     on its own row of the chunk uniforms."""
     finals = []
     for chunk in range(-(-job.samples // CHUNK)):
-        buf = oracle._chunk_uniforms(job.seed, chunk, np.empty((CHUNK, UNIFORMS_PER_SAMPLE)))
+        buf = _chunk_uniforms(job.seed, chunk)
         for row in range(min(CHUNK, job.samples - chunk * CHUNK)):
             draw = _UniformStream(buf[row], job.seed, chunk * CHUNK + row)
             finals.append(_simulate(job, draw))
@@ -358,9 +376,7 @@ class TestBatchedCounts:
         # a horizon equal to the time of sample 0's first jump: the scalar
         # comparison t > horizon decides that row
         probe = _job((0, 1, 2), (2, 1, 2), 0.3, 5.0, seed=8)
-        events = []
-        simulate_sample(probe, 0, events)
-        horizon = events[0][0]
+        horizon = _sample_events(probe, 0)[1][0][0]
         job = _job((0, 1, 2), (2, 1, 2), 0.3, horizon, seed=8, samples=40,
                    event=("target", (0, 1, 2), (2, 1, 2)))
         runs = _count_scalar_runs(monkeypatch)

@@ -351,6 +351,17 @@ class TestOpenGrid:
         assert abs(err - ref_err) < 1e-14
         assert levels == ref_levels
 
+    @pytest.mark.parametrize(
+        "f",
+        [lambda Z: 2.5, lambda Z: np.exp(1.0 / Z[1]) / Z[1]],
+        ids=["constant", "one_variable"],
+    )
+    def test_broadcast_integrands_on_the_half_grid(self, f):
+        # the block broadcast to its shape feeds the half grid's row sums,
+        # slice check and sum of |f| as a full-shaped one does
+        value, err = half_grid_matches_full(f, circles(3))
+        assert abs(value) < 1e-14
+
     def test_nan_at_one_node_of_broadcast_axis(self):
         def f(Z):
             out = np.ones(Z[1].shape, dtype=complex)

@@ -19,11 +19,8 @@ from asepcross.vertex import (
     admissible_contours,
     discrete_transition,
     f_mu,
-    out_states,
     sfF_lambda,
     stochastic_weights_check,
-    weight_L,
-    weight_M,
     xi_mu,
 )
 import vertex_reference
@@ -32,7 +29,10 @@ from vertex_reference import (
     cauchy_check,
     g_star_mu,
     orthogonality_check,
+    out_states,
     pochhammer,
+    weight_L,
+    weight_M,
 )
 
 Q, S = 1.7 + 0.1j, 0.23 - 0.05j
@@ -305,9 +305,9 @@ class TestSweepOrders:
     Q, S = 0.5, 0.5**-0.5
     INPUTS = {
         "scalar": np.array([0.31 + 0.12j, 0.52 - 0.17j, 0.44 + 0.21j]),
-        "flat": np.array([[0.31 + 0.12j, -0.2 + 0.1j, 0.6],
-                          [0.52 - 0.17j, 0.1 - 0.4j, 0.25 + 0.3j],
-                          [0.44 + 0.21j, 0.33, -0.5 - 0.1j]]),
+        "flat": OpenGrid(np.array([[0.31 + 0.12j, -0.2 + 0.1j, 0.6],
+                                   [0.52 - 0.17j, 0.1 - 0.4j, 0.25 + 0.3j],
+                                   [0.44 + 0.21j, 0.33, -0.5 - 0.1j]])),
         "grid": _reflected_grid((5, 4, 3), 0.5),
     }
 
@@ -473,9 +473,9 @@ class TestExchangeRelation:
         swapped_mu[i], swapped_mu[i + 1] = hi, lo
         swapped_z = z.copy()
         swapped_z[[i, i + 1]] = z[[i + 1, i]]
-        f, f_swapped = f_mu(mu, z, q, s), f_mu(mu, swapped_z, q, s)
+        f, f_swapped = f_mu(mu, OpenGrid(z), q, s), f_mu(mu, OpenGrid(swapped_z), q, s)
         coef = (z[i] - q * z[i + 1]) / (z[i] - z[i + 1])
-        lhs = f_mu(swapped_mu, z, q, s)
+        lhs = f_mu(swapped_mu, OpenGrid(z), q, s)
         rhs = q * f - coef * (f - f_swapped)
         scale = np.abs(q * f) + np.abs(coef) * (np.abs(f) + np.abs(f_swapped))
         # f_mu's own sum cancels: at q = 0.3 with parts up to 13 after the

@@ -4,8 +4,11 @@ The biorthogonality integral of f_mu against its dual g*_mu, the truncated
 Cauchy summation of f_kappa * G_kappa/nu against its product form and the
 symmetric rational function F_lambda check the identities the rainbow
 formulas rest on; ``inversions`` and ``pochhammer`` serve g*_mu and
-F_lambda, and ``default_window`` sizes the oracle tests' windows.  No
-evaluator, CLI command or benchmark case calls any of them.
+F_lambda, and ``default_window`` sizes the oracle tests' windows.  The
+single-vertex weights ``weight_L`` and ``weight_M`` and the out-states
+``out_states`` validate their vertex indices and wrap the tables the
+partition functions read.  No evaluator, CLI command or benchmark case
+calls any of them.
 """
 
 from __future__ import annotations
@@ -15,13 +18,84 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from asepcross.core import ConfigurationError, ResourceLimitError, ValidationError
+from asepcross.core import ConfigurationError, ResourceLimitError, ValidationError, as_int
 from asepcross.quadrature import ContourProduct, OpenGrid, product_integrate, spectral_rows
-from asepcross.vertex import G_mu_nu, _symmetrize, admissible_contours, f_mu
+from asepcross.vertex import (
+    G_mu_nu,
+    _check_leftward,
+    _out_states,
+    _spectral_point,
+    _symmetrize,
+    _weight_L,
+    _weight_M,
+    admissible_contours,
+    f_mu,
+)
 
 ORTHOGONALITY_TOL = 1e-8  # quadrature tolerance of orthogonality_check
 CAUCHY_TERM_FLOOR = 1e-16  # cauchy_check sums kappa until r^T falls below this
 CAUCHY_MAX_TERMS = 20_000  # the largest kappa box cauchy_check sums
+
+
+def _as_state(vec) -> tuple[int, ...]:
+    state = tuple([as_int(x, "colour occupation numbers") for x in vec])
+    if any(x < 0 for x in state):
+        raise ValidationError("colour occupation numbers must be nonnegative")
+    return state
+
+
+def _vertex(I, j, K, l, z, q, s, leftward):
+    """The validated state ``I``, indices ``j`` and ``l`` and spectral point
+    ``z`` of one vertex, and whether it conserves paths (I + e_j = K + e_l);
+    a leftward vertex refuses s = 0 or q = 0."""
+    I = _as_state(I)
+    K = _as_state(K)
+    j, l = as_int(j, "j"), as_int(l, "l")
+    n = len(I)
+    if len(K) != n or not (0 <= j <= n) or not (0 <= l <= n):
+        raise ValidationError("inconsistent vertex state dimensions")
+    if leftward:
+        _check_leftward(q, s)
+    z = _spectral_point(z, s)
+    lhs = list(I)
+    if j >= 1:
+        lhs[j - 1] += 1
+    rhs = list(K)
+    if l >= 1:
+        rhs[l - 1] += 1
+    return I, j, l, z, lhs == rhs
+
+
+def weight_L(I, j, K, l, z, q, s):
+    """Vertex weight for rightward travel; zero unless I + e_j = K + e_l.
+
+    ``z`` may be a complex scalar or ndarray; ``q`` and ``s`` are scalars.
+    """
+    I, j, l, z, conserved = _vertex(I, j, K, l, z, q, s, False)
+    if not conserved:
+        return np.zeros_like(z) if isinstance(z, np.ndarray) else 0.0 + 0.0j
+    return _weight_L(I, j, l, z, q, s)
+
+
+def weight_M(I, j, K, l, z, q, s):
+    """Vertex weight for leftward travel; zero unless I + e_j = K + e_l.
+
+    Equals (-s)^(1[j>=1] - 1[l>=1]) * weight_L at inverted (z, q, s) and is
+    finite at z = 0, where that substitution has a removable singularity.
+    """
+    I, j, l, z, conserved = _vertex(I, j, K, l, z, q, s, True)
+    if not conserved:
+        return np.zeros_like(z) if isinstance(z, np.ndarray) else 0.0 + 0.0j
+    return _weight_M(I, j, l, z, q, s)
+
+
+def out_states(I, j):
+    """All (K, l) reachable from (I, j) under path conservation."""
+    I, j = _as_state(I), as_int(j, "j")
+    if not 0 <= j <= len(I):
+        raise ValidationError("inconsistent vertex state dimensions")
+    return _out_states(I, j)
+
 
 
 def inversions(mu) -> int:
