@@ -23,6 +23,7 @@ from asepcross.core import (
     ValidationError,
 )
 from conftest import make_blocks
+import vertex_reference
 
 BAD_INTS = [True, 1.5, "1"]
 BAD_RATES = [-1.0, math.nan, math.inf]
@@ -119,6 +120,14 @@ ENTRIES = [
     ("check_boundary_conditions", identities.check_boundary_conditions,
      {"nu": (0, 0, 3), "l": 1, "p": (1,), "z": np.append(Z2, 0.6), "u": np.array([0.8 + 0.1j])},
      ["nu.2", "l", "p.0"], [], False),
+    # the single-vertex weights and out-states live beside the tests, which alone call them
+    ("weight_L", vertex_reference.weight_L,
+     {"I": (1, 0), "j": 0, "K": (1, 0), "l": 0, "z": 0.3, "q": 0.5, "s": 0.4},
+     ["I.0", "K.1", "j", "l"], [], False),
+    ("weight_M", vertex_reference.weight_M,
+     {"I": (1, 0), "j": 1, "K": (1, 0), "l": 1, "z": 0.3, "q": 0.5, "s": 0.4},
+     ["I.1", "K.0", "j", "l"], [], False),
+    ("out_states", vertex_reference.out_states, {"I": (1, 0), "j": 1}, ["I.0", "j"], [], False),
     ("stochastic_weights_check", vertex.stochastic_weights_check,
      {"n": 1, "z": 0.3, "q": 0.5, "s": 0.4}, ["n"], [], False),
 ]
@@ -211,6 +220,8 @@ MALFORMED = [
     ("short_target_event", lambda: _event_job(("target", (1, 2))),
      "a target event needs 2 fields"),
     ("long_wall_event", lambda: _event_job(("wall", -3, 2, 5)), "a wall event needs 2 fields"),
+    ("out_states_j_above_n", lambda: vertex_reference.out_states((1, 0), 3),
+     "inconsistent vertex state"),
     ("f_mu_2d_spectral", lambda: vertex.f_mu((1, 0), Z2D, 0.5, 0.4), SPECTRAL_2D),
     ("sfF_lambda_2d_spectral", lambda: vertex.sfF_lambda((3, 1), Z2D, 0.5), SPECTRAL_2D),
     ("xi_mu_2d_spectral", lambda: vertex.xi_mu((3, 1), Z2D, 0.5), SPECTRAL_2D),
