@@ -75,6 +75,21 @@ def bernoulli_data(rho, m, n) -> tuple[float, int, int]:
     return rho, m, n
 
 
+def window_ends(window) -> tuple[int, int]:
+    """(a, b) of a lattice window as ints; refused unless ``window`` is two
+    integer ends with a <= b."""
+    try:
+        ends = tuple(window)
+    except TypeError:
+        ends = ()
+    if len(ends) != 2:
+        raise ValidationError(f"a window is two ends (a, b), got {window!r}")
+    a, b = as_int(ends[0], "window"), as_int(ends[1], "window")
+    if a > b:
+        raise ValidationError(f"a window needs a <= b, got ({a}, {b})")
+    return a, b
+
+
 def _check_int64(values):
     for v in values:
         if abs(int(v)) > INT64_MAX:

@@ -35,6 +35,7 @@ import functools
 import itertools
 import math
 import os
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,7 @@ from .core import (
     as_int,
     bernoulli_data,
     check_rate,
+    window_ends,
 )
 
 MASK64 = 2**64 - 1
@@ -500,13 +502,18 @@ def _multiset_permutations(colours) -> list:
 
 @dataclass(frozen=True)
 class WindowGenerator:
-    """Exact generator of the process restricted to a window with a sink;
-    ``states`` is built on first use only."""
+    """Exact generator of the process restricted to a window with a sink.
+
+    Built only by ``build_window_generator``.  ``matrix`` owns its data and
+    shares its read-only ``indices`` and ``indptr`` with ``pattern``, the
+    cached structure of every window of this width, colour multiset and
+    sign of q (``_window_pattern``); ``states`` is built on first use only."""
 
     window: tuple[int, int]
     orders: tuple  # the colour orders, in lexicographic order
     n: int
     matrix: sp.csr_matrix  # (D+1) x (D+1); last row/column is the sink
+    pattern: types.SimpleNamespace  # from _window_pattern
 
     @property
     def size(self) -> int:
@@ -602,46 +609,113 @@ def _window_jumps(sets: np.ndarray, orders: np.ndarray, width: int, q: float):
     return vals, (np.concatenate(sources), np.concatenate(dests))
 
 
+# window structures kept by _window_pattern; each holds about 14 bytes per
+# matrix entry and 16 per state (README, "Oracles")
+WINDOW_PATTERNS = 8
+# the code of a diagonal entry in the codes of _window_pattern
+DIAGONAL = 3
+
+
+@functools.lru_cache(maxsize=WINDOW_PATTERNS)
+def _window_pattern(width: int, colours: tuple, moves_left: bool):
+    """The structure of every window generator of this width and sorted
+    colour multiset, with left moves at rate q if ``moves_left`` (q > 0):
+    what a build fills with rates, and nothing that depends on q's value or
+    the window's offset.  Its attributes, every array read-only:
+
+    - ``orders``: the colour orders, in lexicographic order;
+    - ``indptr``, ``indices``: the CSR structure of Q, diagonal included;
+    - ``codes``: each entry's rate as an index into (1, q, 1 + q, 0): 0 for
+      rate 1, 1 for rate q, 2 for the merged sink exit and DIAGONAL;
+    - ``diagonal``, ``starts``: the slot of each diagonal entry and the
+      first slot of its row, one per row with jumps, in row order;
+    - ``off_codes``, ``off_starts``: the codes of the off-diagonal entries
+      row by row, and where each row with jumps starts among them: the
+      segments that the row sums of the off-diagonal matrix add;
+    - ``t_indptr``, ``t_indices``, ``order``: the CSR structure of Q's
+      transpose without the sink's self-loop, whose entry k is Q's entry
+      order[k]; each row lists its entries in the order of Q's rows, as a
+      CSC-to-CSR conversion does.
+
+    ``_window_jumps`` runs once at probe rates 1 and 2 for rate 1 and rate
+    q, with probe rate 4 on the diagonal; ``coo_matrix.tocsr`` sorts the
+    entries into rows and merges the two exits of a row into the sink, which
+    then read 3, so each probe rate is its code plus one.
+    """
+    import scipy.sparse as sp
+
+    n = len(colours)
+    orders = tuple(_multiset_permutations(colours))
+    C, P = math.comb(width, n), len(orders)
+    D = C * P
+    sets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(width), n)),
+                       dtype=np.int64, count=C * n).reshape(C, n)
+    ranks = np.searchsorted(np.unique(colours), np.array(orders, dtype=np.int64).reshape(P, n))
+    # with a particle, every state has a jump: the rightmost particle steps
+    # right or leaves; so rows 0, ..., D - 1 have diagonal entries
+    jumping = np.arange(D if n else 0, dtype=np.int32)
+    rates, (rows, cols) = _window_jumps(sets, ranks, width, 2.0 if moves_left else 0.0)
+    entries = (np.concatenate([rates, np.full(len(jumping), 4.0)]),
+               (np.concatenate([rows, jumping], dtype=np.int32),
+                np.concatenate([cols, jumping], dtype=np.int32)))
+    # near STATE_CAP the jump lists take tens of MB: free them, and then the
+    # COO input, before the next copies, so the build peaks no higher than
+    # an assembly without the pattern
+    del rates, rows, cols
+    matrix = sp.coo_matrix(entries, shape=(D + 1, D + 1)).tocsr()
+    del entries
+    codes = matrix.data.astype(np.int8) - np.int8(1)
+    off_diagonal = codes != DIAGONAL
+    starts = matrix.indptr[:len(jumping)]
+    matrix.data = np.arange(len(codes), dtype=np.int32)
+    by_column = matrix.tocsc()  # its data are Q's slots in the transpose's order
+    parts = dict(indptr=matrix.indptr, indices=matrix.indices, codes=codes,
+                 diagonal=np.flatnonzero(~off_diagonal).astype(np.int32), starts=starts,
+                 off_codes=codes[off_diagonal], off_starts=starts - jumping,
+                 t_indptr=by_column.indptr, t_indices=by_column.indices, order=by_column.data)
+    for part in parts.values():
+        part.flags.writeable = False
+    return types.SimpleNamespace(orders=orders, **parts)
+
+
 def build_window_generator(
     particles: ParticleConfig, window, params: ModelParams
 ) -> WindowGenerator:
     """Enumerate all placements of the given colour multiset in the window
     and assemble the rate matrix, draining out-of-window jumps into a sink.
 
-    States run over the position sets, then over the colour orders, both in
-    lexicographic order; ``_window_jumps`` builds the jumps from arrays.  A
-    window of more than STATE_CAP states is refused with ResourceLimitError.
+    ``window`` is two integer ends a <= b.  States run over the position
+    sets, then over the colour orders, both in lexicographic order.  A
+    window of more than STATE_CAP states is refused with ResourceLimitError
+    before anything is enumerated.  The structure comes from
+    ``_window_pattern``, cached per width, colour multiset and q > 0; a
+    build fills the rates from its codes and pins the diagonal so that row
+    sums vanish, with the additions of scipy's ``sum(axis=1)``.
     """
-    import scipy.sparse as sp
-
-    a, b = as_int(window[0], "window"), as_int(window[1], "window")
+    a, b = window_ends(window)
     if not all(a <= x <= b for x in particles.positions):
         raise ValidationError("initial positions must lie inside the window")
-    n = particles.n
     width = b - a + 1
-    colour_orders = tuple(_multiset_permutations(particles.species))
-    C, P = math.comb(width, n), len(colour_orders)
-    D = C * P
+    colours = tuple(sorted(particles.species))
+    # comb(width, n) position sets times n! / prod m_c! colour orders
+    D = math.comb(width, len(colours)) * math.factorial(len(colours))
+    for c in set(colours):
+        D //= math.factorial(colours.count(c))
     if D > STATE_CAP:
         raise ResourceLimitError(f"window state space {D} exceeds the cap {STATE_CAP}")
-    sets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(width), n)),
-                       dtype=np.int64, count=C * n).reshape(C, n)
-    orders = np.searchsorted(np.unique(particles.species),
-                             np.array(colour_orders, dtype=np.int64).reshape(P, n))
-    off_diag = sp.coo_matrix(
-        _window_jumps(sets, orders, width, params.q), shape=(D + 1, D + 1), dtype=float
-    ).tocsr()
+    q = params.q
+    pattern = _window_pattern(width, colours, q > 0.0)
+    rates = np.array([1.0, q, 1.0 + q, 0.0])  # by code
+    data = rates.take(pattern.codes)
     # pin the diagonal so that row sums vanish in floating point; ulp-level
     # fix-up passes reach exact zero whenever the rate sums are representable
-    # (always for dyadic q), else leave a <= 1 ulp residual
-    diag = -np.asarray(off_diag.sum(axis=1)).ravel()
-    matrix = (off_diag + sp.diags(diag, format="csr")).tocsr()
-    # a row without a diagonal entry has no jumps and sums to zero, so each
-    # fix-up pass only rewrites existing diagonal entries
-    entry_rows = np.repeat(np.arange(D + 1), np.diff(matrix.indptr))
-    on_diag = np.nonzero(matrix.indices == entry_rows)[0]
+    # (always for dyadic q), else leave a <= 1 ulp residual.  Each sum is
+    # np.add.reduceat over a row's entries, as scipy's sum(axis=1) adds them;
+    # rows without jumps have no diagonal entry and sum to zero
+    diag = -np.add.reduceat(rates.take(pattern.off_codes), pattern.off_starts)
+    data[pattern.diagonal] = diag
     for _ in range(8):
-        resid = np.asarray(matrix.sum(axis=1)).ravel()
+        resid = np.add.reduceat(data, pattern.starts)
         bad = resid != 0.0
         if not bad.any():
             break
@@ -649,14 +723,21 @@ def build_window_generator(
         stuck = bad & (target == diag)
         target[stuck] = np.nextafter(diag[stuck], (diag - resid * 1e6)[stuck])
         diag = np.where(bad, target, diag)
-        matrix.data[on_diag] = diag[entry_rows[on_diag]]
-    return WindowGenerator((a, b), colour_orders, n, matrix)
+        data[pattern.diagonal] = diag
+    import scipy.sparse as sp
+
+    matrix = sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(D + 1, D + 1))
+    return WindowGenerator((a, b), pattern.orders, particles.n, matrix, pattern)
 
 
 def transition_row(gen: WindowGenerator, mu: ParticleConfig, t: float) -> np.ndarray:
     """Full distribution exp(Qt) row for initial state mu, by uniformization.
 
     The returned vector has length D+1; the last entry is the sink mass.
+    Each step is v <- P^T v with P = I + Q/lam: P^T's entries are Q's data
+    times 1/lam, plus 1 on the diagonal slots, in the pattern's transposed
+    order, and the sink's self-loop is added after each product, so every
+    entry adds its terms in the order of ``P.T.dot``.
     The Poisson series stops at term k once k + 1 > lam t and the geometric
     bound w_{k+1} / (1 - lam t / (k + 2)) on the remaining weights is below
     1e-15.
@@ -669,14 +750,19 @@ def transition_row(gen: WindowGenerator, mu: ParticleConfig, t: float) -> np.nda
     v[gen.state_of(mu)] = 1.0
     if t == 0:
         return v
-    diag = -gen.matrix.diagonal()
-    lam = float(diag.max())
+    pattern = gen.pattern
+    data = gen.matrix.data
+    lam = -float(data.take(pattern.diagonal).min(initial=0.0))
     if lam <= 0:
         return v
     if lam * t > 600:
         raise ResourceLimitError("uniformization rate * t too large for this window")
-    # the CSR transpose adds each entry of v in the order the CSC P.T does
-    PT = (sp.eye(D + 1, format="csr") + gen.matrix / lam).T.tocsr()
+    # scipy's Q / lam multiplies by 1 / lam; an entry 1 + Q_ii / lam of 0
+    # stays in as an explicit zero, which adds 0 to a sum of finite terms
+    entries = data * (1 / lam)
+    entries[pattern.diagonal] += 1.0
+    PT = sp.csr_matrix((entries.take(pattern.order), pattern.t_indices, pattern.t_indptr),
+                       shape=(D + 1, D + 1))
     out = np.zeros(D + 1)
     lt = lam * t
     weight = math.exp(-lt)
@@ -684,7 +770,9 @@ def transition_row(gen: WindowGenerator, mu: ParticleConfig, t: float) -> np.nda
     k = 0
     while k + 1 <= lt or weight * lt / (k + 1) / (1.0 - lt / (k + 2)) > 1e-15:
         k += 1
+        sink = v[-1]
         v = PT @ v
+        v[-1] += sink
         weight *= lt / k
         out += weight * v
     return out

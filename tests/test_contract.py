@@ -231,6 +231,10 @@ MALFORMED = [
      "n must be >= 0"),
     ("identity_suite_zero_samples", lambda: identities.run_identity_suite(samples=0),
      "^samples must be >= 1, got 0$"),
+    ("window_of_three_ends", lambda: _window((0, 1), (0, 3, 5), 0.5), "two ends"),
+    ("empty_configuration_on_reversed_window",
+     lambda: oracle.build_window_generator(ParticleConfig((), ()), (3, 0), ModelParams(0.5)),
+     r"a window needs a <= b, got \(3, 0\)"),
     ("monte_carlo_zero_threads", lambda: _run_threads(0), "^threads must be >= 1, got 0$"),
     ("monte_carlo_negative_threads", lambda: _run_threads(-3), "^threads must be >= 1, got -3$"),
     ("monte_carlo_fractional_threads", lambda: _run_threads(1.5), "threads must be integral"),

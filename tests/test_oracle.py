@@ -751,6 +751,84 @@ class TestLazyWindowStates:
             assert np.array_equal(transition_row(gen, mu, t), _reference_row(matrix, start, t))
 
 
+def _matrix_parts(gen):
+    return [getattr(gen.matrix, part) for part in ("data", "indices", "indptr")]
+
+
+class TestWindowPattern:
+    MU = ParticleConfig((0, 1, 2), (2, 1, 2))
+
+    def test_cold_and_warm_builds_are_identical(self):
+        oracle._window_pattern.cache_clear()
+        cold = build_window_generator(self.MU, (-2, 5), ModelParams(q=0.3))
+        warm = build_window_generator(self.MU, (-2, 5), ModelParams(q=0.3))
+        assert oracle._window_pattern.cache_info().hits == 1
+        assert warm.pattern is cold.pattern
+        for a, b in zip(_matrix_parts(cold), _matrix_parts(warm)):
+            assert np.array_equal(a, b) and a.dtype == b.dtype
+
+    def test_offset_and_q_reuse_the_pattern(self):
+        # the same width at another offset, and another q > 0
+        first = build_window_generator(self.MU, (-2, 5), ModelParams(q=0.3))
+        shifted = ParticleConfig((10, 11, 12), (2, 1, 2))
+        second = build_window_generator(shifted, (9, 16), ModelParams(q=0.7))
+        assert second.pattern is first.pattern
+        for gen, mu, q in ((first, self.MU, 0.3), (second, shifted, 0.7)):
+            matrix = _reference_window(mu, gen.window, q)[2]
+            for a, b in zip(_matrix_parts(gen), (matrix.data, matrix.indices, matrix.indptr)):
+                assert np.array_equal(a, b)
+
+    def test_q0_and_positive_q_never_share(self):
+        oracle._window_pattern.cache_clear()
+        still = build_window_generator(self.MU, (-2, 5), ModelParams(q=0.0))
+        moving = build_window_generator(self.MU, (-2, 5), ModelParams(q=0.5))
+        assert moving.pattern is not still.pattern
+        assert oracle._window_pattern.cache_info().currsize == 2
+        assert len(moving.matrix.indices) > len(still.matrix.indices)
+
+    def test_shared_arrays_are_read_only(self):
+        gen = build_window_generator(self.MU, (-2, 5), ModelParams(q=0.5))
+        cached = [a for a in vars(gen.pattern).values() if isinstance(a, np.ndarray)]
+        shared = 0
+        for array in _matrix_parts(gen) + cached:
+            if any(np.shares_memory(array, c) for c in cached):
+                shared += 1
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0]
+            else:  # the generator's own copy
+                array[0] = array[0]
+        assert shared == len(cached) + 2  # the matrix's indices and indptr
+
+    def test_cache_is_bounded(self):
+        oracle._window_pattern.cache_clear()
+        for width in range(3, 3 + oracle.WINDOW_PATTERNS + 3):
+            build_window_generator(ParticleConfig((0,), (1,)), (0, width - 1),
+                                   ModelParams(q=0.5))
+        assert oracle._window_pattern.cache_info().currsize == oracle.WINDOW_PATTERNS
+
+    def test_rows_after_warm_builds_equal_the_reference(self):
+        mu, window = ParticleConfig((0, 1, 2), (3, 2, 1)), (-3, 6)
+        build_window_generator(mu, window, ModelParams(q=0.5))
+        for q in (0.3, 0.7):
+            gen = build_window_generator(mu, window, ModelParams(q=q))
+            _, index, matrix = _reference_window(mu, window, q)
+            start = index[(mu.positions, mu.species)]
+            for t in (0.4, 1.3):
+                assert np.array_equal(transition_row(gen, mu, t),
+                                      _reference_row(matrix, start, t))
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_oversized_window_refused_before_enumeration(self, n):
+        # n distinct colours filling their window: n! states
+        before = oracle._window_pattern.cache_info().currsize
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=f"state space {math.factorial(n)} "):
+            build_window_generator(ParticleConfig(tuple(range(n)), tuple(range(1, n + 1))),
+                                   (0, n - 1), ModelParams(q=0.5))
+        assert time.perf_counter() - started < 0.1
+        assert oracle._window_pattern.cache_info().currsize == before
+
+
 class TestUniformization:
     def test_delta_at_t0(self):
         mu = ParticleConfig((0, 1), (1, 2))
