@@ -49,6 +49,16 @@ def as_int(value, name: str) -> int:
     return i
 
 
+def as_seed(value) -> int:
+    """``value`` as an int seed in [0, 2**64), the range of a Philox key
+    word: a seed outside it is refused, never reduced modulo 2**64, so that
+    no two seeds run the same streams."""
+    seed = as_int(value, "seed")
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def strictly_ordered(values, name: str, decreasing: bool = False) -> tuple[int, ...]:
     """``values`` as ints, refused unless strictly increasing (or decreasing)."""
     values = tuple([as_int(x, name) for x in values])

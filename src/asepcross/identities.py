@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formulas
-from .core import ParticleConfig, ValidationError, as_int, signed_permutations
+from .core import ParticleConfig, ValidationError, as_int, as_seed, signed_permutations
 from .formulas import GreenQuery, eigenfunction_P, two_tasep_green
 from .quadrature import ContourProduct, ContourSpec, product_integrate
 
@@ -338,7 +338,9 @@ def _worst(reports) -> IdentityReport:
 
 
 def run_identity_suite(seed: int = 20240601, samples: int = 100) -> list[IdentityReport]:
-    """Run every check at default sampling; the machine-checkable proof shadow."""
+    """Run every check at default sampling; the machine-checkable proof shadow.
+    ``seed``, an integer in [0, 2**64), seeds the sampled points."""
+    seed = as_seed(seed)
     samples = as_int(samples, "samples")
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")

@@ -47,6 +47,7 @@ from .core import (
     ResourceLimitError,
     ValidationError,
     as_int,
+    as_seed,
     bernoulli_data,
     check_rate,
     window_ends,
@@ -186,7 +187,7 @@ class MonteCarloJob:
     negative sites of an iid density-rho field and type 1 at 0..n-m-1.
     ``event`` is ("target", positions, species) or ("wall", s1, s2): type 1
     in [s1, s2) and type 2 at or beyond s2.  The counts, the seed and the
-    wall bounds are stored as ints.
+    wall bounds are stored as ints; the seed must lie in [0, 2**64).
     """
 
     q: float
@@ -203,7 +204,7 @@ class MonteCarloJob:
         object.__setattr__(self, "samples", as_int(self.samples, "samples"))
         if self.samples < 1:
             raise ValidationError("samples must be >= 1")
-        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
+        object.__setattr__(self, "seed", as_seed(self.seed))
         check_rate(self.horizon, "horizon")
         check_rate(self.q, "q")
         if self.bernoulli is not None:
@@ -351,9 +352,11 @@ def _run_chunks(job: MonteCarloJob, first_chunk: int, count: int) -> int:
     one lockstep; count spans at most BATCH_CHUNKS consecutive chunks.
 
     Row r reads its own row of its chunk's words (``_chunk_words``), all
-    chunks in one buffer, in the order of ``_simulate``: the Bernoulli gaps,
-    then one (clock, move) pair per step, so all running rows read the same
-    two columns, and only those become uniforms.  Each row keeps its
+    chunks in one contiguous (count, UNIFORMS_PER_SAMPLE) buffer, in the
+    order of ``_simulate``: the Bernoulli gaps, then one (clock, move) pair
+    per step, so all running rows read the same two columns, and only those
+    become uniforms; a step whose move word would lie past a row's words
+    draws u = v = 0 for every running row.  Each row keeps its
     positions, colours and ``_pair_codes`` as columns of (n, rows) arrays.
     Rate slot 2k is particle k's step right or swap, 2k + 1 its step left,
     and absent moves have rate 0; the running sums over the slots come from
@@ -361,16 +364,14 @@ def _run_chunks(job: MonteCarloJob, first_chunk: int, count: int) -> int:
     carried on slot by slot after it, so they and the total are those of
     ``_gillespie_core``.  The move is the first slot whose running sum
     reaches x = u * total: a slot of nonzero rate, as x > 0.
-    A row that draws a clock or move uniform of 0 (as it does past its 96
+    A row that draws a clock or move uniform of 0 (as it does past its
     words) or comes within rounding of a decision taken on a logarithm is
     re-run from scratch by ``_simulate`` on its ``_UniformStream``.
     """
-    # two zero words past each row: a row that reads them draws u == 0
-    words = np.zeros((count, UNIFORMS_PER_SAMPLE + 2), dtype=np.uint64)
+    words = np.empty((count, UNIFORMS_PER_SAMPLE), dtype=np.uint64)
     for lo in range(0, count, CHUNK):
         rows = min(CHUNK, count - lo)
-        words[lo:lo + rows, :UNIFORMS_PER_SAMPLE] = _chunk_words(
-            job.seed, first_chunk + lo // CHUNK, rows)
+        words[lo:lo + rows] = _chunk_words(job.seed, first_chunk + lo // CHUNK, rows)
     q, horizon = job.q, job.horizon
     retry = np.zeros(count, dtype=bool)
     column = 0
@@ -410,8 +411,11 @@ def _run_chunks(job: MonteCarloJob, first_chunk: int, count: int) -> int:
             for j in range(2 * BLOCK):
                 running = acc[j, b] = running + carried[j, b - 1]
         total = acc[-1, -1]
-        flat = ids * (UNIFORMS_PER_SAMPLE + 2) + column
-        u, v = _uniforms(words.take(flat)), _uniforms(words.take(flat + 1))
+        if column + 1 < UNIFORMS_PER_SAMPLE:
+            flat = ids * UNIFORMS_PER_SAMPLE + column
+            u, v = _uniforms(words.take(flat)), _uniforms(words.take(flat + 1))
+        else:  # past the rows' words: every running row draws u = v = 0
+            u = v = np.zeros(len(ids))
         with np.errstate(divide="ignore"):
             t = clock - np.log(u) / total  # +inf where no move has a rate
         x = v * total
@@ -443,8 +447,7 @@ def _run_chunks(job: MonteCarloJob, first_chunk: int, count: int) -> int:
     successes = int(_events_hold(job.event, *final).sum())
     first = first_chunk * CHUNK  # only a job's last chunk is partial
     for row in np.nonzero(retry)[0]:
-        draw = _UniformStream(_uniforms(words[row, :UNIFORMS_PER_SAMPLE]), job.seed,
-                              first + int(row))
+        draw = _UniformStream(_uniforms(words[row]), job.seed, first + int(row))
         successes += _event_holds(job.event, *_simulate(job, draw))
     return successes
 
@@ -491,33 +494,49 @@ def run_monte_carlo(job: MonteCarloJob, threads: int = 1):
     return phat, stderr, successes
 
 
-def _multiset_permutations(colours) -> list:
-    """The distinct orders of the colours, in lexicographic order."""
+def _multiset_permutations(colours):
+    """The distinct orders of the colours, in lexicographic order, one at a
+    time: no list of the orders of a shorter tail is ever held."""
     colours = tuple(sorted(colours))
     if not colours:
-        return [()]
-    return [(c,) + tail for i, c in enumerate(colours) if colours.index(c) == i
-            for tail in _multiset_permutations(colours[:i] + colours[i + 1:])]
+        yield ()
+        return
+    for i, c in enumerate(colours):
+        if colours.index(c) == i:
+            for tail in _multiset_permutations(colours[:i] + colours[i + 1:]):
+                yield (c,) + tail
 
 
 @dataclass(frozen=True)
 class WindowGenerator:
-    """Exact generator of the process restricted to a window with a sink.
+    """Exact generator Q of the process restricted to a window with a sink.
 
-    Built only by ``build_window_generator``.  ``matrix`` owns its data and
-    shares its read-only ``indices`` and ``indptr`` with ``pattern``, the
-    cached structure of every window of this width, colour multiset and
-    sign of q (``_window_pattern``); ``states`` is built on first use only."""
+    Built only by ``build_window_generator``.  ``data`` holds Q's entries,
+    an array the generator owns, in the CSR order of ``pattern``: the cached
+    structure of every window of this width, colour multiset and sign of q
+    (``_window_pattern``), whose arrays are read-only.  ``matrix``, a scipy
+    CSR matrix on ``data`` and the pattern's ``indices`` and ``indptr``, and
+    ``states`` are built on first access only."""
 
     window: tuple[int, int]
     orders: tuple  # the colour orders, in lexicographic order
     n: int
-    matrix: sp.csr_matrix  # (D+1) x (D+1); last row/column is the sink
+    data: np.ndarray  # Q's entries in the pattern's CSR order
     pattern: types.SimpleNamespace  # from _window_pattern
 
     @property
     def size(self) -> int:
         return math.comb(self.window[1] - self.window[0] + 1, self.n) * len(self.orders)
+
+    @functools.cached_property
+    def matrix(self):
+        """Q as a (D+1) x (D+1) ``scipy.sparse.csr_matrix``; the last row
+        and column are the sink.  Its data is a view of ``data``."""
+        import scipy.sparse as sp
+
+        D = self.size
+        return sp.csr_matrix((self.data, self.pattern.indices, self.pattern.indptr),
+                             shape=(D + 1, D + 1))
 
     @functools.cached_property
     def states(self) -> tuple:
@@ -544,17 +563,23 @@ def _lex_keys(digits: np.ndarray, radix: int):
     n = digits.shape[1]
     dtype = np.int64 if radix**n < 2**63 else object
     weights = np.array([radix ** (n - 1 - k) for k in range(n)], dtype=dtype)
-    return digits.astype(dtype) @ weights, weights
+    keys = np.zeros(len(digits), dtype=dtype)
+    for k in range(n):  # by Horner's rule: no converted copy of the digits
+        keys = keys * radix + digits[:, k]
+    return keys, weights
 
 
-def _window_jumps(sets: np.ndarray, orders: np.ndarray, width: int, q: float):
-    """(rates, (rows, cols)) of every jump between window states.
+def _window_jumps(sets: np.ndarray, orders: np.ndarray, width: int, moves_left: bool):
+    """(sources, dests, codes): every jump between window states, one piece
+    per move type, each piece two int32 arrays of states and one probe code
+    for all its jumps, 1 at rate 1 and 2 at rate q.
 
     ``sets`` (C, n) are the occupied site offsets in [0, width) and
     ``orders`` (P, n) the colour orders as ranks of the colours, both in
     lexicographic order; state ``c * P + o`` puts order ``o`` on set ``c``,
-    and state C * P is the sink.  Each move type is one array operation over
-    the sets or the orders, and the rank of a moved set or order comes from
+    and state C * P is the sink.  Moves to the left, at rate q, exist if
+    ``moves_left``.  Each move type is one array operation over the sets or
+    the orders, and the rank of a moved set or order comes from
     ``np.searchsorted`` on lexicographic keys.
     """
     (C, n), P = sets.shape, len(orders)
@@ -563,50 +588,52 @@ def _window_jumps(sets: np.ndarray, orders: np.ndarray, width: int, q: float):
     set_keys, set_weights = _lex_keys(sets - np.arange(n), width - n + 1)
     order_keys, order_weights = _lex_keys(orders, int(orders.max(initial=0)) + 1)
     adjacent = sets[:, 1:] == sets[:, :-1] + 1  # particles k and k + 1
-    every_order = np.arange(P)
+    every_order = np.arange(P, dtype=np.int32)
     no_block = np.zeros(C, dtype=bool)
-    sources, dests, rates = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [0.0]
+    sources, dests, codes = [], [], []
 
     def grid(set_ids, order_ids):
-        return (set_ids[:, None] * P + order_ids).ravel()
+        # states fit int32: there are at most STATE_CAP of them
+        return (set_ids.astype(np.int32)[:, None] * np.int32(P)
+                + order_ids.astype(np.int32)).ravel()
 
-    def add(source, dest, rate):
+    def add(source, dest, code):
         sources.append(source)
         dests.append(dest)
-        rates.append(rate)
+        codes.append(code)
 
-    def step(k, mask, shift, rate):
+    def step(k, mask, shift, code):
         """Particle k of the masked sets moves by shift, inside the window."""
         picked = np.nonzero(mask)[0]
         ranks = np.searchsorted(set_keys, set_keys[picked] + shift * set_weights[k])
-        add(grid(picked, every_order), grid(ranks, every_order), rate)
+        add(grid(picked, every_order), grid(ranks, every_order), code)
 
-    def leave(mask, rate):
+    def leave(mask, code):
         source = grid(np.nonzero(mask)[0], every_order)
-        add(source, np.full(len(source), sink), rate)
+        add(source, np.full(len(source), sink, dtype=np.int32), code)
 
     for k in range(n):
         blocked_right = adjacent[:, k] if k + 1 < n else no_block
         blocked_left = adjacent[:, k - 1] if k > 0 else no_block
         # rightward move or swap at rate 1 (higher colour passes lower)
-        step(k, ~blocked_right & (sets[:, k] < width - 1), 1, 1.0)
-        leave(~blocked_right & (sets[:, k] == width - 1), 1.0)
+        step(k, ~blocked_right & (sets[:, k] < width - 1), 1, 1)
+        leave(~blocked_right & (sets[:, k] == width - 1), 1)
         if k + 1 < n:
             cl, cr = orders[:, k], orders[:, k + 1]
-            swapped = order_keys + (cr - cl) * (order_weights[k] - order_weights[k + 1])
+            swapped = order_keys + ((cr - cl).astype(order_keys.dtype)
+                                    * (order_weights[k] - order_weights[k + 1]))
             target = np.searchsorted(order_keys, swapped)
             picked = np.nonzero(blocked_right)[0]
             down = np.nonzero(cl > cr)[0]
-            add(grid(picked, down), grid(picked, target[down]), 1.0)
-            if q > 0.0:
+            add(grid(picked, down), grid(picked, target[down]), 1)
+            if moves_left:
                 up = np.nonzero(cl < cr)[0]
-                add(grid(picked, up), grid(picked, target[up]), q)
+                add(grid(picked, up), grid(picked, target[up]), 2)
         # leftward move at rate q
-        if q > 0.0:
-            step(k, ~blocked_left & (sets[:, k] > 0), -1, q)
-            leave(~blocked_left & (sets[:, k] == 0), q)
-    vals = np.repeat(rates, [len(s) for s in sources])
-    return vals, (np.concatenate(sources), np.concatenate(dests))
+        if moves_left:
+            step(k, ~blocked_left & (sets[:, k] > 0), -1, 2)
+            leave(~blocked_left & (sets[:, k] == 0), 2)
+    return sources, dests, codes
 
 
 # window structures kept by _window_pattern; each holds about 14 bytes per
@@ -637,10 +664,12 @@ def _window_pattern(width: int, colours: tuple, moves_left: bool):
       order[k]; each row lists its entries in the order of Q's rows, as a
       CSC-to-CSR conversion does.
 
-    ``_window_jumps`` runs once at probe rates 1 and 2 for rate 1 and rate
-    q, with probe rate 4 on the diagonal; ``coo_matrix.tocsr`` sorts the
-    entries into rows and merges the two exits of a row into the sink, which
-    then read 3, so each probe rate is its code plus one.
+    ``_window_jumps`` emits the jumps with probe codes 1 and 2 for rate 1
+    and rate q, and the diagonal gets probe code 4; ``coo_matrix.tocsr``
+    sorts the entries into rows and merges the two exits of a row into the
+    sink, which then read 3, so each probe code is its code plus one.  The
+    assembly holds int32 states and int8 codes, and frees each input once
+    its copy is made, so it peaks near the pattern's own size.
     """
     import scipy.sparse as sp
 
@@ -650,32 +679,60 @@ def _window_pattern(width: int, colours: tuple, moves_left: bool):
     D = C * P
     sets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(width), n)),
                        dtype=np.int64, count=C * n).reshape(C, n)
-    ranks = np.searchsorted(np.unique(colours), np.array(orders, dtype=np.int64).reshape(P, n))
+    # each colour as its rank among the distinct colours, of which there are
+    # fewer than 9 under STATE_CAP (P >= their number factorial)
+    rank = {c: r for r, c in enumerate(sorted(set(colours)))}.__getitem__
+    ranks = np.fromiter(map(rank, itertools.chain.from_iterable(orders)), dtype=np.int8,
+                        count=P * n).reshape(P, n)
+    sources, dests, probes = _window_jumps(sets, ranks, width, moves_left)
+    del sets, ranks
     # with a particle, every state has a jump: the rightmost particle steps
     # right or leaves; so rows 0, ..., D - 1 have diagonal entries
     jumping = np.arange(D if n else 0, dtype=np.int32)
-    rates, (rows, cols) = _window_jumps(sets, ranks, width, 2.0 if moves_left else 0.0)
-    entries = (np.concatenate([rates, np.full(len(jumping), 4.0)]),
-               (np.concatenate([rows, jumping], dtype=np.int32),
-                np.concatenate([cols, jumping], dtype=np.int32)))
-    # near STATE_CAP the jump lists take tens of MB: free them, and then the
-    # COO input, before the next copies, so the build peaks no higher than
-    # an assembly without the pattern
-    del rates, rows, cols
-    matrix = sp.coo_matrix(entries, shape=(D + 1, D + 1)).tocsr()
-    del entries
-    codes = matrix.data.astype(np.int8) - np.int8(1)
+    sources.append(jumping)
+    dests.append(jumping)
+    probes.append(DIAGONAL + 1)
+    probes = np.repeat(np.array(probes, dtype=np.int8), [len(s) for s in sources])
+    rows = np.concatenate(sources)
+    del sources
+    cols = np.concatenate(dests)
+    del dests
+    matrix = sp.coo_matrix((probes, (rows, cols)), shape=(D + 1, D + 1))
+    del probes, rows, cols
+    matrix = matrix.tocsr()
+    codes = matrix.data
+    codes -= 1
     off_diagonal = codes != DIAGONAL
+    diagonal = np.flatnonzero(~off_diagonal).astype(np.int32)
+    off_codes = codes[off_diagonal]
+    del off_diagonal
     starts = matrix.indptr[:len(jumping)]
     matrix.data = np.arange(len(codes), dtype=np.int32)
     by_column = matrix.tocsc()  # its data are Q's slots in the transpose's order
     parts = dict(indptr=matrix.indptr, indices=matrix.indices, codes=codes,
-                 diagonal=np.flatnonzero(~off_diagonal).astype(np.int32), starts=starts,
-                 off_codes=codes[off_diagonal], off_starts=starts - jumping,
+                 diagonal=diagonal, starts=starts, off_codes=off_codes,
+                 off_starts=starts - jumping,
                  t_indptr=by_column.indptr, t_indices=by_column.indices, order=by_column.data)
     for part in parts.values():
         part.flags.writeable = False
     return types.SimpleNamespace(orders=orders, **parts)
+
+
+# indices that _gather casts to intp at a time: 64 kB, which malloc serves
+# from its heap; take's own cast of int8 or int32 indices converts the whole
+# array, 8 bytes per entry in fresh pages (tens of MB near STATE_CAP), and
+# ran several times slower than the gather itself on the bench windows
+GATHER_BLOCK = 8192
+
+
+def _gather(table: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """``table.take(indices)`` for an int8 or int32 index array of a window
+    pattern, every index in range, cast to intp one block at a time."""
+    out = np.empty(len(indices), dtype=table.dtype)
+    for lo in range(0, len(indices), GATHER_BLOCK):
+        block = indices[lo:lo + GATHER_BLOCK].astype(np.intp)
+        table.take(block, out=out[lo:lo + GATHER_BLOCK], mode="clip")
+    return out
 
 
 def build_window_generator(
@@ -689,8 +746,10 @@ def build_window_generator(
     window of more than STATE_CAP states is refused with ResourceLimitError
     before anything is enumerated.  The structure comes from
     ``_window_pattern``, cached per width, colour multiset and q > 0; a
-    build fills the rates from its codes and pins the diagonal so that row
-    sums vanish, with the additions of scipy's ``sum(axis=1)``.
+    build fills the rates from its codes into the generator's ``data`` and
+    pins the diagonal so that row sums vanish, with the additions of scipy's
+    ``sum(axis=1)``.  It makes no scipy matrix: ``WindowGenerator.matrix``
+    is built on first access.
     """
     a, b = window_ends(window)
     if not all(a <= x <= b for x in particles.positions):
@@ -706,13 +765,13 @@ def build_window_generator(
     q = params.q
     pattern = _window_pattern(width, colours, q > 0.0)
     rates = np.array([1.0, q, 1.0 + q, 0.0])  # by code
-    data = rates.take(pattern.codes)
     # pin the diagonal so that row sums vanish in floating point; ulp-level
     # fix-up passes reach exact zero whenever the rate sums are representable
     # (always for dyadic q), else leave a <= 1 ulp residual.  Each sum is
     # np.add.reduceat over a row's entries, as scipy's sum(axis=1) adds them;
     # rows without jumps have no diagonal entry and sum to zero
-    diag = -np.add.reduceat(rates.take(pattern.off_codes), pattern.off_starts)
+    diag = -np.add.reduceat(_gather(rates, pattern.off_codes), pattern.off_starts)
+    data = _gather(rates, pattern.codes)
     data[pattern.diagonal] = diag
     for _ in range(8):
         resid = np.add.reduceat(data, pattern.starts)
@@ -724,10 +783,7 @@ def build_window_generator(
         target[stuck] = np.nextafter(diag[stuck], (diag - resid * 1e6)[stuck])
         diag = np.where(bad, target, diag)
         data[pattern.diagonal] = diag
-    import scipy.sparse as sp
-
-    matrix = sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(D + 1, D + 1))
-    return WindowGenerator((a, b), pattern.orders, particles.n, matrix, pattern)
+    return WindowGenerator((a, b), pattern.orders, particles.n, data, pattern)
 
 
 def transition_row(gen: WindowGenerator, mu: ParticleConfig, t: float) -> np.ndarray:
@@ -736,45 +792,53 @@ def transition_row(gen: WindowGenerator, mu: ParticleConfig, t: float) -> np.nda
     The returned vector has length D+1; the last entry is the sink mass.
     Each step is v <- P^T v with P = I + Q/lam: P^T's entries are Q's data
     times 1/lam, plus 1 on the diagonal slots, in the pattern's transposed
-    order, and the sink's self-loop is added after each product, so every
-    entry adds its terms in the order of ``P.T.dot``.
+    order.  Each product is one call of scipy's compiled ``csr_matvec``, the
+    routine of ``csr_matrix @ v``, into a zeroed buffer, and the sink's
+    self-loop is added after it, so every entry adds its terms in the order
+    of ``P.T.dot``; two buffers swap roles from term to term and a third
+    holds each weighted term.  The kernel checks no bounds, so a pattern
+    whose dimension is not ``gen.size + 1`` is refused first.
     The Poisson series stops at term k once k + 1 > lam t and the geometric
     bound w_{k+1} / (1 - lam t / (k + 2)) on the remaining weights is below
     1e-15.
     """
-    import scipy.sparse as sp
+    from scipy.sparse._sparsetools import csr_matvec
 
     check_rate(t, "time")
     D = gen.size
+    pattern = gen.pattern
+    if len(pattern.t_indptr) != D + 2:
+        raise ValidationError(f"a window pattern of dimension {len(pattern.t_indptr) - 1} "
+                              f"does not fit a generator of {D} states and the sink")
     v = np.zeros(D + 1)
     v[gen.state_of(mu)] = 1.0
     if t == 0:
         return v
-    pattern = gen.pattern
-    data = gen.matrix.data
-    lam = -float(data.take(pattern.diagonal).min(initial=0.0))
+    lam = -float(gen.data.take(pattern.diagonal).min(initial=0.0))
     if lam <= 0:
         return v
     if lam * t > 600:
         raise ResourceLimitError("uniformization rate * t too large for this window")
     # scipy's Q / lam multiplies by 1 / lam; an entry 1 + Q_ii / lam of 0
     # stays in as an explicit zero, which adds 0 to a sum of finite terms
-    entries = data * (1 / lam)
+    entries = gen.data * (1 / lam)
     entries[pattern.diagonal] += 1.0
-    PT = sp.csr_matrix((entries.take(pattern.order), pattern.t_indices, pattern.t_indptr),
-                       shape=(D + 1, D + 1))
+    entries = _gather(entries, pattern.order)
     out = np.zeros(D + 1)
     lt = lam * t
     weight = math.exp(-lt)
     out += weight * v
+    product, term = np.empty(D + 1), np.empty(D + 1)
     k = 0
     while k + 1 <= lt or weight * lt / (k + 1) / (1.0 - lt / (k + 2)) > 1e-15:
         k += 1
-        sink = v[-1]
-        v = PT @ v
-        v[-1] += sink
+        product.fill(0.0)
+        csr_matvec(D + 1, D + 1, pattern.t_indptr, pattern.t_indices, entries, v, product)
+        product[-1] += v[-1]
+        v, product = product, v
         weight *= lt / k
-        out += weight * v
+        np.multiply(v, weight, out=term)
+        out += term
     return out
 
 

@@ -426,6 +426,17 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("validation error: ") and "threads must be >= 1" in err
 
+    @pytest.mark.parametrize("command, payload", [
+        ("simulate", '{"task":"estimate_wall","rho":0.5,"n":2,"m":1,"s1":-3,"s2":2,'
+                     '"t":2.0,"samples":100}'),
+        ("verify", '{"suite":"identities","samples":1}'),
+    ])
+    def test_negative_seed_is_validation_error(self, capsys, command, payload):
+        code = main([command, "--seed", "-1", "--json", payload])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.strip() == "validation error: seed must lie in [0, 2**64), got -1"
+
     @pytest.mark.parametrize("form", ["bernoulli", "one_wall"])
     def test_long_wall_overflow_is_accuracy_error(self, capsys, form):
         code, _ = run_cli(

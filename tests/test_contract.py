@@ -235,6 +235,14 @@ MALFORMED = [
     ("empty_configuration_on_reversed_window",
      lambda: oracle.build_window_generator(ParticleConfig((), ()), (3, 0), ModelParams(0.5)),
      r"a window needs a <= b, got \(3, 0\)"),
+    ("monte_carlo_negative_seed", lambda: _wall_job(0.0, 1.0, 10, -1, 0.5, 1, 2, -3, 2),
+     r"^seed must lie in \[0, 2\*\*64\), got -1$"),
+    ("monte_carlo_seed_of_65_bits", lambda: _wall_job(0.0, 1.0, 10, 2**64, 0.5, 1, 2, -3, 2),
+     rf"^seed must lie in \[0, 2\*\*64\), got {2**64}$"),
+    ("identity_suite_negative_seed", lambda: identities.run_identity_suite(seed=-1),
+     r"^seed must lie in \[0, 2\*\*64\), got -1$"),
+    ("identity_suite_seed_of_65_bits", lambda: identities.run_identity_suite(seed=2**64),
+     rf"^seed must lie in \[0, 2\*\*64\), got {2**64}$"),
     ("monte_carlo_zero_threads", lambda: _run_threads(0), "^threads must be >= 1, got 0$"),
     ("monte_carlo_negative_threads", lambda: _run_threads(-3), "^threads must be >= 1, got -3$"),
     ("monte_carlo_fractional_threads", lambda: _run_threads(1.5), "threads must be integral"),

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,6 +349,25 @@ class TestBatchedCounts:
         runs = _count_scalar_runs(monkeypatch)
         run_monte_carlo(_long_horizon_job(1, 1030))
         assert len(runs) > 700
+
+    @pytest.mark.parametrize("samples", [1030, BATCH_CHUNKS * CHUNK + 6])
+    def test_rows_read_past_their_words(self, monkeypatch, samples):
+        # the lockstep reaches the end of the rows' words: a row it hands
+        # back needs more uniforms than its row holds, and draws them from
+        # its overflow stream; the counts stay those of the scalar path
+        job = _long_horizon_job(0, samples)
+        overflowed = []
+
+        def recorded(job, draw, events=None):
+            final = _simulate(job, draw, events)
+            overflowed.append(draw.rng is not None)
+            return final
+
+        monkeypatch.setattr(oracle, "_simulate", recorded)
+        successes = run_monte_carlo(job)[2]
+        assert sum(overflowed) > samples // 2
+        monkeypatch.undo()
+        assert successes == _scalar_successes(job)
 
     def test_retried_rows_keep_their_sample_index(self, monkeypatch):
         # the second batch starts at sample 4 * CHUNK: a row it hands back
@@ -817,6 +837,20 @@ class TestWindowPattern:
                 assert np.array_equal(transition_row(gen, mu, t),
                                       _reference_row(matrix, start, t))
 
+    def test_assembly_peaks_near_the_pattern_size(self):
+        # 84,084 states: two colours of six particles on 14 sites; the
+        # assembly in int64 and float64 jump lists peaked at 2.6 times the
+        # pattern's arrays
+        tracemalloc.start()
+        try:
+            pattern = oracle._window_pattern.__wrapped__(14, (1,) * 6 + (2,) * 6, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(a.nbytes for a in vars(pattern).values() if isinstance(a, np.ndarray))
+        assert len(pattern.indptr) - 2 == 84_084
+        assert peak < 1.6 * size
+
     @pytest.mark.parametrize("n", [10, 12])
     def test_oversized_window_refused_before_enumeration(self, n):
         # n distinct colours filling their window: n! states
@@ -827,6 +861,84 @@ class TestWindowPattern:
                                    (0, n - 1), ModelParams(q=0.5))
         assert time.perf_counter() - started < 0.1
         assert oracle._window_pattern.cache_info().currsize == before
+
+
+BENCH_WINDOWS = {
+    # (initial state, window, q) of the benchmark's two window cases
+    "window_2p_q0": (ParticleConfig((0, 1), (2, 1)), (-4, 12), 0.0),
+    "window_3colour_q05": (ParticleConfig((0, 1, 2), (3, 2, 1)), (-10, 12), 0.5),
+}
+
+
+def _transposed_step(gen):
+    """(indptr, indices, data) of P^T = (I + Q/lam)^T as ``transition_row``
+    forms them."""
+    pattern = gen.pattern
+    lam = -float(gen.data.take(pattern.diagonal).min())
+    entries = gen.data * (1 / lam)
+    entries[pattern.diagonal] += 1.0
+    return pattern.t_indptr, pattern.t_indices, entries.take(pattern.order)
+
+
+class TestWindowHotPath:
+    @pytest.mark.parametrize("name", sorted(BENCH_WINDOWS))
+    def test_build_and_row_make_no_matrix(self, name):
+        mu, window, q = BENCH_WINDOWS[name]
+        gen = build_window_generator(mu, window, ModelParams(q=q))
+        row = transition_row(gen, mu, 1.0)
+        assert "matrix" not in vars(gen)
+        _, index, matrix = _reference_window(mu, window, q)
+        start = index[(mu.positions, mu.species)]
+        assert np.array_equal(row, _reference_row(matrix, start, 1.0))
+
+    @pytest.mark.parametrize("name", sorted(BENCH_WINDOWS))
+    def test_matrix_on_first_access(self, name):
+        mu, window, q = BENCH_WINDOWS[name]
+        gen = build_window_generator(mu, window, ModelParams(q=q))
+        matrix = gen.matrix
+        reference = _reference_window(mu, window, q)[2]
+        for part in ("data", "indices", "indptr"):
+            ours, theirs = getattr(matrix, part), getattr(reference, part)
+            assert np.array_equal(ours, theirs) and ours.dtype == theirs.dtype
+        for part in ("indices", "indptr"):
+            array = getattr(matrix, part)
+            assert np.shares_memory(array, getattr(gen.pattern, part))
+            assert not array.flags.writeable
+        assert matrix.data.base is gen.data and matrix.data.flags.writeable
+        assert gen.matrix is matrix
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.5])
+    def test_kernel_is_the_product_of_csr_matrix(self, q):
+        # the row runs scipy's compiled csr_matvec itself: a release that
+        # moves or changes it fails here
+        from scipy.sparse._sparsetools import csr_matvec
+
+        mu = ParticleConfig((0, 1, 2), (2, 1, 2))
+        gen = build_window_generator(mu, (-4, 6), ModelParams(q=q))
+        indptr, indices, data = _transposed_step(gen)
+        size = gen.size + 1
+        v = np.random.default_rng(5).random(size)
+        product = np.zeros(size)
+        csr_matvec(size, size, indptr, indices, data, v, product)
+        expected = sp.csr_matrix((data, indices, indptr), shape=(size, size)) @ v
+        assert np.array_equal(product, expected)
+
+    @pytest.mark.parametrize("change", ["window", "pattern"])
+    def test_pattern_of_another_dimension_refused(self, monkeypatch, change):
+        from scipy.sparse import _sparsetools
+
+        mu = ParticleConfig((0, 1), (2, 1))
+        gen = build_window_generator(mu, (-2, 5), ModelParams(q=0.5))
+        if change == "window":
+            broken = dataclasses.replace(gen, window=(-2, 6))
+        else:
+            other = build_window_generator(mu, (-2, 4), ModelParams(q=0.5))
+            broken = dataclasses.replace(gen, pattern=other.pattern)
+        calls = []
+        monkeypatch.setattr(_sparsetools, "csr_matvec", lambda *args: calls.append(args))
+        with pytest.raises(ValidationError, match="pattern of dimension"):
+            transition_row(broken, mu, 1.0)
+        assert calls == []
 
 
 class TestUniformization:
