@@ -36,7 +36,6 @@ from .oracle import (
     MonteCarloJob,
     WindowGenerator,
     build_window_generator,
-    expm_transition,
     run_monte_carlo,
     simulate_sample,
     transition_row,

@@ -8,24 +8,16 @@ jumps drain into an absorbing sink state), evaluated by uniformization.
 A ``MonteCarloJob`` describes every simulation: a fixed initial state or
 Bernoulli-step initial data, the backhop rate q, the horizon, the seed and
 the event whose probability ``run_monte_carlo`` estimates; it checks its
-fields with the rules of ``core`` when it is built, as the window oracle's
-entry points check theirs.  ``_simulate`` takes a job and a uniform stream
-to a final state; a Bernoulli job draws its initial state from the same
-stream before the jumps.  ``simulate_sample(job, i)`` returns the final
-state of sample ``i``.
-``run_monte_carlo`` runs the samples of up to BATCH_CHUNKS consecutive
-chunks in one lockstep with numpy, reading each sample's uniforms in
-``_simulate``'s order and its move rates from tables indexed by the codes
-of its adjacent pairs (``_pair_codes``, ``_rate_tables``), and hands the
-rows it cannot follow exactly back to ``_simulate``; so the trajectory it
-counts for ``i`` is the one ``simulate_sample(job, i)`` returns.
+fields with the rules of ``core`` when it is built.  One sampler,
+``_finals``, runs a block of samples in one numpy lockstep:
+``run_monte_carlo`` runs up to BATCH_CHUNKS chunks at a time, and
+``simulate_sample(job, i)`` runs sample ``i``, the trajectory counted for i.
 
-Randomness is counter-based: sample ``i`` of a run with seed ``s`` draws its
-uniforms from a Philox stream keyed by (s, chunk(i)) plus a per-sample
-overflow stream keyed by (s xor GOLDEN, i), so results are bit-identical for
-any partition of samples across workers.  A uniform is one 64-bit output
-mapped as ``Generator.random`` maps it (``_uniforms``), so the lockstep
-draws raw words and converts only those it reads.
+Randomness is counter-based: sample ``i`` of a run with seed ``s`` reads its
+row of a Philox stream keyed by (s, chunk(i)), then its own overflow stream
+keyed by (s xor GOLDEN, i), so results are bit-identical for any partition
+of samples across workers.  A uniform is one 64-bit output mapped as
+``Generator.random`` maps it, so the lockstep converts only the words it reads.
 """
 
 from __future__ import annotations
@@ -61,6 +53,9 @@ CHUNK = 1024
 BATCH_CHUNKS = 4
 UNIFORMS_PER_SAMPLE = 96
 STATE_CAP = 200_000
+OVERFLOW = 256  # words of each running row's overflow stream per refill
+# the widest initial state: positions relative to its left end stay in int64
+SPAN = 2**62
 
 
 class _Key(ISeedSequence):
@@ -79,103 +74,87 @@ def _philox(a: int, b: int, counter: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_Key(a, b), counter=counter))
 
 
-class _UniformStream:
-    """Pre-drawn uniforms with a deterministic per-sample overflow stream."""
-
-    __slots__ = ("buf", "i", "seed", "index", "rng")
-
-    def __init__(self, buf, seed, index):
-        self.buf = buf
-        self.i = 0
-        self.seed = seed
-        self.index = index
-        self.rng = None
-
-    def __call__(self) -> float:
-        if self.i >= len(self.buf):
-            if self.rng is None:
-                self.rng = _philox(self.seed ^ GOLDEN, self.index, 0)
-            self.buf = self.rng.random(256)
-            self.i = 0
-        v = self.buf[self.i]
-        self.i += 1
-        return v
-
-
 def _chunk_words(seed: int, chunk_index: int, rows: int) -> np.ndarray:
     """The first rows * UNIFORMS_PER_SAMPLE 64-bit outputs of the stream
-    keyed (seed, chunk_index), as (rows, UNIFORMS_PER_SAMPLE): one row per
-    sample."""
+    keyed (seed, chunk_index), as (rows, UNIFORMS_PER_SAMPLE): a row a sample."""
     words = _philox(seed, chunk_index, 0).bit_generator.random_raw(rows * UNIFORMS_PER_SAMPLE)
     return words.reshape(rows, UNIFORMS_PER_SAMPLE)
 
 
-def _uniforms(words: np.ndarray) -> np.ndarray:
-    """The uniforms in [0, 1) of 64-bit Philox outputs: the top 53 bits
-    times 2**-53, the map of ``Generator.random``."""
-    return (words >> 11) * 2.0**-53
-
-
-def _row_uniforms(seed: int, chunk_index: int, row: int) -> np.ndarray:
-    """Row ``row`` of the uniforms of the chunk's words (``_chunk_words``),
-    drawn alone: each uniform takes one 64-bit output and a Philox4x64
-    counter step yields four, so the row starts row * UNIFORMS_PER_SAMPLE / 4
-    steps in."""
+def _row_words(seed: int, chunk_index: int, row: int) -> np.ndarray:
+    """Row ``row`` of ``_chunk_words``, drawn alone, as a (1, ...) array: a
+    Philox4x64 counter step yields four words."""
     bits = _philox(seed, chunk_index, row * UNIFORMS_PER_SAMPLE // 4).bit_generator
-    return _uniforms(bits.random_raw(UNIFORMS_PER_SAMPLE))
+    return bits.random_raw(UNIFORMS_PER_SAMPLE).reshape(1, UNIFORMS_PER_SAMPLE)
 
 
-def _gillespie_core(positions, species, q, horizon, draw, events=None):
-    """Advance one trajectory to the time horizon; mutates the state lists."""
-    n = len(positions)
-    t = 0.0
-    log = math.log
-    while True:
-        rates = []
-        moves = []
-        for k in range(n):
-            if k + 1 < n and positions[k + 1] == positions[k] + 1:
-                cl, cr = species[k], species[k + 1]
-                if cl > cr:
-                    rates.append(1.0)
-                    moves.append((1, k))
-                elif cl < cr and q > 0.0:
-                    rates.append(q)
-                    moves.append((1, k))
-            else:
-                rates.append(1.0)
-                moves.append((0, k))
-            if q > 0.0 and not (k > 0 and positions[k - 1] == positions[k] - 1):
-                rates.append(q)
-                moves.append((-1, k))
-        total = 0.0
-        for r in rates:
-            total += r
-        if total <= 0.0:
-            return t
-        u = draw()
-        while u <= 0.0:
-            u = draw()
-        t -= log(u) / total
-        if t > horizon:
-            return horizon
-        x = draw() * total
-        acc = 0.0
-        chosen = moves[-1]
-        for r, mv in zip(rates, moves):
-            acc += r
-            if x <= acc:
-                chosen = mv
+class _Words:
+    """The words that the running rows of a lockstep read next.
+
+    Running row r, sample ``first + running[r]``, reads its row of
+    ``words``, then the sample's overflow stream, keyed (seed xor GOLDEN,
+    sample).  ``flat[r]`` indexes its next word in ``buf``, whose rows hold
+    the rows ``held``, and no column read exceeds ``lead``.  A read past
+    ``buf`` keeps the running rows' unread words, right-aligned, and
+    appends the blocks of OVERFLOW words of each overflow stream that it
+    needs, block k from k * OVERFLOW / 4 counter steps in."""
+
+    def __init__(self, words: np.ndarray, seed: int, first: int):
+        self.buf, self.seed, self.first, self.lead, self.refills = words, seed, first, 0, 0
+        self.running = self.held = np.arange(len(words))
+        self.flat = self.running * words.shape[1]
+
+    def read(self) -> np.ndarray:
+        """The uniform of each row's next word, each row then moved past it:
+        the word's top 53 bits times 2**-53, the map of ``Generator.random``."""
+        if self.lead >= self.buf.shape[1]:
+            self._refill(1)
+        self.lead += 1
+        flat, self.flat = self.flat, self.flat + 1
+        return (self.buf.take(flat) >> 11) * 2.0**-53
+
+    def draw(self, rate) -> np.ndarray:
+        """``read``, where a row of positive ``rate`` passes over words whose
+        uniform is 0."""
+        u = self.read()
+        while not u.all():
+            zero = (u == 0.0) & (rate > 0.0)
+            if not zero.any():
                 break
-        kind, k = chosen
-        if kind == 0:
-            positions[k] += 1
-        elif kind == -1:
-            positions[k] -= 1
-        else:
-            species[k], species[k + 1] = species[k + 1], species[k]
-        if events is not None:
-            events.append((t, kind, k, tuple(species)))
+            self.flat = self.flat - ~zero  # the other rows read their word again
+            u = self.read()
+        return u
+
+    def draws(self, count: int) -> np.ndarray:
+        """``count`` draws at rate 1, (count, rows), in one read of the
+        buffer, refilled first as far as needed, unless a word reads 0."""
+        if self.lead + count > self.buf.shape[1]:
+            self._refill(count)
+        u = (self.buf.take(self.flat + np.arange(count)[:, None]) >> 11) * 2.0**-53
+        if not u.all():  # as many draws, one column at a time
+            return np.array([self.draw(1.0) for _ in range(count)]).reshape(count, -1)
+        self.flat, self.lead = self.flat + count, self.lead + count
+        return u
+
+    def keep(self, index) -> None:
+        """Keep only the running rows ``index``, in that order."""
+        self.flat, self.running = self.flat.take(index), self.running.take(index)
+
+    def _refill(self, count: int) -> None:
+        width = self.buf.shape[1]
+        blocks = -(-(self.lead + count - width) // OVERFLOW)
+        row = np.searchsorted(self.held, self.running)  # rows keep their order
+        column = self.flat - row * width
+        start = int(column.min())
+        buf = np.empty((len(row), width - start + blocks * OVERFLOW), dtype=np.uint64)
+        buf[:, :width - start] = self.buf[row[:, None], np.arange(start, width)]
+        counter = self.refills * OVERFLOW // 4
+        for r, running in enumerate(self.running.tolist()):
+            bits = _philox(self.seed ^ GOLDEN, self.first + running, counter).bit_generator
+            buf[r, width - start:] = bits.random_raw(blocks * OVERFLOW)
+        self.buf, self.held, self.refills = buf, self.running, self.refills + blocks
+        self.lead -= start
+        self.flat = np.arange(len(row)) * buf.shape[1] + column - start
 
 
 @dataclass(frozen=True)
@@ -187,8 +166,9 @@ class MonteCarloJob:
     negative sites of an iid density-rho field and type 1 at 0..n-m-1.
     ``event`` is ("target", positions, species) or ("wall", s1, s2): type 1
     in [s1, s2) and type 2 at or beyond s2.  The counts, the seed and the
-    wall bounds are stored as ints; the seed must lie in [0, 2**64).
-    """
+    wall bounds are stored as ints; the seed must lie in [0, 2**64).  The
+    initial state spans at most SPAN sites, Bernoulli data at m widest gaps
+    (drawn at the least positive uniform, 2**-53)."""
 
     q: float
     horizon: float
@@ -208,7 +188,14 @@ class MonteCarloJob:
         check_rate(self.horizon, "horizon")
         check_rate(self.q, "q")
         if self.bernoulli is not None:
-            object.__setattr__(self, "bernoulli", bernoulli_data(*self.bernoulli))
+            rho, m, n = bernoulli_data(*self.bernoulli)
+            object.__setattr__(self, "bernoulli", (rho, m, n))
+            widest = np.log(2.0**-53) / math.log1p(-rho) if rho < 1.0 else 0.0
+            if m and not (widest < SPAN and m * (1 + math.floor(widest)) <= SPAN):
+                raise ValidationError(f"rho = {rho!r} is too small for m = {m}: the type-2 "
+                                      "particles could lie more than 2**62 sites left of 0")
+        elif self.initial.n and self.initial.positions[-1] - self.initial.positions[0] > SPAN:
+            raise ValidationError("the initial positions span more than 2**62 sites")
         if self.event and self.event[0] not in ("target", "wall"):
             raise ValidationError(f"unknown event kind {self.event[0]!r}")
         if self.event and len(self.event) != 3:
@@ -221,48 +208,9 @@ class MonteCarloJob:
                                                as_int(self.event[2], "s2")))
 
 
-def _event_holds(event, positions, species) -> bool:
-    if event[0] == "target":
-        return tuple(positions) == tuple(event[1]) and tuple(species) == tuple(event[2])
-    s1, s2 = event[1], event[2]
-    for x, c in zip(positions, species):
-        if c == 1 and not (s1 <= x < s2):
-            return False
-        if c == 2 and x < s2:
-            return False
-    return True
-
-
-def _bernoulli_lists(rho, m, n, draw):
-    site = 0
-    type2 = []
-    for _ in range(m):
-        if rho == 1.0:
-            gap = 1
-        else:
-            # inverse-transform geometric on {1, 2, ...}
-            u = draw()
-            while u <= 0.0:
-                u = draw()
-            gap = 1 + int(math.log(u) / math.log1p(-rho))
-        site -= gap
-        type2.append(site)
-    positions = sorted(type2) + list(range(n - m))
-    species = [2] * m + [1] * (n - m)
-    return positions, species
-
-
-def _simulate(job: MonteCarloJob, draw, events=None):
-    """Final (positions, species) of one sample of the job on the stream.
-    If ``events`` is a list, each jump appends (t, kind, k, species after),
-    where kind is 0 (step right), -1 (step left) or 1 (swap of k and k+1)."""
-    if job.bernoulli is not None:
-        positions, species = _bernoulli_lists(*job.bernoulli, draw)
-    else:
-        positions = list(job.initial.positions)
-        species = list(job.initial.species)
-    _gillespie_core(positions, species, job.q, job.horizon, draw, events)
-    return positions, species
+def _origin(job: MonteCarloJob) -> int:
+    """Where the lockstep's positions count from: the leftmost initial site, or 0."""
+    return job.initial.positions[0] if job.initial is not None and job.initial.positions else 0
 
 
 def simulate_sample(job: MonteCarloJob, index: int = 0) -> ParticleConfig:
@@ -271,32 +219,41 @@ def simulate_sample(job: MonteCarloJob, index: int = 0) -> ParticleConfig:
     if index < 0:
         raise ValidationError("sample index must be >= 0")
     chunk, row = divmod(index, CHUNK)
-    draw = _UniformStream(_row_uniforms(job.seed, chunk, row), job.seed, index)
-    positions, species = _simulate(job, draw)
-    return ParticleConfig(tuple(positions), tuple(species))
+    positions, species = _finals(job, _row_words(job.seed, chunk, row), index)
+    origin = _origin(job)
+    return ParticleConfig(tuple(origin + x for x in positions[0].tolist()),
+                          tuple(species[0].tolist()))
 
 
-def _events_hold(event, positions, species) -> np.ndarray:
-    """``_event_holds`` for each row of (rows, n) position and species arrays."""
+def _events_hold(event, origin, positions, species) -> np.ndarray:
+    """Whether the event holds for each row of (rows, n) positions relative
+    to ``origin`` and species: the event's sites are shifted alike and
+    clipped to the int64 range, which no row reaches."""
+
+    def sites(values):
+        return np.array([min(max(x - origin, -2**63), 2**63 - 1) for x in values],
+                        dtype=np.int64)
+
     if event[0] == "target":
         if len(event[1]) != positions.shape[1]:
             return np.zeros(len(positions), dtype=bool)
-        return ((positions == np.array(event[1], dtype=np.int64)).all(axis=1)
+        return ((positions == sites(event[1])).all(axis=1)
                 & (species == np.array(event[2], dtype=np.int64)).all(axis=1))
-    s1, s2 = event[1], event[2]
+    s1, s2 = sites(event[1:])
     ok_1 = (species != 1) | ((s1 <= positions) & (positions < s2))
     ok_2 = (species != 2) | (positions >= s2)
     return (ok_1 & ok_2).all(axis=1)
 
 
-def _pair_codes(positions, species) -> np.ndarray:
-    """Code of the pair (k, k + 1) in row k of (n, rows) position and
-    species arrays: 0 free (no particle at x_k + 1), 1 blocked with a lower
-    colour on the left (a swap at rate q), 2 blocked with equal colours (no
-    swap), 3 blocked with a higher colour on the left (a swap at rate 1).
-    Row n - 1, right of the last particle, is free."""
-    code = np.zeros_like(positions)
-    code[:-1] = (positions[1:] - positions[:-1] == 1) * (2 + np.sign(species[:-1] - species[1:]))
+def _pair_codes(state: np.ndarray, n: int, blocks: int) -> np.ndarray:
+    """Pair codes of a (2n, rows) state, positions over colours, as
+    (BLOCK * blocks + 1, rows), free outside the particles: row k + 1 codes
+    the pair (k, k + 1), 0 free (no particle at x_k + 1), 1 blocked with a
+    lower colour on the left (a swap at rate q), 2 blocked with equal
+    colours (no swap), 3 blocked with a higher colour on the left (rate 1)."""
+    positions, species = state[:n], state[n:]
+    code = np.zeros((BLOCK * blocks + 1, state.shape[1]), dtype=np.int64)
+    code[1:n] = (positions[1:] - positions[:-1] == 1) * (2 + np.sign(species[:-1] - species[1:]))
     return code
 
 
@@ -320,136 +277,105 @@ def _block_rates(q: float, particles: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _rate_tables(q: float, n: int):
-    """(weights, offsets, sums, rates): the lockstep's tables for n particles.
-
-    Particles BLOCK * b, ..., BLOCK * b + BLOCK - 1 form block b, and its
-    codes c_0, ..., c_BLOCK are the ``_pair_codes`` rows BLOCK * b - 1, ...,
-    BLOCK * b + BLOCK - 1, free outside the particles.  ``weights @ codes +
-    offsets`` is each block's table column; columns [0, R) serve a full
-    block and [R, 2R) the last one, R = 4 ** (BLOCK + 1).  ``rates`` and
-    ``sums``, (2 * BLOCK, 2R), hold each column's slot rates
-    (``_block_rates``) and their running sums from zero.
-    """
+    """(sums, rates), (2 * BLOCK, 2R) with R = 4 ** (BLOCK + 1), for n
+    particles: block b, particles BLOCK * b to BLOCK * b + BLOCK - 1, reads
+    column sum_j c_j 4**j of its ``_pair_codes`` rows c_j = BLOCK * b + j,
+    j <= BLOCK, plus R for the last block.  ``rates`` holds each column's
+    slot rates (``_block_rates``) and ``sums`` their running sums from 0."""
     blocks = max(1, -(-n // BLOCK))
     rates = np.concatenate([_block_rates(q, BLOCK),
                             _block_rates(q, n - BLOCK * (blocks - 1))]).T.copy()
-    weights = np.zeros((blocks, n), dtype=np.int64)
-    for k in range(n - 1):  # pair (k, k + 1) is code k + 1 of particle k + 1's block
-        b, j = divmod(k + 1, BLOCK)
-        weights[b, k] = 4**j
-        if j == 0:  # and the last code of the block before
-            weights[b - 1, k] = 4**BLOCK
-    offsets = np.zeros((blocks, 1), dtype=np.int64)
-    offsets[-1] = 4 ** (BLOCK + 1)
-    tables = weights, offsets, np.cumsum(rates, axis=0), rates
+    tables = np.cumsum(rates, axis=0), rates
     for table in tables:  # cached: every lockstep with this (q, n) reads them
         table.flags.writeable = False
     return tables
 
 
-def _run_chunks(job: MonteCarloJob, first_chunk: int, count: int) -> int:
-    """Successes among samples first_chunk * CHUNK + r, r < count, run in
-    one lockstep; count spans at most BATCH_CHUNKS consecutive chunks.
+def _finals(job: MonteCarloJob, words: np.ndarray, first: int):
+    """Final (positions, species) of samples first + r, r < len(words), as
+    (rows, n) arrays, in one lockstep; positions are relative to ``_origin``.
 
-    Row r reads its own row of its chunk's words (``_chunk_words``), all
-    chunks in one contiguous (count, UNIFORMS_PER_SAMPLE) buffer, in the
-    order of ``_simulate``: the Bernoulli gaps, then one (clock, move) pair
-    per step, so all running rows read the same two columns, and only those
-    become uniforms; a step whose move word would lie past a row's words
-    draws u = v = 0 for every running row.  Each row keeps its
-    positions, colours and ``_pair_codes`` as columns of (n, rows) arrays.
-    Rate slot 2k is particle k's step right or swap, 2k + 1 its step left,
-    and absent moves have rate 0; the running sums over the slots come from
-    the tables of ``_rate_tables``, summed from zero in the first block and
-    carried on slot by slot after it, so they and the total are those of
-    ``_gillespie_core``.  The move is the first slot whose running sum
-    reaches x = u * total: a slot of nonzero rate, as x > 0.
-    A row that draws a clock or move uniform of 0 (as it does past its
-    words) or comes within rounding of a decision taken on a logarithm is
-    re-run from scratch by ``_simulate`` on its ``_UniformStream``.
-    """
-    words = np.empty((count, UNIFORMS_PER_SAMPLE), dtype=np.uint64)
-    for lo in range(0, count, CHUNK):
-        rows = min(CHUNK, count - lo)
-        words[lo:lo + rows] = _chunk_words(job.seed, first_chunk + lo // CHUNK, rows)
+    Each row reads its stream (``_Words``): the Bernoulli gaps, then a clock
+    and a move uniform per step, passing over a gap or clock uniform of 0
+    while a move has a rate; logarithms are ``np.log``.  Slot 2k is particle
+    k's step right or swap, 2k + 1 its step left; their running sums add
+    slot by slot, as the reference adds them.  The move is the first slot
+    whose sum reaches x = v * total, floored at 5e-324."""
     q, horizon = job.q, job.horizon
-    retry = np.zeros(count, dtype=bool)
-    column = 0
+    rows = len(words)
+    stream = _Words(words, job.seed, first)
+    # rows 0..n-1 of a state hold the positions, rows n..2n-1 the colours
     if job.bernoulli is None:
-        positions = np.tile(np.array(job.initial.positions, dtype=np.int64), (count, 1))
-        species = np.tile(np.array(job.initial.species, dtype=np.int64), (count, 1))
+        n, origin = job.initial.n, _origin(job)
+        start = [x - origin for x in job.initial.positions] + list(job.initial.species)
+        state = np.repeat(np.array(start, dtype=np.int64)[:, None], rows, axis=1)
     else:
         rho, m, n = job.bernoulli
-        gaps = np.ones((count, m))
-        if rho < 1.0:
-            column = m
-            u = _uniforms(words[:, :m]) if m <= UNIFORMS_PER_SAMPLE else np.zeros((count, m))
-            ratio = np.log(np.where(u > 0.0, u, 0.5)) / math.log1p(-rho)
-            # the scalar gap is 1 + int(math.log(u) / math.log1p(-rho))
-            near = np.abs(ratio - np.round(ratio)) <= 1e-9 * np.maximum(ratio, 1.0)
-            retry |= ((u <= 0.0) | near | ~(ratio < 2.0**52)).any(axis=1)
-            gaps[~retry] = 1.0 + np.floor(ratio[~retry])
-        sites = -np.cumsum(gaps.astype(np.int64), axis=1)[:, ::-1]
-        positions = np.hstack([sites, np.tile(np.arange(n - m), (count, 1))])
-        species = np.tile(np.array([2] * m + [1] * (n - m)), (count, 1))
-    # int64 positions stay exact over the at most 48 steps a row runs here
-    retry |= (np.abs(positions) > 2**62).any(axis=1)
-    ids = np.flatnonzero(~retry)
-    positions, species = positions.T.take(ids, axis=1), species.T.take(ids, axis=1)
-    n = len(positions)
-    weights, offsets, sums, rates = _rate_tables(q, n)
-    code = _pair_codes(positions, species)
-    clock = np.zeros(len(ids))
-    tie = 1e-9 * max(horizon, 1.0)
-    ended = [(positions[:, :0], species[:, :0])]  # final states of the stopped rows
+        gaps = np.ones((m, rows), dtype=np.int64)
+        if rho < 1.0:  # 1 + floor(log(u) / log(1 - rho)) < SPAN
+            gaps += (np.log(stream.draws(m)) / math.log1p(-rho)).astype(np.int64)
+        rest = np.array([*range(n - m), *[2] * m, *[1] * (n - m)], dtype=np.int64)
+        state = np.concatenate([-np.cumsum(gaps, axis=0)[::-1],
+                                np.repeat(rest[:, None], rows, axis=1)])
+    blocks = max(1, -(-n // BLOCK))
+    sums, rates = _rate_tables(q, n)
+    code = _pair_codes(state, n, blocks)
+    clock = np.zeros(rows)
+    ended = []  # (rows, state) of the rows that stop at each step
     while True:
-        index = weights @ code + offsets  # (blocks, rows): each block's table column
-        acc = sums.take(index, axis=1)  # (2 * BLOCK, blocks, rows)
-        carried = rates.take(index[1:], axis=1)
-        for b in range(1, len(index)):  # past the first block, sum on slot by slot
-            running = acc[-1, b - 1]
-            for j in range(2 * BLOCK):
-                running = acc[j, b] = running + carried[j, b - 1]
+        # each block's table column (``_rate_tables``) from rows BLOCK apart
+        index = code[BLOCK::BLOCK] << 2 * BLOCK  # (blocks, rows)
+        for j in range(BLOCK):
+            index += code[j:-1:BLOCK] << 2 * j
+        index[-1] += 4 ** (BLOCK + 1)
+        if blocks == 1:
+            acc = sums.take(index, axis=1)  # (2 * BLOCK, blocks, rows)
+        else:  # the running sums carry on slot by slot across the blocks
+            slots = rates.take(index, axis=1).swapaxes(0, 1).reshape(2 * BLOCK * blocks, -1)
+            acc = np.cumsum(slots, axis=0).reshape(blocks, 2 * BLOCK, -1).swapaxes(0, 1)
         total = acc[-1, -1]
-        if column + 1 < UNIFORMS_PER_SAMPLE:
-            flat = ids * UNIFORMS_PER_SAMPLE + column
-            u, v = _uniforms(words.take(flat)), _uniforms(words.take(flat + 1))
-        else:  # past the rows' words: every running row draws u = v = 0
-            u = v = np.zeros(len(ids))
+        u, v = stream.draw(total), stream.read()
         with np.errstate(divide="ignore"):
             t = clock - np.log(u) / total  # +inf where no move has a rate
-        x = v * total
-        failed = (np.minimum(u, v) <= 0.0) | (np.abs(t - horizon) <= tie)
-        moving = ~failed & (t <= horizon)
-        stopped = np.flatnonzero(~(failed | moving))
-        ended.append((positions.take(stopped, axis=1), species.take(stopped, axis=1)))
-        retry[ids[failed]] = True
+        moving = t <= horizon
+        stopped = np.flatnonzero(~moving)
+        ended.append((stream.running.take(stopped), state.take(stopped, axis=1)))
         keep = np.flatnonzero(moving)
         if not keep.size:
             break
         # the slots whose running sums fall below x, counted per block
+        x = np.maximum(v * total, 5e-324)
         below = np.add.reduce((acc < x).view(np.uint8), axis=0, dtype=np.uint8)
         slot = below.sum(axis=0, dtype=np.int64).take(keep)
-        ids, clock = ids.take(keep), t.take(keep)
-        positions, species, code = (a.take(keep, axis=1) for a in (positions, species, code))
-        column += 2
-        size = len(ids)
+        clock = t.take(keep)
+        stream.keep(keep)
+        state, code = state.take(keep, axis=1), code.take(keep, axis=1)
+        size = len(keep)
         cell = (slot >> 1) * size + np.arange(size)  # flat index of the moving particle
         left = slot & 1
-        swap = (code.take(cell) & 1) > left  # a right move on an odd code swaps
-        pair = cell[swap]
-        right_of = species.take(pair + size)
-        species.put(pair + size, species.take(pair))
-        species.put(pair, right_of)
-        positions.put(cell, positions.take(cell) + 1 - 2 * left - swap)
-        code = _pair_codes(positions, species)
-    final = (np.concatenate(arrays, axis=1).T for arrays in zip(*ended))
-    successes = int(_events_hold(job.event, *final).sum())
-    first = first_chunk * CHUNK  # only a job's last chunk is partial
-    for row in np.nonzero(retry)[0]:
-        draw = _UniformStream(_uniforms(words[row]), job.seed, first + int(row))
-        successes += _event_holds(job.event, *_simulate(job, draw))
-    return successes
+        swap = (code.take(cell + size) & 1) > left  # a right move on an odd code swaps
+        pair = cell[swap] + n * size  # the colour of the particle left of the swap
+        right_of = state.take(pair + size)
+        state.put(pair + size, state.take(pair))
+        state.put(pair, right_of)
+        state.put(cell, state.take(cell) + 1 - 2 * left - swap)
+        code = _pair_codes(state, n, blocks)
+    done, state = (np.concatenate(parts, axis=-1) for parts in zip(*ended))
+    final = np.empty_like(state)
+    final[:, done] = state
+    return final[:n].T, final[n:].T
+
+
+def _run_chunks(job: MonteCarloJob, first_chunk: int, count: int) -> int:
+    """Successes among samples first_chunk * CHUNK + r, r < count, in at
+    most BATCH_CHUNKS chunks: one ``_finals`` lockstep on their rows of the
+    chunks' words (``_chunk_words``), in one contiguous buffer."""
+    words = np.empty((count, UNIFORMS_PER_SAMPLE), dtype=np.uint64)
+    for lo in range(0, count, CHUNK):
+        rows = min(CHUNK, count - lo)
+        words[lo:lo + rows] = _chunk_words(job.seed, first_chunk + lo // CHUNK, rows)
+    finals = _finals(job, words, first_chunk * CHUNK)
+    return int(_events_hold(job.event, _origin(job), *finals).sum())
 
 
 def ProcessPoolExecutor(max_workers):
@@ -469,9 +395,8 @@ def run_monte_carlo(job: MonteCarloJob, threads: int = 1):
     ceil(chunks / workers) chunks, an even share, so that no worker is left
     with most of the job, and the pool starts no more workers than there
     are batches.  Each chunk draws from its own stream, so the batching
-    changes no count.  ``threads`` must be an integer >= 1.
-    Returns (estimate, stderr, successes).
-    """
+    changes no count.  ``threads`` must be an integer >= 1.  Returns
+    (estimate, stderr, successes)."""
     if not job.event:
         raise ValidationError("run_monte_carlo needs an event")
     threads = as_int(threads, "threads")
@@ -841,8 +766,3 @@ def transition_row(gen: WindowGenerator, mu: ParticleConfig, t: float) -> np.nda
         out += term
     return out
 
-
-def expm_transition(gen: WindowGenerator, mu: ParticleConfig, nu: ParticleConfig, t: float):
-    """[exp(Qt)]_{mu,nu} plus the sink mass accumulated from mu by time t."""
-    row = transition_row(gen, mu, t)
-    return float(row[gen.state_of(nu)]), float(row[-1])

@@ -29,11 +29,11 @@ from asepcross.identities import run_identity_suite
 from asepcross.oracle import (
     MonteCarloJob,
     build_window_generator,
-    expm_transition,
     run_monte_carlo,
     transition_row,
 )
 from asepcross.vertex import f_mu, stochastic_weights_check
+from gillespie_reference import expm_transition
 import residue_reference
 from conftest import make_blocks
 from vertex_reference import F_lambda_sym, cauchy_check, orthogonality_check

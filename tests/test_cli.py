@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from asepcross.cli import EVALUATORS, SELECTORS, dumps_record, main
 from asepcross.core import ParticleConfig
 from asepcross.oracle import MonteCarloJob, run_monte_carlo
+import gillespie_reference as reference
 
 
 def run_cli(capsys, *argv):
@@ -210,6 +212,32 @@ class TestSimulateCommand:
             event = ("target", tuple(final["positions"]), tuple(final["species"]))
             job = MonteCarloJob(samples=1, seed=seed, event=event, **fields)
             assert run_monte_carlo(job)[2] == 1
+
+    def test_large_bernoulli_sample_runs_in_linear_memory(self, capsys):
+        # 20,000 particles at horizon 0: the sampler's arrays grow linearly
+        # in n (a dense block-by-particle weight matrix would take 800 MB)
+        payload = '{"task":"bernoulli_sample","rho":0.5,"m":10000,"n":20000}'
+        tracemalloc.start()
+        try:
+            code, out = run_cli(capsys, "simulate", "--json", payload, "--seed", "4")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 32 * 2**20
+        final = json.loads(out[-1])["result"]
+        job = MonteCarloJob(q=0.0, horizon=0.0, samples=1, seed=4, bernoulli=(0.5, 10000, 20000))
+        expected = reference.sample(job, 0)
+        assert (tuple(final["positions"]), tuple(final["species"])) == (
+            expected.positions, expected.species)
+        assert final["positions"][10000:] == list(range(10000))
+
+    def test_tiny_density_is_validation_error(self, capsys):
+        # at rho = 1e-300 a gap can span 10**301 sites, past the int64 lockstep
+        code = main(["simulate", "--json", '{"task":"estimate_wall","rho":1e-300,"m":2,"n":3,'
+                     '"s1":-3,"s2":2,"t":1.0,"samples":100}', "--seed", "3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("validation error: rho = 1e-300 is too small for m = 2")
 
 
 class TestVerifyCommand:

@@ -235,6 +235,10 @@ MALFORMED = [
     ("empty_configuration_on_reversed_window",
      lambda: oracle.build_window_generator(ParticleConfig((), ()), (3, 0), ModelParams(0.5)),
      r"a window needs a <= b, got \(3, 0\)"),
+    ("monte_carlo_tiny_density", lambda: _wall_job(0.0, 1.0, 10, 3, 1e-300, 2, 3, -3, 2),
+     r"^rho = 1e-300 is too small for m = 2"),
+    ("monte_carlo_wide_initial_state",
+     lambda: _target_job((-2**62, 1), (2, 1), (-2**62, 2)), "span more than 2\\*\\*62 sites"),
     ("monte_carlo_negative_seed", lambda: _wall_job(0.0, 1.0, 10, -1, 0.5, 1, 2, -3, 2),
      r"^seed must lie in \[0, 2\*\*64\), got -1$"),
     ("monte_carlo_seed_of_65_bits", lambda: _wall_job(0.0, 1.0, 10, 2**64, 0.5, 1, 2, -3, 2),

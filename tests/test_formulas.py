@@ -40,11 +40,11 @@ from asepcross.formulas import (
 from asepcross.oracle import (
     MonteCarloJob,
     build_window_generator,
-    expm_transition,
     run_monte_carlo,
     transition_row,
 )
 from asepcross.quadrature import NOISE_MARGIN, ROUNDOFF, MultivariatePolynomial, OpenGrid
+from gillespie_reference import expm_transition
 import residue_reference
 from conftest import make_blocks
 

@@ -24,37 +24,24 @@ from asepcross.oracle import (
     UNIFORMS_PER_SAMPLE,
     MonteCarloJob,
     build_window_generator,
-    expm_transition,
     run_monte_carlo,
     simulate_sample,
     transition_row,
-    _event_holds,
     _multiset_permutations,
-    _row_uniforms,
-    _simulate,
-    _uniforms,
-    _UniformStream,
 )
+import gillespie_reference as reference
+from gillespie_reference import expm_transition
 from vertex_reference import default_window
 
 GOLDEN_2TASEP = 0.06766764161830637  # mu=(0,1) p0={1} -> nu=(1,2) p={2}, t=1
 
 
-def _chunk_uniforms(seed, chunk):
-    """The uniforms of a whole chunk's words, one row per sample (looked up
-    on the module, so a patched ``_chunk_words`` reaches them)."""
-    return _uniforms(oracle._chunk_words(seed, chunk, CHUNK))
-
-
 def _sample_events(job, index):
-    """Sample ``index`` of ``job`` run by ``_simulate`` on the stream
-    ``simulate_sample`` reads: its final state and its jumps, each
+    """Sample ``index`` of ``job`` run by the reference sampler on the
+    stream ``simulate_sample`` reads: its final state and its jumps, each
     (t, kind, k, species after)."""
     events = []
-    chunk, row = divmod(index, CHUNK)
-    draw = _UniformStream(_row_uniforms(job.seed, chunk, row), job.seed, index)
-    positions, species = _simulate(job, draw, events)
-    final = ParticleConfig(tuple(positions), tuple(species))
+    final = reference.sample(job, index, events)
     assert final == simulate_sample(job, index)
     return final, events
 
@@ -77,11 +64,14 @@ class TestGillespie:
         assert simulate_sample(job) == job.initial
 
     def test_single_particle_poisson_mean(self):
-        job = _job((0,), (1,), 0.0, 1.0, seed=11)
+        # the trajectories of simulate_sample(job, i), i < 100,000, run a
+        # chunk at a time
         runs = 100_000
+        job = _job((0,), (1,), 0.0, 1.0, seed=11, samples=runs)
         total = 0
-        for i in range(runs):
-            total += simulate_sample(job, i).positions[0]
+        for first in range(0, runs, CHUNK):
+            words = oracle._chunk_words(job.seed, first // CHUNK, min(CHUNK, runs - first))
+            total += int(oracle._finals(job, words, first)[0].sum())
         mean = total / runs
         assert abs(mean - 1.0) < 0.01
 
@@ -113,18 +103,28 @@ class TestGillespie:
 
     @pytest.mark.parametrize("chunk", [0, 3])
     def test_single_row_draw_equals_chunk_row(self, chunk):
-        full = _chunk_uniforms(5, chunk)
+        full = oracle._chunk_words(5, chunk, CHUNK)
         for row in (0, 1, 7, 500, 1023):
-            assert np.array_equal(_row_uniforms(5, chunk, row), full[row])
+            assert np.array_equal(oracle._row_words(5, chunk, row), full[row:row + 1])
 
     @pytest.mark.parametrize("seed, chunk", [(0, 0), (5, 3), (2**40 + 1, 17), (-1, 2)])
     def test_word_map_is_generator_random(self, seed, chunk):
         # the uniforms of the raw words are Generator.random's, bit for bit
         expected = oracle._philox(seed, chunk, 0).random((CHUNK, UNIFORMS_PER_SAMPLE))
-        full = _chunk_uniforms(seed, chunk)
-        assert np.array_equal(full, expected)
+        assert np.array_equal(reference.chunk_uniforms(seed, chunk), expected)
+        words = oracle._Words(oracle._chunk_words(seed, chunk, CHUNK), seed, chunk * CHUNK)
+        for column in range(3):
+            assert np.array_equal(words.read(), expected[:, column])
         for row in (0, 1, CHUNK - 1):
-            assert np.array_equal(_row_uniforms(seed, chunk, row), expected[row])
+            assert np.array_equal(reference.row_uniforms(seed, chunk, row), expected[row])
+
+    def test_scalar_log_equals_array_log(self):
+        # the reference takes np.log of one uniform at a time, the lockstep
+        # of a column of them: the two agree on all of one chunk's uniforms
+        uniforms = reference.chunk_uniforms(3, 0).ravel()
+        assert uniforms.min() > 0.0
+        scalar = np.array([np.log(u) for u in uniforms])
+        assert np.array_equal(scalar, np.log(uniforms))
 
     def test_backhopping_moves_left(self):
         job = _job((0,), (1,), 2.0, 4.0, seed=9)
@@ -205,6 +205,27 @@ class TestMonteCarloJob:
         with pytest.raises(ValidationError):
             run_monte_carlo(_job((0,), (1,), 0.0, 1.0, samples=10))
 
+    def test_widest_initial_state_runs(self):
+        job = _job((-2**62, 0), (2, 1), 0.5, 1.0, samples=50,
+                   event=("target", (-2**62, 1), (2, 1)))
+        assert run_monte_carlo(job)[2] == reference.successes(job) > 0
+        with pytest.raises(ValidationError, match=r"span more than 2\*\*62 sites"):
+            _job((-2**62 - 1, 0), (2, 1), 0.5, 1.0)
+
+    def test_tiny_density_runs_up_to_the_span(self):
+        # gaps of up to 3.7e17 sites at rho = 1e-16, against a wall whose
+        # lower bound lies past the int64 range
+        job = _bernoulli_job(1e-16, 1, 1, 5, 200, event=("wall", -10**30, -10**16), t=1.0)
+        assert 0 < run_monte_carlo(job)[2] == reference.successes(job) < 200
+        with pytest.raises(ValidationError, match="rho = 1e-18 is too small for m = 1"):
+            _bernoulli_job(1e-18, 1, 1, 5, event=("wall", -3, 2))
+
+    @pytest.mark.parametrize("index", [2**63, 2**64 + 5])
+    def test_sample_index_past_int64(self, index):
+        # the streams are keyed by the index modulo 2**64, as the reference's
+        job = _long_horizon_job(3, 1)
+        assert simulate_sample(job, index) == reference.sample(job, index)
+
     def test_negative_sample_index_refused(self):
         with pytest.raises(ValidationError):
             simulate_sample(_job((0,), (1,), 0.0, 1.0), -1)
@@ -257,31 +278,14 @@ def _assert_samples_are_counted(make_job, seed, lo, hi):
     held = 0
     for i in range(lo, hi):
         final = simulate_sample(job, i)
-        held += _event_holds(job.event, final.positions, final.species)
+        held += reference.event_holds(job.event, final.positions, final.species)
     assert held == counted
-
-
-def _scalar_finals(job):
-    """The final states of ``job``'s samples, each run alone by ``_simulate``
-    on its own row of the chunk uniforms."""
-    finals = []
-    for chunk in range(-(-job.samples // CHUNK)):
-        buf = _chunk_uniforms(job.seed, chunk)
-        for row in range(min(CHUNK, job.samples - chunk * CHUNK)):
-            draw = _UniformStream(buf[row], job.seed, chunk * CHUNK + row)
-            finals.append(_simulate(job, draw))
-    return finals
-
-
-def _scalar_successes(job):
-    """The event count of ``job`` over ``_scalar_finals``."""
-    return sum(_event_holds(job.event, *final) for final in _scalar_finals(job))
 
 
 def _patch_words(monkeypatch, uniforms):
     """Make every chunk draw put the uniform u in the given rows and column
     of its words, for each (rows, column, u) of ``uniforms``: the lockstep
-    and the scalar path both read them."""
+    and the reference both read them."""
     original = oracle._chunk_words
 
     def patched(seed, chunk_index, rows):
@@ -293,16 +297,29 @@ def _patch_words(monkeypatch, uniforms):
     monkeypatch.setattr(oracle, "_chunk_words", patched)
 
 
-def _count_scalar_runs(monkeypatch):
-    """Count the rows that ``_run_chunks`` hands to the scalar ``_simulate``."""
-    runs = []
+def _assert_rows_are_the_reference(job):
+    """Each row of ``job``'s first chunk, run in one lockstep, ends in the
+    final state of the reference's run of that sample."""
+    rows = min(CHUNK, job.samples)
+    positions, species = oracle._finals(job, oracle._chunk_words(job.seed, 0, rows), 0)
+    origin = oracle._origin(job)
+    ours = [([origin + x for x in p], s) for p, s in zip(positions.tolist(), species.tolist())]
+    assert ours == [tuple(final) for final in reference.finals(job)[:rows]]
 
-    def counted(job, draw, events=None):
-        runs.append(draw.index)
-        return _simulate(job, draw, events)
 
-    monkeypatch.setattr(oracle, "_simulate", counted)
-    return runs
+def _overflow_draws(monkeypatch, seed):
+    """Record (sample, counter step) of each overflow-stream draw that a run
+    with ``seed`` makes."""
+    draws = []
+    philox = oracle._philox
+
+    def recorded(a, b, counter):
+        if a == seed ^ oracle.GOLDEN:
+            draws.append((b, counter))
+        return philox(a, b, counter)
+
+    monkeypatch.setattr(oracle, "_philox", recorded)
+    return draws
 
 
 # 1,030 samples: one full chunk and a partial one of 6 rows
@@ -330,86 +347,132 @@ class TestBatchedCounts:
     def test_counts_equal_the_scalar_path(self, shape):
         for seed in range(20):
             job = BATCHED_JOBS[shape](seed, 1030)
-            assert run_monte_carlo(job)[2] == _scalar_successes(job), seed
+            assert run_monte_carlo(job)[2] == reference.successes(job), seed
 
     @pytest.mark.parametrize("samples", [4 * CHUNK + 6, 9 * CHUNK])
     @pytest.mark.parametrize("shape", ["wall_q0", "target_q03_n3"])
     def test_counts_across_batches_equal_the_scalar_path(self, shape, samples):
         # two batches with a partial last chunk, and three with a lone chunk
         job = BATCHED_JOBS[shape](2, samples)
-        assert run_monte_carlo(job)[2] == _scalar_successes(job)
+        assert run_monte_carlo(job)[2] == reference.successes(job)
 
     @pytest.mark.parametrize("bernoulli", [False, True])
     @pytest.mark.parametrize("seed", range(3))
     def test_long_horizon_counts_equal_the_scalar_path(self, seed, bernoulli):
         job = _long_horizon_job(seed, 1030, bernoulli)
-        assert run_monte_carlo(job)[2] == _scalar_successes(job)
+        assert run_monte_carlo(job)[2] == reference.successes(job)
 
-    def test_long_horizon_uses_the_scalar_fallback(self, monkeypatch):
-        runs = _count_scalar_runs(monkeypatch)
+    def test_long_horizon_reads_the_overflow_streams(self, monkeypatch):
+        # most rows run past their 96 words and read on, in the lockstep,
+        # from their overflow streams: one draw per row, from counter step 0
+        draws = _overflow_draws(monkeypatch, 1)
         run_monte_carlo(_long_horizon_job(1, 1030))
-        assert len(runs) > 700
+        assert len(draws) > 700 and len(set(draws)) == len(draws)
+        assert {counter for _, counter in draws} == {0}
+
+    def test_long_horizon_samples_equal_the_reference(self):
+        job = _long_horizon_job(1, 1030)
+        for i in range(job.samples):
+            assert simulate_sample(job, i) == reference.sample(job, i), i
 
     @pytest.mark.parametrize("samples", [1030, BATCH_CHUNKS * CHUNK + 6])
     def test_rows_read_past_their_words(self, monkeypatch, samples):
-        # the lockstep reaches the end of the rows' words: a row it hands
-        # back needs more uniforms than its row holds, and draws them from
-        # its overflow stream; the counts stay those of the scalar path
+        # the lockstep reaches the end of the rows' words and reads on from
+        # their overflow streams; the counts stay those of the reference
         job = _long_horizon_job(0, samples)
-        overflowed = []
-
-        def recorded(job, draw, events=None):
-            final = _simulate(job, draw, events)
-            overflowed.append(draw.rng is not None)
-            return final
-
-        monkeypatch.setattr(oracle, "_simulate", recorded)
+        draws = _overflow_draws(monkeypatch, 0)
         successes = run_monte_carlo(job)[2]
-        assert sum(overflowed) > samples // 2
+        assert len(draws) > samples // 2
         monkeypatch.undo()
-        assert successes == _scalar_successes(job)
+        assert successes == reference.successes(job)
 
-    def test_retried_rows_keep_their_sample_index(self, monkeypatch):
-        # the second batch starts at sample 4 * CHUNK: a row it hands back
-        # must draw its overflow uniforms under its own sample index
+    def test_overflow_rows_keep_their_sample_index(self, monkeypatch):
+        # the second batch starts at sample 4 * CHUNK: its rows draw their
+        # overflow words under their own sample indices
         job = _long_horizon_job(1, BATCH_CHUNKS * CHUNK + 6)
-        runs = _count_scalar_runs(monkeypatch)
+        draws = _overflow_draws(monkeypatch, 1)
         run_monte_carlo(job)
-        assert len(set(runs)) == len(runs) and set(runs) <= set(range(job.samples))
-        assert any(i >= BATCH_CHUNKS * CHUNK for i in runs)
+        samples = [i for i, _ in draws]
+        assert len(set(samples)) == len(samples) and set(samples) <= set(range(job.samples))
+        assert any(i >= BATCH_CHUNKS * CHUNK for i in samples)
 
-    def test_zero_and_integer_gap_uniforms_fall_back(self, monkeypatch):
-        # u == 0 makes the scalar path draw again: in a Bernoulli gap
-        # (column 0) and in a clock draw (columns 1 and 2); u = 1/4 at
-        # rho = 1/2 puts log(u) / log(1 - rho) on the integer 2, where the
-        # rounding of the logarithm decides the gap
+    def test_rows_read_two_overflow_blocks(self, monkeypatch):
+        # about 200 jumps, 400 words, per sample: past a row's 96 words and
+        # the first OVERFLOW words of its overflow stream
+        job = _job((0,), (1,), 1.0, 100.0, seed=4, samples=40, event=("wall", -5, 5))
+        draws = _overflow_draws(monkeypatch, 4)
+        successes = run_monte_carlo(job)[2]
+        assert {counter for _, counter in draws} >= {0, oracle.OVERFLOW // 4}
+        monkeypatch.undo()
+        assert successes == reference.successes(job) > 0
+        _assert_rows_are_the_reference(job)
+        for i in range(job.samples):
+            assert simulate_sample(job, i) == reference.sample(job, i), i
+
+    def test_bernoulli_gaps_read_past_the_row_words(self, monkeypatch):
+        # m = 100 gaps: every row reads on from its overflow stream before
+        # its first jump; the event asks for every type 2 at or beyond -200
+        job = MonteCarloJob(q=0.5, horizon=0.2, samples=300, seed=9,
+                            bernoulli=(0.5, 100, 100), event=("wall", 0, -200))
+        draws = _overflow_draws(monkeypatch, 9)
+        successes = run_monte_carlo(job)[2]
+        assert {i for i, _ in draws} == set(range(job.samples))
+        monkeypatch.undo()
+        assert 0 < successes == reference.successes(job) < job.samples
+        _assert_rows_are_the_reference(job)
+
+    def test_bernoulli_gaps_read_two_overflow_blocks_at_once(self, monkeypatch):
+        # m = 400 gaps: one refill takes the first two OVERFLOW blocks of
+        # every row's overflow stream, read as one column block
+        job = MonteCarloJob(q=0.5, horizon=0.1, samples=30, seed=12,
+                            bernoulli=(0.5, 400, 400), event=("wall", 0, -800))
+        draws = _overflow_draws(monkeypatch, 12)
+        successes = run_monte_carlo(job)[2]
+        assert {counter for _, counter in draws} == {0}
+        assert sorted(i for i, _ in draws) == list(range(job.samples))
+        monkeypatch.undo()
+        assert 0 < successes == reference.successes(job) < job.samples
+        _assert_rows_are_the_reference(job)
+        for i in (0, 7, 29):
+            assert simulate_sample(job, i) == reference.sample(job, i), i
+
+    def test_zero_gap_uniform_inside_the_column_block(self, monkeypatch):
+        # u == 0 at column 50 of some rows: those rows read one word more
+        # for their gaps, so every later word of theirs moves by one
+        _patch_words(monkeypatch, [(slice(None, None, 3), 50, 0.0)])
+        job = MonteCarloJob(q=0.5, horizon=0.2, samples=60, seed=9,
+                            bernoulli=(0.5, 100, 100), event=("wall", 0, -200))
+        assert 0 < run_monte_carlo(job)[2] == reference.successes(job) < job.samples
+        _assert_rows_are_the_reference(job)
+
+    def test_zero_and_integer_gap_uniforms_count_as_the_reference(self, monkeypatch):
+        # u == 0 makes a row read its next word: in a Bernoulli gap (column
+        # 0) and in a clock draw (columns 1 and 2); u = 1/4 at rho = 1/2
+        # puts log(u) / log(1 - rho) on the integer 2
         _patch_words(monkeypatch, [(slice(None, None, 7), 0, 0.0), (slice(3, None, 7), 0, 0.25),
                                    (slice(1, None, 5), 1, 0.0), (slice(2, None, 9), 2, 0.0)])
         for shape in ("wall_q0", "target_q03_n3"):
             job = BATCHED_JOBS[shape](4, 1030)
-            assert run_monte_carlo(job)[2] == _scalar_successes(job)
-        runs = _count_scalar_runs(monkeypatch)
-        run_monte_carlo(BATCHED_JOBS["wall_q0"](4, 1030))
-        assert {i for i in range(1030) if i % CHUNK % 7 in (0, 3)} <= set(runs)
+            assert run_monte_carlo(job)[2] == reference.successes(job)
+            _assert_rows_are_the_reference(job)
 
-    def test_clock_tie_with_the_horizon_falls_back(self, monkeypatch):
-        # a horizon equal to the time of sample 0's first jump: the scalar
-        # comparison t > horizon decides that row
+    def test_clock_tie_with_the_horizon_counts_as_the_reference(self):
+        # a horizon equal to the time of sample 0's first jump: t > horizon
+        # is false for that row, which takes its jump
         probe = _job((0, 1, 2), (2, 1, 2), 0.3, 5.0, seed=8)
         horizon = _sample_events(probe, 0)[1][0][0]
         job = _job((0, 1, 2), (2, 1, 2), 0.3, horizon, seed=8, samples=40,
                    event=("target", (0, 1, 2), (2, 1, 2)))
-        runs = _count_scalar_runs(monkeypatch)
-        assert run_monte_carlo(job)[2] == _scalar_successes(job)
-        assert 0 in runs
+        assert run_monte_carlo(job)[2] == reference.successes(job)
+        assert simulate_sample(job, 0) == reference.sample(job, 0) != job.initial
 
-    def test_positions_near_the_int64_limit_fall_back(self, monkeypatch):
+    def test_positions_near_the_int64_limit_count_as_the_reference(self):
+        # the lockstep's positions are relative to the leftmost initial site
         top = 2**63 - 10
         job = _job((top - 1, top), (1, 2), 0.5, 2.0, seed=6, samples=50,
                    event=("target", (top - 1, top + 1), (1, 2)))
-        runs = _count_scalar_runs(monkeypatch)
-        assert run_monte_carlo(job)[2] == _scalar_successes(job) > 0
-        assert len(runs) == 50
+        assert run_monte_carlo(job)[2] == reference.successes(job) > 0
+        _assert_rows_are_the_reference(job)
 
     def test_two_workers_give_the_same_counts(self):
         for samples in (2100, 9 * CHUNK):
@@ -485,7 +548,7 @@ class TestTableLockstep:
     def test_drawn_jobs_count_as_the_scalar_path(self, index):
         # the count of each of the eight commonest final states
         job = _drawn_job(index)
-        finals = collections.Counter((tuple(p), tuple(s)) for p, s in _scalar_finals(job))
+        finals = collections.Counter((tuple(p), tuple(s)) for p, s in reference.finals(job))
         for final, held in finals.most_common(8):
             event = ("target",) + final
             assert run_monte_carlo(dataclasses.replace(job, event=event))[2] == held, final
@@ -496,22 +559,30 @@ class TestTableLockstep:
         # some of the samples at each s from 4 to 13
         job = _job((0, 1, 2, 4, 5, 7, 8, 9, 10, 12, 13, 14),
                    (3, 1, 3, 3, 1, 3, 3, 3, 2, 3, 3, 2), 0.3, 1.5, seed=12, samples=300)
-        finals = _scalar_finals(job)
+        finals = reference.finals(job)
         for s in range(4, 14):
             event = ("wall", -5, s)
-            held = sum(_event_holds(event, *final) for final in finals)
+            held = sum(reference.event_holds(event, *final) for final in finals)
             assert run_monte_carlo(dataclasses.replace(job, event=event))[2] == held, s
 
-    def test_zero_move_and_clock_uniforms_fall_back(self, monkeypatch):
+    def test_many_blocks_samples_equal_the_reference(self):
+        # 41 particles, eleven table blocks, the last a single particle: the
+        # running sums carry across ten block boundaries on one row
+        positions = tuple(range(0, 60, 3)) + tuple(range(60, 81))
+        species = tuple(1 + k % 3 for k in range(41))
+        job = _job(positions, species, 0.4, 0.3, seed=21, samples=30)
+        for i in range(job.samples):
+            assert simulate_sample(job, i) == reference.sample(job, i), i
+        _assert_rows_are_the_reference(job)
+
+    def test_zero_move_and_clock_uniforms_count_as_the_reference(self, monkeypatch):
         # x = 0 would pick slot 0, the equal-colour pair's swap at rate 0,
-        # and a clock uniform of 0 makes the scalar path draw again
+        # and a clock uniform of 0 makes the row read its next word
         _patch_words(monkeypatch, [(slice(None, None, 5), 1, 0.0), (slice(2, None, 5), 0, 0.0)])
         job = _job((0, 1, 2), (2, 2, 1), 0.3, 2.0, seed=3, samples=1030,
                    event=("wall", 0, 3))
-        assert run_monte_carlo(job)[2] == _scalar_successes(job)
-        runs = _count_scalar_runs(monkeypatch)
-        run_monte_carlo(job)
-        assert {i for i in range(1030) if i % CHUNK % 5 in (0, 2)} <= set(runs)
+        assert run_monte_carlo(job)[2] == reference.successes(job)
+        _assert_rows_are_the_reference(job)
 
 
 def _inline_pool(started):
